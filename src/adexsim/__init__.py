@@ -10,9 +10,9 @@ experiment harness with firing-pattern classification.
 __version__ = "0.1.0"
 
 from .errors import (
-    AdexSimError, FitFailed, InvalidConfig, NonFiniteState, NotConverged,
-    NotLeakOverThreshold, NotMonotone, ParseError, ValidationError,
-    WindowTooShort,
+    AdexSimError, FitFailed, InvalidConfig, NoIdealEquivalent, NonFiniteState,
+    NotConverged, NotLeakOverThreshold, NotMonotone, ParseError,
+    ValidationError, WindowTooShort,
 )
 from .model import (
     AdExParameters, NeuronState, SimulationTrace, StimulusProgram,

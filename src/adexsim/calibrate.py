@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import CircuitNeuronConfig, get_bias, set_bias
-from .errors import NotConverged, NotMonotone, ValidationError
+from .errors import FitFailed, NotConverged, NotMonotone, ValidationError
 from .measure import (
     measure_b, measure_delta_t, measure_exp_onset, measure_psp_amplitude,
     measure_resting_offset, measure_stim_gain, measure_subthreshold_a,
@@ -109,11 +109,20 @@ class CalibrationResult:
         return all(bool(np.all(o.converged)) for o in self.outcomes.values())
 
 
-def _spread(values: np.ndarray) -> float:
+def _spread(values: np.ndarray, absolute: bool = False) -> float:
+    """Relative spread, or the plain standard deviation for additive knobs
+    whose values sit around zero."""
     good = values[np.isfinite(values)]
-    if len(good) == 0 or np.mean(good) == 0:
+    if len(good) == 0:
+        return math.nan
+    if absolute:
+        return float(np.std(good))
+    if np.mean(good) == 0:
         return math.nan
     return float(np.std(good) / abs(np.mean(good)))
+
+
+PROBE_FAILED = "probe measurement failed at bias"
 
 
 def _tune_population(cfg, n, bias_path, measure_fn, targets, bounds,
@@ -154,12 +163,13 @@ def _tune_population(cfg, n, bias_path, measure_fn, targets, bounds,
     f_hi = evaluate(b_hi)
     f_cur = evaluate(current)
     evaluations = 3
-    pre_spread = _spread(f_cur)
+    absolute = tol_abs is not None
+    pre_spread = _spread(f_cur, absolute)
 
     d_lo = f_cur - f_lo
     d_hi = f_hi - f_cur
-    monotone = np.isfinite(f_lo) & np.isfinite(f_hi) & np.isfinite(f_cur) \
-        & (d_lo * d_hi > 0)
+    probed = np.isfinite(f_lo) & np.isfinite(f_hi) & np.isfinite(f_cur)
+    monotone = probed & (d_lo * d_hi > 0)
     direction = np.sign(f_hi - f_lo)
 
     f_min = np.minimum(f_lo, f_hi)
@@ -168,7 +178,11 @@ def _tune_population(cfg, n, bias_path, measure_fn, targets, bounds,
 
     errors = [None] * n
     for i in range(n):
-        if not monotone[i]:
+        if not probed[i]:
+            failed = [b for b, f in ((lo, f_lo[i]), (current[i], f_cur[i]), (hi, f_hi[i]))
+                      if not np.isfinite(f)]
+            errors[i] = f"{PROBE_FAILED} " + ", ".join(f"{b:.4g}" for b in failed)
+        elif not monotone[i]:
             errors[i] = (f"bias->parameter map not monotone over [{lo:.4g}, {hi:.4g}] "
                          f"(probe {f_lo[i]:.4g}, {f_cur[i]:.4g}, {f_hi[i]:.4g})")
         elif not reachable[i]:
@@ -248,7 +262,7 @@ def _tune_population(cfg, n, bias_path, measure_fn, targets, bounds,
     outcome = ParameterOutcome(
         bias_path=bias_path, biases=best_bias, residuals=final_res,
         converged=converged, pre_spread=pre_spread,
-        post_spread=_spread(f_final), evaluations=evaluations)
+        post_spread=_spread(f_final, absolute), evaluations=evaluations)
     return cfg, outcome, errors
 
 
@@ -258,14 +272,17 @@ def calibrate_parameter(neuron: CircuitNeuronConfig, target_value: float,
                         tol_abs: float | None = None, scale: str = "log"):
     """Tune one bias of a single neuron; returns (neuron', bias, residual).
 
-    Raises NotMonotone if the 3-point probe rejects the map and
-    NotConverged (carrying the best residual) if the target is
-    unreachable or tolerance is not met within max_iter refinements.
+    Raises FitFailed if a probe measurement fails, NotMonotone if the
+    3-point probe rejects the map and NotConverged (carrying the best
+    residual) if the target is unreachable or tolerance is not met within
+    max_iter refinements.
     """
     cfg, outcome, errors = _tune_population(
         neuron, 1, bias_name, lambda c: np.atleast_1d(measure(c)),
         target_value, bounds, tol=tol, max_iter=max_iter,
         tol_abs=tol_abs, scale=scale)
+    if errors[0] is not None and errors[0].startswith(PROBE_FAILED):
+        raise FitFailed(errors[0])
     if errors[0] is not None and "not monotone" in errors[0]:
         raise NotMonotone(errors[0])
     if not outcome.converged[0]:
@@ -361,8 +378,9 @@ def _entry_offset(line):
 
 def _oneshot(cfg, n, path, measure_fn, update_fn, tol, verify_tol_abs=None):
     """Measure, apply an analytic correction, verify; used for linear knobs."""
+    absolute = verify_tol_abs is not None
     pre = np.asarray(measure_fn(cfg), dtype=float)
-    pre_spread = _spread(pre)
+    pre_spread = _spread(pre, absolute)
     cfg = set_bias(cfg, path, update_fn(
         np.broadcast_to(np.asarray(get_bias(cfg, path), dtype=float), (n,)).copy(), pre))
     post = np.asarray(measure_fn(cfg), dtype=float)
@@ -378,7 +396,7 @@ def _oneshot(cfg, n, path, measure_fn, update_fn, tol, verify_tol_abs=None):
         bias_path=path,
         biases=np.broadcast_to(np.asarray(get_bias(cfg, path), dtype=float), (n,)).copy(),
         residuals=residuals, converged=converged,
-        pre_spread=pre_spread, post_spread=_spread(post), evaluations=2)
+        pre_spread=pre_spread, post_spread=_spread(post, absolute), evaluations=2)
     return cfg, outcome, errors
 
 

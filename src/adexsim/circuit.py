@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidConfig, NonFiniteState
+from .errors import InvalidConfig, NoIdealEquivalent, NonFiniteState
 from .model import AdExParameters, SimulationTrace, StimulusProgram
 
 MAX_MEMBRANE_CAPACITANCE = 2.47e-12
@@ -750,6 +750,14 @@ def derive_effective_adex(cfg: CircuitNeuronConfig) -> AdExParameters:
     delta_t = ex.delta_t_eff
     if ex.enabled:
         v_t = ex.V_exp + delta_t * np.log(g_l * delta_t / ex.I_0)
+        v_det = np.broadcast_to(np.asarray(cfg.V_det, dtype=float), np.shape(v_t))
+        reached = np.atleast_1d(~(v_det > v_t))
+        if reached.any():
+            i = int(np.argmax(reached))
+            raise NoIdealEquivalent(
+                f"neuron {i}: derived V_T = {np.atleast_1d(v_t)[i]:.6g} V reaches "
+                f"V_det = {np.atleast_1d(v_det)[i]:.6g} V, no ideal AdEx equivalent "
+                f"with the exponential term on")
     else:
         v_t = np.asarray(cfg.E_l, dtype=float)
     return AdExParameters(

@@ -248,13 +248,11 @@ def _cmd_sweep(run: RunConfig, out: _Output, jobs: int) -> int:
     def one(value):
         text = serialize_config(run)
         sub = parse_config(text)
+        # parse_config admits only neuron.* (ideal model) and run.* keys
         if section == "neuron":
             sub.neuron = replace(sub.neuron, **{name: value})
-        elif section == "run":
-            setattr(sub, name, value)
         else:
-            raise ValidationError(f"sweep over [{section}] is not supported; "
-                                  "use neuron.* or run.*")
+            setattr(sub, name, value)
         if sub.model == "ideal":
             trace = simulate(sub.neuron, sub.stimulus, None,
                              duration=sub.duration, dt=sub.dt)

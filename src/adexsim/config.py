@@ -443,6 +443,16 @@ def _build_calibration(sections):
     return target, plan, (0.02 if tol is None else tol)
 
 
+def _check_timing(dt, duration, where=""):
+    if not dt > 0:
+        raise ValidationError(f"{where}[run] dt must be > 0")
+    if not duration > 0:
+        raise ValidationError(f"{where}[run] duration must be > 0")
+    if dt > duration:
+        raise ValidationError(f"{where}[run] dt ({dt:.6g} s) must not exceed "
+                              f"duration ({duration:.6g} s)")
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a config document into a RunConfig."""
     sections = read_config_sections(text)
@@ -458,10 +468,7 @@ def parse_config(text: str) -> RunConfig:
     duration = get("run", "duration")
     run.dt = 0.05e-6 if dt is None else dt
     run.duration = 500e-6 if duration is None else duration
-    if not run.dt > 0:
-        raise ValidationError("[run] dt must be > 0")
-    if not run.duration > 0:
-        raise ValidationError("[run] duration must be > 0")
+    _check_timing(run.dt, run.duration)
     run.fmt = get("run", "format") or "csv"
     run.out_dir = get("run", "out")
     jobs = get("run", "jobs")
@@ -522,11 +529,21 @@ def parse_config(text: str) -> RunConfig:
         section, _, name = key.partition(".")
         if section not in SCHEMA or name not in SCHEMA[section]:
             raise ValidationError(f"[sweep] unknown key {key!r}")
+        if section not in ("neuron", "run"):
+            raise ValidationError(f"[sweep] sweep over [{section}] is not supported; "
+                                  "use neuron.* or run.*")
+        if section == "neuron" and run.model != "ideal":
+            raise ValidationError(f"[sweep] key {key!r} is not read by model "
+                                  f"{run.model!r}; neuron.* sweeps need model = ideal")
         kind, dim = SCHEMA[section][name]
         if kind != "quantity":
             raise ValidationError(f"[sweep] key {key!r} is not a scalar quantity")
         run.sweep = {"key": key,
                      "values": tuple(parse_quantity(v, dim) for v in values)}
+        if section == "run":
+            for value in run.sweep["values"]:
+                dt, duration = (value, run.duration) if name == "dt" else (run.dt, value)
+                _check_timing(dt, duration, where=f"[sweep] {key} = {value:.6g} s: ")
     if run.mode == "sweep" and not run.sweep:
         raise ValidationError("mode 'sweep' requires a [sweep] section")
     return run

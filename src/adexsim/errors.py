@@ -42,6 +42,12 @@ class InvalidConfig(AdexSimError):
     """A sub-circuit is disabled (or inconsistent) but one of its parameters is requested."""
 
 
+class NoIdealEquivalent(InvalidConfig, ValueError):
+    """The derived soft threshold V_T reaches V_det, so the circuit has no
+    ideal AdEx equivalent with its exponential term on.  Also a ValueError,
+    which AdExParameters raises for the same condition."""
+
+
 class ParseError(AdexSimError):
     """Config text could not be parsed; carries line/column."""
 

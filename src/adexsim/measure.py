@@ -1,8 +1,9 @@
 """Measurement routines: extract effective parameters from simulated responses.
 
 Each routine scripts a stimulus/response protocol (release transient,
-step response, clamped sweep, single event) and fits the effective
-parameter with plain linear least squares on suitably transformed data.
+clamped sweep, single event) and fits the effective parameter with plain
+linear least squares on suitably transformed data, or solves the
+subthreshold steady state directly (`_steady_state`).
 Routines accept an ideal-model parameter set, a single circuit config, or
 a stacked population config (array leaves); population calls return arrays
 with NaN marking per-neuron fit failures, scalar calls raise FitFailed.
@@ -16,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import (
-    CircuitNeuronConfig, CircuitState, exponential_current, ota_output,
-    quiescent_state, simulate_population,
+    CircuitNeuronConfig, CircuitState, OtaModel, coba_effective_bias,
+    exponential_current, ota_output, quiescent_state, simulate_population,
 )
 from .errors import FitFailed, InvalidConfig
 from .model import AdExParameters, NeuronState, StimulusProgram, simulate
@@ -102,6 +103,129 @@ def _disable(cfg: CircuitNeuronConfig, adaptation=False, exponential=False,
     if spiking:
         out = replace(out, V_det=math.inf)
     return out
+
+
+def _per_neuron(x, m):
+    return np.broadcast_to(np.asarray(x, dtype=float), (m,))
+
+
+# ---------------------------------------------------------------------------
+# subthreshold steady states
+
+# reasons a steady-state solve comes back NaN
+NO_ROOT = "no steady state inside the leak OTA's saturation"
+FILTER_SATURATED = "adaptation filter node has no fixed point (|out_a| >= ota_tau saturation)"
+UNSTABLE = "steady state is unstable (a <= -g_l locally)"
+
+# leak OTA argument g * dV / I_sat beyond which tanh is 1 in double precision:
+# the edge of the search window around E_l
+LEAK_SATURATION_ARG = 20.0
+# geometric scan from the start point toward the window edge, factor 2 apart
+SCAN_POINTS = 64
+
+
+def _ota(ota: OtaModel, dv, m):
+    """Output of a saturating OTA and its slope d(out)/d(dv)."""
+    g = _per_neuron(ota.g, m)
+    i_sat = _per_neuron(ota.i_sat, m)
+    live = i_sat > 0
+    t = np.tanh(g * dv / np.where(live, i_sat, 1.0))
+    return np.where(live, i_sat * t, 0.0), np.where(live, g * (1.0 - t * t), 0.0)
+
+
+def _steady_state(cfg: CircuitNeuronConfig, m: int, current, start=None):
+    """Resting V_m of every neuron under a constant stimulus command.
+
+    `cfg` must have spiking, the exponential and the adaptation pulse off;
+    enabled synaptic lines contribute at zero deflection.  At rest the
+    filter node forces out_tau = sign * out_a, so V solves
+
+        leak(E_l - V) - sign * g_w_factor * out_a(V - E_l_adapt)
+            + I_syn(s = 0) + stim_gain * stim_trim * I = 0,
+
+    which is also the fixed point of the exponential-Euler update for any
+    dt.  From `start` (default E_l) the root is bracketed by a geometric
+    scan in the direction the net current pushes V, then bisected to
+    adjacent doubles; every neuron is solved on its own, so a batch gives
+    the same bits as each neuron alone.  Returns (V, reasons): V is NaN
+    and reasons[i] names the cause where neuron i has no stable rest.
+    """
+    e_l = _per_neuron(cfg.E_l, m)
+    inj = _per_neuron(cfg.stim_gain, m) * _per_neuron(cfg.stim_trim, m) \
+        * _per_neuron(current, m)
+    ad = cfg.adaptation
+    lines = [(sgn, syn) for sgn, syn in ((1.0, cfg.syn_exc), (-1.0, cfg.syn_inh))
+             if syn.enabled]
+
+    def balance(V):
+        """Net membrane current at the filter node's fixed point and its slope."""
+        f, df = _ota(cfg.leak_ota, e_l - V, m)
+        df = -df
+        if ad.enabled:
+            out_a, d_a = _ota(ad.ota_a, V - _per_neuron(ad.E_l_adapt, m), m)
+            gain = _per_neuron(ad.sign, m) * _per_neuron(ad.g_w_factor, m)
+            f, df = f - gain * out_a, df - gain * d_a
+        for sgn, syn in lines:
+            level = -sgn * _per_neuron(syn.g1_per_bias, m) * (
+                _per_neuron(syn.follower_offset, m) + _per_neuron(syn.offset_trim, m))
+            if syn.coba_enabled:
+                g2 = _per_neuron(syn.g2, m)
+                bias = coba_effective_bias(V, syn)
+                f, df = f + level * bias, df - level * np.where(bias > 0, g2, 0.0)
+            else:
+                f = f + level * _per_neuron(syn.I_b_cuba, m)
+        return f + inj, df
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        g_l = _per_neuron(cfg.g_l, m)
+        half = LEAK_SATURATION_ARG * _per_neuron(cfg.leak_ota.i_sat, m) \
+            / np.where(g_l > 0, g_l, math.nan)
+        v0 = e_l if start is None else _per_neuron(start, m)
+        direction = np.sign(balance(v0)[0])
+        # scan points v0 + 2^-k * (edge - v0), nearest first
+        span = e_l + direction * half - v0
+        grid = v0 + 2.0 ** -np.arange(SCAN_POINTS - 1, -1, -1.0)[:, None] * span
+        crossed = direction * balance(grid)[0] <= 0
+        first = np.argmax(crossed, axis=0)
+        cols = np.arange(m)
+        found = crossed[first, cols] & (direction * span > 0)
+        hi = grid[first, cols]
+        lo = np.where(first > 0, grid[first - 1, cols], v0)
+        active = found.copy()
+        while True:
+            mid = lo + 0.5 * (hi - lo)
+            active &= (mid != lo) & (mid != hi)
+            if not active.any():
+                break
+            ahead = direction * balance(mid)[0] > 0
+            lo = np.where(active & ahead, mid, lo)
+            hi = np.where(active & ~ahead, mid, hi)
+        root = np.where(direction == 0, v0, np.where(found, hi, math.nan))
+        slope = balance(root)[1]
+        filter_ok = np.ones(m, dtype=bool)
+        if ad.enabled:
+            out_a = _ota(ad.ota_a, root - _per_neuron(ad.E_l_adapt, m), m)[0]
+            filter_ok = np.abs(out_a) < _per_neuron(ad.ota_tau.i_sat, m)
+
+    reasons = []
+    for i in range(m):
+        if not np.isfinite(root[i]):
+            reasons.append(NO_ROOT)
+        elif not filter_ok[i]:
+            reasons.append(FILTER_SATURATED)
+        elif not slope[i] < 0:
+            reasons.append(UNSTABLE)
+        else:
+            reasons.append(None)
+    return np.where([r is None for r in reasons], root, math.nan), reasons
+
+
+def _steady_deflection(cfg: CircuitNeuronConfig, m: int, step):
+    """Shift of the resting V_m when the command steps from 0 to `step`;
+    returns (deflection, reasons) as `_steady_state` does."""
+    rest, err_rest = _steady_state(cfg, m, 0.0)
+    moved, err_moved = _steady_state(cfg, m, step, start=rest)
+    return moved - rest, [e0 or e1 for e0, e1 in zip(err_rest, err_moved)]
 
 
 # ---------------------------------------------------------------------------
@@ -215,95 +339,64 @@ def _measure_tau_w_ideal(p: AdExParameters, proto: ReleaseProtocol):
     return float(tau)
 
 
-def measure_subthreshold_a(neuron, deflection_target: float = 0.03,
-                           settle_factor: float = 10.0, dt: float | None = None):
-    """Effective subthreshold adaptation strength from two step responses.
+def _a_protocol(a, g_l, deflection_target):
+    """Per-neuron leak boost and step amplitude of the `a` readout.
 
-    With adaptation disabled the steady deflection gives g_l = dI/dV; with
-    adaptation enabled it gives g_l + a.  Spiking, the exponential and the
-    synaptic inputs are off throughout.  The coupling is a property of the
-    adaptation circuit alone, so for strong negative coupling the leak
-    bias is temporarily raised to keep the coupled system stable and fast
-    to settle (a <= -g_l has no subthreshold steady state otherwise).
+    For strong negative coupling the leak is raised to keep the coupled
+    system stable (a <= -g_l has no subthreshold steady state otherwise);
+    the step is sized for a fixed deflection of the coupled system.
+    """
+    boost = np.maximum(1.0, 2.5 * np.abs(a) / g_l)
+    g_meas = g_l * boost
+    return boost, deflection_target * np.maximum(g_meas + a, 0.2 * g_meas)
+
+
+def measure_subthreshold_a(neuron, deflection_target: float = 0.03):
+    """Effective subthreshold adaptation strength from two steady states.
+
+    With adaptation disabled the steady deflection under a current step
+    gives g_l = dI/dV; with adaptation enabled it gives g_l + a.  Spiking,
+    the exponential and the synaptic inputs are off throughout, and each
+    steady state is solved directly (see `_steady_state`).  The coupling
+    is a property of the adaptation circuit alone, so for strong negative
+    coupling each neuron's leak bias is temporarily raised (`_a_protocol`).
     """
     if isinstance(neuron, AdExParameters):
-        return _measure_a_ideal(neuron, deflection_target, settle_factor, dt)
+        return _measure_a_ideal(neuron, deflection_target)
 
     if not neuron.adaptation.enabled:
         raise InvalidConfig("adaptation circuit is disabled")
     n = _population_size(neuron)
     m = n or 1
     base = _disable(neuron, exponential=True, synin=True, spiking=True)
-    a_nom = float(np.median(np.atleast_1d(
-        np.asarray(base.adaptation.a_effective, dtype=float))))
-    g_nom = float(np.median(np.atleast_1d(np.asarray(base.g_l, dtype=float))))
-    boost = max(1.0, 2.5 * abs(a_nom) / g_nom)
-    if boost > 1.0:
-        base = replace(base, leak_ota=replace(
-            base.leak_ota,
-            I_bias=np.asarray(base.leak_ota.I_bias, dtype=float) * boost))
-    g_meas = g_nom * boost
-    tau_m_nom = np.atleast_1d(np.asarray(base.tau_m, dtype=float))
-    tau_w_nom = np.atleast_1d(np.asarray(base.adaptation.tau_w, dtype=float))
-    stretch = g_meas / max(g_meas + a_nom, 0.2 * g_meas)
-    slowest = float(np.maximum(tau_m_nom, tau_w_nom * stretch).max())
-    # steady-state readout: the exponential update is exact once settled,
-    # so a coarse step suffices
-    dt = dt or float(tau_m_nom.min()) / 20.0
-    settle = settle_factor * slowest
-    d_i = deflection_target * max(g_meas + a_nom, 0.2 * g_meas)
+    boost, d_i = _a_protocol(_per_neuron(base.adaptation.a_effective, m),
+                             _per_neuron(base.g_l, m), deflection_target)
+    base = replace(base, leak_ota=replace(
+        base.leak_ota, I_bias=np.asarray(base.leak_ota.I_bias, dtype=float) * boost))
+    dv_off, err_off = _steady_deflection(_disable(base, adaptation=True), m, d_i)
+    dv_on, err_on = _steady_deflection(base, m, d_i)
 
-    def steady_deflection(cfg):
-        stim = StimulusProgram.step(settle, d_i)
-        run = simulate_population(cfg, m, stim, duration=2 * settle, dt=dt, record=True)
-        k_on = int(round(settle / dt))
-        win = max(int(round(0.1 * settle / dt)), 4)
-        before = run.V[k_on - win:k_on].mean(axis=0)
-        after = run.V[-win:].mean(axis=0)
-        mid = run.V[-2 * win:-win].mean(axis=0)
-        settled = np.abs(after - mid) <= 1e-3 * np.maximum(np.abs(after - before), 1e-12) + 1e-9
-        return after - before, settled
-
-    dv_off, ok_off = steady_deflection(_disable(base, adaptation=True))
-    dv_on, ok_on = steady_deflection(base)
-
-    values = np.empty(m)
+    values = np.full(m, math.nan)
     errors = []
     for i in range(m):
-        if not (ok_off[i] and ok_on[i]):
-            values[i], err = math.nan, "step response did not settle"
-        elif dv_off[i] <= 0 or dv_on[i] <= 0:
-            values[i], err = math.nan, "non-positive steady deflection"
-        else:
-            values[i] = d_i / dv_on[i] - d_i / dv_off[i]
-            err = None
+        err = err_off[i] or err_on[i]
+        if err is None and (dv_off[i] <= 0 or dv_on[i] <= 0):
+            err = "non-positive steady deflection"
+        if err is None:
+            values[i] = d_i[i] / dv_on[i] - d_i[i] / dv_off[i]
         errors.append(err)
     return _scalarize(values, errors, n)
 
 
-def _measure_a_ideal(p: AdExParameters, deflection_target, settle_factor, dt):
-    base = replace(p, exp_enabled=False, b=0.0, t_ref=0.0, V_det=math.inf)
-    boost = max(1.0, 2.5 * abs(base.a) / base.g_l)
-    if boost > 1.0:
-        base = replace(base, g_l=base.g_l * boost)
-    stretch = base.g_l / max(base.g_l + base.a, 0.2 * base.g_l)
-    slowest = max(base.tau_m, base.tau_w * stretch)
-    dt = dt or base.tau_m / 20.0
-    settle = settle_factor * slowest
-    d_i = deflection_target * max(base.g_l + base.a, 0.2 * base.g_l)
-
-    def steady(pp):
-        stim = StimulusProgram.step(settle, d_i)
-        tr = simulate(pp, stim, duration=2 * settle, dt=dt)
-        k_on = int(round(settle / dt))
-        win = max(int(round(0.1 * settle / dt)), 4)
-        return float(tr.V[-win:].mean() - tr.V[k_on - win:k_on].mean())
-
-    dv_off = steady(replace(base, a=0.0))
-    dv_on = steady(base)
-    if dv_off <= 0 or dv_on <= 0:
-        raise FitFailed("non-positive steady deflection")
-    return d_i / dv_on - d_i / dv_off
+def _measure_a_ideal(p: AdExParameters, deflection_target):
+    # steady states of the linear equation -(g + a)(V - E_l) + I = 0
+    boost, d_i = _a_protocol(p.a, p.g_l, deflection_target)
+    g_meas = p.g_l * boost
+    if not g_meas + p.a > 0:
+        raise FitFailed(UNSTABLE)
+    dv_off = d_i / g_meas
+    dv_on = d_i / (g_meas + p.a)
+    return float(d_i / dv_on - d_i / dv_off)
 
 
 # ---------------------------------------------------------------------------
@@ -516,13 +609,18 @@ def measure_psp_amplitude(neuron, line: str = "exc", weight: float = 1.0,
     return _scalarize(values, [None] * m, n)
 
 
-def measure_resting_offset(neuron, line: str = "exc", dt: float | None = None):
+def measure_resting_offset(neuron, line: str = "exc"):
     """Baseline shift of the resting potential caused by the input circuit's
-    residual offset current (V_rest - E_l)."""
-    run, k_on, win, m, n = _psp_run(neuron, line, 0.0, dt)
-    e_l = np.broadcast_to(np.asarray(neuron.E_l, dtype=float), (m,))
-    values = run.V[k_on - win:k_on].mean(axis=0) - e_l
-    return _scalarize(values, [None] * m, n)
+    residual offset current (V_rest - E_l), solved at zero line deflection."""
+    n = _population_size(neuron)
+    m = n or 1
+    other = "inh" if line == "exc" else "exc"
+    cfg = _disable(neuron, adaptation=True, exponential=True, spiking=True)
+    cfg = replace(cfg, **{f"syn_{other}": replace(getattr(cfg, f"syn_{other}"), enabled=False)})
+    if not getattr(cfg, f"syn_{line}").enabled:
+        raise InvalidConfig(f"synaptic input '{line}' is disabled")
+    rest, errors = _steady_state(cfg, m, 0.0)
+    return _scalarize(rest - _per_neuron(cfg.E_l, m), errors, n)
 
 
 def _measure_psp_ideal(p: AdExParameters, syn_cfg: SynapseConfig,
@@ -543,7 +641,7 @@ def _measure_psp_ideal(p: AdExParameters, syn_cfg: SynapseConfig,
 # stimulus path and spike-triggered increment
 
 def measure_stim_gain(neuron, deflection_target: float = 0.04,
-                      tau_m_measured=None, dt: float | None = None):
+                      tau_m_measured=None):
     """Effective command-to-current gain of the stimulus path.
 
     A known current command produces a steady deflection dV; with
@@ -555,22 +653,12 @@ def measure_stim_gain(neuron, deflection_target: float = 0.04,
     n = _population_size(neuron)
     m = n or 1
     cfg = _disable(neuron, adaptation=True, exponential=True, synin=True, spiking=True)
-    tau = np.broadcast_to(np.asarray(
-        measure_tau_m(cfg) if tau_m_measured is None else tau_m_measured,
-        dtype=float), (m,))
-    g_l_meas = np.broadcast_to(np.asarray(cfg.C_mem, dtype=float), (m,)) / tau
-    g_nom = float(np.median(np.atleast_1d(np.asarray(cfg.g_l, dtype=float))))
-    i_cmd = deflection_target * g_nom
-    tau_max = float(np.nanmax(tau))
-    dt = dt or float(np.nanmin(tau)) / 20.0
-    settle = 10.0 * tau_max
-    stim = StimulusProgram.step(settle, i_cmd)
-    run = simulate_population(cfg, m, stim, duration=2 * settle, dt=dt, record=True)
-    k_on = int(round(settle / dt))
-    win = max(int(round(0.1 * settle / dt)), 4)
-    dv = run.V[-win:].mean(axis=0) - run.V[k_on - win:k_on].mean(axis=0)
-    values = dv * g_l_meas / i_cmd
-    return _scalarize(values, [None] * m, n)
+    tau = _per_neuron(
+        measure_tau_m(cfg) if tau_m_measured is None else tau_m_measured, m)
+    g_l_meas = _per_neuron(cfg.C_mem, m) / tau
+    i_cmd = deflection_target * _per_neuron(cfg.g_l, m)
+    dv, errors = _steady_deflection(cfg, m, i_cmd)
+    return _scalarize(dv * g_l_meas / i_cmd, errors, n)
 
 
 def measure_b(neuron, tau_w_measured=None, dt: float | None = None):

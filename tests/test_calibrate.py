@@ -139,3 +139,42 @@ class TestCalibratePopulation:
         post = measure_resting_offset(res.population.stacked())
         assert np.std(post) < np.std(pre)
         assert np.all(np.abs(post) <= 0.5e-3 + 1e-9)
+
+
+class TestFailureCauses:
+    def test_nan_probe_named_as_measurement_failure(self, hw_circuit):
+        from adexsim import FitFailed
+        from adexsim.calibrate import _tune_population
+        pop = sample_population(hw_circuit, MismatchModel(seed=1), 3)
+        stacked = pop.stacked()
+        bias0 = float(np.median(np.atleast_1d(np.asarray(
+            get_bias(stacked, "leak_ota.I_bias")))))
+        lo, hi = bias0 / 4, bias0 * 4
+
+        def fails_at_low_bias(cfg, neuron):
+            taus = np.array(measure_tau_m(cfg), dtype=float, ndmin=1)
+            biases = np.broadcast_to(np.asarray(get_bias(cfg, "leak_ota.I_bias")),
+                                     taus.shape)
+            taus[neuron] = np.nan if biases[neuron] == lo else taus[neuron]
+            return taus
+
+        eff = derive_effective_adex(hw_circuit)
+        _, oc, errors = _tune_population(
+            stacked, 3, "leak_ota.I_bias", lambda c: fails_at_low_bias(c, 1),
+            eff.tau_m, bounds=(lo, hi), tol=0.02)
+        assert errors[1] == f"probe measurement failed at bias {lo:.4g}"
+        assert not oc.converged[1]
+        assert oc.converged[0] and oc.converged[2]
+        with pytest.raises(FitFailed, match="probe measurement failed"):
+            calibrate_parameter(hw_circuit, eff.tau_m, "leak_ota.I_bias",
+                                lambda c: fails_at_low_bias(c, 0), bounds=(lo, hi))
+
+    def test_v_t_spread_is_absolute_and_shrinks(self, small_pop, hw_circuit):
+        eff = derive_effective_adex(hw_circuit)
+        res = calibrate_population(small_pop, CalibrationTarget(v_t=eff.V_T),
+                                   plan=("v_t",))
+        oc = res.outcomes["v_t"]
+        # residuals in volts around zero: the spread is their plain std
+        assert 1e-4 < oc.pre_spread < 0.05
+        assert oc.post_spread < 0.2 * oc.pre_spread
+        assert oc.post_spread == pytest.approx(float(np.std(oc.residuals)), rel=1e-9)

@@ -325,6 +325,16 @@ class TestDeriveEffectiveAdex:
         assert not eff.exp_enabled
 
 
+    def test_v_t_at_v_det_raises_typed_error(self, hw_circuit):
+        from adexsim import NoIdealEquivalent
+        # V_exp 0.2 V higher moves the derived V_T above V_det = 0.72 V
+        cfg = replace(hw_circuit, exponential=replace(
+            hw_circuit.exponential, V_exp=hw_circuit.exponential.V_exp + 0.2))
+        with pytest.raises(InvalidConfig, match="neuron 0: derived V_T"):
+            derive_effective_adex(cfg)
+        assert issubclass(NoIdealEquivalent, InvalidConfig)
+
+
 class TestCircuitVsIdealRandom:
     def test_saturation_free_parameterizations_agree(self, rng):
         # randomized configurations with all transconductors kept in their

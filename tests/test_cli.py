@@ -167,6 +167,26 @@ class TestSweepCommand:
         assert len(lines) == 3
 
 
+class TestConfigErrorsAtParseTime:
+    @pytest.mark.parametrize("text", [
+        # a step longer than the run
+        CONFIG_CIRCUIT.replace("dt = 0.05 us", "dt = 1 ms").replace(
+            "duration = 200 us", "duration = 400 us"),
+        # the circuit model reads no [neuron] quantity
+        CONFIG_SWEEP.replace("key = run.duration", "key = neuron.g_l").replace(
+            "values = 100 us, 200 us", "values = 0.1 uS, 0.2 uS"),
+    ], ids=["dt_longer_than_duration", "neuron_sweep_on_circuit"])
+    def test_exit_2_without_output(self, tmp_path, cfg_path, run_cli, text):
+        out = tmp_path / "out"
+        command = "sweep" if "[sweep]" in text else "simulate"
+        result = run_cli([command, "--config", cfg_path(text), "--out", str(out)],
+                         cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: [")
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
+
 class TestCsvRoundTrip:
     def test_reingested_trace_supports_postprocessing(self, tmp_path, cfg_path,
                                                        run_cli):

@@ -148,6 +148,27 @@ class TestParse:
         assert run.mismatch_overrides["sigma_rel_leak_ota.g_per_bias"] == 0.2
 
 
+    def test_dt_longer_than_duration_rejected(self):
+        text = CIRCUIT_FULL.replace("duration = 300 us", "duration = 0.02 us")
+        with pytest.raises(ValidationError, match="must not exceed duration"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("key, values, match", [
+        ("neuron.g_l", "0.1 uS, 0.2 uS", "not read by model 'circuit'"),
+        ("stimulus.current", "1 nA, 2 nA", "not supported"),
+        ("run.dt", "0.1 us, 1 ms", "must not exceed duration"),
+    ])
+    def test_sweep_key_checked_at_parse_time(self, key, values, match):
+        text = CIRCUIT_FULL.replace("mode = simulate", "mode = sweep") \
+            + f"\n[sweep]\nkey = {key}\nvalues = {values}\n"
+        with pytest.raises(ValidationError, match=match):
+            parse_config(text)
+
+    def test_neuron_sweep_accepted_for_ideal_model(self):
+        run = parse_config(MINIMAL_LIF + "\n[sweep]\nkey = neuron.g_l\nvalues = 10 nS, 20 nS\n")
+        assert run.sweep["values"] == pytest.approx((10e-9, 20e-9))
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("text", [MINIMAL_LIF, CIRCUIT_FULL])
     def test_serialize_parse_round_trip(self, text):

@@ -9,13 +9,18 @@ from adexsim import (
     circuit_for_adex, default_circuit_config, derive_effective_adex,
     lif_parameters,
 )
-from adexsim.circuit import MAX_MEMBRANE_CAPACITANCE
+from adexsim.circuit import (
+    MAX_MEMBRANE_CAPACITANCE, set_bias, simulate_population, stack_population,
+    unstack_population,
+)
 from adexsim.measure import (
-    ReleaseProtocol, measure_b, measure_delta_t, measure_exp_onset,
+    FILTER_SATURATED, NO_ROOT, UNSTABLE, ReleaseProtocol, _a_protocol,
+    _disable, _steady_state, measure_b, measure_delta_t, measure_exp_onset,
     measure_psp_amplitude, measure_resting_offset, measure_stim_gain,
     measure_subthreshold_a, measure_tau_m, measure_tau_syn, measure_tau_w,
 )
-from adexsim.mismatch import MismatchModel, sample_population
+from adexsim.mismatch import MismatchModel, default_mismatch_model, sample_population
+from adexsim.model import StimulusProgram
 
 
 class TestTauM:
@@ -181,3 +186,162 @@ class TestUnbiasedness:
             got = np.asarray(measure(stacked))
             rel = np.abs(got - truth) / np.abs(truth)
             assert np.nanmedian(rel) <= 0.02, measure.__name__
+
+
+# ---------------------------------------------------------------------------
+# steady-state solver against the step-response protocol
+
+def step_response(cfg, m, settle, dt, step=1.0):
+    """Step-response protocol: settle, step the command by `step`, settle
+    again.  Returns (deflection, settled) from window means of V_m; a
+    neuron counts as settled when its last two windows agree within 1e-3
+    of the deflection."""
+    run = simulate_population(cfg, m, StimulusProgram.step(settle, step),
+                              duration=2 * settle, dt=dt, record=True)
+    k_on = int(round(settle / dt))
+    win = max(int(round(0.1 * settle / dt)), 4)
+    before = run.V[k_on - win:k_on].mean(axis=0)
+    after = run.V[-win:].mean(axis=0)
+    mid = run.V[-2 * win:-win].mean(axis=0)
+    settled = np.abs(after - mid) <= 1e-3 * np.maximum(np.abs(after - before), 1e-12) + 1e-9
+    return after - before, settled
+
+
+def per_neuron_step(cfg, amplitude):
+    """Config whose unit command injects `amplitude` (per neuron)."""
+    return replace(cfg, stim_trim=np.asarray(cfg.stim_trim, dtype=float) * amplitude)
+
+
+def transient_a(cfg, m, deflection_target=0.03):
+    """The `a` readout by step responses, with the solver's per-neuron
+    leak boost and step amplitude."""
+    base = _disable(cfg, exponential=True, synin=True, spiking=True)
+    a = np.broadcast_to(np.asarray(base.adaptation.a_effective, dtype=float), (m,))
+    g_l = np.broadcast_to(np.asarray(base.g_l, dtype=float), (m,))
+    boost, d_i = _a_protocol(a, g_l, deflection_target)
+    base = replace(base, leak_ota=replace(base.leak_ota, I_bias=base.leak_ota.I_bias * boost))
+    g_meas = g_l * boost
+    stretch = g_meas / np.maximum(g_meas + a, 0.2 * g_meas)
+    tau_m = np.asarray(base.tau_m, dtype=float)
+    slowest = float(np.maximum(tau_m, np.asarray(base.adaptation.tau_w) * stretch).max())
+    # the exponential-Euler update has the same fixed point for any dt, so
+    # a coarse step suffices for the settled deflection
+    dt = float(tau_m.min()) / 5.0
+    base = per_neuron_step(base, d_i)
+    dv_off, ok_off = step_response(_disable(base, adaptation=True), m, 10 * slowest, dt)
+    dv_on, ok_on = step_response(base, m, 10 * slowest, dt)
+    return d_i / dv_on - d_i / dv_off, ok_off & ok_on
+
+
+@pytest.fixture(scope="module")
+def drb_seed3():
+    """delayed_regular_bursting (a = -g_l) at mismatch seed 3 after the plan
+    entries upstream of `a`, with the `a` entry's sign and probe biases."""
+    from adexsim.calibrate import calibrate_population, CalibrationTarget
+    from adexsim.patterns import load_patterns
+    from adexsim.units import DomainMap
+    hw, _, _, _ = load_patterns()["delayed_regular_bursting"].to_hardware(DomainMap())
+    nominal = circuit_for_adex(hw, default_circuit_config(E_l=hw.E_l))
+    pop = sample_population(nominal, default_mismatch_model(nominal, seed=3), 128)
+    target = CalibrationTarget(tau_m=hw.tau_m, stim_gain=True, delta_t=hw.Delta_T,
+                               v_t=hw.V_T, tau_w=hw.tau_w, allow_out_of_range=True)
+    cal = calibrate_population(pop, target, tol=0.015,
+                               plan=("tau_m", "stim_gain", "delta_t", "v_t", "tau_w"))
+    cfg = set_bias(cal.population.stacked(), "adaptation.sign", -1)
+    ad = cfg.adaptation
+    # probe bounds of the `a` plan entry
+    center = abs(hw.a) / (float(np.median(ad.g_w_factor))
+                          * float(np.median(ad.ota_a.g_per_bias)))
+    probes = {"low": np.full(128, center / 8), "current": np.asarray(ad.ota_a.I_bias),
+              "high": np.full(128, center * 8)}
+    return cfg, probes
+
+
+class TestSteadyStateSolver:
+    def test_batch_equals_alone_with_outlier(self, drb_seed3):
+        # neuron 9's a sits far from the population median; a settle window
+        # sized from the median once left it unsettled in the batch only
+        cfg, _ = drb_seed3
+        a_eff = np.asarray(cfg.adaptation.a_effective)
+        assert a_eff[9] < 1.4 * np.median(a_eff)
+        batch = measure_subthreshold_a(cfg)
+        alone = np.array([measure_subthreshold_a(c) for c in unstack_population(cfg, 128)])
+        assert np.array_equal(batch, alone)
+        assert batch[9] == pytest.approx(-3.806e-7, rel=1e-3)
+        assert np.all(np.isfinite(batch))
+
+    @pytest.mark.parametrize("probe", ["low", "current", "high"])
+    def test_a_agrees_with_step_responses(self, drb_seed3, probe):
+        cfg, probes = drb_seed3
+        keep = [9, 0, 1, 2, 3, 4, 5, 6]  # the outlier plus a sample
+        cfg = stack_population([unstack_population(
+            set_bias(cfg, "adaptation.ota_a.I_bias", probes[probe]), 128)[i] for i in keep])
+        m = len(keep)
+        solved = measure_subthreshold_a(cfg)
+        oracle, settled = transient_a(cfg, m)
+        assert np.count_nonzero(settled) >= m - 1
+        rel = np.abs(solved - oracle) / np.abs(oracle)
+        assert np.all(rel[settled] <= 1e-3), rel
+
+    def test_stim_gain_agrees_with_step_response(self, drb_seed3):
+        cfg, _ = drb_seed3
+        m = 128
+        base = _disable(cfg, adaptation=True, exponential=True, synin=True, spiking=True)
+        tau = measure_tau_m(base)
+        i_cmd = 0.04 * np.asarray(base.g_l)
+        tau_m = np.asarray(base.tau_m)
+        dv, settled = step_response(per_neuron_step(base, i_cmd), m,
+                                    10 * float(tau_m.max()), float(tau_m.min()) / 20)
+        oracle = dv * np.asarray(base.C_mem) / tau / i_cmd
+        solved = measure_stim_gain(cfg, tau_m_measured=tau)
+        assert np.count_nonzero(settled) >= m - 1
+        assert np.all(np.abs(solved - oracle)[settled] <= 1e-3 * np.abs(oracle[settled]))
+
+    @pytest.mark.parametrize("coba", [False, True])
+    def test_resting_offset_agrees_with_settled_transient(self, coba):
+        nominal = default_circuit_config(coba=coba)
+        mm = MismatchModel(relative={"leak_ota.g_per_bias": 0.2, "syn_exc.g1_per_bias": 0.2},
+                           additive={"syn_exc.follower_offset": 5e-3}, seed=5)
+        cfg = sample_population(nominal, mm, 16).stacked()
+        m = 16
+        base = _disable(cfg, adaptation=True, exponential=True, spiking=True)
+        base = replace(base, syn_inh=replace(base.syn_inh, enabled=False))
+        tau_m = np.asarray(base.tau_m)
+        # a zero step: the "before" window is the settled rest
+        settle = 10 * float(tau_m.max())
+        run = simulate_population(base, m, StimulusProgram.constant(0.0),
+                                  duration=2 * settle, dt=float(tau_m.min()) / 20,
+                                  record=True)
+        win = run.V.shape[0] // 20
+        last, prev = run.V[-win:].mean(axis=0), run.V[-2 * win:-win].mean(axis=0)
+        oracle = last - np.asarray(cfg.E_l)
+        settled = np.abs(last - prev) <= 1e-3 * np.abs(oracle) + 1e-9
+        solved = measure_resting_offset(cfg)
+        assert np.count_nonzero(settled) >= m - 1
+        assert np.all(np.abs(solved - oracle)[settled] <= 1e-3 * np.abs(oracle[settled]))
+
+    def test_unstable_rest_named(self, hw_circuit):
+        # a = -2 g_l without the readout's leak boost: the rest is unstable
+        cfg = _disable(hw_circuit, exponential=True, synin=True, spiking=True)
+        ad = cfg.adaptation
+        cfg = replace(cfg, adaptation=replace(ad, sign=-1, ota_a=replace(
+            ad.ota_a, I_bias=2 * cfg.g_l / (ad.g_w_factor * ad.ota_a.g_per_bias))))
+        rest, reasons = _steady_state(cfg, 1, 0.0)
+        assert np.isnan(rest[0]) and reasons[0] == UNSTABLE
+
+    def test_saturated_filter_named(self, hw_circuit):
+        # a command far beyond what ota_tau can balance
+        cfg = _disable(hw_circuit, exponential=True, synin=True, spiking=True)
+        ad = cfg.adaptation
+        cfg = replace(cfg, adaptation=replace(ad, ota_tau=replace(ad.ota_tau, I_out_max=1e-12)))
+        rest, reasons = _steady_state(cfg, 1, 0.2 * float(cfg.g_l))
+        assert np.isnan(rest[0]) and reasons[0] == FILTER_SATURATED
+
+    def test_no_root_named(self, hw_circuit):
+        # more current than the saturated leak and adaptation can sink
+        cfg = _disable(hw_circuit, adaptation=True, exponential=True, synin=True,
+                       spiking=True)
+        rest, reasons = _steady_state(cfg, 1, 2 * float(cfg.leak_ota.i_sat))
+        assert np.isnan(rest[0]) and reasons[0] == NO_ROOT
+        with pytest.raises(FitFailed, match="saturation"):
+            measure_stim_gain(replace(cfg, stim_gain=60.0), tau_m_measured=cfg.tau_m)
