@@ -529,42 +529,73 @@ def _n_steps(duration: float, dt: float) -> int:
     return n
 
 
-def _ota_consts(ota: OtaModel, n: int):
-    g = np.broadcast_to(np.asarray(ota.g, dtype=float), (n,))
-    i_sat = np.broadcast_to(np.asarray(ota.i_sat, dtype=float), (n,))
-    live = i_sat > 0
-    safe = np.where(live, i_sat, 1.0)
-    return g, np.where(live, safe, 1.0), live
+def _plus_zero(x) -> bool:
+    """Whether every element of x is +0.0 (-0.0 and NaN are not)."""
+    x = np.asarray(x)
+    return not (np.any(x != 0) or np.any(np.signbit(x)))
 
 
 def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
             state: CircuitState, dt: float, n_steps: int, record: bool):
-    """Hot loop behind simulate_population: identical math to circuit_step
-    with all constants hoisted out of the loop."""
+    """Hot loop behind simulate_population.
+
+    Every value it computes uses the math of circuit_step: the same
+    operations on the same operands in the same order, so the engine
+    matches the stepwise reference bit for bit, and a neuron's bits do not
+    depend on the rest of its batch.  Constants are hoisted out of the
+    loop and the arrays are updated in place.  A step skips only work
+    whose result is known exactly:
+
+    - no neuron refractory: h = dt for all, so the membrane factors
+      exp(-lam_m*dt) and _phi(lam_m, dt) are computed once.  Otherwise a
+      neuron held for the whole step (h = 0) takes the h = 0 factors,
+      also computed once, and only a neuron in a fractional release step
+      (0 < h < dt) computes them;
+    - no refractory timer running: no timer update and no refractory gate
+      on I_exp.  No adaptation pulse in flight: no pulse current and no
+      pulse timer update.  A flag is set on a spike and, while set,
+      tested again after each timer update; a flag left set only takes
+      the full path;
+    - a synaptic line with no arrivals that starts at +0.0 stays at +0.0:
+      no decay update, and a current-based line adds a constant current;
+    - an OTA whose bias is live for every neuron needs no dead-bias mask;
+    - a disabled term subtracted from the forcing is left out (x - 0.0
+      is x); a disabled term added stays (x + 0.0 turns -0.0 into +0.0).
+    """
     bc = lambda x: np.broadcast_to(np.asarray(x, dtype=float), (n,)).copy()
 
     V_m, V_w = bc(state.V_m), bc(state.V_w)
     s_exc, s_inh = bc(state.s_exc), bc(state.s_inh)
     ref, pulse_left = bc(state.ref_remaining), bc(state.pulse_remaining)
 
-    ad, ex, se, si = cfg.adaptation, cfg.exponential, cfg.syn_exc, cfg.syn_inh
+    ad, ex = cfg.adaptation, cfg.exponential
     E_l, V_det, V_r, t_ref = bc(cfg.E_l), bc(cfg.V_det), bc(cfg.V_r), bc(cfg.t_ref)
     C_mem = bc(cfg.C_mem)
     stim_scale = bc(cfg.stim_gain) * bc(cfg.stim_trim)
-    gl_g, gl_safe, gl_live = _ota_consts(cfg.leak_ota, n)
-    lam_m = gl_g / C_mem
 
-    if ad.enabled:
-        gt_g, gt_safe, gt_live = _ota_consts(ad.ota_tau, n)
-        ga_g, ga_safe, ga_live = _ota_consts(ad.ota_a, n)
-        C_w, V_ref, E_la = bc(ad.C_w), bc(ad.V_ref), bc(ad.E_l_adapt)
-        sign, gw_f = bc(ad.sign), bc(ad.g_w_factor)
-        p_amp, p_width = bc(ad.pulse_amplitude), bc(ad.pulse_width)
-        lam_w = gt_g / C_w
-        decay_w = np.exp(-lam_w * dt)
-        phi_w = _phi(lam_w, dt)
+    # the saturating OTAs, one row each: the leak, then the exponential's
+    # and the adaptation filter's and coupling's when enabled.  A row holds
+    # the input difference, then safe * tanh(g * difference / safe).
+    otas = [cfg.leak_ota]
     if ex.enabled:
-        ex_g, ex_safe, ex_live = _ota_consts(ex.ota, n)
+        otas.append(ex.ota)
+    if ad.enabled:
+        otas += [ad.ota_tau, ad.ota_a]
+    G = np.array([bc(o.g) for o in otas])
+    i_sat = np.array([bc(o.i_sat) for o in otas])
+    live = i_sat > 0
+    SAFE = np.where(live, i_sat, 1.0)
+    dead = None if live.all() else ~live
+    Z = np.empty_like(G)
+    rows = iter(Z)
+    z_leak = next(rows)
+    gl_g = G[0]
+    lam_m = gl_g / C_mem
+    exp_free, phi_free = np.exp(-lam_m * dt), _phi(lam_m, dt)
+    exp_held, phi_held = np.exp(-lam_m * 0.0), _phi(lam_m, 0.0)
+
+    if ex.enabled:
+        z_exp = next(rows)
         ex_r = EXP_CONVERSION_RATIO * bc(ex.r_conv)
         ex_nvt = bc(ex.n) * bc(ex.V_therm)
         I_0, I_max = bc(ex.I_0), bc(ex.I_max)
@@ -572,21 +603,47 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
                                  I_max / np.maximum(I_0, 1e-300), 1e300))
         ex_floor = I_0 * EXP_POWER_DOWN_FLOOR
         ex_vexp = bc(ex.V_exp)
-        ex_gate = ex.gate_in_refractory
-    syn_consts = {}
-    for key, syn in (("exc", se), ("inh", si)):
-        syn_consts[key] = {
-            "decay": np.exp(-dt / bc(syn.tau_syn)),
-            "dv": bc(syn.dv_unit),
-            "g1pb": bc(syn.g1_per_bias),
-            "ib": bc(syn.I_b_cuba),
-            "g2": bc(syn.g2),
-            "ehat": bc(syn.E_syn_hat),
-            "off": bc(syn.follower_offset) + bc(syn.offset_trim),
-            "coba": syn.coba_enabled,
-            "on": syn.enabled,
-        }
+        floored = np.empty(n, dtype=bool)
+    if ad.enabled:
+        z_tau, z_a = rows
+        gt_g = G[-2]
+        C_w, V_ref, E_la = bc(ad.C_w), bc(ad.V_ref), bc(ad.E_l_adapt)
+        sign, gw_f = bc(ad.sign), bc(ad.g_w_factor)
+        p_amp = bc(ad.pulse_amplitude)
+        lam_w = gt_g / C_w
+        decay_w = np.exp(-lam_w * dt)
+        phi_w = _phi(lam_w, dt)
+        dv_w, pulse_i = np.empty(n), np.empty(n)
 
+    lines = []
+    for s, arrivals, syn, sign_syn in ((s_exc, arr_exc, cfg.syn_exc, 1),
+                                       (s_inh, arr_inh, cfg.syn_inh, -1)):
+        decay, dv = np.exp(-dt / bc(syn.tau_syn)), bc(syn.dv_unit)
+        off = bc(syn.follower_offset) + bc(syn.offset_trim)
+        # with no arrivals, s = +0.0 is a fixed point of the decay update
+        quiet = (not np.any(arrivals) and _plus_zero(s)
+                 and _plus_zero(0.0 * decay + 0.0 * dv))
+        line = {"s": s, "arrivals": arrivals, "decay": decay, "dv": dv,
+                "quiet": quiet, "on": syn.enabled, "coba": syn.coba_enabled,
+                "sign": sign_syn, "g1pb": bc(syn.g1_per_bias), "off": off}
+        if syn.enabled and syn.coba_enabled:
+            line.update(ib=bc(syn.I_b_cuba), g2=bc(syn.g2), ehat=bc(syn.E_syn_hat),
+                        s_off=s - off if quiet else None)
+        elif syn.enabled:
+            gib = line["g1pb"] * bc(syn.I_b_cuba)
+            line.update(gib=gib, current=gib * (s - off) if quiet else None)
+        lines.append(line)
+
+    # refractory and adaptation-pulse flags.  The pulse current of an idle
+    # timer, p_amp * 0.0 / dt, can only be skipped where it is +0.0.
+    p_width = bc(ad.pulse_width) if ad.enabled else np.zeros(n)
+    idle_pulse = ad.enabled and not _plus_zero(p_amp * 0.0)
+    refractory = not _plus_zero(ref)
+    pulsing = idle_pulse or not _plus_zero(pulse_left)
+    ref_on_spike, pulse_on_spike = not _plus_zero(t_ref), not _plus_zero(p_width)
+
+    F, D, X = np.empty(n), np.empty(n), np.empty(n)
+    spiked = np.empty(n, dtype=bool)
     spike_steps = [[] for _ in range(n)]
     if record:
         V_rec = np.empty((n_steps + 1, n))
@@ -595,58 +652,127 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
         si_rec = np.empty((n_steps + 1, n))
         V_rec[0], Vw_rec[0], se_rec[0], si_rec[0] = V_m, V_w, s_exc, s_inh
 
-    def syn_current(c, s):
-        if not c["on"]:
-            return 0.0
-        if c["coba"]:
-            bias = np.maximum(0.0, c["ib"] + c["g2"] * (c["ehat"] - V_m))
-        else:
-            bias = c["ib"]
-        return c["g1pb"] * bias * (s - c["off"])
-
     for k in range(n_steps):
-        in_ref = ref > 0
-        # accumulation order matches circuit_step bit for bit:
+        np.subtract(E_l, V_m, out=z_leak)
+        if ex.enabled:
+            np.subtract(V_m, ex_vexp, out=z_exp)
+        if ad.enabled:
+            np.subtract(V_ref, V_w, out=z_tau)
+            np.subtract(V_m, E_la, out=z_a)
+        Z *= G
+        Z /= SAFE
+        np.tanh(Z, out=Z)
+        Z *= SAFE
+        if dead is not None:
+            np.copyto(Z, 0.0, where=dead)
+
+        # forcing, in the order of circuit_step:
         # leak + I_exp - I_w + I_syn_exc - I_syn_inh + I_stim
         if ex.enabled:
-            drive = np.where(ex_live, ex_safe * np.tanh(ex_g * (V_m - ex_vexp) / ex_safe), 0.0)
-            raw = I_0 * np.exp(np.minimum(ex_r * drive / ex_nvt, ex_cap))
-            i_exp = np.minimum(raw, I_max)
-            i_exp = np.where(i_exp < ex_floor, 0.0, i_exp)
-            if ex_gate:
-                i_exp = np.where(in_ref, 0.0, i_exp)
+            z_exp *= ex_r
+            z_exp /= ex_nvt
+            np.minimum(z_exp, ex_cap, out=z_exp)
+            np.exp(z_exp, out=z_exp)
+            z_exp *= I_0
+            np.minimum(z_exp, I_max, out=z_exp)
+            np.less(z_exp, ex_floor, out=floored)
+            np.copyto(z_exp, 0.0, where=floored)
+            if refractory and ex.gate_in_refractory:
+                np.copyto(z_exp, 0.0, where=ref > 0)
+            np.add(z_leak, z_exp, out=F)
         else:
-            i_exp = 0.0
+            np.add(z_leak, 0.0, out=F)
         if ad.enabled:
-            out_tau = np.where(gt_live, gt_safe * np.tanh(gt_g * (V_ref - V_w) / gt_safe), 0.0)
-            out_a = np.where(ga_live, ga_safe * np.tanh(ga_g * (V_m - E_la) / ga_safe), 0.0)
-            i_w = gw_f * out_tau
-            pulse_i = p_amp * np.minimum(pulse_left, dt) / dt
-            node = out_tau - sign * out_a - pulse_i
-            resid_w = (node + gt_g * (V_w - V_ref)) / C_w
-            V_w = V_ref + (V_w - V_ref) * decay_w + resid_w * phi_w
+            np.multiply(gw_f, z_tau, out=X)
+            F -= X
+            # filter node: out_tau - sign * out_a - pulse current
+            z_a *= sign
+            z_tau -= z_a
+            if pulsing:
+                np.minimum(pulse_left, dt, out=pulse_i)
+                pulse_i *= p_amp
+                pulse_i /= dt
+                z_tau -= pulse_i
+            np.subtract(V_w, V_ref, out=dv_w)
+            np.multiply(gt_g, dv_w, out=X)
+            z_tau += X
+            z_tau /= C_w
+            dv_w *= decay_w
+            z_tau *= phi_w
+            np.add(V_ref, dv_w, out=V_w)
+            V_w += z_tau
+        for line in lines:
+            if not line["on"]:
+                if line["sign"] > 0:
+                    F += 0.0
+                continue
+            if line["coba"]:
+                np.subtract(line["ehat"], V_m, out=X)
+                X *= line["g2"]
+                X += line["ib"]
+                np.maximum(0.0, X, out=X)
+                X *= line["g1pb"]
+                if line["quiet"]:
+                    X *= line["s_off"]
+                else:
+                    X *= line["s"] - line["off"]
+                current = X
+            elif line["quiet"]:
+                current = line["current"]
+            else:
+                np.subtract(line["s"], line["off"], out=X)
+                X *= line["gib"]
+                current = X
+            if line["sign"] > 0:
+                F += current
+            else:
+                F -= current
+        np.multiply(stim_scale, currents[k], out=X)
+        F += X
+
+        # membrane node: held at V_r while refractory, integrates the
+        # post-release fraction of the step otherwise
+        np.subtract(V_m, E_l, out=D)
+        np.multiply(gl_g, D, out=X)
+        F += X
+        F /= C_mem
+        if refractory:
+            h = np.clip(dt - ref, 0.0, dt)
+            free, held = h == dt, h == 0.0
+            e_m = np.where(free, exp_free, exp_held)
+            p_m = np.where(free, phi_free, phi_held)
+            part = ~(free | held)
+            if part.any():
+                e_m[part] = np.exp(-lam_m[part] * h[part])
+                p_m[part] = _phi(lam_m[part], h[part])
         else:
-            i_w = 0.0
-        leak_out = np.where(gl_live, gl_safe * np.tanh(gl_g * (E_l - V_m) / gl_safe), 0.0)
-        forcing = leak_out + i_exp - i_w \
-            + syn_current(syn_consts["exc"], s_exc) \
-            - syn_current(syn_consts["inh"], s_inh) \
-            + stim_scale * currents[k]
+            e_m, p_m = exp_free, phi_free
+        D *= e_m
+        F *= p_m
+        np.add(E_l, D, out=V_m)
+        V_m += F
 
-        h = np.clip(dt - ref, 0.0, dt)
-        resid_m = (forcing + gl_g * (V_m - E_l)) / C_mem
-        V_m = E_l + (V_m - E_l) * np.exp(-lam_m * h) + resid_m * _phi(lam_m, h)
+        for line in lines:
+            if not line["quiet"]:
+                s = line["s"]
+                s *= line["decay"]
+                s += line["arrivals"][k] * line["dv"]
+        if refractory:
+            ref -= dt
+            np.maximum(ref, 0.0, out=ref)
+            refractory = bool(ref.any())
+        if pulsing:
+            pulse_left -= dt
+            np.maximum(pulse_left, 0.0, out=pulse_left)
+            pulsing = idle_pulse or bool(pulse_left.any())
 
-        s_exc = s_exc * syn_consts["exc"]["decay"] + arr_exc[k] * syn_consts["exc"]["dv"]
-        s_inh = s_inh * syn_consts["inh"]["decay"] + arr_inh[k] * syn_consts["inh"]["dv"]
-        ref = np.maximum(ref - dt, 0.0)
-        pulse_left = np.maximum(pulse_left - dt, 0.0)
-
-        spiked = V_m >= V_det
+        np.greater_equal(V_m, V_det, out=spiked)
         if spiked.any():
-            V_m = np.where(spiked, V_r, V_m)
-            ref = np.where(spiked, t_ref, ref)
-            pulse_left = np.where(spiked, p_width if ad.enabled else 0.0, pulse_left)
+            np.copyto(V_m, V_r, where=spiked)
+            np.copyto(ref, t_ref, where=spiked)
+            np.copyto(pulse_left, p_width, where=spiked)
+            refractory = refractory or ref_on_spike
+            pulsing = pulsing or pulse_on_spike
             for i in np.nonzero(spiked)[0]:
                 spike_steps[i].append(k + 1)
         if record:
@@ -894,17 +1020,23 @@ def stack_population(cfgs: Sequence[CircuitNeuronConfig]) -> CircuitNeuronConfig
 
 
 def unstack_population(cfg: CircuitNeuronConfig, n: int) -> list:
-    """Split a stacked config back into per-neuron scalar configs."""
-    def pick(obj, i):
-        if dataclasses.is_dataclass(obj):
-            return type(obj)(**{f.name: pick(getattr(obj, f.name), i)
-                                for f in dataclasses.fields(obj)})
-        if obj is None or isinstance(obj, (bool, str)):
-            return obj
-        arr = np.asarray(obj)
-        return float(arr[i]) if arr.ndim else float(arr)
+    """Split a stacked config back into per-neuron scalar configs.
 
-    return [pick(cfg, i) for i in range(n)]
+    The tree is walked once: each leaf yields its n values as one list,
+    and each dataclass node is built n times from its children's lists.
+    """
+    def columns(obj) -> list:
+        if dataclasses.is_dataclass(obj):
+            names = [f.name for f in dataclasses.fields(obj)]
+            kind = type(obj)
+            per_field = [columns(getattr(obj, name)) for name in names]
+            return [kind(**dict(zip(names, values))) for values in zip(*per_field)]
+        if obj is None or isinstance(obj, (bool, str)):
+            return [obj] * n
+        arr = np.asarray(obj, dtype=float)
+        return arr[:n].tolist() if arr.ndim else [float(arr)] * n
+
+    return columns(cfg)
 
 
 def get_bias(cfg, path: str):

@@ -56,18 +56,20 @@ class AdExParameters:
     exp_gated_in_ref: bool = False
 
     def __post_init__(self):
-        if not self.C > 0:
+        # the checks hold element by element, so a stacked population of
+        # parameters (array fields) is checked neuron by neuron
+        if not np.all(np.asarray(self.C) > 0):
             raise ValueError("C must be > 0")
-        if not self.tau_w > 0:
+        if not np.all(np.asarray(self.tau_w) > 0):
             raise ValueError("tau_w must be > 0")
-        if self.t_ref < 0:
+        if np.any(np.asarray(self.t_ref) < 0):
             raise ValueError("t_ref must be >= 0")
-        if self.g_l < 0:
+        if np.any(np.asarray(self.g_l) < 0):
             raise ValueError("g_l must be >= 0")
         if self.exp_enabled:
-            if not self.Delta_T > 0:
+            if not np.all(np.asarray(self.Delta_T) > 0):
                 raise ValueError("Delta_T must be > 0 when the exponential term is enabled")
-            if not self.V_det > self.V_T:
+            if not np.all(np.asarray(self.V_det) > np.asarray(self.V_T)):
                 raise ValueError("V_det must exceed V_T when the exponential term is enabled")
 
     @property

@@ -16,6 +16,7 @@ from adexsim.circuit import (
     unstack_population,
 )
 from adexsim.measure import log_linear_fit
+from adexsim.mismatch import default_mismatch_model, sample_population
 
 
 class TestOta:
@@ -200,6 +201,45 @@ class TestCobaBias:
             coba_effective_bias(0.5, syn)
 
 
+def _offsets(cfg):
+    # follower offsets as mismatch leaves them: a quiet line still carries
+    # the current of its offset
+    return replace(cfg, syn_exc=replace(cfg.syn_exc, follower_offset=3e-3),
+                   syn_inh=replace(cfg.syn_inh, follower_offset=-2e-3))
+
+
+def _coba_lines(cfg):
+    coba = default_circuit_config(coba=True)
+    return _offsets(replace(cfg, syn_exc=coba.syn_exc, syn_inh=coba.syn_inh))
+
+
+def _dead_ota_a(cfg):
+    ad = cfg.adaptation
+    return replace(cfg, adaptation=replace(ad, ota_a=replace(ad.ota_a, I_bias=0.0)))
+
+
+def _exc_train():
+    return WeightedSpikeTrain.regular(30e-6, 40e-6, 4, 0.3)
+
+
+# hw_circuit -> (config, synaptic events) for the fast-path oracle test; its
+# synaptic lines are enabled, current-based and quiet unless events arrive
+ENGINE_VARIANTS = {
+    "t_ref_0_pulses_offsets": lambda c: (_offsets(replace(c, t_ref=0.0)), {}),
+    "fractional_release_gated": lambda c: (
+        replace(c, t_ref=1.03e-6, exponential=replace(
+            c.exponential, gate_in_refractory=True)), {}),
+    "quiet_coba_lines": lambda c: (_coba_lines(c), {}),
+    "coba_exc_events": lambda c: (_coba_lines(c), {"exc": _exc_train()}),
+    "cuba_inh_events": lambda c: (_offsets(c), {"inh": WeightedSpikeTrain.regular(
+        60e-6, 30e-6, 3, 0.2)}),
+    "dead_ota_a": lambda c: (_dead_ota_a(c), {}),
+    "lif": lambda c: (replace(
+        c, adaptation=replace(c.adaptation, enabled=False),
+        exponential=replace(c.exponential, enabled=False)), {}),
+}
+
+
 class TestCircuitStep:
     def test_quiescent_stationary(self):
         cfg = default_circuit_config()
@@ -295,6 +335,74 @@ class TestCircuitStep:
                 spikes.append((k + 1) * dt)
         assert np.array_equal(run.spikes[0], np.array(spikes))
 
+    @pytest.mark.parametrize("variant", sorted(ENGINE_VARIANTS))
+    def test_engine_fast_paths_match_stepwise_reference(self, hw_circuit, variant):
+        # each variant sends the engine down other skip paths; every step of
+        # V_m and V_w, every spike and the final timers must equal circuit_step
+        cfg, events = ENGINE_VARIANTS[variant](hw_circuit)
+        stim = StimulusProgram.step(20e-6, 50e-9)
+        dt, duration = 0.05e-6, 200e-6
+        run = simulate_population(cfg, 1, stim, syn_events=events,
+                                  duration=duration, dt=dt, record=True)
+        from adexsim.synapse import weights_per_boundary
+        n_steps = int(round(duration / dt))
+        currents = stim.per_step_currents(n_steps, dt)
+        s0, arrivals = {}, {}
+        for key in ("exc", "inh"):
+            if key in events:
+                s0[key], arrivals[key] = weights_per_boundary(events[key], n_steps, dt)
+            else:
+                s0[key], arrivals[key] = 0.0, np.zeros(n_steps)
+        st = quiescent_state(cfg)
+        st = CircuitState(V_m=st.V_m, V_w=st.V_w,
+                          s_exc=s0["exc"] * cfg.syn_exc.dv_unit,
+                          s_inh=s0["inh"] * cfg.syn_inh.dv_unit)
+        spikes = []
+        for k in range(n_steps):
+            st, spiked = circuit_step(st, cfg, currents[k],
+                                      (arrivals["exc"][k], arrivals["inh"][k]), dt)
+            assert float(st.V_m) == run.V[k + 1, 0], k
+            assert float(st.V_w) == run.V_w[k + 1, 0], k
+            if spiked:
+                spikes.append((k + 1) * dt)
+        assert len(spikes) >= 3
+        assert np.array_equal(run.spikes[0], np.array(spikes))
+        final = run.final_state
+        for name in ("V_m", "V_w", "s_exc", "s_inh", "ref_remaining", "pulse_remaining"):
+            assert np.asarray(getattr(final, name))[0].tobytes() == \
+                np.asarray(getattr(st, name), dtype=float).tobytes(), name
+
+    def test_engine_batch_invariance(self, hw_circuit):
+        # the engine's skip decisions are made for the whole batch; each
+        # neuron alone must still give the bits of its batch column
+        pop = sample_population(hw_circuit, default_mismatch_model(hw_circuit, seed=9), 16)
+        neurons = []
+        for i, neuron in enumerate(pop.neurons):
+            neuron = replace(neuron, t_ref=1.03e-6 if i % 2 else 0.0)
+            if i % 4 == 3:
+                neuron = replace(neuron, stim_gain=0.2)   # below rheobase
+            if i == 5:
+                ad = neuron.adaptation
+                neuron = replace(neuron, adaptation=replace(
+                    ad, ota_a=replace(ad.ota_a, I_bias=0.0)))
+            neurons.append(neuron)
+        stim = StimulusProgram.step(20e-6, 50e-9)
+        events = {"exc": WeightedSpikeTrain.regular(30e-6, 40e-6, 3, 0.3)}
+        kw = dict(syn_events=events, duration=150e-6, dt=0.05e-6, record=True)
+        batch = simulate_population(stack_population(neurons), 16, stim, **kw)
+        counts = [len(s) for s in batch.spikes]
+        assert min(counts) == 0 and max(counts) >= 3
+        fields = ("V_m", "V_w", "s_exc", "s_inh", "ref_remaining", "pulse_remaining")
+        for i, neuron in enumerate(neurons):
+            alone = simulate_population(neuron, 1, stim, **kw)
+            assert alone.spikes[0].tobytes() == batch.spikes[i].tobytes(), i
+            for rec in ("V", "V_w", "s_exc", "s_inh"):
+                assert getattr(alone, rec)[:, 0].tobytes() == \
+                    getattr(batch, rec)[:, i].tobytes(), (i, rec)
+            for name in fields:
+                assert np.asarray(getattr(alone.final_state, name))[0].tobytes() == \
+                    np.asarray(getattr(batch.final_state, name))[i].tobytes(), (i, name)
+
 
 class TestDeriveEffectiveAdex:
     def test_gw_factor_arithmetic(self, hw_circuit):
@@ -323,6 +431,19 @@ class TestDeriveEffectiveAdex:
         eff = derive_effective_adex(cfg)
         assert eff.a == 0.0 and eff.b == 0.0
         assert not eff.exp_enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_stacked_population_equals_per_neuron(self, hw_circuit, enabled):
+        nominal = hw_circuit if enabled else default_circuit_config()
+        pop = sample_population(nominal, default_mismatch_model(nominal, seed=1), 4)
+        stacked = derive_effective_adex(pop.stacked())
+        for i, neuron in enumerate(pop.neurons):
+            alone = derive_effective_adex(neuron)
+            for name in ("C", "g_l", "E_l", "V_T", "Delta_T", "tau_w", "a", "b",
+                         "V_r", "V_det", "t_ref"):
+                column = np.broadcast_to(getattr(stacked, name), (4,))
+                assert column[i] == getattr(alone, name), (i, name)
+            assert stacked.exp_enabled == alone.exp_enabled
 
 
     def test_v_t_at_v_det_raises_typed_error(self, hw_circuit):
