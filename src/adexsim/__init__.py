@@ -26,9 +26,9 @@ from .synapse import (
 from .circuit import (
     AdaptationCircuitConfig, CircuitNeuronConfig, CircuitState,
     ExponentialCircuitConfig, OtaModel, SynInCircuitConfig,
-    adaptation_dynamics, circuit_for_adex, circuit_step, coba_effective_bias,
-    default_circuit_config, derive_effective_adex, exponential_current,
-    ota_output, simulate_circuit, simulate_population, stack_population,
+    circuit_for_adex, coba_effective_bias, default_circuit_config,
+    derive_effective_adex, exponential_current, ota_output, simulate_circuit,
+    simulate_population, stack_population,
 )
 from .mismatch import (
     MismatchModel, Population, default_mismatch_model, sample_population,

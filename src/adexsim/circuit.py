@@ -163,22 +163,6 @@ class AdaptationCircuitConfig:
         return self.g_w * self.pulse_amplitude * self.pulse_width / self.C_w
 
 
-def adaptation_dynamics(state, cfg: AdaptationCircuitConfig, spike_pulse_active=False):
-    """Filter-node derivative dV_w/dt and the output current I_w.
-
-    Both OTA contributions pass through their saturation envelopes; the
-    output stage mirrors the filter OTA's current g_w_factor-fold, so I_w
-    equals g_w * (V_ref - V_w) in the linear regime.
-    """
-    if not cfg.enabled:
-        raise InvalidConfig("adaptation circuit is disabled")
-    out_tau = ota_output(cfg.ota_tau, cfg.V_ref, state.V_w)
-    out_a = ota_output(cfg.ota_a, state.V_m, cfg.E_l_adapt)
-    pulse = np.where(spike_pulse_active, cfg.pulse_amplitude, 0.0)
-    dv_w = (out_tau - cfg.sign * out_a - pulse) / cfg.C_w
-    return dv_w, cfg.g_w_factor * out_tau
-
-
 @dataclass(frozen=True)
 class ExponentialCircuitConfig:
     """Weak-inversion exponential feedback current.
@@ -315,18 +299,6 @@ def coba_effective_bias(V_m, cfg: SynInCircuitConfig):
     return np.maximum(0.0, cfg.I_b_cuba + cfg.g2 * (cfg.E_syn_hat - np.asarray(V_m)))
 
 
-def synin_current(s_volts, cfg: SynInCircuitConfig, V_m):
-    """Output current of the synaptic input circuit for line deflection s_volts."""
-    if not cfg.enabled:
-        return np.zeros_like(np.asarray(s_volts, dtype=float))
-    if cfg.coba_enabled:
-        bias = coba_effective_bias(V_m, cfg)
-    else:
-        bias = cfg.I_b_cuba
-    offset = cfg.follower_offset + cfg.offset_trim
-    return cfg.g1_per_bias * bias * (np.asarray(s_volts) - offset)
-
-
 @dataclass(frozen=True)
 class CircuitNeuronConfig:
     """Full behavioral neuron: membrane node plus its four sub-circuits.
@@ -413,85 +385,6 @@ def _phi(lam, h):
     return np.where(small, h, -np.expm1(-safe * h) / safe)
 
 
-def circuit_step(state: CircuitState, cfg: CircuitNeuronConfig, I_stim,
-                 syn_events=(0.0, 0.0), dt: float = 1e-8):
-    """One deterministic integration step; returns (new_state, spiked).
-
-    `syn_events` carries the summed weights arriving at this step's end
-    boundary for the excitatory and inhibitory lines.  Each node uses an
-    exponential-Euler update around its small-signal conductance with the
-    saturation residuals and cross couplings as forward terms.  The
-    spike-triggered adaptation pulse is spread charge-exactly over the
-    steps it overlaps.
-    """
-    if not dt > 0:
-        raise ValueError("dt must be > 0")
-    V_m = np.asarray(state.V_m, dtype=float)
-    V_w = np.asarray(state.V_w, dtype=float)
-    ref = np.asarray(state.ref_remaining, dtype=float)
-    pulse_left = np.asarray(state.pulse_remaining, dtype=float)
-    in_ref = ref > 0
-
-    ad = cfg.adaptation
-    ex = cfg.exponential
-
-    # currents at the start of the step
-    I_exp = exponential_current(V_m, ex, in_ref)
-    if ad.enabled:
-        out_tau = ota_output(ad.ota_tau, ad.V_ref, V_w)
-        out_a = ota_output(ad.ota_a, V_m, ad.E_l_adapt)
-        I_w = ad.g_w_factor * out_tau
-    else:
-        out_tau = out_a = I_w = np.zeros_like(V_m)
-    I_syn_e = synin_current(state.s_exc, cfg.syn_exc, V_m)
-    I_syn_i = synin_current(state.s_inh, cfg.syn_inh, V_m)
-    leak_out = ota_output(cfg.leak_ota, cfg.E_l, V_m)
-    I_inj = cfg.stim_gain * cfg.stim_trim * np.asarray(I_stim, dtype=float)
-
-    # filter node: pulse current averaged charge-exactly over this step
-    pulse_I = ad.pulse_amplitude * np.minimum(pulse_left, dt) / dt
-    if ad.enabled:
-        node = out_tau - ad.sign * out_a - pulse_I
-        lam_w = ad.g_tau / ad.C_w
-        resid_w = (node + ad.g_tau * (V_w - ad.V_ref)) / ad.C_w
-        V_w1 = ad.V_ref + (V_w - ad.V_ref) * np.exp(-lam_w * dt) + resid_w * _phi(lam_w, dt)
-    else:
-        V_w1 = V_w
-
-    # membrane node: held at V_r while refractory, integrates the
-    # post-release fraction of the step otherwise
-    h = np.clip(dt - ref, 0.0, dt)
-    forcing = leak_out + I_exp - I_w + I_syn_e - I_syn_i + I_inj
-    lam_m = cfg.g_l / cfg.C_mem
-    resid_m = (forcing + cfg.g_l * (V_m - cfg.E_l)) / cfg.C_mem
-    V_m1 = cfg.E_l + (V_m - cfg.E_l) * np.exp(-lam_m * h) + resid_m * _phi(lam_m, h)
-
-    # synaptic lines: exact decay plus boundary jumps
-    exc_w, inh_w = syn_events
-    s_exc1 = np.asarray(state.s_exc) * np.exp(-dt / cfg.syn_exc.tau_syn) \
-        + np.asarray(exc_w) * cfg.syn_exc.dv_unit
-    s_inh1 = np.asarray(state.s_inh) * np.exp(-dt / cfg.syn_inh.tau_syn) \
-        + np.asarray(inh_w) * cfg.syn_inh.dv_unit
-
-    ref1 = np.maximum(ref - dt, 0.0)
-    pulse1 = np.maximum(pulse_left - dt, 0.0)
-
-    spiked = V_m1 >= cfg.V_det
-    V_m1 = np.where(spiked, cfg.V_r, V_m1)
-    ref1 = np.where(spiked, cfg.t_ref, ref1)
-    pulse1 = np.where(spiked, ad.pulse_width, pulse1)
-
-    if not (_all(np.isfinite(V_m1)) and _all(np.isfinite(V_w1))
-            and _all(np.isfinite(s_exc1)) and _all(np.isfinite(s_inh1))):
-        raise NonFiniteState("circuit state became non-finite (dt too large?)")
-
-    new = CircuitState(V_m=V_m1, V_w=V_w1, s_exc=s_exc1, s_inh=s_inh1,
-                       ref_remaining=ref1, pulse_remaining=pulse1)
-    if np.ndim(spiked) == 0:
-        return new, bool(spiked)
-    return new, spiked
-
-
 @dataclass
 class PopulationRun:
     """Result of a stacked population simulation."""
@@ -537,12 +430,13 @@ def _plus_zero(x) -> bool:
 
 def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
             state: CircuitState, dt: float, n_steps: int, record: bool):
-    """Hot loop behind simulate_population.
+    """Hot loop behind simulate_population, the one integrator of the circuit.
 
-    Every value it computes uses the math of circuit_step: the same
-    operations on the same operands in the same order, so the engine
-    matches the stepwise reference bit for bit, and a neuron's bits do not
-    depend on the rest of its batch.  Constants are hoisted out of the
+    Its oracle is the stepwise reference `circuit_step` in
+    tests/stepwise_reference.py.  Every value the engine computes uses the
+    math of that reference: the same operations on the same operands in
+    the same order, so the engine matches it bit for bit, and a neuron's
+    bits do not depend on the rest of its batch.  Constants are hoisted out of the
     loop and the arrays are updated in place.  A step skips only work
     whose result is known exactly:
 
@@ -666,7 +560,7 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
         if dead is not None:
             np.copyto(Z, 0.0, where=dead)
 
-        # forcing, in the order of circuit_step:
+        # forcing, in the order of the stepwise reference:
         # leak + I_exp - I_w + I_syn_exc - I_syn_inh + I_stim
         if ex.enabled:
             z_exp *= ex_r
@@ -913,6 +807,13 @@ def default_circuit_config(tau_m: float = 20e-6,
     The device constants (g_per_bias, r_conv, I_0, n, V_therm) are not
     measured quantities; they are defaults chosen so the reachable
     effective-parameter ranges cover the documented hardware envelope.
+
+    With the exponential enabled these defaults have no ideal equivalent:
+    the derived V_T is 0.760 V, above V_det = 0.75 V, so
+    `derive_effective_adex` (and `default_mismatch_model`, which calls it)
+    raises NoIdealEquivalent.  For a neuron with one, build it with
+    `circuit_for_adex` from ideal parameters, or give it a V_T below V_det
+    (a config's `v_t`).
     """
     C_mem = MAX_MEMBRANE_CAPACITANCE
     adaptation = AdaptationCircuitConfig(

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -240,7 +239,7 @@ def _cmd_experiment(run: RunConfig, out: _Output) -> int:
     return EXIT_OK if report.passed in (True, None) else EXIT_GATE_FAILED
 
 
-def _cmd_sweep(run: RunConfig, out: _Output, jobs: int) -> int:
+def _cmd_sweep(run: RunConfig, out: _Output) -> int:
     key = run.sweep["key"]
     values = run.sweep["values"]
     section, _, name = key.partition(".")
@@ -262,12 +261,7 @@ def _cmd_sweep(run: RunConfig, out: _Output, jobs: int) -> int:
                                      duration=sub.duration, dt=sub.dt)
         return value, trace
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, values))
-    else:
-        results = [one(v) for v in values]
-
+    results = [one(v) for v in values]
     summary_rows = ["index,value,n_spikes,median_isi_us"]
     for idx, (value, trace) in enumerate(results):
         out.add(f"sweep_{idx:03d}.csv", trace_to_csv(trace))
@@ -302,7 +296,8 @@ def _common_args(p: argparse.ArgumentParser):
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker threads for sweeps/experiments")
+                   help="accepted for compatibility and has no effect: "
+                        "every command runs sequentially")
 
 
 def main(argv=None) -> int:
@@ -319,8 +314,6 @@ def main(argv=None) -> int:
             run.seed = args.seed
         if args.fmt is not None:
             run.fmt = args.fmt
-        if getattr(args, "jobs", None):
-            run.jobs = max(1, args.jobs)
         if args.command == "experiment" and run.experiment.get("name") not in (
                 None, args.name):
             raise ValidationError(
@@ -344,7 +337,7 @@ def main(argv=None) -> int:
         elif args.command == "experiment":
             status = _cmd_experiment(run, out)
         else:
-            status = _cmd_sweep(run, out, run.jobs)
+            status = _cmd_sweep(run, out)
         out.flush()
         return status
     except (ParseError, ValidationError) as err:

@@ -234,7 +234,6 @@ class RunConfig:
     duration: float = 500e-6
     out_dir: str | None = None
     fmt: str = "csv"
-    jobs: int = 1
 
     neuron: AdExParameters | None = None
     circuit: CircuitNeuronConfig | None = None
@@ -471,8 +470,7 @@ def parse_config(text: str) -> RunConfig:
     _check_timing(run.dt, run.duration)
     run.fmt = get("run", "format") or "csv"
     run.out_dir = get("run", "out")
-    jobs = get("run", "jobs")
-    run.jobs = 1 if jobs is None else max(1, jobs)
+    get("run", "jobs")  # still accepted and type-checked; runs are sequential
 
     run.neuron = _build_neuron(sections)
     run.circuit = _build_circuit(sections)
@@ -558,8 +556,7 @@ def serialize_config(run: RunConfig) -> str:
              f"seed = {run.seed}",
              f"dt = {q(run.dt, 'time')}",
              f"duration = {q(run.duration, 'time')}",
-             f"format = {run.fmt}",
-             f"jobs = {run.jobs}"]
+             f"format = {run.fmt}"]
     if run.out_dir:
         lines.append(f"out = {run.out_dir}")
     if run.neuron is not None:

@@ -1,9 +1,12 @@
-"""Measurement routines: extract effective parameters from simulated responses.
+"""Measurement routines: extract effective parameters from circuit responses.
 
 Each routine scripts a stimulus/response protocol (release transient,
 clamped sweep, single event) and fits the effective parameter with plain
 linear least squares on suitably transformed data, or solves the
-subthreshold steady state directly (`_steady_state`).
+subthreshold steady state directly (`_steady_state`).  No routine
+integrates on its own: a response is either run on the circuit engine
+(`simulate_population`) or the ideal model (`simulate`), or read from a
+closed form (the release transients, `_release_fit`).
 Routines accept an ideal-model parameter set, a single circuit config, or
 a stacked population config (array leaves); population calls return arrays
 with NaN marking per-neuron fit failures, scalar calls raise FitFailed.
@@ -17,11 +20,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import (
-    CircuitNeuronConfig, CircuitState, OtaModel, coba_effective_bias,
-    exponential_current, ota_output, quiescent_state, simulate_population,
+    CircuitNeuronConfig, OtaModel, coba_effective_bias, exponential_current,
+    simulate_population,
 )
 from .errors import FitFailed, InvalidConfig
-from .model import AdExParameters, NeuronState, StimulusProgram, simulate
+from .model import AdExParameters, StimulusProgram, simulate
 from .synapse import SynapseConfig, WeightedSpikeTrain
 
 
@@ -31,15 +34,20 @@ class ReleaseProtocol:
 
     The default offset stays well inside the linear range of the
     transconductors; the fit runs from release until the deflection has
-    decayed to `floor_fraction` of the offset.
+    decayed to `floor_fraction` of the offset.  The release is sampled
+    every tau_min / RELEASE_STEPS_PER_TAU for RELEASE_WINDOW_TAUS * tau_max,
+    with tau the nominal time constants of the population.
     """
 
     offset: float = 0.05
     floor_fraction: float = 0.02
     r2_min: float = 0.99
     min_samples: int = 12
-    dt: float | None = None
-    duration: float | None = None
+
+
+RELEASE_STEPS_PER_TAU = 150
+RELEASE_WINDOW_TAUS = 7.0
+NO_DECAY = "deflection did not decay"
 
 
 def _population_size(cfg: CircuitNeuronConfig):
@@ -67,7 +75,7 @@ def log_linear_fit(x: np.ndarray, y: np.ndarray):
     return float(coef[0]), float(coef[1]), r2
 
 
-def _fit_decay(times, deflection, offset, proto: ReleaseProtocol):
+def _fit_decay(times, deflection, proto: ReleaseProtocol):
     """Fit a single-exponential decay; returns (tau, None) or (nan, reason)."""
     if abs(deflection[0]) < 1e-12:
         return math.nan, "nothing to fit (zero release offset)"
@@ -82,7 +90,7 @@ def _fit_decay(times, deflection, offset, proto: ReleaseProtocol):
         return math.nan, "non-monotone trace (deflection crossed zero)"
     slope, _, r2 = log_linear_fit(times[:end], yw)
     if slope >= 0:
-        return math.nan, "deflection did not decay"
+        return math.nan, NO_DECAY
     if r2 < proto.r2_min:
         return math.nan, f"fit R^2 = {r2:.4f} below {proto.r2_min}"
     return -1.0 / slope, None
@@ -229,114 +237,78 @@ def _steady_deflection(cfg: CircuitNeuronConfig, m: int, step):
 
 
 # ---------------------------------------------------------------------------
-# membrane time constant
+# release transients
 
-def measure_tau_m(neuron, protocol: ReleaseProtocol | None = None):
-    """Release-from-offset transient of the membrane, single-exponential fit.
+def _release_fit(ota: OtaModel, cap, proto: ReleaseProtocol, n):
+    """Fit the release of a node that only a saturating OTA pulls back.
 
-    All sub-circuits except the leak are disabled for the measurement.
+    The deflection x from the OTA's reference then obeys
+    C dx/dt = -I_sat * tanh(g * x / I_sat), whose exact solution is
+    sinh(g * x / I_sat) = sinh(g * x0 / I_sat) * exp(-g * t / C).  It is
+    sampled on the protocol grid, with tau = C / g of the live neurons,
+    and fitted as a recorded release would be.  A dead bias (I_sat = 0)
+    leaves the node at x0, which the fit reports as not decaying.
     """
-    proto = protocol or ReleaseProtocol()
-    if isinstance(neuron, AdExParameters):
-        return _measure_tau_m_ideal(neuron, proto)
-
-    n = _population_size(neuron)
     m = n or 1
-    cfg = _disable(neuron, adaptation=True, exponential=True, synin=True, spiking=True)
-    tau_nom = np.atleast_1d(np.asarray(cfg.tau_m, dtype=float))
-    dt = proto.dt or float(tau_nom.min()) / 150.0
-    duration = proto.duration or 7.0 * float(tau_nom.max())
-    state = quiescent_state(cfg)
-    state = CircuitState(V_m=np.asarray(state.V_m) + proto.offset, V_w=state.V_w,
-                         s_exc=state.s_exc, s_inh=state.s_inh)
-    run = simulate_population(cfg, m, StimulusProgram.constant(0.0),
-                              duration=duration, dt=dt, initial_state=state,
-                              record=True)
-    times = np.arange(run.V.shape[0]) * dt
-    e_l = np.broadcast_to(np.asarray(cfg.E_l, dtype=float), (m,))
+    g, i_sat, cap = (_per_neuron(x, m) for x in (ota.g, ota.i_sat, cap))
+    live = i_sat > 0
+    if not live.any():
+        return _scalarize(np.full(m, math.nan), [NO_DECAY] * m, n)
+    tau = cap[live] / g[live]
+    dt = float(tau.min()) / RELEASE_STEPS_PER_TAU
+    times = np.arange(int(round(RELEASE_WINDOW_TAUS * float(tau.max()) / dt)) + 1) * dt
+    k = g / np.where(live, i_sat, 1.0)
+    u0 = np.abs(k * proto.offset)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # ln sinh(u), so that a large u0 cannot overflow; then
+        # u = asinh(exp(ln sinh(u)))
+        log_sinh = (u0 + np.log(-np.expm1(-2.0 * u0)) - math.log(2.0)
+                    - times[:, None] * (g / cap))
+        u = np.logaddexp(log_sinh, 0.5 * np.logaddexp(2.0 * log_sinh, 0.0))
+        trace = np.where(live, math.copysign(1.0, proto.offset) * u / k, proto.offset)
     values = np.empty(m)
     errors = []
     for i in range(m):
-        values[i], err = _fit_decay(times, run.V[:, i] - e_l[i], proto.offset, proto)
+        values[i], err = _fit_decay(times, trace[:, i], proto)
         errors.append(err)
     return _scalarize(values, errors, n)
 
 
-def _measure_tau_m_ideal(p: AdExParameters, proto: ReleaseProtocol):
-    lif = replace(p, a=0.0, b=0.0, exp_enabled=False, t_ref=0.0, V_det=math.inf)
-    dt = proto.dt or lif.tau_m / 150.0
-    duration = proto.duration or 7.0 * lif.tau_m
-    trace = simulate(lif, StimulusProgram.constant(0.0), duration=duration, dt=dt,
-                     initial_state=NeuronState(lif.E_l + proto.offset, 0.0))
-    tau, err = _fit_decay(trace.times, trace.V - lif.E_l, proto.offset, proto)
-    if err is not None:
-        raise FitFailed(err)
-    return float(tau)
+def measure_tau_m(neuron, protocol: ReleaseProtocol | None = None):
+    """Membrane time constant from the release of an offset membrane.
+
+    With every sub-circuit but the leak off, the release follows the
+    leak OTA's closed form (`_release_fit`, C_mem and g_l).  The ideal
+    model's membrane decays as a pure exponential, whose fit returns
+    C / g_l to rounding, so that is returned directly (the protocol
+    applies to circuits only).
+    """
+    if isinstance(neuron, AdExParameters):
+        return float(neuron.tau_m)
+    return _release_fit(neuron.leak_ota, neuron.C_mem, protocol or ReleaseProtocol(),
+                        _population_size(neuron))
 
 
 # ---------------------------------------------------------------------------
 # adaptation: time constant and subthreshold strength
 
 def measure_tau_w(neuron, protocol: ReleaseProtocol | None = None):
-    """Clamp-and-release transient of the adaptation state.
+    """Adaptation time constant from the release of an offset filter node.
 
     The membrane is held at the adaptation reference so the subthreshold
-    coupling contributes nothing; the filter node relaxes toward V_ref.
+    coupling contributes nothing; the filter node relaxes toward V_ref
+    along the `ota_tau` closed form (`_release_fit`, C_w and g_tau).  The
+    ideal model's w decays as a pure exponential, whose fit returns tau_w
+    to rounding, so that is returned directly (the protocol applies to
+    circuits only).
     """
-    proto = protocol or ReleaseProtocol()
     if isinstance(neuron, AdExParameters):
-        return _measure_tau_w_ideal(neuron, proto)
-
+        return float(neuron.tau_w)
     ad = neuron.adaptation
     if not ad.enabled:
         raise InvalidConfig("adaptation circuit is disabled")
-    n = _population_size(neuron)
-    m = n or 1
-    tau_nom = np.atleast_1d(np.asarray(ad.tau_w, dtype=float))
-    dt = proto.dt or float(tau_nom.min()) / 150.0
-    duration = proto.duration or 7.0 * float(tau_nom.max())
-    n_steps = max(int(round(duration / dt)), proto.min_samples)
-
-    v_ref = np.broadcast_to(np.asarray(ad.V_ref, dtype=float), (m,))
-    v_w = v_ref + proto.offset
-    lam = np.broadcast_to(np.asarray(ad.g_tau / ad.C_w, dtype=float), (m,))
-    decay = np.exp(-lam * dt)
-    phi = np.where(lam > 0, -np.expm1(-lam * dt) / np.where(lam > 0, lam, 1.0), dt)
-    c_w = np.broadcast_to(np.asarray(ad.C_w, dtype=float), (m,))
-    g_tau = np.broadcast_to(np.asarray(ad.g_tau, dtype=float), (m,))
-
-    trace = np.empty((n_steps + 1, m))
-    trace[0] = v_w
-    for k in range(n_steps):
-        out_tau = ota_output(ad.ota_tau, ad.V_ref, v_w)
-        resid = (out_tau + g_tau * (v_w - v_ref)) / c_w
-        v_w = v_ref + (v_w - v_ref) * decay + resid * phi
-        trace[k + 1] = v_w
-
-    times = np.arange(n_steps + 1) * dt
-    values = np.empty(m)
-    errors = []
-    for i in range(m):
-        values[i], err = _fit_decay(times, trace[:, i] - v_ref[i], proto.offset, proto)
-        errors.append(err)
-    return _scalarize(values, errors, n)
-
-
-def _measure_tau_w_ideal(p: AdExParameters, proto: ReleaseProtocol):
-    # membrane held at E_l: w decays exponentially toward zero
-    dt = proto.dt or p.tau_w / 150.0
-    n_steps = int(round((proto.duration or 7.0 * p.tau_w) / dt))
-    w = proto.offset  # arbitrary positive release value (amperes)
-    trace = np.empty(n_steps + 1)
-    trace[0] = w
-    decay = math.exp(-dt / p.tau_w)
-    for k in range(n_steps):
-        w *= decay
-        trace[k + 1] = w
-    tau, err = _fit_decay(np.arange(n_steps + 1) * dt, trace, proto.offset, proto)
-    if err is not None:
-        raise FitFailed(err)
-    return float(tau)
+    return _release_fit(ad.ota_tau, ad.C_w, protocol or ReleaseProtocol(),
+                        _population_size(neuron))
 
 
 def _a_protocol(a, g_l, deflection_target):
@@ -526,46 +498,21 @@ def measure_exp_onset(neuron, g_l_ref, n_points: int = 100, min_decades: float =
 # ---------------------------------------------------------------------------
 # synaptic input: time constant, PSP amplitude, resting offset
 
-def measure_tau_syn(neuron, line: str = "exc", protocol: ReleaseProtocol | None = None):
-    """Decay fit of the synaptic integrator after a single unit event."""
-    proto = protocol or ReleaseProtocol()
-    if isinstance(neuron, SynapseConfig):
-        tau_true = neuron.tau_syn
-        dt = proto.dt or tau_true / 150.0
-        n_steps = int(round(7.0 * tau_true / dt))
-        s = 1.0
-        trace = np.empty(n_steps + 1)
-        trace[0] = s
-        for k in range(n_steps):
-            s *= math.exp(-dt / tau_true)
-            trace[k + 1] = s
-        tau, err = _fit_decay(np.arange(n_steps + 1) * dt, trace, 1.0, proto)
-        if err is not None:
-            raise FitFailed(err)
-        return float(tau)
+def measure_tau_syn(neuron, line: str = "exc"):
+    """Decay time constant of the synaptic line after a single event.
 
+    The line is linear: an event's deflection decays as a pure
+    exponential, whose fit returns tau_syn = C_line / (g_leak_line *
+    leak_gain) to rounding, so that is returned directly (per neuron for
+    a population).  `neuron` is a circuit config or a SynapseConfig.
+    """
+    if isinstance(neuron, SynapseConfig):
+        return float(neuron.tau_syn)
     syn = getattr(neuron, f"syn_{line}")
     if not syn.enabled:
         raise InvalidConfig(f"synaptic input '{line}' is disabled")
     n = _population_size(neuron)
-    m = n or 1
-    tau_nom = np.broadcast_to(np.asarray(syn.tau_syn, dtype=float), (m,))
-    dt = proto.dt or float(tau_nom.min()) / 150.0
-    n_steps = int(round(7.0 * float(tau_nom.max()) / dt))
-    s = np.ones(m)
-    decay = np.exp(-dt / tau_nom)
-    trace = np.empty((n_steps + 1, m))
-    trace[0] = s
-    for k in range(n_steps):
-        s = s * decay
-        trace[k + 1] = s
-    times = np.arange(n_steps + 1) * dt
-    values = np.empty(m)
-    errors = []
-    for i in range(m):
-        values[i], err = _fit_decay(times, trace[:, i], 1.0, proto)
-        errors.append(err)
-    return _scalarize(values, errors, n)
+    return _scalarize(np.array(_per_neuron(syn.tau_syn, n or 1)), [], n)
 
 
 def _psp_run(neuron, line, weight, dt):

@@ -6,10 +6,10 @@ import pytest
 
 from adexsim import (
     AdExParameters, CircuitState, InvalidConfig, NonFiniteState, OtaModel,
-    StimulusProgram, WeightedSpikeTrain, adaptation_dynamics, circuit_for_adex,
-    circuit_step, coba_effective_bias, default_circuit_config,
-    derive_effective_adex, exponential_current, lif_parameters, ota_output,
-    simulate, simulate_circuit, simulate_population, stack_population,
+    StimulusProgram, WeightedSpikeTrain, circuit_for_adex, coba_effective_bias,
+    default_circuit_config, derive_effective_adex, exponential_current,
+    lif_parameters, ota_output, simulate, simulate_circuit, simulate_population,
+    stack_population,
 )
 from adexsim.circuit import (
     MAX_MEMBRANE_CAPACITANCE, get_bias, quiescent_state, set_bias,
@@ -17,6 +17,7 @@ from adexsim.circuit import (
 )
 from adexsim.measure import log_linear_fit
 from adexsim.mismatch import default_mismatch_model, sample_population
+from stepwise_reference import adaptation_dynamics, circuit_step
 
 
 class TestOta:
@@ -454,6 +455,20 @@ class TestDeriveEffectiveAdex:
         with pytest.raises(InvalidConfig, match="neuron 0: derived V_T"):
             derive_effective_adex(cfg)
         assert issubclass(NoIdealEquivalent, InvalidConfig)
+
+    def test_default_exponential_circuit_has_no_ideal_equivalent(self):
+        # the library defaults derive V_T = 0.760 V against V_det = 0.75 V
+        from adexsim import NoIdealEquivalent, default_mismatch_model
+        cfg = default_circuit_config(adaptation_enabled=True, exponential_enabled=True)
+        with pytest.raises(NoIdealEquivalent, match=r"V_T = 0\.76\d* V reaches V_det = 0\.75 V"):
+            default_mismatch_model(cfg)
+
+    def test_circuit_for_adex_route_has_ideal_equivalent(self, hw_target):
+        from adexsim import default_mismatch_model
+        cfg = circuit_for_adex(hw_target, default_circuit_config(
+            adaptation_enabled=True, exponential_enabled=True))
+        default_mismatch_model(cfg)
+        assert derive_effective_adex(cfg).V_T == pytest.approx(hw_target.V_T, rel=1e-9)
 
 
 class TestCircuitVsIdealRandom:

@@ -166,6 +166,20 @@ class TestSweepCommand:
         assert lines[0] == "index,value,n_spikes,median_isi_us"
         assert len(lines) == 3
 
+    def test_jobs_has_no_effect(self, tmp_path, cfg_path, run_cli):
+        # --jobs is accepted, runs stay sequential, and the files do not
+        # depend on it (not even the resolved config)
+        path = cfg_path(CONFIG_SWEEP)
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"out_{jobs}"
+            result = run_cli(["sweep", "--config", path, "--out", str(out),
+                              "--jobs", jobs], cwd=tmp_path)
+            assert result.returncode == 0, result.stderr
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert "sweep_summary.csv" in outputs[0]
+        assert outputs[0] == outputs[1]
+
 
 class TestConfigErrorsAtParseTime:
     @pytest.mark.parametrize("text", [

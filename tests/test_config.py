@@ -164,6 +164,14 @@ class TestParse:
         with pytest.raises(ValidationError, match=match):
             parse_config(text)
 
+    def test_jobs_key_accepted_and_checked(self):
+        # runs are sequential: the key has no effect and is not carried on
+        text = MINIMAL_LIF.replace("model = ideal", "model = ideal\njobs = 4")
+        assert serialize_config(parse_config(text)) == \
+            serialize_config(parse_config(MINIMAL_LIF))
+        with pytest.raises(ParseError):
+            parse_config(text.replace("jobs = 4", "jobs = many"))
+
     def test_neuron_sweep_accepted_for_ideal_model(self):
         run = parse_config(MINIMAL_LIF + "\n[sweep]\nkey = neuron.g_l\nvalues = 10 nS, 20 nS\n")
         assert run.sweep["values"] == pytest.approx((10e-9, 20e-9))

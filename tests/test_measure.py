@@ -10,12 +10,13 @@ from adexsim import (
     lif_parameters,
 )
 from adexsim.circuit import (
-    MAX_MEMBRANE_CAPACITANCE, set_bias, simulate_population, stack_population,
-    unstack_population,
+    MAX_MEMBRANE_CAPACITANCE, CircuitState, quiescent_state, set_bias,
+    simulate_population, stack_population, unstack_population,
 )
 from adexsim.measure import (
-    FILTER_SATURATED, NO_ROOT, UNSTABLE, ReleaseProtocol, _a_protocol,
-    _disable, _steady_state, measure_b, measure_delta_t, measure_exp_onset,
+    FILTER_SATURATED, NO_ROOT, RELEASE_STEPS_PER_TAU, RELEASE_WINDOW_TAUS,
+    UNSTABLE, ReleaseProtocol, _a_protocol, _disable, _fit_decay,
+    _steady_state, measure_b, measure_delta_t, measure_exp_onset,
     measure_psp_amplitude, measure_resting_offset, measure_stim_gain,
     measure_subthreshold_a, measure_tau_m, measure_tau_syn, measure_tau_w,
 )
@@ -48,6 +49,31 @@ class TestTauM:
 
     def test_default_offset_within_linear_range(self, hw_circuit):
         assert ReleaseProtocol().offset <= float(hw_circuit.leak_ota.linear_range)
+
+    @pytest.mark.parametrize("dead_bias", [{"I_out_max": 0.0}, {"I_bias": 0.0}],
+                             ids=["no_output", "no_bias"])
+    def test_dead_leak_does_not_decay(self, hw_circuit, dead_bias):
+        # I_sat = 0: the leak OTA gives no current and the node stays put
+        dead = replace(hw_circuit, leak_ota=replace(hw_circuit.leak_ota, **dead_bias))
+        with pytest.raises(FitFailed, match="did not decay"):
+            measure_tau_m(dead)
+        pop = stack_population([hw_circuit, dead, hw_circuit])
+        taus = measure_tau_m(pop)
+        assert np.isnan(taus[1]) and np.all(np.isfinite(taus[[0, 2]]))
+        assert taus[0] == measure_tau_m(hw_circuit)
+
+    def test_deep_slew_follows_slew_line(self, hw_circuit):
+        # g * x0 / I_sat ~ 2e3, whose sinh overflows a double: the membrane
+        # slews at I_sat / C_mem and the fit sees that straight line
+        leak = hw_circuit.leak_ota
+        cfg = replace(hw_circuit, leak_ota=replace(leak, I_out_max=leak.I_bias * 1e-4))
+        proto = ReleaseProtocol(offset=0.45)
+        dt = cfg.tau_m / RELEASE_STEPS_PER_TAU
+        times = np.arange(int(round(RELEASE_WINDOW_TAUS * cfg.tau_m / dt)) + 1) * dt
+        line = proto.offset - cfg.leak_ota.i_sat / cfg.C_mem * times
+        with np.errstate(over="raise"):
+            tau = measure_tau_m(cfg, proto)
+        assert tau == pytest.approx(_fit_decay(times, line, proto)[0], rel=1e-9)
 
 
 class TestTauW:
@@ -93,6 +119,72 @@ class TestSubthresholdA:
         cfg = circuit_for_adex(target, default_circuit_config(
             adaptation_enabled=True))
         assert measure_subthreshold_a(cfg) == pytest.approx(-g_l, rel=0.05)
+
+
+# ---------------------------------------------------------------------------
+# release closed forms against engine releases
+
+def engine_release(cfg, initial_state, node, proto=ReleaseProtocol()):
+    """Each neuron's release fitted from a recorded engine run on the
+    protocol grid.  `node` is (record 'V' or 'V_w', the node's reference,
+    its nominal time constants)."""
+    run_node, reference, tau = node
+    tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    m = int(np.size(np.asarray(cfg.C_mem)))
+    dt = float(tau.min()) / RELEASE_STEPS_PER_TAU
+    run = simulate_population(cfg, m, StimulusProgram.constant(0.0),
+                              duration=RELEASE_WINDOW_TAUS * float(tau.max()), dt=dt,
+                              initial_state=initial_state, record=True)
+    trace = getattr(run, run_node)
+    times = np.arange(trace.shape[0]) * dt
+    reference = np.broadcast_to(np.asarray(reference, dtype=float), (m,))
+    return np.array([_fit_decay(times, trace[:, i] - reference[i], proto)[0]
+                     for i in range(m)])
+
+
+def engine_release_tau_m(cfg, proto=ReleaseProtocol()):
+    """measure_tau_m by an engine run: the membrane released from E_l +
+    offset with every sub-circuit but the leak off."""
+    cfg = _disable(cfg, adaptation=True, exponential=True, synin=True, spiking=True)
+    rest = quiescent_state(cfg)
+    state = CircuitState(V_m=np.asarray(rest.V_m) + proto.offset, V_w=rest.V_w)
+    return engine_release(cfg, state, ("V", cfg.E_l, cfg.tau_m), proto)
+
+
+def engine_release_tau_w(cfg, proto=ReleaseProtocol()):
+    """measure_tau_w by an engine run: the filter node released from V_ref
+    + offset with ota_a dead, so the membrane does not feed back."""
+    cfg = _disable(cfg, exponential=True, synin=True, spiking=True)
+    ad = cfg.adaptation
+    cfg = replace(cfg, adaptation=replace(
+        ad, ota_a=replace(ad.ota_a, I_bias=0.0 * ad.ota_a.I_bias)))
+    rest = quiescent_state(cfg)
+    state = CircuitState(V_m=rest.V_m, V_w=np.asarray(rest.V_w) + proto.offset)
+    return engine_release(cfg, state, ("V_w", ad.V_ref, ad.tau_w), proto)
+
+
+@pytest.fixture(scope="module", params=["tonic_spiking", "delayed_regular_bursting"])
+def pattern_seed3(request):
+    """128 mismatched neurons (seed 3) of a pattern's nominal circuit."""
+    from adexsim.patterns import load_patterns
+    from adexsim.units import DomainMap
+    hw, _, _, _ = load_patterns()[request.param].to_hardware(DomainMap())
+    nominal = circuit_for_adex(hw, default_circuit_config(E_l=hw.E_l))
+    return sample_population(nominal, default_mismatch_model(nominal, seed=3), 128).stacked()
+
+
+class TestReleaseClosedForm:
+    def test_tau_m_agrees_with_engine_release(self, pattern_seed3):
+        oracle = engine_release_tau_m(pattern_seed3)
+        assert np.all(np.isfinite(oracle))
+        rel = np.abs(measure_tau_m(pattern_seed3) - oracle) / oracle
+        assert np.all(rel <= 1e-5), rel.max()
+
+    def test_tau_w_agrees_with_engine_release(self, pattern_seed3):
+        oracle = engine_release_tau_w(pattern_seed3)
+        assert np.all(np.isfinite(oracle))
+        rel = np.abs(measure_tau_w(pattern_seed3) - oracle) / oracle
+        assert np.all(rel <= 1e-5), rel.max()
 
 
 class TestDeltaT:
