@@ -216,13 +216,6 @@ SCHEMA = {
 # mismatch sigma overrides use prefixed keys with a dotted constant path
 _SIGMA_PREFIXES = ("sigma_rel_", "sigma_abs_")
 
-_DIMENSIONS = {
-    "C": "capacitance", "g_l": "conductance", "E_l": "voltage", "V_T": "voltage",
-    "Delta_T": "voltage", "tau_w": "time", "a": "conductance", "b": "current",
-    "V_r": "voltage", "V_det": "voltage", "t_ref": "time",
-}
-
-
 @dataclass
 class RunConfig:
     """Validated run-level settings plus the parsed payload objects."""
@@ -562,11 +555,9 @@ def serialize_config(run: RunConfig) -> str:
     if run.neuron is not None:
         p = run.neuron
         lines += ["", "[neuron]"]
-        for name in ("C", "g_l", "E_l", "V_T", "Delta_T", "tau_w", "a", "b",
-                     "V_r", "V_det", "t_ref"):
-            lines.append(f"{name} = {q(getattr(p, name), _DIMENSIONS[name])}")
-        lines.append(f"exp_enabled = {str(p.exp_enabled).lower()}")
-        lines.append(f"exp_gated_in_ref = {str(p.exp_gated_in_ref).lower()}")
+        for name, (kind, dim) in SCHEMA["neuron"].items():
+            value = getattr(p, name)
+            lines.append(f"{name} = {q(value, dim) if kind == 'quantity' else str(value).lower()}")
     if run.circuit is not None:
         cfg = run.circuit
         from .circuit import derive_effective_adex
@@ -622,18 +613,16 @@ def serialize_config(run: RunConfig) -> str:
     if run.calibration is not None:
         t = run.calibration
         lines += ["", "[calibration]"]
-        for name, dim in (("tau_m", "time"), ("delta_t", "voltage"),
-                          ("v_t", "voltage"), ("tau_w", "time"),
-                          ("a", "conductance"), ("b", "current"),
-                          ("tau_syn_exc", "time"), ("tau_syn_inh", "time"),
-                          ("psp_amplitude_exc", "voltage"),
-                          ("psp_amplitude_inh", "voltage")):
+        # the target's values, then its flags; tol and plan are run settings
+        keys = [(name, kind, dim) for name, (kind, dim) in SCHEMA["calibration"].items()
+                if name not in ("tol", "plan")]
+        for name, kind, dim in keys:
             value = getattr(t, name)
-            if value is not None:
+            if kind == "quantity" and value is not None:
                 lines.append(f"{name} = {q(value, dim)}")
-        for flag in ("stim_gain", "offset_exc", "offset_inh", "allow_out_of_range"):
-            if getattr(t, flag):
-                lines.append(f"{flag} = true")
+        for name, kind, _ in keys:
+            if kind == "bool" and getattr(t, name):
+                lines.append(f"{name} = true")
         lines.append(f"tol = {run.calibration_tol!r}")
         if run.calibration_plan:
             lines.append("plan = " + ", ".join(run.calibration_plan))

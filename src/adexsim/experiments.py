@@ -15,15 +15,15 @@ import numpy as np
 
 from .calibrate import CalibrationTarget, calibrate_population
 from .circuit import (
-    circuit_for_adex, default_circuit_config, derive_effective_adex,
-    exponential_current, simulate_circuit, simulate_population,
+    circuit_for_adex, default_circuit_config, simulate_circuit, simulate_population,
 )
 from .errors import FitFailed
-from .measure import fit_exponential_slope
+from .measure import (
+    PspProtocol, _disable, _psp_response, exponential_sweep, fit_exponential_slope,
+)
 from .mismatch import Population, default_mismatch_model, sample_population
 from .model import StimulusProgram, lif_parameters, predicted_lot_isi, simulate
 from .patterns import load_patterns
-from .synapse import WeightedSpikeTrain
 from .units import DomainMap
 
 # firing-pattern labels (exhaustive; the classifier returns exactly one)
@@ -233,8 +233,6 @@ def run_leak_over_threshold(pop: Population, tau_m_targets, stimulus=None,
 
     The leak-over-threshold regime digitally disables adaptation, the
     exponential and the synaptic inputs."""
-    from .measure import _disable
-
     proto = stimulus or LotProtocol()
     report = ExperimentReport(
         name="leak_over_threshold",
@@ -288,52 +286,19 @@ def run_leak_over_threshold(pop: Population, tau_m_targets, stimulus=None,
 # ---------------------------------------------------------------------------
 # PSP statistics
 
-@dataclass(frozen=True)
-class PspProtocol:
-    line: str = "exc"
-    weight: float = 1.0
-    settle_factor: float = 10.0
-    spacing_factor: float = 12.0
-
-
 def run_psp_experiment(pop: Population, synapse_cfg=None,
                        n_events: int = 3) -> ExperimentReport:
     """Baseline and PSP amplitude per neuron under repeated single events.
 
-    The population is used as passed (calibrate upstream if desired);
-    amplitudes are averaged over the events.
+    The population is used as passed (calibrate upstream if desired); the
+    events follow `PspProtocol`, the protocol of `measure_psp_amplitude`,
+    and amplitudes are averaged over them.
     """
     proto = synapse_cfg or PspProtocol()
     n = pop.size
     cfg = pop.stacked()
-    from .measure import _disable
-    other = "inh" if proto.line == "exc" else "exc"
-    cfg = _disable(cfg, adaptation=True, exponential=True, spiking=True)
-    cfg = replace(cfg, **{f"syn_{other}":
-                          replace(getattr(cfg, f"syn_{other}"), enabled=False)})
-    syn = getattr(cfg, f"syn_{proto.line}")
-    tau_m = np.atleast_1d(np.asarray(cfg.tau_m, dtype=float))
-    tau_s = np.atleast_1d(np.asarray(syn.tau_syn, dtype=float))
-    dt = min(float(tau_m.min()), float(tau_s.min())) / 60.0
-    settle = proto.settle_factor * float(tau_m.max())
-    spacing = proto.spacing_factor * max(float(tau_m.max()), float(tau_s.max()))
-    times = [settle + k * spacing for k in range(n_events)]
-    train = WeightedSpikeTrain(tuple((t, proto.weight) for t in times))
-    duration = settle + n_events * spacing
-    run = simulate_population(cfg, n, StimulusProgram.constant(0.0),
-                              syn_events={proto.line: train},
-                              duration=duration, dt=dt, record=True)
+    baseline, amplitudes, _ = _psp_response(cfg, proto, n_events)
     e_l = np.broadcast_to(np.asarray(cfg.E_l, dtype=float), (n,))
-    win = max(int(round(2.0 * float(tau_m.max()) / dt)), 8)
-    k0 = int(round(settle / dt))
-    baseline = run.V[k0 - win:k0].mean(axis=0)
-    amplitudes = np.empty((n_events, n))
-    for j, t in enumerate(times):
-        ka = int(round(t / dt))
-        kb = min(int(round((t + spacing) / dt)), run.V.shape[0])
-        seg = run.V[ka:kb] - baseline
-        idx = np.argmax(np.abs(seg), axis=0)
-        amplitudes[j] = seg[idx, np.arange(n)]
 
     report = ExperimentReport(name="psp")
     for i in range(n):
@@ -355,13 +320,14 @@ def run_psp_experiment(pop: Population, synapse_cfg=None,
 # ---------------------------------------------------------------------------
 # exponential sweep
 
-def run_exponential_sweep(neuron, v_range=None, onsets=None, slopes=None,
+def run_exponential_sweep(neuron, onsets=None, slopes=None,
                           slope_tol: float = 0.03,
                           onset_shift_tol: float = 0.02,
                           min_decades: float = 3.0) -> ExperimentReport:
     """I(V) curves of the exponential branch for onset/slope settings.
 
-    For every slope setting the log-linear fit below saturation must match
+    Each setting is swept by `exponential_sweep` (120 points).  For every
+    slope setting the log-linear fit below saturation must match
     the design slope within slope_tol over at least min_decades decades,
     and onset shifts must leave the fitted slope unchanged within
     onset_shift_tol.
@@ -382,14 +348,10 @@ def run_exponential_sweep(neuron, v_range=None, onsets=None, slopes=None,
         for onset in onsets:
             ex = replace(base, V_exp=onset,
                          ota=replace(base.ota, I_bias=g_target / base.ota.g_per_bias))
-            if v_range is None:
-                grid = np.linspace(onset - 3.5 * slope, onset + 9.0 * slope, 120)
-            else:
-                grid = np.linspace(v_range[0], v_range[1], 120)
-            cur = exponential_current(grid, ex, in_refractory=False)
+            grid, cur = exponential_sweep(replace(neuron, exponential=ex), n_points=120)
             try:
                 delta_t, _, decades = fit_exponential_slope(
-                    grid, np.asarray(cur), ex.I_max, min_decades=min_decades)
+                    grid, cur, ex.I_max, min_decades=min_decades)
             except FitFailed as err:
                 report.notes.append(f"slope {slope:.4g}, onset {onset:.4g}: {err}")
                 ok = False

@@ -21,7 +21,7 @@ import numpy as np
 
 from .circuit import (
     CircuitNeuronConfig, OtaModel, coba_effective_bias, exponential_current,
-    simulate_population,
+    ota_output, simulate_population,
 )
 from .errors import FitFailed, InvalidConfig
 from .model import AdExParameters, StimulusProgram, simulate
@@ -34,7 +34,8 @@ class ReleaseProtocol:
 
     The default offset stays well inside the linear range of the
     transconductors; the fit runs from release until the deflection has
-    decayed to `floor_fraction` of the offset.  The release is sampled
+    decayed to `floor_fraction` of the offset, and a release that never
+    gets there inside the window is not fitted.  The release is sampled
     every tau_min / RELEASE_STEPS_PER_TAU for RELEASE_WINDOW_TAUS * tau_max,
     with tau the nominal time constants of the population.
     """
@@ -82,7 +83,9 @@ def _fit_decay(times, deflection, proto: ReleaseProtocol):
     y = deflection / deflection[0]
     floor = proto.floor_fraction
     below = np.nonzero(y <= floor)[0]
-    end = int(below[0]) if len(below) else len(y)
+    if not len(below):
+        return math.nan, f"deflection never fell to the fit floor ({floor:g} of the offset)"
+    end = int(below[0])
     if end < proto.min_samples:
         return math.nan, f"only {end} samples above the fit floor"
     yw = y[:end]
@@ -97,9 +100,18 @@ def _fit_decay(times, deflection, proto: ReleaseProtocol):
 
 
 def _disable(cfg: CircuitNeuronConfig, adaptation=False, exponential=False,
-             synin=False, spiking=False) -> CircuitNeuronConfig:
-    """Copy of cfg with the named sub-circuits digitally disabled."""
+             synin=False, spiking=False, keep_line=None) -> CircuitNeuronConfig:
+    """Copy of cfg with the named sub-circuits digitally disabled.
+
+    `synin` disables both synaptic lines; `keep_line` ('exc' or 'inh')
+    disables every line but that one, which must be enabled.
+    """
     out = cfg
+    if keep_line is not None:
+        if not getattr(out, f"syn_{keep_line}").enabled:
+            raise InvalidConfig(f"synaptic input '{keep_line}' is disabled")
+        other = "syn_inh" if keep_line == "exc" else "syn_exc"
+        out = replace(out, **{other: replace(getattr(out, other), enabled=False)})
     if adaptation and out.adaptation.enabled:
         out = replace(out, adaptation=replace(out.adaptation, enabled=False))
     if exponential and out.exponential.enabled:
@@ -132,13 +144,12 @@ LEAK_SATURATION_ARG = 20.0
 SCAN_POINTS = 64
 
 
-def _ota(ota: OtaModel, dv, m):
-    """Output of a saturating OTA and its slope d(out)/d(dv)."""
-    g = _per_neuron(ota.g, m)
-    i_sat = _per_neuron(ota.i_sat, m)
+def _ota_slope(ota: OtaModel, V_plus, V_minus):
+    """Slope of `ota_output` in V_plus: g * (1 - (out / I_sat)^2)."""
+    i_sat = ota.i_sat
     live = i_sat > 0
-    t = np.tanh(g * dv / np.where(live, i_sat, 1.0))
-    return np.where(live, i_sat * t, 0.0), np.where(live, g * (1.0 - t * t), 0.0)
+    ratio = ota_output(ota, V_plus, V_minus) / np.where(live, i_sat, 1.0)
+    return np.where(live, ota.g * (1.0 - ratio * ratio), 0.0)
 
 
 def _steady_state(cfg: CircuitNeuronConfig, m: int, current, start=None):
@@ -162,38 +173,42 @@ def _steady_state(cfg: CircuitNeuronConfig, m: int, current, start=None):
     inj = _per_neuron(cfg.stim_gain, m) * _per_neuron(cfg.stim_trim, m) \
         * _per_neuron(current, m)
     ad = cfg.adaptation
-    lines = [(sgn, syn) for sgn, syn in ((1.0, cfg.syn_exc), (-1.0, cfg.syn_inh))
-             if syn.enabled]
+    gain = _per_neuron(ad.sign, m) * _per_neuron(ad.g_w_factor, m)
+    # offset current per unit bias of each enabled line at zero deflection
+    lines = [(-sgn * _per_neuron(syn.g1_per_bias, m) * (
+                _per_neuron(syn.follower_offset, m) + _per_neuron(syn.offset_trim, m)), syn)
+             for sgn, syn in ((1.0, cfg.syn_exc), (-1.0, cfg.syn_inh)) if syn.enabled]
 
     def balance(V):
-        """Net membrane current at the filter node's fixed point and its slope."""
-        f, df = _ota(cfg.leak_ota, e_l - V, m)
-        df = -df
+        """Net membrane current at the filter node's fixed point."""
+        f = ota_output(cfg.leak_ota, e_l, V)
         if ad.enabled:
-            out_a, d_a = _ota(ad.ota_a, V - _per_neuron(ad.E_l_adapt, m), m)
-            gain = _per_neuron(ad.sign, m) * _per_neuron(ad.g_w_factor, m)
-            f, df = f - gain * out_a, df - gain * d_a
-        for sgn, syn in lines:
-            level = -sgn * _per_neuron(syn.g1_per_bias, m) * (
-                _per_neuron(syn.follower_offset, m) + _per_neuron(syn.offset_trim, m))
+            f = f - gain * ota_output(ad.ota_a, V, ad.E_l_adapt)
+        for level, syn in lines:
+            f = f + level * (coba_effective_bias(V, syn) if syn.coba_enabled
+                             else _per_neuron(syn.I_b_cuba, m))
+        return f + inj
+
+    def slope(V):
+        """d(balance)/dV."""
+        df = -_ota_slope(cfg.leak_ota, e_l, V)
+        if ad.enabled:
+            df = df - gain * _ota_slope(ad.ota_a, V, ad.E_l_adapt)
+        for level, syn in lines:
             if syn.coba_enabled:
-                g2 = _per_neuron(syn.g2, m)
-                bias = coba_effective_bias(V, syn)
-                f, df = f + level * bias, df - level * np.where(bias > 0, g2, 0.0)
-            else:
-                f = f + level * _per_neuron(syn.I_b_cuba, m)
-        return f + inj, df
+                df = df - level * np.where(coba_effective_bias(V, syn) > 0, syn.g2, 0.0)
+        return df
 
     with np.errstate(invalid="ignore", divide="ignore"):
         g_l = _per_neuron(cfg.g_l, m)
         half = LEAK_SATURATION_ARG * _per_neuron(cfg.leak_ota.i_sat, m) \
             / np.where(g_l > 0, g_l, math.nan)
         v0 = e_l if start is None else _per_neuron(start, m)
-        direction = np.sign(balance(v0)[0])
+        direction = np.sign(balance(v0))
         # scan points v0 + 2^-k * (edge - v0), nearest first
         span = e_l + direction * half - v0
         grid = v0 + 2.0 ** -np.arange(SCAN_POINTS - 1, -1, -1.0)[:, None] * span
-        crossed = direction * balance(grid)[0] <= 0
+        crossed = direction * balance(grid) <= 0
         first = np.argmax(crossed, axis=0)
         cols = np.arange(m)
         found = crossed[first, cols] & (direction * span > 0)
@@ -205,15 +220,15 @@ def _steady_state(cfg: CircuitNeuronConfig, m: int, current, start=None):
             active &= (mid != lo) & (mid != hi)
             if not active.any():
                 break
-            ahead = direction * balance(mid)[0] > 0
+            ahead = direction * balance(mid) > 0
             lo = np.where(active & ahead, mid, lo)
             hi = np.where(active & ~ahead, mid, hi)
         root = np.where(direction == 0, v0, np.where(found, hi, math.nan))
-        slope = balance(root)[1]
+        stable = slope(root) < 0
         filter_ok = np.ones(m, dtype=bool)
         if ad.enabled:
-            out_a = _ota(ad.ota_a, root - _per_neuron(ad.E_l_adapt, m), m)[0]
-            filter_ok = np.abs(out_a) < _per_neuron(ad.ota_tau.i_sat, m)
+            filter_ok = np.abs(ota_output(ad.ota_a, root, ad.E_l_adapt)) \
+                < _per_neuron(ad.ota_tau.i_sat, m)
 
     reasons = []
     for i in range(m):
@@ -221,7 +236,7 @@ def _steady_state(cfg: CircuitNeuronConfig, m: int, current, start=None):
             reasons.append(NO_ROOT)
         elif not filter_ok[i]:
             reasons.append(FILTER_SATURATED)
-        elif not slope[i] < 0:
+        elif not stable[i]:
             reasons.append(UNSTABLE)
         else:
             reasons.append(None)
@@ -374,40 +389,31 @@ def _measure_a_ideal(p: AdExParameters, deflection_target):
 # ---------------------------------------------------------------------------
 # exponential circuit: slope and onset
 
-def exponential_sweep(neuron, v_lo=None, v_hi=None, n_points: int = 100):
+def exponential_sweep(neuron, n_points: int = 100):
     """Clamped I(V) sweep of the exponential branch.
 
-    Returns (V grid, currents).  For a stacked population with no explicit
-    range, every neuron is swept over its own slope-scaled window, so the
-    grid comes back as a matrix of shape (n_points, n) matching the
-    currents; otherwise both are (n_points,) vectors.
+    Every neuron is swept over its own window, centre + linspace(-3.5, 9,
+    n_points) * slope, with the centre and slope of its own exponential
+    (V_T and Delta_T for the ideal model, V_exp and delta_t_eff for a
+    circuit), so a neuron's sweep does not depend on its batch.  Returns
+    (V grid, currents): (n_points,) vectors for one neuron, (n_points, n)
+    matrices for a stacked population.
     """
+    units = np.linspace(-3.5, 9.0, n_points)
     if isinstance(neuron, AdExParameters):
         if not neuron.exp_enabled:
             raise InvalidConfig("exponential term is disabled")
-        dt_nom = neuron.Delta_T
-        lo = neuron.V_T - 3.5 * dt_nom if v_lo is None else v_lo
-        hi = neuron.V_T + 9.0 * dt_nom if v_hi is None else v_hi
-        grid = np.linspace(lo, hi, n_points)
-        cur = neuron.g_l * neuron.Delta_T * np.exp((grid - neuron.V_T) / neuron.Delta_T)
-        return grid, cur
+        grid = neuron.V_T + units * neuron.Delta_T
+        return grid, neuron.g_l * neuron.Delta_T * np.exp((grid - neuron.V_T) / neuron.Delta_T)
     ex = neuron.exponential
     if not ex.enabled:
         raise InvalidConfig("exponential circuit is disabled")
     n = _population_size(neuron)
-    if n is not None and v_lo is None and v_hi is None:
-        units = np.linspace(-3.5, 9.0, n_points)
-        dt_eff = np.broadcast_to(np.asarray(ex.delta_t_eff, dtype=float), (n,))
-        v_exp = np.broadcast_to(np.asarray(ex.V_exp, dtype=float), (n,))
-        grid = v_exp + units[:, None] * dt_eff
-        return grid, exponential_current(grid, ex, in_refractory=False)
-    dt_nom = float(np.median(np.atleast_1d(np.asarray(ex.delta_t_eff))))
-    v_exp = float(np.median(np.atleast_1d(np.asarray(ex.V_exp))))
-    lo = v_exp - 3.5 * dt_nom if v_lo is None else v_lo
-    hi = v_exp + 9.0 * dt_nom if v_hi is None else v_hi
-    grid = np.linspace(lo, hi, n_points)
-    arg = grid[:, None] if n is not None else grid
-    return grid, exponential_current(arg, ex, in_refractory=False)
+    if n is None:
+        grid = ex.V_exp + units * ex.delta_t_eff
+    else:
+        grid = _per_neuron(ex.V_exp, n) + units[:, None] * _per_neuron(ex.delta_t_eff, n)
+    return grid, exponential_current(grid, ex, in_refractory=False)
 
 
 def fit_exponential_slope(grid: np.ndarray, currents: np.ndarray,
@@ -443,56 +449,41 @@ def fit_exponential_slope(grid: np.ndarray, currents: np.ndarray,
     return 1.0 / slope, intercept, decades
 
 
-def measure_delta_t(neuron, n_points: int = 100, min_decades: float = 2.5):
-    """Effective exponential slope from a three-decade clamped sweep."""
-    if isinstance(neuron, AdExParameters):
-        grid, cur = exponential_sweep(neuron, n_points=n_points)
-        delta_t, _, _ = fit_exponential_slope(grid, cur, math.inf, min_decades=min_decades)
-        return float(delta_t)
-    n = _population_size(neuron)
+def _exponential_fits(neuron, n_points, min_decades):
+    """Fit every neuron's exponential sweep on its own; returns (delta_t,
+    intercept, errors, n), NaN and the reason where a fit failed."""
     grid, cur = exponential_sweep(neuron, n_points=n_points)
-    cur = np.atleast_2d(cur.T).T  # (n_points, m)
-    m = cur.shape[1]
-    grid = grid if grid.ndim == 2 else np.repeat(grid[:, None], m, axis=1)
-    i_max = np.broadcast_to(np.asarray(neuron.exponential.I_max, dtype=float), (m,))
-    values = np.empty(m)
+    ideal = isinstance(neuron, AdExParameters)
+    n = None if ideal else _population_size(neuron)
+    m = n or 1
+    grid, cur = grid.reshape(n_points, m), cur.reshape(n_points, m)
+    i_max = _per_neuron(math.inf if ideal else neuron.exponential.I_max, m)
+    fits = np.full((2, m), math.nan)
     errors = []
     for i in range(m):
         try:
-            values[i], _, _ = fit_exponential_slope(grid[:, i], cur[:, i], i_max[i],
-                                                    min_decades=min_decades)
+            fits[:, i] = fit_exponential_slope(grid[:, i], cur[:, i], i_max[i],
+                                               min_decades=min_decades)[:2]
             errors.append(None)
         except FitFailed as err:
-            values[i] = math.nan
             errors.append(str(err))
-    return _scalarize(values, errors, n)
+    return fits[0], fits[1], errors, n
+
+
+def measure_delta_t(neuron, n_points: int = 100, min_decades: float = 2.5):
+    """Effective exponential slope from a three-decade clamped sweep."""
+    delta_t, _, errors, n = _exponential_fits(neuron, n_points, min_decades)
+    return _scalarize(delta_t, errors, n)
 
 
 def measure_exp_onset(neuron, g_l_ref, n_points: int = 100, min_decades: float = 2.5):
     """Soft-threshold estimate: the V where the fitted exponential current
     equals g_l_ref * Delta_T_fit."""
-    n = _population_size(neuron) if not isinstance(neuron, AdExParameters) else None
-    grid, cur = exponential_sweep(neuron, n_points=n_points)
-    if isinstance(neuron, AdExParameters):
-        delta_t, intercept, _ = fit_exponential_slope(grid, cur, math.inf, min_decades=min_decades)
-        return delta_t * (math.log(g_l_ref * delta_t) - intercept)
-    cur = np.atleast_2d(cur.T).T
-    m = cur.shape[1]
-    grid = grid if grid.ndim == 2 else np.repeat(grid[:, None], m, axis=1)
-    i_max = np.broadcast_to(np.asarray(neuron.exponential.I_max, dtype=float), (m,))
-    g_ref = np.broadcast_to(np.asarray(g_l_ref, dtype=float), (m,))
-    values = np.empty(m)
-    errors = []
-    for i in range(m):
-        try:
-            delta_t, intercept, _ = fit_exponential_slope(grid[:, i], cur[:, i], i_max[i],
-                                                          min_decades=min_decades)
-            values[i] = delta_t * (math.log(g_ref[i] * delta_t) - intercept)
-            errors.append(None)
-        except FitFailed as err:
-            values[i] = math.nan
-            errors.append(str(err))
-    return _scalarize(values, errors, n)
+    delta_t, intercept, errors, n = _exponential_fits(neuron, n_points, min_decades)
+    g_ref = _per_neuron(g_l_ref, len(delta_t))
+    onset = np.array([d * (math.log(g * d) - b) if err is None else math.nan
+                      for d, g, b, err in zip(delta_t, g_ref, intercept, errors)])
+    return _scalarize(onset, errors, n)
 
 
 # ---------------------------------------------------------------------------
@@ -515,45 +506,67 @@ def measure_tau_syn(neuron, line: str = "exc"):
     return _scalarize(np.array(_per_neuron(syn.tau_syn, n or 1)), [], n)
 
 
-def _psp_run(neuron, line, weight, dt):
-    """Simulate one PSP; returns (run, onset index, pre-window length, m)."""
+@dataclass(frozen=True)
+class PspProtocol:
+    """Single events on one synaptic line of an otherwise quiet membrane.
+
+    Adaptation, the exponential, spiking and the other line are off.  The
+    membrane settles for `settle_factor` slowest membrane time constants;
+    the events of `weight` then follow `spacing_factor` slowest time
+    constants (membrane or line) apart.
+    """
+
+    line: str = "exc"
+    weight: float = 1.0
+    settle_factor: float = 10.0
+    spacing_factor: float = 12.0
+
+
+def _psp_response(neuron, proto: PspProtocol, n_events: int, dt=None):
+    """Run the PSP protocol on a circuit; returns (baseline, amplitudes, n).
+
+    The baseline is the mean V_m over the last two membrane time constants
+    before the first event; amplitudes[j] is each neuron's signed peak
+    deflection from it between event j and the next event (the end of the
+    run for the last one).
+    """
     n = _population_size(neuron)
     m = n or 1
-    other = "inh" if line == "exc" else "exc"
-    cfg = _disable(neuron, adaptation=True, exponential=True, spiking=True)
-    cfg = replace(cfg, **{f"syn_{other}": replace(getattr(cfg, f"syn_{other}"), enabled=False)})
-    syn = getattr(cfg, f"syn_{line}")
-    if not syn.enabled:
-        raise InvalidConfig(f"synaptic input '{line}' is disabled")
-    tau_m_nom = np.atleast_1d(np.asarray(cfg.tau_m, dtype=float))
-    tau_s_nom = np.atleast_1d(np.asarray(syn.tau_syn, dtype=float))
-    dt = dt or min(float(tau_m_nom.min()), float(tau_s_nom.min())) / 60.0
-    settle = 10.0 * float(tau_m_nom.max())
-    tail = 10.0 * max(float(tau_m_nom.max()), float(tau_s_nom.max()))
-    train = WeightedSpikeTrain.single(settle, weight)
+    cfg = _disable(neuron, adaptation=True, exponential=True, spiking=True,
+                   keep_line=proto.line)
+    tau_m = np.atleast_1d(np.asarray(cfg.tau_m, dtype=float))
+    tau_s = np.atleast_1d(np.asarray(getattr(cfg, f"syn_{proto.line}").tau_syn, dtype=float))
+    dt = dt or min(float(tau_m.min()), float(tau_s.min())) / 60.0
+    settle = proto.settle_factor * float(tau_m.max())
+    spacing = proto.spacing_factor * max(float(tau_m.max()), float(tau_s.max()))
+    times = [settle + k * spacing for k in range(n_events)]
+    train = WeightedSpikeTrain(tuple((t, proto.weight) for t in times))
     run = simulate_population(cfg, m, StimulusProgram.constant(0.0),
-                              syn_events={line: train},
-                              duration=settle + tail, dt=dt, record=True)
-    k_on = int(round(settle / dt))
-    win = max(int(round(2.0 * float(tau_m_nom.max()) / dt)), 8)
-    return run, k_on, win, m, n
+                              syn_events={proto.line: train},
+                              duration=settle + n_events * spacing, dt=dt, record=True)
+    win = max(int(round(2.0 * float(tau_m.max()) / dt)), 8)
+    onsets = [int(round(t / dt)) for t in times] + [run.V.shape[0]]
+    baseline = run.V[onsets[0] - win:onsets[0]].mean(axis=0)
+    amplitudes = np.empty((n_events, m))
+    for j in range(n_events):
+        seg = run.V[onsets[j]:onsets[j + 1]] - baseline
+        amplitudes[j] = seg[np.argmax(np.abs(seg), axis=0), np.arange(m)]
+    return baseline, amplitudes, n
 
 
 def measure_psp_amplitude(neuron, line: str = "exc", weight: float = 1.0,
                           dt: float | None = None):
-    """Signed peak deflection of a single postsynaptic potential.
+    """Signed peak deflection of a single postsynaptic potential
+    (`PspProtocol`, one event and ten time constants after it).
 
     `neuron` is a circuit config; the ideal-model route takes an
     (AdExParameters, SynapseConfig) pair instead.
     """
     if isinstance(neuron, tuple):
         return _measure_psp_ideal(*neuron, weight=weight, dt=dt)
-    run, k_on, win, m, n = _psp_run(neuron, line, weight, dt)
-    baseline = run.V[k_on - win:k_on].mean(axis=0)
-    post = run.V[k_on:] - baseline
-    idx = np.argmax(np.abs(post), axis=0)
-    values = post[idx, np.arange(m)]
-    return _scalarize(values, [None] * m, n)
+    proto = PspProtocol(line=line, weight=weight, spacing_factor=10.0)
+    _, amplitudes, n = _psp_response(neuron, proto, n_events=1, dt=dt)
+    return _scalarize(amplitudes[0], [], n)
 
 
 def measure_resting_offset(neuron, line: str = "exc"):
@@ -561,11 +574,8 @@ def measure_resting_offset(neuron, line: str = "exc"):
     residual offset current (V_rest - E_l), solved at zero line deflection."""
     n = _population_size(neuron)
     m = n or 1
-    other = "inh" if line == "exc" else "exc"
-    cfg = _disable(neuron, adaptation=True, exponential=True, spiking=True)
-    cfg = replace(cfg, **{f"syn_{other}": replace(getattr(cfg, f"syn_{other}"), enabled=False)})
-    if not getattr(cfg, f"syn_{line}").enabled:
-        raise InvalidConfig(f"synaptic input '{line}' is disabled")
+    cfg = _disable(neuron, adaptation=True, exponential=True, spiking=True,
+                   keep_line=line)
     rest, errors = _steady_state(cfg, m, 0.0)
     return _scalarize(rest - _per_neuron(cfg.E_l, m), errors, n)
 

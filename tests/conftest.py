@@ -3,9 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import adexsim
 from adexsim import AdExParameters, default_circuit_config, circuit_for_adex
+
+# property tests draw the same examples on every run and keep no example
+# database, so tier-1 stays deterministic
+settings.register_profile("adexsim", derandomize=True, deadline=None, database=None)
+settings.load_profile("adexsim")
 
 
 # published cortical tonic-spiking constants (biological domain)

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from adexsim import StimulusProgram, simulate, simulate_circuit
+from adexsim import InvalidConfig, StimulusProgram, simulate, simulate_circuit
 from adexsim.calibrate import CalibrationTarget, calibrate_population
 from adexsim.experiments import (
     ADAPTATION, DELAYED_ACCELERATING, DELAYED_REGULAR_BURSTING,
@@ -203,6 +204,14 @@ class TestLeakOverThreshold:
 
 
 class TestPsp:
+    @pytest.mark.parametrize("line", ["exc", "inh"])
+    def test_disabled_line_raises(self, hw_circuit, line):
+        syn = getattr(hw_circuit, f"syn_{line}")
+        cfg = replace(hw_circuit, **{f"syn_{line}": replace(syn, enabled=False)})
+        pop = sample_population(cfg, MismatchModel(seed=0), 2)
+        with pytest.raises(InvalidConfig, match=f"'{line}' is disabled"):
+            run_psp_experiment(pop, PspProtocol(line=line), n_events=1)
+
     def test_zero_weight_zero_amplitude(self, hw_circuit):
         pop = sample_population(hw_circuit, MismatchModel(seed=0), 2)
         report = run_psp_experiment(pop, PspProtocol(weight=0.0), n_events=2)

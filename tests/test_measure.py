@@ -1,8 +1,10 @@
+import functools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from adexsim import (
     AdExParameters, FitFailed, InvalidConfig, OtaModel, SynapseConfig,
@@ -22,6 +24,8 @@ from adexsim.measure import (
 )
 from adexsim.mismatch import MismatchModel, default_mismatch_model, sample_population
 from adexsim.model import StimulusProgram
+from adexsim.patterns import load_patterns
+from adexsim.units import DomainMap
 
 
 class TestTauM:
@@ -64,16 +68,23 @@ class TestTauM:
 
     def test_deep_slew_follows_slew_line(self, hw_circuit):
         # g * x0 / I_sat ~ 2e3, whose sinh overflows a double: the membrane
-        # slews at I_sat / C_mem and the fit sees that straight line
+        # slews at I_sat / C_mem, loses a few percent of the offset in the
+        # window and never reaches the fit floor, as the slew line does not
         leak = hw_circuit.leak_ota
         cfg = replace(hw_circuit, leak_ota=replace(leak, I_out_max=leak.I_bias * 1e-4))
         proto = ReleaseProtocol(offset=0.45)
         dt = cfg.tau_m / RELEASE_STEPS_PER_TAU
         times = np.arange(int(round(RELEASE_WINDOW_TAUS * cfg.tau_m / dt)) + 1) * dt
         line = proto.offset - cfg.leak_ota.i_sat / cfg.C_mem * times
+        tau, reason = _fit_decay(times, line, proto)
+        assert math.isnan(tau) and "fit floor" in reason
+        with np.errstate(over="raise"), pytest.raises(FitFailed) as err:
+            measure_tau_m(cfg, proto)
+        assert str(err.value) == reason
+        pop = stack_population([hw_circuit, cfg])
         with np.errstate(over="raise"):
-            tau = measure_tau_m(cfg, proto)
-        assert tau == pytest.approx(_fit_decay(times, line, proto)[0], rel=1e-9)
+            taus = measure_tau_m(pop, proto)
+        assert np.isfinite(taus[0]) and np.isnan(taus[1])
 
 
 class TestTauW:
@@ -163,13 +174,20 @@ def engine_release_tau_w(cfg, proto=ReleaseProtocol()):
     return engine_release(cfg, state, ("V_w", ad.V_ref, ad.tau_w), proto)
 
 
-@pytest.fixture(scope="module", params=["tonic_spiking", "delayed_regular_bursting"])
+PATTERN_NOMINALS = ("tonic_spiking", "delayed_regular_bursting")
+
+
+@functools.lru_cache(maxsize=None)
+def pattern_nominal(name):
+    """A firing pattern's nominal circuit, as `run_firing_patterns` builds it."""
+    hw, _, _, _ = load_patterns()[name].to_hardware(DomainMap())
+    return circuit_for_adex(hw, default_circuit_config(E_l=hw.E_l))
+
+
+@pytest.fixture(scope="module", params=PATTERN_NOMINALS)
 def pattern_seed3(request):
     """128 mismatched neurons (seed 3) of a pattern's nominal circuit."""
-    from adexsim.patterns import load_patterns
-    from adexsim.units import DomainMap
-    hw, _, _, _ = load_patterns()[request.param].to_hardware(DomainMap())
-    nominal = circuit_for_adex(hw, default_circuit_config(E_l=hw.E_l))
+    nominal = pattern_nominal(request.param)
     return sample_population(nominal, default_mismatch_model(nominal, seed=3), 128).stacked()
 
 
@@ -203,6 +221,28 @@ class TestDeltaT:
     def test_disabled_raises(self):
         with pytest.raises(InvalidConfig):
             measure_delta_t(default_circuit_config())
+
+    @given(pattern=st.sampled_from(PATTERN_NOMINALS), seed=st.integers(0, 2 ** 32 - 1),
+           width=st.integers(1, 6))
+    def test_scalar_equals_batch_column(self, pattern, seed, width):
+        # every neuron is swept over its own window, so its readouts do not
+        # depend on the batch; a failed scalar fit is a NaN column
+        nominal = pattern_nominal(pattern)
+        neurons = sample_population(
+            nominal, default_mismatch_model(nominal, seed=seed), width).neurons
+        cfg = stack_population(neurons)
+
+        def alone(measure, *args):
+            try:
+                return measure(*args)
+            except FitFailed:
+                return math.nan
+
+        np.testing.assert_array_equal(
+            measure_delta_t(cfg), [alone(measure_delta_t, c) for c in neurons])
+        np.testing.assert_array_equal(
+            measure_exp_onset(cfg, np.asarray(cfg.g_l)),
+            [alone(measure_exp_onset, c, c.g_l) for c in neurons])
 
 
 class TestTauSyn:
