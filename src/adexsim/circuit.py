@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidConfig, NoIdealEquivalent, NonFiniteState
-from .model import AdExParameters, SimulationTrace, StimulusProgram
+from .model import AdExParameters, SimulationTrace, StimulusProgram, _run_starts
 
 MAX_MEMBRANE_CAPACITANCE = 2.47e-12
 THERMAL_VOLTAGE_300K = 25.85e-3
@@ -437,8 +437,10 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     math of that reference: the same operations on the same operands in
     the same order, so the engine matches it bit for bit, and a neuron's
     bits do not depend on the rest of its batch.  Constants are hoisted out of the
-    loop and the arrays are updated in place.  A step skips only work
-    whose result is known exactly:
+    loop and the arrays are updated in place.  V_w and V_m are the two rows
+    of one (2, n) state, so one set of calls advances both
+    exponential-Euler nodes.  A step skips only work whose result is known
+    exactly:
 
     - no neuron refractory: h = dt for all, so the membrane factors
       exp(-lam_m*dt) and _phi(lam_m, dt) are computed once.  Otherwise a
@@ -450,21 +452,42 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
       pulse timer update.  A flag is set on a spike and, while set,
       tested again after each timer update; a flag left set only takes
       the full path;
+    - every pulse_amplitude +0.0: the pulse current is +0.0 and is never
+      subtracted (x - (+0.0) is x); the pulse timer still runs;
+    - an adaptation sign of +1 (or -1) for every neuron: the coupling is
+      subtracted (or added) without the multiply, since x - (-y) is x + y;
+    - the injected current stim_gain * stim_trim * I is computed once per
+      stimulus segment, where the bits of I change, not once per step;
     - a synaptic line with no arrivals that starts at +0.0 stays at +0.0:
       no decay update, and a current-based line adds a constant current;
     - an OTA whose bias is live for every neuron needs no dead-bias mask;
     - a disabled term subtracted from the forcing is left out (x - 0.0
       is x); a disabled term added stays (x + 0.0 turns -0.0 into +0.0).
+
+    Returns the (step, neuron) columns of every spike in step order, the
+    final state and the records (None unless `record`).
     """
     bc = lambda x: np.broadcast_to(np.asarray(x, dtype=float), (n,)).copy()
 
-    V_m, V_w = bc(state.V_m), bc(state.V_w)
+    ad, ex = cfg.adaptation, cfg.exponential
+    # the node state: row 0 the adaptation filter V_w, row 1 the membrane V_m
+    S = np.empty((2, n))
+    V_w, V_m = S
+    V_w[:], V_m[:] = bc(state.V_w), bc(state.V_m)
     s_exc, s_inh = bc(state.s_exc), bc(state.s_inh)
     ref, pulse_left = bc(state.ref_remaining), bc(state.pulse_remaining)
 
-    ad, ex = cfg.adaptation, cfg.exponential
-    E_l, V_det, V_r, t_ref = bc(cfg.E_l), bc(cfg.V_det), bc(cfg.V_r), bc(cfg.t_ref)
-    C_mem = bc(cfg.C_mem)
+    # the nodes integrated, the last rows of S: both, or the membrane alone
+    # when adaptation is off.  Per node, in the same rows: the reference it
+    # relaxes to, its linear conductance and capacitance, its factors over
+    # the step (the membrane's change while refractory), its forcing and
+    # two scratch rows.
+    m = 2 if ad.enabled else 1
+    NODE = S[2 - m:]
+    REF, GN, CN, DECAY, PHI, FN, DN, XN = (np.empty((m, n)) for _ in range(8))
+    REF[-1], CN[-1] = bc(cfg.E_l), bc(cfg.C_mem)
+    E_l, C_mem = REF[-1], CN[-1]
+    V_det, V_r, t_ref = bc(cfg.V_det), bc(cfg.V_r), bc(cfg.t_ref)
     stim_scale = bc(cfg.stim_gain) * bc(cfg.stim_trim)
 
     # the saturating OTAs, one row each: the leak, then the exponential's
@@ -487,6 +510,7 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     lam_m = gl_g / C_mem
     exp_free, phi_free = np.exp(-lam_m * dt), _phi(lam_m, dt)
     exp_held, phi_held = np.exp(-lam_m * 0.0), _phi(lam_m, 0.0)
+    GN[-1], DECAY[-1], PHI[-1] = gl_g, exp_free, phi_free
 
     if ex.enabled:
         z_exp = next(rows)
@@ -501,44 +525,64 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     if ad.enabled:
         z_tau, z_a = rows
         gt_g = G[-2]
-        C_w, V_ref, E_la = bc(ad.C_w), bc(ad.V_ref), bc(ad.E_l_adapt)
+        REF[0], CN[0] = bc(ad.V_ref), bc(ad.C_w)
+        V_ref, C_w, E_la = REF[0], CN[0], bc(ad.E_l_adapt)
         sign, gw_f = bc(ad.sign), bc(ad.g_w_factor)
+        sign_rule = 1 if np.all(sign == 1) else -1 if np.all(sign == -1) else 0
         p_amp = bc(ad.pulse_amplitude)
         lam_w = gt_g / C_w
-        decay_w = np.exp(-lam_w * dt)
-        phi_w = _phi(lam_w, dt)
-        dv_w, pulse_i = np.empty(n), np.empty(n)
+        GN[0], DECAY[0], PHI[0] = gt_g, np.exp(-lam_w * dt), _phi(lam_w, dt)
+        pulse_i = np.empty(n)
+    # forcing rows: the filter node's W and the membrane's F; the
+    # membrane row of XN is the scratch X of the forcing
+    W, F, X = FN[0], FN[-1], XN[-1]
+    dec_m, phi_m = DECAY[-1], PHI[-1]
 
-    lines = []
-    for s, arrivals, syn, sign_syn in ((s_exc, arr_exc, cfg.syn_exc, 1),
-                                       (s_inh, arr_inh, cfg.syn_inh, -1)):
+    # synaptic lines as terms of the forcing: (kind, op, operands), op the
+    # ufunc that applies the term (add for exc, subtract for inh)
+    terms, moving = [], []
+    for s, arrivals, syn, op in ((s_exc, arr_exc, cfg.syn_exc, np.add),
+                                 (s_inh, arr_inh, cfg.syn_inh, np.subtract)):
         decay, dv = np.exp(-dt / bc(syn.tau_syn)), bc(syn.dv_unit)
         off = bc(syn.follower_offset) + bc(syn.offset_trim)
         # with no arrivals, s = +0.0 is a fixed point of the decay update
         quiet = (not np.any(arrivals) and _plus_zero(s)
                  and _plus_zero(0.0 * decay + 0.0 * dv))
-        line = {"s": s, "arrivals": arrivals, "decay": decay, "dv": dv,
-                "quiet": quiet, "on": syn.enabled, "coba": syn.coba_enabled,
-                "sign": sign_syn, "g1pb": bc(syn.g1_per_bias), "off": off}
-        if syn.enabled and syn.coba_enabled:
-            line.update(ib=bc(syn.I_b_cuba), g2=bc(syn.g2), ehat=bc(syn.E_syn_hat),
-                        s_off=s - off if quiet else None)
-        elif syn.enabled:
-            gib = line["g1pb"] * bc(syn.I_b_cuba)
-            line.update(gib=gib, current=gib * (s - off) if quiet else None)
-        lines.append(line)
+        if not quiet:
+            moving.append((s, decay, arrivals, dv))
+        g1pb = bc(syn.g1_per_bias)
+        if not syn.enabled:
+            if op is np.add:
+                terms.append(("const", op, 0.0))
+        elif syn.coba_enabled:
+            terms.append(("coba", op, (bc(syn.E_syn_hat), bc(syn.g2), bc(syn.I_b_cuba),
+                                       g1pb, s, off, s - off if quiet else None)))
+        elif quiet:
+            terms.append(("const", op, g1pb * bc(syn.I_b_cuba) * (s - off)))
+        else:
+            terms.append(("cuba", op, (s, off, g1pb * bc(syn.I_b_cuba))))
+
+    # the injected current, recomputed where the bits of the stimulus change
+    segment_starts = iter(_run_starts(currents))
+    next_segment = next(segment_starts)
+    I_inj = np.empty(n)
 
     # refractory and adaptation-pulse flags.  The pulse current of an idle
-    # timer, p_amp * 0.0 / dt, can only be skipped where it is +0.0.
+    # timer, p_amp * 0.0 / dt, can only be skipped where it is +0.0; that
+    # of any timer where every p_amp is +0.0 and no timer starts as NaN.
     p_width = bc(ad.pulse_width) if ad.enabled else np.zeros(n)
     idle_pulse = ad.enabled and not _plus_zero(p_amp * 0.0)
+    pulse_current = ad.enabled and not (_plus_zero(p_amp)
+                                        and not np.isnan(pulse_left).any())
     refractory = not _plus_zero(ref)
     pulsing = idle_pulse or not _plus_zero(pulse_left)
     ref_on_spike, pulse_on_spike = not _plus_zero(t_ref), not _plus_zero(p_width)
+    count = np.count_nonzero
 
-    F, D, X = np.empty(n), np.empty(n), np.empty(n)
     spiked = np.empty(n, dtype=bool)
-    spike_steps = [[] for _ in range(n)]
+    # spikes as (step, neuron) columns, in step order, of a buffer that
+    # grows by half when full
+    spikes, n_spikes = np.empty((2, n), dtype=np.int64), 0
     if record:
         V_rec = np.empty((n_steps + 1, n))
         Vw_rec = np.empty((n_steps + 1, n))
@@ -546,143 +590,147 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
         si_rec = np.empty((n_steps + 1, n))
         V_rec[0], Vw_rec[0], se_rec[0], si_rec[0] = V_m, V_w, s_exc, s_inh
 
+    # the loop runs a few dozen ufunc calls per step, so at small widths
+    # their call overhead is the cost: ufuncs are bound to locals and
+    # their output arrays passed positionally (except to np.minimum and
+    # np.maximum, where a positional output is deprecated and slower)
+    add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
+    minimum, maximum, copyto = np.minimum, np.maximum, np.copyto
+    ex_on, ad_on = ex.enabled, ad.enabled
+    gate = ex_on and ex.gate_in_refractory
+
     for k in range(n_steps):
-        np.subtract(E_l, V_m, out=z_leak)
-        if ex.enabled:
-            np.subtract(V_m, ex_vexp, out=z_exp)
-        if ad.enabled:
-            np.subtract(V_ref, V_w, out=z_tau)
-            np.subtract(V_m, E_la, out=z_a)
-        Z *= G
-        Z /= SAFE
-        np.tanh(Z, out=Z)
-        Z *= SAFE
+        sub(E_l, V_m, z_leak)
+        if ex_on:
+            sub(V_m, ex_vexp, z_exp)
+        if ad_on:
+            sub(V_ref, V_w, z_tau)
+            sub(V_m, E_la, z_a)
+        mul(Z, G, Z)
+        div(Z, SAFE, Z)
+        np.tanh(Z, Z)
+        mul(Z, SAFE, Z)
         if dead is not None:
-            np.copyto(Z, 0.0, where=dead)
+            copyto(Z, 0.0, where=dead)
 
         # forcing, in the order of the stepwise reference:
         # leak + I_exp - I_w + I_syn_exc - I_syn_inh + I_stim
-        if ex.enabled:
-            z_exp *= ex_r
-            z_exp /= ex_nvt
-            np.minimum(z_exp, ex_cap, out=z_exp)
-            np.exp(z_exp, out=z_exp)
-            z_exp *= I_0
-            np.minimum(z_exp, I_max, out=z_exp)
-            np.less(z_exp, ex_floor, out=floored)
-            np.copyto(z_exp, 0.0, where=floored)
-            if refractory and ex.gate_in_refractory:
-                np.copyto(z_exp, 0.0, where=ref > 0)
-            np.add(z_leak, z_exp, out=F)
+        if ex_on:
+            mul(z_exp, ex_r, z_exp)
+            div(z_exp, ex_nvt, z_exp)
+            minimum(z_exp, ex_cap, out=z_exp)
+            np.exp(z_exp, z_exp)
+            mul(z_exp, I_0, z_exp)
+            minimum(z_exp, I_max, out=z_exp)
+            np.less(z_exp, ex_floor, floored)
+            copyto(z_exp, 0.0, where=floored)
+            if refractory and gate:
+                copyto(z_exp, 0.0, where=ref > 0)
+            add(z_leak, z_exp, F)
         else:
-            np.add(z_leak, 0.0, out=F)
-        if ad.enabled:
-            np.multiply(gw_f, z_tau, out=X)
-            F -= X
+            add(z_leak, 0.0, F)
+        if ad_on:
+            mul(gw_f, z_tau, X)
+            sub(F, X, F)
             # filter node: out_tau - sign * out_a - pulse current
-            z_a *= sign
-            z_tau -= z_a
-            if pulsing:
-                np.minimum(pulse_left, dt, out=pulse_i)
-                pulse_i *= p_amp
-                pulse_i /= dt
-                z_tau -= pulse_i
-            np.subtract(V_w, V_ref, out=dv_w)
-            np.multiply(gt_g, dv_w, out=X)
-            z_tau += X
-            z_tau /= C_w
-            dv_w *= decay_w
-            z_tau *= phi_w
-            np.add(V_ref, dv_w, out=V_w)
-            V_w += z_tau
-        for line in lines:
-            if not line["on"]:
-                if line["sign"] > 0:
-                    F += 0.0
+            if sign_rule > 0:
+                sub(z_tau, z_a, W)
+            elif sign_rule < 0:
+                add(z_tau, z_a, W)
+            else:
+                mul(z_a, sign, z_a)
+                sub(z_tau, z_a, W)
+            if pulsing and pulse_current:
+                minimum(pulse_left, dt, out=pulse_i)
+                mul(pulse_i, p_amp, pulse_i)
+                div(pulse_i, dt, pulse_i)
+                sub(W, pulse_i, W)
+        for kind, op, a in terms:
+            if kind == "const":
+                op(F, a, F)
                 continue
-            if line["coba"]:
-                np.subtract(line["ehat"], V_m, out=X)
-                X *= line["g2"]
-                X += line["ib"]
-                np.maximum(0.0, X, out=X)
-                X *= line["g1pb"]
-                if line["quiet"]:
-                    X *= line["s_off"]
-                else:
-                    X *= line["s"] - line["off"]
-                current = X
-            elif line["quiet"]:
-                current = line["current"]
+            if kind == "coba":
+                ehat, g2, ib, g1pb, s, off, s_off = a
+                sub(ehat, V_m, X)
+                mul(X, g2, X)
+                add(X, ib, X)
+                maximum(0.0, X, out=X)
+                mul(X, g1pb, X)
+                mul(X, s - off if s_off is None else s_off, X)
             else:
-                np.subtract(line["s"], line["off"], out=X)
-                X *= line["gib"]
-                current = X
-            if line["sign"] > 0:
-                F += current
-            else:
-                F -= current
-        np.multiply(stim_scale, currents[k], out=X)
-        F += X
+                s, off, gib = a
+                sub(s, off, X)
+                mul(X, gib, X)
+            op(F, X, F)
+        if k == next_segment:
+            mul(stim_scale, currents[k], I_inj)
+            next_segment = next(segment_starts, n_steps)
+        add(F, I_inj, F)
 
-        # membrane node: held at V_r while refractory, integrates the
+        # membrane held at V_r while refractory, integrating the
         # post-release fraction of the step otherwise
-        np.subtract(V_m, E_l, out=D)
-        np.multiply(gl_g, D, out=X)
-        F += X
-        F /= C_mem
         if refractory:
             h = np.clip(dt - ref, 0.0, dt)
             free, held = h == dt, h == 0.0
-            e_m = np.where(free, exp_free, exp_held)
-            p_m = np.where(free, phi_free, phi_held)
+            dec_m[:] = np.where(free, exp_free, exp_held)
+            phi_m[:] = np.where(free, phi_free, phi_held)
             part = ~(free | held)
-            if part.any():
-                e_m[part] = np.exp(-lam_m[part] * h[part])
-                p_m[part] = _phi(lam_m[part], h[part])
-        else:
-            e_m, p_m = exp_free, phi_free
-        D *= e_m
-        F *= p_m
-        np.add(E_l, D, out=V_m)
-        V_m += F
+            if count(part):
+                dec_m[part] = np.exp(-lam_m[part] * h[part])
+                phi_m[part] = _phi(lam_m[part], h[part])
+        # each node: V <- ref + (V - ref) * decay + (forcing + g * (V - ref)) / C * phi
+        sub(NODE, REF, DN)
+        mul(GN, DN, XN)
+        add(FN, XN, FN)
+        div(FN, CN, FN)
+        mul(DN, DECAY, DN)
+        mul(FN, PHI, FN)
+        add(REF, DN, NODE)
+        add(NODE, FN, NODE)
 
-        for line in lines:
-            if not line["quiet"]:
-                s = line["s"]
-                s *= line["decay"]
-                s += line["arrivals"][k] * line["dv"]
+        for s, decay, arrivals, dv in moving:
+            mul(s, decay, s)
+            add(s, arrivals[k] * dv, s)
         if refractory:
-            ref -= dt
-            np.maximum(ref, 0.0, out=ref)
-            refractory = bool(ref.any())
+            sub(ref, dt, ref)
+            maximum(ref, 0.0, out=ref)
+            refractory = count(ref) > 0
+            if not refractory:
+                dec_m[:], phi_m[:] = exp_free, phi_free
         if pulsing:
-            pulse_left -= dt
-            np.maximum(pulse_left, 0.0, out=pulse_left)
-            pulsing = idle_pulse or bool(pulse_left.any())
+            sub(pulse_left, dt, pulse_left)
+            maximum(pulse_left, 0.0, out=pulse_left)
+            pulsing = idle_pulse or count(pulse_left) > 0
 
-        np.greater_equal(V_m, V_det, out=spiked)
-        if spiked.any():
-            np.copyto(V_m, V_r, where=spiked)
-            np.copyto(ref, t_ref, where=spiked)
-            np.copyto(pulse_left, p_width, where=spiked)
+        np.greater_equal(V_m, V_det, spiked)
+        fired = count(spiked)
+        if fired:
+            copyto(V_m, V_r, where=spiked)
+            copyto(ref, t_ref, where=spiked)
+            copyto(pulse_left, p_width, where=spiked)
             refractory = refractory or ref_on_spike
             pulsing = pulsing or pulse_on_spike
-            for i in np.nonzero(spiked)[0]:
-                spike_steps[i].append(k + 1)
+            end = n_spikes + fired
+            if end > spikes.shape[1]:
+                grow = max(end - spikes.shape[1], spikes.shape[1] // 2)
+                spikes = np.concatenate((spikes, np.empty((2, grow), dtype=np.int64)), axis=1)
+            spikes[0, n_spikes:end] = k + 1
+            spikes[1, n_spikes:end] = np.flatnonzero(spiked)
+            n_spikes = end
         if record:
             V_rec[k + 1], Vw_rec[k + 1] = V_m, V_w
             se_rec[k + 1], si_rec[k + 1] = s_exc, s_inh
-        if (k & 0xFF) == 0xFF and not np.all(np.isfinite(V_m)):
+        if (k & 0xFF) == 0xFF and not np.isfinite(S).all():
             raise NonFiniteState("circuit state became non-finite (dt too large?)",
                                  time=(k + 1) * dt)
 
-    if not (np.all(np.isfinite(V_m)) and np.all(np.isfinite(V_w))):
+    if not np.isfinite(S).all():
         raise NonFiniteState("circuit state became non-finite (dt too large?)",
                              time=n_steps * dt)
     final = CircuitState(V_m=V_m, V_w=V_w, s_exc=s_exc, s_inh=s_inh,
                          ref_remaining=ref, pulse_remaining=pulse_left)
     recs = (V_rec, Vw_rec, se_rec, si_rec) if record else None
-    return spike_steps, final, recs
+    return spikes[:, :n_spikes], final, recs
 
 
 def simulate_population(cfg: CircuitNeuronConfig, n: int,
@@ -722,11 +770,13 @@ def simulate_population(cfg: CircuitNeuronConfig, n: int,
         ref_remaining=state.ref_remaining,
         pulse_remaining=state.pulse_remaining)
 
-    spike_steps, final, recs = _engine(
+    (steps, neuron), final, recs = _engine(
         cfg, n, currents, arrivals["exc"], arrivals["inh"],
         state, dt, n_steps, record)
 
-    spikes = [np.array(s, dtype=float) * dt for s in spike_steps]
+    # each neuron's spike times, in step order: one slice of a single array
+    order = np.argsort(neuron, kind="stable")
+    spikes = np.split(steps[order] * dt, np.cumsum(np.bincount(neuron, minlength=n))[:-1])
     run = PopulationRun(dt=dt, spikes=spikes, final_state=final)
     if record:
         ad = cfg.adaptation

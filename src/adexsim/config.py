@@ -530,7 +530,8 @@ def parse_config(text: str) -> RunConfig:
         if kind != "quantity":
             raise ValidationError(f"[sweep] key {key!r} is not a scalar quantity")
         run.sweep = {"key": key,
-                     "values": tuple(parse_quantity(v, dim) for v in values)}
+                     "values": tuple(parse_quantity(v, dim, sections["sweep"]["values"][1])
+                                     for v in values)}
         if section == "run":
             for value in run.sweep["values"]:
                 dt, duration = (value, run.duration) if name == "dt" else (run.dt, value)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -124,6 +125,8 @@ class StimulusProgram:
     def step(cls, onset: float, amplitude: float, offset: float | None = None,
              baseline: float = 0.0) -> "StimulusProgram":
         """Step of `amplitude` from `onset` to `offset` (or until the end)."""
+        if not onset >= 0:
+            raise ValueError(f"onset must be >= 0 s, got {onset!r} s")
         segs = [(0.0, baseline)] if onset > 0 else []
         segs.append((onset, amplitude))
         if offset is not None:
@@ -141,6 +144,13 @@ class StimulusProgram:
         t = np.arange(n_steps) * dt
         idx = np.searchsorted(starts, t, side="right") - 1
         return values[np.maximum(idx, 0)]
+
+
+def _run_starts(values: np.ndarray) -> list:
+    """Indices where the bits of a float array change, 0 first: the starts
+    of its runs of bit-identical values (-0.0 and +0.0 differ)."""
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
+    return [0] + (np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()
 
 
 @dataclass
@@ -203,52 +213,84 @@ def apply_spike_reset(state: NeuronState, p: AdExParameters) -> NeuronState:
     return NeuronState(V=p.V_r, w=state.w + p.b, ref_remaining=p.t_ref)
 
 
-def _w_exact(w: float, V: float, p: AdExParameters, dt: float) -> float:
-    """Exact exponential update of w over dt with V frozen."""
-    decay = math.exp(-dt / p.tau_w)
-    return w * decay + p.a * (V - p.E_l) * (1.0 - decay)
+def _membrane_factors(lam: float, h: float):
+    """exp(-lam*h) and (1 - exp(-lam*h)) / lam, with the h limit at lam <= 0."""
+    if lam > 0:
+        return math.exp(-lam * h), -math.expm1(-lam * h) / lam
+    return 1.0, h
+
+
+def _stepper(p: AdExParameters, dt: float):
+    """The one per-step function of the ideal model, bound to (p, dt).
+
+    Returns advance(V, w, ref, I_ext) -> (V, w, ref, spiked).  The
+    constants of a run are computed once here: exp(-dt/tau_w), the
+    membrane factors at h = dt and g_l * Delta_T.  The spike is assigned
+    to the end of the step in which V >= V_det first holds; V is clamped
+    to V_r for the remainder of the step.  During the refractory period V
+    is held at V_r while w keeps evolving; the release may fall inside a
+    step, in which case only the post-release fraction is integrated.
+    """
+    E_l, V_r, V_det, C, a, b = p.E_l, p.V_r, p.V_det, p.C, p.a, p.b
+    t_ref = p.t_ref
+    decay_w = math.exp(-dt / p.tau_w)
+    keep_w = 1.0 - decay_w
+    lam = p.g_l / p.C
+    decay_free, phi_free = _membrane_factors(lam, dt)
+    exp_on = p.exp_enabled
+    V_T, Delta_T, exp_gain = p.V_T, p.Delta_T, p.g_l * p.Delta_T
+    v_r_finite = math.isfinite(V_r)
+    isfinite, exp = math.isfinite, math.exp
+
+    def advance(V, w, ref, I_ext):
+        if ref >= dt:
+            w1 = w * decay_w + a * (V_r - E_l) * keep_w
+            if not isfinite(w1):
+                raise NonFiniteState(f"w became non-finite (w={w1})")
+            if not v_r_finite:
+                raise NonFiniteState(f"non-finite state V={V_r}, w={w1}")
+            return V_r, w1, ref - dt, False
+
+        # window actually integrated for V (full dt when not refractory)
+        if ref == 0:
+            V0, decay, phi = V, decay_free, phi_free
+        else:
+            V0 = V_r if ref > 0 else V
+            decay, phi = _membrane_factors(lam, dt - ref)
+        w1 = w * decay_w + a * (V0 - E_l) * keep_w
+
+        # the spike-initiation current, clamped; never gated here, since
+        # the integrated window lies after the release
+        if exp_on:
+            i_exp = exp_gain * exp(min((V0 - V_T) / Delta_T, EXP_ARG_CLAMP))
+        else:
+            i_exp = 0.0
+        forcing = (i_exp - w + I_ext) / C
+        V1 = E_l + (V0 - E_l) * decay + forcing * phi
+
+        if not (isfinite(V1) and isfinite(w1)):
+            raise NonFiniteState(f"state became non-finite (V={V1}, w={w1})")
+
+        if V1 >= V_det:
+            # jump conditions V -> V_r, w -> w + b; restarts the refractory timer
+            w1 = w1 + b
+            if not (v_r_finite and isfinite(w1)):
+                raise NonFiniteState(f"non-finite state V={V_r}, w={w1}")
+            return V_r, w1, t_ref, True
+        return V1, w1, 0.0, False
+
+    return advance
 
 
 def step(state: NeuronState, p: AdExParameters, I_ext: float, dt: float):
     """Advance (V, w) by one step; returns (new_state, spiked).
 
-    The spike is assigned to the end of the step in which V >= V_det first
-    holds; V is clamped to V_r for the remainder of the step.  During the
-    refractory period V is held at V_r while w keeps evolving; the release
-    may fall inside a step, in which case only the post-release fraction is
-    integrated.
+    The step rules are those of `_stepper`, which `simulate` runs too.
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
-    ref = state.ref_remaining
-
-    if ref >= dt:
-        w1 = _w_exact(state.w, p.V_r, p, dt)
-        if not math.isfinite(w1):
-            raise NonFiniteState(f"w became non-finite (w={w1})")
-        return NeuronState(p.V_r, w1, ref - dt), False
-
-    # window actually integrated for V (full dt when not refractory)
-    h = dt - ref
-    V0 = p.V_r if ref > 0 else state.V
-    w1 = _w_exact(state.w, V0, p, dt)
-
-    forcing = (_exp_current(V0, p, False) - state.w + I_ext) / p.C
-    lam = p.g_l / p.C
-    if lam > 0:
-        decay = math.exp(-lam * h)
-        phi = -math.expm1(-lam * h) / lam
-    else:
-        decay = 1.0
-        phi = h
-    V1 = p.E_l + (V0 - p.E_l) * decay + forcing * phi
-
-    if not (math.isfinite(V1) and math.isfinite(w1)):
-        raise NonFiniteState(f"state became non-finite (V={V1}, w={w1})")
-
-    if V1 >= p.V_det:
-        return apply_spike_reset(NeuronState(V1, w1, 0.0), p), True
-    return NeuronState(V1, w1, 0.0), False
+    V, w, ref, spiked = _stepper(p, dt)(state.V, state.w, state.ref_remaining, I_ext)
+    return NeuronState(V, w, ref), spiked
 
 
 def simulate(p: AdExParameters,
@@ -275,7 +317,12 @@ def simulate(p: AdExParameters,
         raise ValueError("duration shorter than one step")
 
     state = initial_state or NeuronState(p.E_l, 0.0, 0.0)
+    # the per-step currents as Python floats, one run of equal bits at a time
     currents = stimulus.per_step_currents(n_steps, dt)
+    starts = _run_starts(currents)
+    step_currents = chain.from_iterable(
+        repeat(currents.item(a), b - a) for a, b in zip(starts, starts[1:] + [n_steps]))
+    advance = _stepper(p, dt)
 
     syn = []
     for cfg, train in (synaptic_inputs or ()):
@@ -294,26 +341,28 @@ def simulate(p: AdExParameters,
             s_inh[0] += s0
     spikes = []
 
-    for k in range(n_steps):
-        I = currents[k]
-        for entry in syn:
-            I += synaptic_current(entry[1], entry[0], state.V)
-        try:
-            state, spiked = step(state, p, I, dt)
-        except NonFiniteState as err:
-            raise NonFiniteState(str(err), time=(k + 1) * dt) from None
-        if spiked:
-            spikes.append((k + 1) * dt)
-        se = si = 0.0
-        for entry in syn:
-            cfg = entry[0]
-            entry[1] = trace_step(entry[1], cfg.tau_syn, dt, entry[2][k])
-            if cfg.is_excitatory:
-                se += entry[1]
-            else:
-                si += entry[1]
-        V[k + 1], w[k + 1] = state.V, state.w
-        s_exc[k + 1], s_inh[k + 1] = se, si
+    v, w_k, ref = state.V, state.w, state.ref_remaining
+    try:
+        for k, I in enumerate(step_currents):
+            for entry in syn:
+                I += synaptic_current(entry[1], entry[0], v)
+            v, w_k, ref, spiked = advance(v, w_k, ref, I)
+            if spiked:
+                spikes.append((k + 1) * dt)
+            V[k + 1] = v
+            w[k + 1] = w_k
+            if syn:
+                se = si = 0.0
+                for entry in syn:
+                    cfg = entry[0]
+                    entry[1] = trace_step(entry[1], cfg.tau_syn, dt, entry[2][k])
+                    if cfg.is_excitatory:
+                        se += entry[1]
+                    else:
+                        si += entry[1]
+                s_exc[k + 1], s_inh[k + 1] = se, si
+    except NonFiniteState as err:
+        raise NonFiniteState(str(err), time=(k + 1) * dt) from None
 
     return SimulationTrace(dt=dt, V=V, w=w, s_exc=s_exc, s_inh=s_inh,
                            spikes=np.array(spikes))

@@ -8,6 +8,7 @@ silent scale errors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import ParseError
@@ -55,16 +56,14 @@ CANONICAL_SUFFIX = {
 def parse_quantity(text: str, dimension: str, line: int | None = None, column: int | None = None) -> float:
     """Parse "<number> <suffix>" into an SI float, checking the dimension.
 
-    Dimensionless values ("none") must carry no suffix.
+    Dimensionless values ("none") must carry no suffix.  NaN and infinite
+    values, written or reached by the unit scale, are rejected.
     """
     parts = text.strip().split()
     if dimension == "none":
         if len(parts) != 1:
             raise ParseError(f"expected a bare number, got {text!r}", line, column)
-        try:
-            return float(parts[0])
-        except ValueError:
-            raise ParseError(f"not a number: {parts[0]!r}", line, column) from None
+        return _finite(parts[0], 1.0, line, column)
     if len(parts) != 2:
         raise ParseError(
             f"expected '<number> <unit>' with a {dimension} unit, got {text!r}", line, column)
@@ -75,11 +74,18 @@ def parse_quantity(text: str, dimension: str, line: int | None = None, column: i
     if dim != dimension:
         raise ParseError(
             f"unit {suffix!r} is a {dim} unit, expected {dimension}", line, column)
+    return _finite(num, scale, line, column)
+
+
+def _finite(num: str, scale: float, line, column) -> float:
     try:
         value = float(num)
     except ValueError:
         raise ParseError(f"not a number: {num!r}", line, column) from None
-    return value * scale
+    value *= scale
+    if not math.isfinite(value):
+        raise ParseError(f"not a finite number: {num!r}", line, column)
+    return value
 
 
 def format_quantity(value: float, dimension: str) -> str:

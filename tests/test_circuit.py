@@ -238,6 +238,24 @@ ENGINE_VARIANTS = {
     "lif": lambda c: (replace(
         c, adaptation=replace(c.adaptation, enabled=False),
         exponential=replace(c.exponential, enabled=False)), {}),
+    # the pulse timer runs, the pulse current is skipped
+    "zero_pulse_amplitude": lambda c: (replace(c, adaptation=replace(
+        c.adaptation, pulse_amplitude=0.0)), {}),
+    "adaptation_sign_minus_1": lambda c: (replace(c, adaptation=replace(
+        c.adaptation, sign=-1)), {}),
+    # on, off (-0.0, then +0.0), on again: one stimulus product per segment
+    "multi_segment_stimulus": lambda c: (c, {}),
+    # a 1.03 us refractory period inside a 1.6 us pulse of the same charge
+    "release_overlaps_pulse": lambda c: (replace(c, t_ref=1.03e-6, adaptation=replace(
+        c.adaptation, pulse_width=1.6e-6,
+        pulse_amplitude=c.adaptation.pulse_amplitude * c.adaptation.pulse_width / 1.6e-6)),
+        {}),
+}
+# variants that replace the default step stimulus of the oracle test
+VARIANT_STIMULI = {
+    "multi_segment_stimulus": StimulusProgram((
+        (0.0, 0.0), (20e-6, 50e-9), (90e-6, -0.0), (100e-6, 0.0), (120e-6, 50e-9),
+        (150e-6, 50e-9 * (1 + 2 ** -52)))),
 }
 
 
@@ -341,7 +359,7 @@ class TestCircuitStep:
         # each variant sends the engine down other skip paths; every step of
         # V_m and V_w, every spike and the final timers must equal circuit_step
         cfg, events = ENGINE_VARIANTS[variant](hw_circuit)
-        stim = StimulusProgram.step(20e-6, 50e-9)
+        stim = VARIANT_STIMULI.get(variant, StimulusProgram.step(20e-6, 50e-9))
         dt, duration = 0.05e-6, 200e-6
         run = simulate_population(cfg, 1, stim, syn_events=events,
                                   duration=duration, dt=dt, record=True)
@@ -373,13 +391,38 @@ class TestCircuitStep:
             assert np.asarray(getattr(final, name))[0].tobytes() == \
                 np.asarray(getattr(st, name), dtype=float).tobytes(), name
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_nonfinite_filter_node_reported_near_blow_up(self, hw_circuit):
+        # a huge pulse drives V_w to -inf at the first spike while the
+        # saturating OTAs keep V_m finite; the periodic check reads V_w too
+        ad = hw_circuit.adaptation
+        cfg = replace(hw_circuit, adaptation=replace(ad, pulse_amplitude=1e300))
+        stim = StimulusProgram.step(20e-6, 50e-9)
+        dt, n_steps = 0.05e-6, 4000
+        currents = stim.per_step_currents(n_steps, dt)
+        st = quiescent_state(cfg)
+        with pytest.raises(NonFiniteState):
+            for k in range(n_steps):
+                st, _ = circuit_step(st, cfg, currents[k], (0.0, 0.0), dt)
+        blow_up = k + 1   # the first step whose end state is non-finite
+        assert np.isfinite(st.V_m) and blow_up < n_steps - 256
+        with pytest.raises(NonFiniteState) as err:
+            simulate_population(cfg, 1, stim, duration=n_steps * dt, dt=dt)
+        assert blow_up * dt <= err.value.time < (blow_up + 256) * dt
+
     def test_engine_batch_invariance(self, hw_circuit):
         # the engine's skip decisions are made for the whole batch; each
-        # neuron alone must still give the bits of its batch column
+        # neuron alone must still give the bits of its batch column.  The
+        # batch mixes adaptation signs and zero and nonzero pulse amplitudes,
+        # which a neuron alone takes on its +-1 sign and zero-pulse paths.
         pop = sample_population(hw_circuit, default_mismatch_model(hw_circuit, seed=9), 16)
         neurons = []
         for i, neuron in enumerate(pop.neurons):
             neuron = replace(neuron, t_ref=1.03e-6 if i % 2 else 0.0)
+            ad = neuron.adaptation
+            neuron = replace(neuron, adaptation=replace(
+                ad, sign=-1 if i % 3 == 1 else 1,
+                pulse_amplitude=0.0 if i % 5 == 2 else ad.pulse_amplitude))
             if i % 4 == 3:
                 neuron = replace(neuron, stim_gain=0.2)   # below rheobase
             if i == 5:

@@ -200,6 +200,23 @@ class TestConfigErrorsAtParseTime:
         assert "Traceback" not in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("current = 22 nA", "current = nan nA", "not a finite number: 'nan' (line "),
+        ("current = 22 nA", "current = 22 nA\nonset = -5 us",
+         "[stimulus] onset must be >= 0 s"),
+    ], ids=["nan_current", "negative_onset"])
+    def test_bad_value_exit_2_without_output(self, tmp_path, cfg_path, run_cli,
+                                             old, new, message):
+        # a NaN current used to run and fail late as a non-finite circuit state
+        out = tmp_path / "out"
+        result = run_cli(["simulate", "--config", cfg_path(CONFIG_CIRCUIT.replace(old, new)),
+                          "--out", str(out)], cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: ")
+        assert message in result.stderr
+        assert "non-finite" not in result.stderr and "Traceback" not in result.stderr
+        assert not out.exists()
+
 
 class TestCsvRoundTrip:
     def test_reingested_trace_supports_postprocessing(self, tmp_path, cfg_path,

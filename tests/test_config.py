@@ -2,6 +2,7 @@ import pytest
 
 from adexsim import ParseError, ValidationError
 from adexsim.config import parse_config, read_config_sections, serialize_config
+from adexsim.units import parse_quantity
 
 MINIMAL_LIF = """
 [run]
@@ -175,6 +176,52 @@ class TestParse:
     def test_neuron_sweep_accepted_for_ideal_model(self):
         run = parse_config(MINIMAL_LIF + "\n[sweep]\nkey = neuron.g_l\nvalues = 10 nS, 20 nS\n")
         assert run.sweep["values"] == pytest.approx((10e-9, 20e-9))
+
+    @pytest.mark.parametrize("value", ["nan pF", "inf pF", "-inf pF", "NaN F"])
+    def test_non_finite_scalar_rejected_with_line(self, value):
+        text = MINIMAL_LIF.replace("C = 200 pF", f"C = {value}")
+        with pytest.raises(ParseError, match="not a finite number") as err:
+            parse_config(text)
+        assert err.value.line == text.splitlines().index(f"C = {value}") + 1
+
+    def test_unit_scale_overflow_rejected(self):
+        # finite as written, infinite once scaled to SI units
+        assert parse_quantity("1e299 GOhm", "resistance") == 1e308
+        with pytest.raises(ParseError, match="not a finite number"):
+            parse_quantity("1e300 GOhm", "resistance", line=4)
+
+    @pytest.mark.parametrize("old, new", [
+        # pairs: a stimulus segment and a synaptic event
+        ("segments = 0 us : 0 nA, 20 us : 60 nA, 250 us : 0 nA",
+         "segments = 0 us : 0 nA, 20 us : nan nA, 250 us : 0 nA"),
+        ("events = 30 us : 1.0, 60 us : 0.5", "events = 30 us : inf, 60 us : 0.5"),
+        # a mismatch override
+        ("seed = 3\n", "seed = 3\nsigma_rel_leak_ota.g_per_bias = nan\n"),
+    ], ids=["segment", "event_weight", "mismatch_override"])
+    def test_non_finite_pair_and_override_rejected(self, old, new):
+        assert old in CIRCUIT_FULL
+        text = CIRCUIT_FULL.replace(old, new)
+        with pytest.raises(ParseError, match="not a finite number") as err:
+            parse_config(text)
+        bad_line = next(line for line in new.splitlines() if "nan" in line or "inf" in line)
+        assert err.value.line == text.splitlines().index(bad_line) + 1
+
+    @pytest.mark.parametrize("section", [
+        "[sweep]\nkey = neuron.g_l\nvalues = 10 nS, nan nS\n",
+        "[experiment]\nname = exponential_sweep\nonsets = 0.6 V, inf V\n",
+    ], ids=["sweep_values", "list"])
+    def test_non_finite_list_and_sweep_values_rejected(self, section):
+        text = MINIMAL_LIF + "\n" + section
+        with pytest.raises(ParseError, match="not a finite number") as err:
+            parse_config(text)
+        assert err.value.line == len(text.splitlines())
+
+    def test_negative_onset_names_the_onset(self):
+        text = CIRCUIT_FULL.replace(
+            "segments = 0 us : 0 nA, 20 us : 60 nA, 250 us : 0 nA",
+            "current = 60 nA\nonset = -5 us")
+        with pytest.raises(ValidationError, match=r"\[stimulus\] onset must be >= 0 s"):
+            parse_config(text)
 
 
 class TestRoundTrip:

@@ -230,6 +230,102 @@ class TestSimulate:
             assert tr.w[k] - w_pre_decayed == pytest.approx(p.b, rel=1e-9)
 
 
+def _stepwise(p, stimulus, n_steps, dt, synaptic_inputs=(), state=None):
+    """V, w and spikes from a loop of public `step` calls, the oracle of
+    `simulate`; synaptic inputs go through the public synapse functions."""
+    from adexsim.synapse import synaptic_current, trace_step, weights_per_boundary
+    currents = stimulus.per_step_currents(n_steps, dt)
+    state = state or NeuronState(p.E_l, 0.0, 0.0)
+    syn = []
+    for cfg, train in synaptic_inputs:
+        s0, arrivals = weights_per_boundary(train, n_steps, dt)
+        syn.append([cfg, float(s0), arrivals])
+    V, w, spikes = [state.V], [state.w], []
+    for k in range(n_steps):
+        I = currents[k]
+        for entry in syn:
+            I += synaptic_current(entry[1], entry[0], state.V)
+        try:
+            state, spiked = step(state, p, I, dt)
+        except NonFiniteState as err:
+            err.step = k
+            raise
+        if spiked:
+            spikes.append((k + 1) * dt)
+        for entry in syn:
+            entry[1] = trace_step(entry[1], entry[0].tau_syn, dt, entry[2][k])
+        V.append(state.V)
+        w.append(state.w)
+    return np.array(V), np.array(w), np.array(spikes)
+
+
+def _assert_bitwise(trace, oracle):
+    V, w, spikes = oracle
+    assert trace.V.tobytes() == V.tobytes()
+    assert trace.w.tobytes() == w.tobytes()
+    assert trace.spikes.tobytes() == spikes.tobytes()
+
+
+class TestSimulateEqualsStepLoop:
+    """`simulate` hoists the per-run constants out of its loop; it must
+    still give the bits of repeated `step` calls."""
+
+    N_STEPS = 5000
+
+    def test_shipped_pattern_sets(self):
+        from adexsim import load_patterns
+        total_spikes = 0
+        for name, pattern in load_patterns().items():
+            p = pattern.params
+            dt = p.tau_m / 800
+            stim = StimulusProgram.step(pattern.onset, pattern.current,
+                                        pattern.onset + pattern.duration)
+            oracle = _stepwise(p, stim, self.N_STEPS, dt)
+            trace = simulate(p, stim, duration=self.N_STEPS * dt, dt=dt)
+            _assert_bitwise(trace, oracle)
+            total_spikes += len(oracle[2])
+        assert total_spikes >= 20
+
+    def test_fractional_release_gated_exponential(self, tonic_params):
+        from dataclasses import replace
+        dt = tonic_params.tau_m / 500
+        # t_ref = 3.4 steps: every release falls inside a step
+        p = replace(tonic_params, t_ref=3.4 * dt, b=40e-12, exp_gated_in_ref=True)
+        stim = StimulusProgram.step(100 * dt, 500e-12, 3000 * dt)
+        oracle = _stepwise(p, stim, 4000, dt)
+        assert len(oracle[2]) >= 5
+        _assert_bitwise(simulate(p, stim, duration=4000 * dt, dt=dt), oracle)
+
+    def test_synaptic_inputs(self, tonic_params):
+        from adexsim.synapse import SynapseConfig, WeightedSpikeTrain
+        dt = tonic_params.tau_m / 500
+        inputs = [
+            (SynapseConfig("cuba", tau_syn=5e-3, I_hat=300e-12),
+             WeightedSpikeTrain(((0.0, 0.5),) + tuple((i * 7e-3, 1.0) for i in range(1, 40)))),
+            (SynapseConfig("coba", tau_syn=8e-3, g_hat=2e-9, E_syn=-80e-3,
+                           sign="inhibitory"),
+             WeightedSpikeTrain.regular(30e-3, 23e-3, 10, 0.7)),
+        ]
+        stim = StimulusProgram.constant(350e-12)
+        oracle = _stepwise(tonic_params, stim, 3000, dt, inputs)
+        assert len(oracle[2]) >= 3
+        trace = simulate(tonic_params, stim, inputs, duration=3000 * dt, dt=dt)
+        _assert_bitwise(trace, oracle)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_state_time(self):
+        # the runaway of test_runaway_negative_instability_raises
+        p = AdExParameters(C=0.1e-12, g_l=10e-9, E_l=0.5, V_T=0.6, Delta_T=0.02,
+                           tau_w=1e-6, a=-200e-9, b=0.0, V_r=0.4, V_det=0.9,
+                           exp_enabled=False)
+        stim, dt = StimulusProgram.constant(-10e-6), 1e-7
+        with pytest.raises(NonFiniteState) as oracle:
+            _stepwise(p, stim, 20000, dt)
+        with pytest.raises(NonFiniteState) as err:
+            simulate(p, stim, duration=20000 * dt, dt=dt)
+        assert err.value.time == (oracle.value.step + 1) * dt
+
+
 class TestPredictedLotIsi:
     def test_strong_drive_limit_is_t_ref(self):
         p = hw_lif(t_ref=3e-6)
