@@ -28,7 +28,7 @@ from .circuit import (
     ExponentialCircuitConfig, OtaModel, SynInCircuitConfig,
     circuit_for_adex, coba_effective_bias, default_circuit_config,
     derive_effective_adex, exponential_current, ota_output, simulate_circuit,
-    simulate_population, stack_population,
+    simulate_population,
 )
 from .mismatch import (
     MismatchModel, Population, default_mismatch_model, sample_population,

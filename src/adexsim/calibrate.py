@@ -21,7 +21,7 @@ from .errors import FitFailed, NotConverged, NotMonotone, ValidationError
 from .measure import (
     measure_b, measure_delta_t, measure_exp_onset, measure_psp_amplitude,
     measure_resting_offset, measure_stim_gain, measure_subthreshold_a,
-    measure_tau_m, measure_tau_syn, measure_tau_w,
+    measure_tau_m, measure_tau_syn, measure_tau_w, _population_size,
 )
 from .mismatch import PARAMETER_RANGES, Population
 
@@ -123,14 +123,18 @@ def _spread(values: np.ndarray, absolute: bool = False) -> float:
 
 
 PROBE_FAILED = "probe measurement failed at bias"
+# refinement evaluations after the 3-point probe
+MAX_REFINEMENTS = 12
 
 
-def _tune_population(cfg, n, bias_path, measure_fn, targets, bounds,
-                     tol=0.02, max_iter=12, tol_abs=None, scale="log"):
+def _tune_population(cfg, bias_path, measure_fn, targets, bounds,
+                     tol=0.02, tol_abs=None, scale="log"):
     """Probe, then refine per-neuron biases until measurements hit targets.
 
-    Returns (cfg', ParameterOutcome, per-neuron error strings).
+    A scalar config is tuned as a population of one.  Returns (cfg',
+    ParameterOutcome, per-neuron error strings).
     """
+    n = _population_size(cfg) or 1
     targets = np.broadcast_to(np.asarray(targets, dtype=float), (n,)).copy()
     lo, hi = bounds
     current = np.broadcast_to(np.asarray(get_bias(cfg, bias_path), dtype=float), (n,)).copy()
@@ -217,7 +221,7 @@ def _tune_population(cfg, n, bias_path, measure_fn, targets, bounds,
     active = monotone & reachable & ~within(best_res)
     bias = best_bias.copy()
     f_val = best_f.copy()
-    while evaluations < max_iter + 3 and bool(np.any(active)):
+    while evaluations < MAX_REFINEMENTS + 3 and bool(np.any(active)):
         if scale == "log":
             with np.errstate(divide="ignore", invalid="ignore"):
                 prop = bias * np.exp(np.log(targets / f_val) / expo)
@@ -268,19 +272,18 @@ def _tune_population(cfg, n, bias_path, measure_fn, targets, bounds,
 
 def calibrate_parameter(neuron: CircuitNeuronConfig, target_value: float,
                         bias_name: str, measure, bounds,
-                        tol: float = 0.02, max_iter: int = 12,
+                        tol: float = 0.02,
                         tol_abs: float | None = None, scale: str = "log"):
     """Tune one bias of a single neuron; returns (neuron', bias, residual).
 
     Raises FitFailed if a probe measurement fails, NotMonotone if the
     3-point probe rejects the map and NotConverged (carrying the best
     residual) if the target is unreachable or tolerance is not met within
-    max_iter refinements.
+    MAX_REFINEMENTS refinements.
     """
     cfg, outcome, errors = _tune_population(
-        neuron, 1, bias_name, lambda c: np.atleast_1d(measure(c)),
-        target_value, bounds, tol=tol, max_iter=max_iter,
-        tol_abs=tol_abs, scale=scale)
+        neuron, bias_name, lambda c: np.atleast_1d(measure(c)),
+        target_value, bounds, tol=tol, tol_abs=tol_abs, scale=scale)
     if errors[0] is not None and errors[0].startswith(PROBE_FAILED):
         raise FitFailed(errors[0])
     if errors[0] is not None and "not monotone" in errors[0]:
@@ -301,83 +304,82 @@ def _bounds_around(cfg, path, factor):
 
 
 def _entry_tau_syn(line):
-    def run(cfg, n, target, tol, max_iter):
+    def run(cfg, target, tol):
         path = f"syn_{line}.g_leak_line"
         syn = getattr(cfg, f"syn_{line}")
         center = float(np.median(np.atleast_1d(np.asarray(syn.C_line, dtype=float)))) / target
-        return _tune_population(cfg, n, path,
+        return _tune_population(cfg, path,
                                 lambda c: measure_tau_syn(c, line),
-                                target, (center / 8, center * 8),
-                                tol=tol, max_iter=max_iter)
+                                target, (center / 8, center * 8), tol=tol)
     return run
 
 
-def _entry_tau_m(cfg, n, target, tol, max_iter):
+def _entry_tau_m(cfg, target, tol):
     path = "leak_ota.I_bias"
     gpb = float(np.median(np.atleast_1d(np.asarray(cfg.leak_ota.g_per_bias, dtype=float))))
     c = float(np.median(np.atleast_1d(np.asarray(cfg.C_mem, dtype=float))))
     center = c / (target * gpb)
-    return _tune_population(cfg, n, path, measure_tau_m, target,
-                            (center / 8, center * 8), tol=tol, max_iter=max_iter)
+    return _tune_population(cfg, path, measure_tau_m, target,
+                            (center / 8, center * 8), tol=tol)
 
 
-def _entry_delta_t(cfg, n, target, tol, max_iter):
+def _entry_delta_t(cfg, target, tol):
     path = "exponential.ota.I_bias"
     ex = cfg.exponential
     med = lambda x: float(np.median(np.atleast_1d(np.asarray(x, dtype=float))))
     from .circuit import EXP_CONVERSION_RATIO
     center = med(ex.n) * med(ex.V_therm) / (
         EXP_CONVERSION_RATIO * med(ex.r_conv) * target * med(ex.ota.g_per_bias))
-    return _tune_population(cfg, n, path, measure_delta_t, target,
-                            (center / 8, center * 8), tol=tol, max_iter=max_iter)
+    return _tune_population(cfg, path, measure_delta_t, target,
+                            (center / 8, center * 8), tol=tol)
 
 
-def _entry_tau_w(cfg, n, target, tol, max_iter):
+def _entry_tau_w(cfg, target, tol):
     path = "adaptation.ota_tau.I_bias"
     ad = cfg.adaptation
     med = lambda x: float(np.median(np.atleast_1d(np.asarray(x, dtype=float))))
     center = med(ad.C_w) / (target * med(ad.ota_tau.g_per_bias))
-    return _tune_population(cfg, n, path, measure_tau_w, target,
-                            (center / 8, center * 8), tol=tol, max_iter=max_iter)
+    return _tune_population(cfg, path, measure_tau_w, target,
+                            (center / 8, center * 8), tol=tol)
 
 
-def _entry_a(cfg, n, target, tol, max_iter):
+def _entry_a(cfg, target, tol):
     path = "adaptation.ota_a.I_bias"
     ad = cfg.adaptation
     med = lambda x: float(np.median(np.atleast_1d(np.asarray(x, dtype=float))))
     sign = 1 if target >= 0 else -1
-    cfg = set_bias(cfg, "adaptation.sign", sign)
+    cfg = set_bias(cfg, "adaptation.sign", np.full(_population_size(cfg), float(sign)))
     center = abs(target) / (med(ad.g_w_factor) * med(ad.ota_a.g_per_bias))
-    cfg, outcome, errors = _tune_population(
-        cfg, n, path, lambda c: sign * np.asarray(measure_subthreshold_a(c)),
-        abs(target), (center / 8, center * 8), tol=tol, max_iter=max_iter)
-    return cfg, outcome, errors
+    return _tune_population(
+        cfg, path, lambda c: sign * np.asarray(measure_subthreshold_a(c)),
+        abs(target), (center / 8, center * 8), tol=tol)
 
 
 def _entry_psp(line):
-    def run(cfg, n, target, tol, max_iter):
+    def run(cfg, target, tol):
         path = f"syn_{line}.I_b_cuba"
         sgn = 1.0 if line == "exc" else -1.0
         bounds = _bounds_around(cfg, path, 8)
-        return _tune_population(cfg, n, path,
+        return _tune_population(cfg, path,
                                 lambda c: sgn * np.asarray(measure_psp_amplitude(c, line)),
-                                target, bounds, tol=tol, max_iter=max_iter)
+                                target, bounds, tol=tol)
     return run
 
 
 def _entry_offset(line):
-    def run(cfg, n, target, tol, max_iter):
+    def run(cfg, target, tol):
         path = f"syn_{line}.offset_trim"
         # additive knob: secant on a linear scale toward zero baseline shift
-        return _tune_population(cfg, n, path,
+        return _tune_population(cfg, path,
                                 lambda c: measure_resting_offset(c, line),
-                                0.0, (-0.03, 0.03), tol=tol, max_iter=max_iter,
+                                0.0, (-0.03, 0.03), tol=tol,
                                 tol_abs=0.5e-3, scale="linear")
     return run
 
 
-def _oneshot(cfg, n, path, measure_fn, update_fn, tol, verify_tol_abs=None):
+def _oneshot(cfg, path, measure_fn, update_fn, tol, verify_tol_abs=None):
     """Measure, apply an analytic correction, verify; used for linear knobs."""
+    n = _population_size(cfg)
     absolute = verify_tol_abs is not None
     pre = np.asarray(measure_fn(cfg), dtype=float)
     pre_spread = _spread(pre, absolute)
@@ -400,40 +402,38 @@ def _oneshot(cfg, n, path, measure_fn, update_fn, tol, verify_tol_abs=None):
     return cfg, outcome, errors
 
 
-def _entry_stim_gain(cfg, n, target, tol, max_iter):
-    return _oneshot(cfg, n, "stim_trim", measure_stim_gain,
+def _entry_stim_gain(cfg, target, tol):
+    return _oneshot(cfg, "stim_trim", measure_stim_gain,
                     lambda trim, gain: trim / np.where(np.isfinite(gain) & (gain > 0), gain, 1.0),
                     tol)
 
 
 def _make_entry_v_t(g_l_ref):
-    def run(cfg, n, target, tol, max_iter):
+    def run(cfg, target, tol):
         def measure(c):
             return np.asarray(measure_exp_onset(c, g_l_ref), dtype=float) - target
-        return _oneshot(cfg, n, "exponential.V_exp", measure,
+        return _oneshot(cfg, "exponential.V_exp", measure,
                         lambda v_exp, err: v_exp - np.where(np.isfinite(err), err, 0.0),
                         tol, verify_tol_abs=2e-3)
     return run
 
 
-def _entry_b(cfg, n, target, tol, max_iter):
+def _entry_b(cfg, target, tol):
     def measure(c):
         return np.asarray(measure_b(c), dtype=float) / target
-    return _oneshot(cfg, n, "adaptation.pulse_amplitude", measure,
+    return _oneshot(cfg, "adaptation.pulse_amplitude", measure,
                     lambda amp, ratio: amp / np.where(np.isfinite(ratio) & (ratio > 0), ratio, 1.0),
                     tol)
 
 
 def calibrate_population(pop: Population, target: CalibrationTarget,
-                         plan=None, tol: float = 0.02,
-                         max_iter: int = 12) -> CalibrationResult:
+                         plan=None, tol: float = 0.02) -> CalibrationResult:
     """Sequential per-parameter calibration of a whole population.
 
     Follows the plan order (upstream parameters first); per-neuron
     failures are collected, flagged in the outcome and do not abort the
     rest of the population.
     """
-    n = pop.size
     cfg = pop.stacked()
 
     g_l_ref = None
@@ -464,11 +464,11 @@ def calibrate_population(pop: Population, target: CalibrationTarget,
         value, runner = entries[name]
         if value is None or runner is None:
             continue
-        cfg, outcome, errors = runner(cfg, n, value, tol, max_iter)
+        cfg, outcome, errors = runner(cfg, value, tol)
         result.outcomes[name] = outcome
         for i, err in enumerate(errors):
             if err is not None:
                 result.failures.append(f"neuron {i}, {name}: {err}")
 
-    result.population = Population.from_stacked(cfg, n)
+    result.population = Population.from_stacked(cfg, pop.size)
     return result

@@ -16,10 +16,8 @@ math broadcasts, so a single implementation serves both.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +30,7 @@ THERMAL_VOLTAGE_300K = 25.85e-3
 # weak-inversion transistor
 EXP_CONVERSION_RATIO = 8.0
 # largest x with tanh(x)/x >= 0.95, i.e. the 5%-deviation edge of the
-# saturation envelope; V_lin must stay inside it
+# saturation envelope
 LINEAR_5PCT_ARG = 0.39945811
 # relative floor below which the rectifying mirror powers the exponential
 # branch down to zero
@@ -48,15 +46,11 @@ class OtaModel:
     """Saturating transconductor: I = I_sat * tanh(g * dV / I_sat).
 
     The small-signal transconductance is g = g_per_bias * I_bias and the
-    output saturates toward I_sat = min(I_out_max, I_bias).  V_lin is the
-    half-width of the input range within which the transfer stays linear
-    to 5% or better; by default it is the envelope's own 5%-deviation
-    point, an explicit value is validated against it.
+    output saturates toward I_sat = min(I_out_max, I_bias).
     """
 
     I_bias: float
     g_per_bias: float
-    V_lin: float | None = None
     I_out_max: float = math.inf
 
     def __post_init__(self):
@@ -64,17 +58,6 @@ class OtaModel:
             raise ValueError("I_bias must be >= 0")
         if not _all(np.asarray(self.g_per_bias) > 0):
             raise ValueError("g_per_bias must be > 0")
-        if self.V_lin is not None:
-            if not _all(np.asarray(self.V_lin) > 0):
-                raise ValueError("V_lin must be > 0")
-            if not _all(np.asarray(self.V_lin) <= self._envelope_linear_range() * (1 + 1e-9)):
-                raise ValueError(
-                    "V_lin exceeds the 5%% linear range of the saturation envelope "
-                    "(g * V_lin must be <= %.5f * min(I_out_max, I_bias))" % LINEAR_5PCT_ARG)
-
-    def _envelope_linear_range(self):
-        g = self.g
-        return LINEAR_5PCT_ARG * self.i_sat / np.where(np.asarray(g) > 0, g, 1.0)
 
     @property
     def g(self):
@@ -87,8 +70,10 @@ class OtaModel:
 
     @property
     def linear_range(self):
-        """Half-width of the <=5%-deviation input range."""
-        return self.V_lin if self.V_lin is not None else self._envelope_linear_range()
+        """Half-width of the input range within which the transfer stays
+        linear to 5% or better: the envelope's own 5%-deviation point."""
+        g = self.g
+        return LINEAR_5PCT_ARG * self.i_sat / np.where(np.asarray(g) > 0, g, 1.0)
 
 
 def ota_output(ota: OtaModel, V_plus, V_minus):
@@ -943,52 +928,7 @@ def circuit_for_adex(target: AdExParameters,
 
 
 # ---------------------------------------------------------------------------
-# population stacking and bias paths
-
-def stack_population(cfgs: Sequence[CircuitNeuronConfig]) -> CircuitNeuronConfig:
-    """Combine per-neuron configs into one config with array leaves.
-
-    Numeric fields become arrays of length len(cfgs); flags and mode
-    strings must be uniform across the population.
-    """
-    if not cfgs:
-        raise ValueError("empty population")
-
-    def combine(objs):
-        first = objs[0]
-        if dataclasses.is_dataclass(first):
-            kwargs = {}
-            for f in dataclasses.fields(first):
-                kwargs[f.name] = combine([getattr(o, f.name) for o in objs])
-            return type(first)(**kwargs)
-        if first is None or isinstance(first, (bool, str)):
-            if any(o != first for o in objs):
-                raise ValueError("flags and modes must be uniform across a population")
-            return first
-        return np.array([float(o) for o in objs])
-
-    return combine(list(cfgs))
-
-
-def unstack_population(cfg: CircuitNeuronConfig, n: int) -> list:
-    """Split a stacked config back into per-neuron scalar configs.
-
-    The tree is walked once: each leaf yields its n values as one list,
-    and each dataclass node is built n times from its children's lists.
-    """
-    def columns(obj) -> list:
-        if dataclasses.is_dataclass(obj):
-            names = [f.name for f in dataclasses.fields(obj)]
-            kind = type(obj)
-            per_field = [columns(getattr(obj, name)) for name in names]
-            return [kind(**dict(zip(names, values))) for values in zip(*per_field)]
-        if obj is None or isinstance(obj, (bool, str)):
-            return [obj] * n
-        arr = np.asarray(obj, dtype=float)
-        return arr[:n].tolist() if arr.ndim else [float(arr)] * n
-
-    return columns(cfg)
-
+# bias paths
 
 def get_bias(cfg, path: str):
     """Read a numeric knob by dotted path, e.g. 'leak_ota.I_bias'."""

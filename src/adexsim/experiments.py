@@ -238,10 +238,10 @@ def run_leak_over_threshold(pop: Population, tau_m_targets, stimulus=None,
         name="leak_over_threshold",
         tolerances={"median_rel_isi_dev": proto.tolerance})
     n = pop.size
-    nominal = pop.neurons[0]
-    c_mem = nominal.C_mem
-    e_l, v_r, v_det, t_ref = (nominal.E_l, nominal.V_r, nominal.V_det,
-                              nominal.t_ref)
+    # mismatch leaves these constants at their nominal values: read neuron 0
+    cfg = pop.stacked()
+    c_mem, e_l, v_r, v_det, t_ref = (float(np.asarray(x)[0]) for x in (
+        cfg.C_mem, cfg.E_l, cfg.V_r, cfg.V_det, cfg.t_ref))
 
     for tau in tau_m_targets:
         target = CalibrationTarget(tau_m=tau, stim_gain=True)

@@ -618,7 +618,7 @@ def measure_stim_gain(neuron, deflection_target: float = 0.04,
     return _scalarize(dv * g_l_meas / i_cmd, errors, n)
 
 
-def measure_b(neuron, tau_w_measured=None, dt: float | None = None):
+def measure_b(neuron):
     """Spike-triggered adaptation increment from the filter-node jump.
 
     One spike is forced with a brief strong pulse; the jump of the
@@ -633,12 +633,10 @@ def measure_b(neuron, tau_w_measured=None, dt: float | None = None):
     n = _population_size(neuron)
     m = n or 1
     cfg = _disable(neuron, exponential=True, synin=True)
-    tau_w = np.broadcast_to(np.asarray(
-        measure_tau_w(cfg) if tau_w_measured is None else tau_w_measured,
-        dtype=float), (m,))
+    tau_w = np.broadcast_to(np.asarray(measure_tau_w(cfg), dtype=float), (m,))
     tau_m_nom = np.atleast_1d(np.asarray(cfg.tau_m, dtype=float))
-    dt = dt or min(float(tau_m_nom.min()) / 60.0,
-                   float(np.broadcast_to(np.asarray(ad.pulse_width, dtype=float), (m,)).min()) / 5.0)
+    dt = min(float(tau_m_nom.min()) / 60.0,
+             float(np.broadcast_to(np.asarray(ad.pulse_width, dtype=float), (m,)).min()) / 5.0)
     g_nom = np.asarray(cfg.g_l, dtype=float)
     drive = 6.0 * float(np.median(np.atleast_1d(
         g_nom * (np.asarray(cfg.V_det) - np.asarray(cfg.E_l)))))

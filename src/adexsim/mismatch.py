@@ -10,12 +10,13 @@ with zero nominal value get additive normal spreads.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import CircuitNeuronConfig, derive_effective_adex, get_bias, set_bias, stack_population, unstack_population
+from .circuit import CircuitNeuronConfig, derive_effective_adex, get_bias, set_bias
 
 
 @dataclass(frozen=True)
@@ -95,22 +96,81 @@ class MismatchModel:
                 raise ValueError(f"sigma for {name!r} must be >= 0")
 
 
-@dataclass
+def _stack(cfgs: list) -> CircuitNeuronConfig:
+    """Combine per-neuron configs into one config with array leaves.
+
+    Numeric fields become arrays of length len(cfgs); flags and mode
+    strings must be uniform across the population.
+    """
+    if not cfgs:
+        raise ValueError("empty population")
+
+    def combine(objs):
+        first = objs[0]
+        if dataclasses.is_dataclass(first):
+            kwargs = {}
+            for f in dataclasses.fields(first):
+                kwargs[f.name] = combine([getattr(o, f.name) for o in objs])
+            return type(first)(**kwargs)
+        if first is None or isinstance(first, (bool, str)):
+            if any(o != first for o in objs):
+                raise ValueError("flags and modes must be uniform across a population")
+            return first
+        return np.array([float(o) for o in objs])
+
+    return combine(cfgs)
+
+
+def _unstack(cfg: CircuitNeuronConfig, n: int) -> list:
+    """Split a stacked config back into per-neuron scalar configs.
+
+    The tree is walked once: each leaf yields its n values as one list,
+    and each dataclass node is built n times from its children's lists.
+    """
+    def columns(obj) -> list:
+        if dataclasses.is_dataclass(obj):
+            names = [f.name for f in dataclasses.fields(obj)]
+            kind = type(obj)
+            per_field = [columns(getattr(obj, name)) for name in names]
+            return [kind(**dict(zip(names, values))) for values in zip(*per_field)]
+        if obj is None or isinstance(obj, (bool, str)):
+            return [obj] * n
+        arr = np.asarray(obj, dtype=float)
+        return arr.tolist() if arr.ndim else [float(arr)] * n
+
+    return columns(cfg)
+
+
 class Population:
-    """Mismatch-perturbed copies of one nominal neuron."""
+    """Mismatch-perturbed copies of one nominal neuron.
 
-    neurons: list
+    A population is one stacked config whose numeric leaves are arrays of
+    `size` values, the form every population routine reads.  The scalar
+    per-neuron configs in `neurons` are built from it on first access.
+    """
 
-    @property
-    def size(self) -> int:
-        return len(self.neurons)
+    def __init__(self, neurons):
+        self._neurons = list(neurons)
+        self._cfg = _stack(self._neurons)
+        self.size = len(self._neurons)
 
     def stacked(self) -> CircuitNeuronConfig:
-        return stack_population(self.neurons)
+        return self._cfg
 
     @classmethod
     def from_stacked(cls, cfg: CircuitNeuronConfig, n: int) -> "Population":
-        return cls(unstack_population(cfg, n))
+        """Wrap a stacked config of n neurons, without splitting it."""
+        if np.shape(cfg.C_mem) != (n,):
+            raise ValueError(f"stacked config does not hold {n} neurons")
+        pop = cls.__new__(cls)
+        pop._neurons, pop._cfg, pop.size = None, cfg, n
+        return pop
+
+    @property
+    def neurons(self) -> list:
+        if self._neurons is None:
+            self._neurons = _unstack(self._cfg, self.size)
+        return self._neurons
 
 
 def _lognormal_multiplier(rng, sigma_rel: float, n: int) -> np.ndarray:
@@ -130,7 +190,7 @@ def sample_population(nominal: CircuitNeuronConfig, mm: MismatchModel, n: int) -
     if n < 1:
         raise ValueError("population size must be >= 1")
     rng = np.random.default_rng(mm.seed)
-    cfg = stack_population([nominal] * n)
+    cfg = _stack([nominal] * n)
     for path in sorted(mm.relative):
         mult = _lognormal_multiplier(rng, mm.relative[path], n)
         cfg = set_bias(cfg, path, np.asarray(get_bias(cfg, path)) * mult)

@@ -127,6 +127,9 @@ class StimulusProgram:
         """Step of `amplitude` from `onset` to `offset` (or until the end)."""
         if not onset >= 0:
             raise ValueError(f"onset must be >= 0 s, got {onset!r} s")
+        if offset is not None and not offset > onset:
+            raise ValueError(f"offset must be after onset, got offset {offset:.6g} s, "
+                             f"onset {onset:.6g} s")
         segs = [(0.0, baseline)] if onset > 0 else []
         segs.append((onset, amplitude))
         if offset is not None:
@@ -239,6 +242,7 @@ def _stepper(p: AdExParameters, dt: float):
     decay_free, phi_free = _membrane_factors(lam, dt)
     exp_on = p.exp_enabled
     V_T, Delta_T, exp_gain = p.V_T, p.Delta_T, p.g_l * p.Delta_T
+    exp_gated = p.exp_gated_in_ref
     v_r_finite = math.isfinite(V_r)
     isfinite, exp = math.isfinite, math.exp
 
@@ -259,9 +263,9 @@ def _stepper(p: AdExParameters, dt: float):
             decay, phi = _membrane_factors(lam, dt - ref)
         w1 = w * decay_w + a * (V0 - E_l) * keep_w
 
-        # the spike-initiation current, clamped; never gated here, since
-        # the integrated window lies after the release
-        if exp_on:
+        # the spike-initiation current, clamped; a gated neuron has none in
+        # the step of its release, as the circuit's gate_in_refractory
+        if exp_on and not (exp_gated and ref > 0):
             i_exp = exp_gain * exp(min((V0 - V_T) / Delta_T, EXP_ARG_CLAMP))
         else:
             i_exp = 0.0

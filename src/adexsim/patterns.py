@@ -79,9 +79,3 @@ def load_patterns() -> dict:
         pattern = _parse_pattern(entry.read_text(), entry.name)
         out[pattern.name] = pattern
     return out
-
-
-PATTERN_NAMES = (
-    "tonic_spiking", "adaptation", "delayed_accelerating", "initial_burst",
-    "regular_bursting", "delayed_regular_bursting", "transient_spiking",
-)

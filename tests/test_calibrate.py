@@ -120,7 +120,7 @@ class TestCalibratePopulation:
         # bounds only span a factor of two, so a 45x slower target is out
         # of reach: every neuron must be reported, none converged
         _, oc, errors = _tune_population(
-            stacked, 3, "leak_ota.I_bias", measure_tau_m, 900e-6,
+            stacked, "leak_ota.I_bias", measure_tau_m, 900e-6,
             bounds=(bias0 / 2, bias0 * 2), tol=0.02)
         assert not np.any(oc.converged)
         assert all("outside reachable" in e for e in errors)
@@ -160,7 +160,7 @@ class TestFailureCauses:
 
         eff = derive_effective_adex(hw_circuit)
         _, oc, errors = _tune_population(
-            stacked, 3, "leak_ota.I_bias", lambda c: fails_at_low_bias(c, 1),
+            stacked, "leak_ota.I_bias", lambda c: fails_at_low_bias(c, 1),
             eff.tau_m, bounds=(lo, hi), tol=0.02)
         assert errors[1] == f"probe measurement failed at bias {lo:.4g}"
         assert not oc.converged[1]

@@ -9,14 +9,12 @@ from adexsim import (
     StimulusProgram, WeightedSpikeTrain, circuit_for_adex, coba_effective_bias,
     default_circuit_config, derive_effective_adex, exponential_current,
     lif_parameters, ota_output, simulate, simulate_circuit, simulate_population,
-    stack_population,
 )
 from adexsim.circuit import (
     MAX_MEMBRANE_CAPACITANCE, get_bias, quiescent_state, set_bias,
-    unstack_population,
 )
 from adexsim.measure import log_linear_fit
-from adexsim.mismatch import default_mismatch_model, sample_population
+from adexsim.mismatch import Population, default_mismatch_model, sample_population
 from stepwise_reference import adaptation_dynamics, circuit_step
 
 
@@ -63,10 +61,6 @@ class TestOta:
         v = ota.linear_range
         out = float(ota_output(ota, v, 0.0))
         assert abs(out - ota.g * v) / (ota.g * v) <= 0.05 + 1e-9
-
-    def test_explicit_v_lin_validated(self):
-        with pytest.raises(ValueError):
-            OtaModel(I_bias=50e-9, g_per_bias=0.5, V_lin=2.0)
 
     def test_zero_bias_dead(self):
         ota = OtaModel(I_bias=0.0, g_per_bias=0.5)
@@ -433,7 +427,7 @@ class TestCircuitStep:
         stim = StimulusProgram.step(20e-6, 50e-9)
         events = {"exc": WeightedSpikeTrain.regular(30e-6, 40e-6, 3, 0.3)}
         kw = dict(syn_events=events, duration=150e-6, dt=0.05e-6, record=True)
-        batch = simulate_population(stack_population(neurons), 16, stim, **kw)
+        batch = simulate_population(Population(neurons).stacked(), 16, stim, **kw)
         counts = [len(s) for s in batch.spikes]
         assert min(counts) == 0 and max(counts) >= 3
         fields = ("V_m", "V_w", "s_exc", "s_inh", "ref_remaining", "pulse_remaining")
@@ -561,8 +555,8 @@ class TestStackAndBiasPaths:
         pop = [hw_circuit,
                set_bias(hw_circuit, "leak_ota.I_bias",
                         get_bias(hw_circuit, "leak_ota.I_bias") * 1.5)]
-        stacked = stack_population(pop)
-        back = unstack_population(stacked, 2)
+        stacked = Population(pop).stacked()
+        back = Population.from_stacked(stacked, 2).neurons
         assert back[0] == hw_circuit
         assert get_bias(back[1], "leak_ota.I_bias") == \
             pytest.approx(get_bias(hw_circuit, "leak_ota.I_bias") * 1.5)
@@ -576,7 +570,7 @@ class TestStackAndBiasPaths:
         other = replace(hw_circuit,
                         exponential=replace(hw_circuit.exponential, enabled=False))
         with pytest.raises(ValueError):
-            stack_population([hw_circuit, other])
+            Population([hw_circuit, other])
 
     def test_c_mem_bound_enforced(self, hw_circuit):
         with pytest.raises(ValueError):

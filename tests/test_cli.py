@@ -204,7 +204,9 @@ class TestConfigErrorsAtParseTime:
         ("current = 22 nA", "current = nan nA", "not a finite number: 'nan' (line "),
         ("current = 22 nA", "current = 22 nA\nonset = -5 us",
          "[stimulus] onset must be >= 0 s"),
-    ], ids=["nan_current", "negative_onset"])
+        ("current = 22 nA", "current = 22 nA\nonset = 20 us\noffset = 20 us",
+         "[stimulus] offset must be after onset, got offset 2e-05 s, onset 2e-05 s"),
+    ], ids=["nan_current", "negative_onset", "offset_not_after_onset"])
     def test_bad_value_exit_2_without_output(self, tmp_path, cfg_path, run_cli,
                                              old, new, message):
         # a NaN current used to run and fail late as a non-finite circuit state

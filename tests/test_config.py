@@ -223,6 +223,15 @@ class TestParse:
         with pytest.raises(ValidationError, match=r"\[stimulus\] onset must be >= 0 s"):
             parse_config(text)
 
+    def test_offset_before_onset_names_both_keys(self):
+        text = CIRCUIT_FULL.replace(
+            "segments = 0 us : 0 nA, 20 us : 60 nA, 250 us : 0 nA",
+            "current = 60 nA\nonset = 20 us\noffset = 10 us")
+        with pytest.raises(ValidationError, match=(
+                r"\[stimulus\] offset must be after onset, "
+                r"got offset 1e-05 s, onset 2e-05 s")):
+            parse_config(text)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("text", [MINIMAL_LIF, CIRCUIT_FULL])

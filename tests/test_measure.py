@@ -13,7 +13,7 @@ from adexsim import (
 )
 from adexsim.circuit import (
     MAX_MEMBRANE_CAPACITANCE, CircuitState, quiescent_state, set_bias,
-    simulate_population, stack_population, unstack_population,
+    simulate_population,
 )
 from adexsim.measure import (
     FILTER_SATURATED, NO_ROOT, RELEASE_STEPS_PER_TAU, RELEASE_WINDOW_TAUS,
@@ -22,7 +22,9 @@ from adexsim.measure import (
     measure_psp_amplitude, measure_resting_offset, measure_stim_gain,
     measure_subthreshold_a, measure_tau_m, measure_tau_syn, measure_tau_w,
 )
-from adexsim.mismatch import MismatchModel, default_mismatch_model, sample_population
+from adexsim.mismatch import (
+    MismatchModel, Population, default_mismatch_model, sample_population,
+)
 from adexsim.model import StimulusProgram
 from adexsim.patterns import load_patterns
 from adexsim.units import DomainMap
@@ -61,7 +63,7 @@ class TestTauM:
         dead = replace(hw_circuit, leak_ota=replace(hw_circuit.leak_ota, **dead_bias))
         with pytest.raises(FitFailed, match="did not decay"):
             measure_tau_m(dead)
-        pop = stack_population([hw_circuit, dead, hw_circuit])
+        pop = Population([hw_circuit, dead, hw_circuit]).stacked()
         taus = measure_tau_m(pop)
         assert np.isnan(taus[1]) and np.all(np.isfinite(taus[[0, 2]]))
         assert taus[0] == measure_tau_m(hw_circuit)
@@ -81,7 +83,7 @@ class TestTauM:
         with np.errstate(over="raise"), pytest.raises(FitFailed) as err:
             measure_tau_m(cfg, proto)
         assert str(err.value) == reason
-        pop = stack_population([hw_circuit, cfg])
+        pop = Population([hw_circuit, cfg]).stacked()
         with np.errstate(over="raise"):
             taus = measure_tau_m(pop, proto)
         assert np.isfinite(taus[0]) and np.isnan(taus[1])
@@ -230,7 +232,7 @@ class TestDeltaT:
         nominal = pattern_nominal(pattern)
         neurons = sample_population(
             nominal, default_mismatch_model(nominal, seed=seed), width).neurons
-        cfg = stack_population(neurons)
+        cfg = Population(neurons).stacked()
 
         def alone(measure, *args):
             try:
@@ -305,8 +307,7 @@ class TestUnbiasedness:
                 V_r=0.42, V_det=0.72, t_ref=1e-6)
             neurons.append(circuit_for_adex(target, default_circuit_config(
                 adaptation_enabled=True, exponential_enabled=True)))
-        from adexsim.circuit import stack_population
-        stacked = stack_population(neurons)
+        stacked = Population(neurons).stacked()
         truth_tau_m = np.array([derive_effective_adex(c).tau_m for c in neurons])
         truth_tau_w = np.array([derive_effective_adex(c).tau_w for c in neurons])
         truth_a = np.array([derive_effective_adex(c).a for c in neurons])
@@ -397,7 +398,8 @@ class TestSteadyStateSolver:
         a_eff = np.asarray(cfg.adaptation.a_effective)
         assert a_eff[9] < 1.4 * np.median(a_eff)
         batch = measure_subthreshold_a(cfg)
-        alone = np.array([measure_subthreshold_a(c) for c in unstack_population(cfg, 128)])
+        alone = np.array([measure_subthreshold_a(c)
+                          for c in Population.from_stacked(cfg, 128).neurons])
         assert np.array_equal(batch, alone)
         assert batch[9] == pytest.approx(-3.806e-7, rel=1e-3)
         assert np.all(np.isfinite(batch))
@@ -406,8 +408,9 @@ class TestSteadyStateSolver:
     def test_a_agrees_with_step_responses(self, drb_seed3, probe):
         cfg, probes = drb_seed3
         keep = [9, 0, 1, 2, 3, 4, 5, 6]  # the outlier plus a sample
-        cfg = stack_population([unstack_population(
-            set_bias(cfg, "adaptation.ota_a.I_bias", probes[probe]), 128)[i] for i in keep])
+        neurons = Population.from_stacked(
+            set_bias(cfg, "adaptation.ota_a.I_bias", probes[probe]), 128).neurons
+        cfg = Population([neurons[i] for i in keep]).stacked()
         m = len(keep)
         solved = measure_subthreshold_a(cfg)
         oracle, settled = transient_a(cfg, m)

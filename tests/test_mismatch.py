@@ -1,11 +1,48 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from adexsim import (
+    CalibrationTarget, calibrate_population, circuit_for_adex,
+    default_circuit_config, derive_effective_adex, load_patterns,
+    run_psp_experiment,
+)
+from adexsim import mismatch
 from adexsim.circuit import get_bias
 from adexsim.mismatch import (
     MismatchModel, PARAMETER_RANGES, Population, default_mismatch_model,
     sample_population,
 )
+from adexsim.units import DomainMap
+
+
+@functools.lru_cache(maxsize=None)
+def pattern_nominal(name):
+    """A firing pattern's nominal circuit, as `run_firing_patterns` builds it."""
+    hw, _, _, _ = load_patterns()[name].to_hardware(DomainMap())
+    return circuit_for_adex(hw, default_circuit_config(E_l=hw.E_l))
+
+
+def leaf_bits(cfg) -> dict:
+    """Dotted path -> (dtype, shape, bytes) of each numeric leaf, or the
+    flag or mode itself."""
+    out = {}
+
+    def walk(obj, path):
+        if dataclasses.is_dataclass(obj):
+            for f in dataclasses.fields(obj):
+                walk(getattr(obj, f.name), f"{path}.{f.name}".lstrip("."))
+        elif obj is None or isinstance(obj, (bool, str)):
+            out[path] = obj
+        else:
+            arr = np.asarray(obj)
+            out[path] = (arr.dtype.str, arr.shape, arr.tobytes())
+
+    walk(cfg, "")
+    return out
 
 
 class TestSamplePopulation:
@@ -48,6 +85,45 @@ class TestSamplePopulation:
         pop = sample_population(hw_circuit, mm, 6)
         again = Population.from_stacked(pop.stacked(), 6)
         assert again.neurons == pop.neurons
+
+
+
+class TestStackedRepresentation:
+    def test_population_paths_never_split_the_config(self, hw_circuit, monkeypatch):
+        # sampling, calibration and the PSP experiment read the stacked
+        # config only; none may build the scalar per-neuron configs
+        def refuse(cfg, n):
+            raise AssertionError("stacked population split into scalar configs")
+
+        monkeypatch.setattr(mismatch, "_unstack", refuse)
+        pop = sample_population(hw_circuit, default_mismatch_model(hw_circuit, seed=2), 16)
+        target = CalibrationTarget(tau_m=derive_effective_adex(hw_circuit).tau_m,
+                                   stim_gain=True)
+        cal = calibrate_population(pop, target, plan=("tau_m", "stim_gain"))
+        report = run_psp_experiment(cal.population)
+        assert cal.population.size == 16
+        assert len(report.per_neuron) == 16
+        with pytest.raises(AssertionError, match="split"):
+            cal.population.neurons
+
+    def test_neurons_built_once(self, hw_circuit):
+        pop = sample_population(hw_circuit, default_mismatch_model(hw_circuit, seed=4), 5)
+        first = pop.neurons
+        assert pop.neurons is first
+        assert Population(first).neurons == first
+
+    def test_from_stacked_checks_the_size(self, hw_circuit):
+        pop = sample_population(hw_circuit, default_mismatch_model(hw_circuit, seed=4), 5)
+        with pytest.raises(ValueError, match="does not hold 4 neurons"):
+            Population.from_stacked(pop.stacked(), 4)
+
+    @given(pattern=st.sampled_from(sorted(load_patterns())),
+           seed=st.integers(0, 2 ** 32 - 1), width=st.integers(1, 6))
+    def test_round_trip_keeps_every_bit(self, pattern, seed, width):
+        nominal = pattern_nominal(pattern)
+        pop = sample_population(nominal, default_mismatch_model(nominal, seed=seed), width)
+        assert leaf_bits(Population(pop.neurons).stacked()) == leaf_bits(pop.stacked())
+        assert Population.from_stacked(pop.stacked(), width).neurons == pop.neurons
 
 
 class TestDefaultModel:

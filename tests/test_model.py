@@ -229,6 +229,25 @@ class TestSimulate:
                 + p.a * (tr.V[k - 1] - p.E_l) * (1 - math.exp(-tr.dt / p.tau_w))
             assert tr.w[k] - w_pre_decayed == pytest.approx(p.b, rel=1e-9)
 
+    @pytest.mark.parametrize("t_ref_steps, differ", [(3.4, True), (0.0, False)],
+                             ids=["fractional_release", "no_refractory"])
+    def test_gate_zeroes_exponential_in_release_step(self, tonic_params,
+                                                     t_ref_steps, differ):
+        # a gated neuron has no spike-initiation current in the step of its
+        # release; with t_ref = 0 there is no such step and the flag is moot
+        from dataclasses import replace
+        dt = tonic_params.tau_m / 500
+        p = replace(tonic_params, t_ref=t_ref_steps * dt, b=40e-12)
+        stim = StimulusProgram.step(100 * dt, 500e-12, 3000 * dt)
+        ungated, gated = (simulate(replace(p, exp_gated_in_ref=flag), stim,
+                                   duration=4000 * dt, dt=dt)
+                          for flag in (False, True))
+        assert len(ungated.spikes) >= 5
+        same = (gated.V.tobytes() == ungated.V.tobytes()
+                and gated.w.tobytes() == ungated.w.tobytes()
+                and gated.spikes.tobytes() == ungated.spikes.tobytes())
+        assert same is not differ
+
 
 def _stepwise(p, stimulus, n_steps, dt, synaptic_inputs=(), state=None):
     """V, w and spikes from a loop of public `step` calls, the oracle of
