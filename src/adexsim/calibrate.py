@@ -292,7 +292,9 @@ def calibrate_parameter(neuron: CircuitNeuronConfig, target_value: float,
         raise NotConverged(errors[0] or "calibration did not converge",
                            best_bias=float(outcome.biases[0]),
                            best_residual=float(outcome.residuals[0]))
-    return cfg, float(outcome.biases[0]), float(outcome.residuals[0])
+    bias = float(outcome.biases[0])
+    # the tuner works on populations; hand back a scalar neuron
+    return set_bias(cfg, bias_name, bias), bias, float(outcome.residuals[0])
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .calibrate import calibrate_population
 from .circuit import simulate_circuit
-from .config import RunConfig, parse_config, serialize_config
+from .config import RunConfig, _pick, parse_config, serialize_config
 from .errors import AdexSimError, ParseError, ValidationError
 from .experiments import (
     LotProtocol, PspProtocol, run_exponential_sweep, run_firing_patterns,
@@ -130,18 +130,21 @@ def _build_population(run: RunConfig) -> Population:
     return sample_population(nominal, mm, run.mismatch_size)
 
 
-def _cmd_simulate(run: RunConfig, out: _Output) -> int:
+def _simulate(run: RunConfig):
+    """The trace of the run's one neuron under its stimulus."""
     if run.model == "ideal":
         if run.events:
             raise ValidationError(
                 "[events_*] sections require the circuit model; the ideal "
                 "model takes synaptic inputs through the library API")
-        trace = simulate(run.neuron, run.stimulus, None,
-                         duration=run.duration, dt=run.dt)
-    else:
-        trace = simulate_circuit(run.circuit, run.stimulus,
-                                 syn_events=run.events or None,
-                                 duration=run.duration, dt=run.dt)
+        return simulate(run.neuron, run.stimulus, None,
+                        duration=run.duration, dt=run.dt)
+    return simulate_circuit(run.circuit, run.stimulus, syn_events=run.events,
+                            duration=run.duration, dt=run.dt)
+
+
+def _cmd_simulate(run: RunConfig, out: _Output) -> int:
+    trace = _simulate(run)
     if run.fmt == "csv":
         out.add("trace.csv", trace_to_csv(trace))
         out.add("spikes.csv", spikes_to_csv(trace.spikes))
@@ -185,47 +188,48 @@ def _cmd_calibrate(run: RunConfig, out: _Output) -> int:
     return EXIT_OK if result.all_converged else EXIT_GATE_FAILED
 
 
+# the time constants of a leak-over-threshold config that names none
+_LOT_TAU_M_TARGETS = (10e-6, 31.6e-6, 100e-6, 316e-6, 900e-6)
+
+
 def _run_one_experiment(run: RunConfig, spec: dict):
+    """Run the named experiment with the keys the config sets; the
+    experiment's own defaults fill the rest."""
     name = spec["name"]
     if name == "leak_over_threshold":
-        pop = _build_population(run)
-        targets = spec.get("tau_m_targets") or (10e-6, 31.6e-6, 100e-6, 316e-6, 900e-6)
-        cfg = run.circuit
-        margin = 1.6
-        if spec.get("v_inf") is not None:
-            margin = (spec["v_inf"] - cfg.E_l) / (cfg.V_det - cfg.E_l)
-        proto = LotProtocol(
-            v_inf_margin=margin,
-            n_isis=spec.get("n_isis") or 10,
-            tolerance=spec.get("tolerance") or 0.05)
-        return run_leak_over_threshold(pop, targets, proto)
+        proto = _pick(spec, n_isis="n_isis", tolerance="tolerance")
+        if "v_inf" in spec:
+            cfg = run.circuit
+            proto["v_inf_margin"] = (spec["v_inf"] - cfg.E_l) / (cfg.V_det - cfg.E_l)
+        return run_leak_over_threshold(_build_population(run),
+                                       spec.get("tau_m_targets", _LOT_TAU_M_TARGETS),
+                                       LotProtocol(**proto))
     if name == "psp":
+        try:
+            proto = PspProtocol(**_pick(spec, line="line", weight="weight"))
+        except ValueError as err:
+            raise ValidationError(f"[experiment] {err}") from None
         pop = _build_population(run)
-        target = run.calibration
-        if target is not None:
-            pop = calibrate_population(pop, target, plan=run.calibration_plan,
+        if run.calibration is not None:
+            pop = calibrate_population(pop, run.calibration, plan=run.calibration_plan,
                                        tol=run.calibration_tol).population
-        proto = PspProtocol(line=spec.get("line") or "exc",
-                            weight=spec.get("weight") or 1.0)
-        return run_psp_experiment(pop, proto, n_events=spec.get("n_events") or 3)
+        return run_psp_experiment(pop, proto, **_pick(spec, n_events="n_events"))
     if name == "exponential_sweep":
         cfg = run.circuit
         if not cfg.exponential.enabled:
             raise ValidationError("exponential_sweep requires [exponential] enabled = true")
-        return run_exponential_sweep(cfg, onsets=spec.get("onsets"),
-                                     slopes=spec.get("slopes"))
+        return run_exponential_sweep(cfg, **_pick(spec, onsets="onsets", slopes="slopes"))
     if name == "firing_patterns":
         patterns = load_patterns()
-        wanted = spec.get("patterns")
-        if wanted:
-            unknown = [w for w in wanted if w not in patterns]
+        if "patterns" in spec:
+            unknown = [w for w in spec["patterns"] if w not in patterns]
             if unknown:
                 raise ValidationError(f"unknown patterns: {', '.join(unknown)}")
-            patterns = {k: patterns[k] for k in wanted}
+            patterns = {k: patterns[k] for k in spec["patterns"]}
         return run_firing_patterns(
             patterns, model=run.model,
-            population_size=spec.get("population") or run.mismatch_size,
-            seed=run.seed, agreement=spec.get("agreement") or 0.95)
+            population_size=spec.get("population", run.mismatch_size),
+            seed=run.seed, **_pick(spec, agreement="agreement"))
     raise ValidationError(f"unknown experiment {name!r}")
 
 
@@ -240,30 +244,13 @@ def _cmd_experiment(run: RunConfig, out: _Output) -> int:
 
 
 def _cmd_sweep(run: RunConfig, out: _Output) -> int:
-    key = run.sweep["key"]
-    values = run.sweep["values"]
-    section, _, name = key.partition(".")
-
-    def one(value):
-        text = serialize_config(run)
-        sub = parse_config(text)
-        # parse_config admits only neuron.* (ideal model) and run.* keys
-        if section == "neuron":
-            sub.neuron = replace(sub.neuron, **{name: value})
-        else:
-            setattr(sub, name, value)
-        if sub.model == "ideal":
-            trace = simulate(sub.neuron, sub.stimulus, None,
-                             duration=sub.duration, dt=sub.dt)
-        else:
-            trace = simulate_circuit(sub.circuit, sub.stimulus,
-                                     syn_events=sub.events or None,
-                                     duration=sub.duration, dt=sub.dt)
-        return value, trace
-
-    results = [one(v) for v in values]
+    section, _, name = run.sweep["key"].partition(".")
     summary_rows = ["index,value,n_spikes,median_isi_us"]
-    for idx, (value, trace) in enumerate(results):
+    for idx, value in enumerate(run.sweep["values"]):
+        # parse_config admits only neuron.* (ideal model) and run.* keys
+        point = (replace(run, neuron=replace(run.neuron, **{name: value}))
+                 if section == "neuron" else replace(run, **{name: value}))
+        trace = _simulate(point)
         out.add(f"sweep_{idx:03d}.csv", trace_to_csv(trace))
         isis = np.diff(trace.spikes)
         med = float(np.median(isis)) * 1e6 if len(isis) else float("nan")
@@ -321,8 +308,8 @@ def main(argv=None) -> int:
                 f"command line asks for {args.name!r}")
         if args.command == "experiment" and not run.experiment:
             run.experiment = {"name": args.name}
-        out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV) \
-            or run.out_dir or "adexsim-out"
+        out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV) or (
+            "adexsim-out" if run.out_dir is None else run.out_dir)
         parent = os.path.dirname(os.path.abspath(out_dir))
         if not os.path.isdir(parent):
             print(f"error: output location {parent!r} does not exist",

@@ -18,7 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .calibrate import DEFAULT_PLAN, CalibrationTarget
-from .circuit import CircuitNeuronConfig, circuit_for_adex, default_circuit_config
+from .circuit import (
+    CircuitNeuronConfig, circuit_for_adex, default_circuit_config, default_leak_ota,
+)
 from .errors import ParseError, ValidationError
 from .model import AdExParameters, StimulusProgram
 from .synapse import WeightedSpikeTrain
@@ -216,6 +218,12 @@ SCHEMA = {
 # mismatch sigma overrides use prefixed keys with a dotted constant path
 _SIGMA_PREFIXES = ("sigma_rel_", "sigma_abs_")
 
+# keys a circuit owner divides by: each must be > 0 when the file sets it
+_POSITIVE = {"circuit": ("tau_m", "C_mem"), "adaptation": ("tau_w", "pulse_width"),
+             "syn_exc": ("tau_syn",), "syn_inh": ("tau_syn",),
+             "exponential": ("delta_t",)}
+
+
 @dataclass
 class RunConfig:
     """Validated run-level settings plus the parsed payload objects."""
@@ -243,12 +251,11 @@ class RunConfig:
     sweep: dict = field(default_factory=dict)
 
 
-def _get(sections, section, key, kind, dims, default=None, required=False):
+def _get(sections, section, key, kind, dims):
+    """The parsed value of one key, or None when the file does not set it."""
     sec = sections.get(section, {})
     if key not in sec:
-        if required:
-            raise ValidationError(f"[{section}] {key} is required")
-        return default
+        return None
     raw, line = sec[key]
     if kind == "quantity":
         return parse_quantity(raw, dims, line)
@@ -261,17 +268,29 @@ def _get(sections, section, key, kind, dims, default=None, required=False):
             raise ParseError(f"expected an integer, got {raw!r}", line) from None
     if kind == "string":
         value = raw.strip()
+        if not value:
+            raise ValidationError(f"[{section}] {key} needs a value")
         if dims is not None and value not in dims:
             raise ValidationError(
                 f"[{section}] {key} must be one of {', '.join(dims)}; got {value!r}")
         return value
-    if kind == "list":
-        return _parse_list(raw, dims, line)
     if kind == "pairs":
         return _parse_pairs(raw, dims[0], dims[1], line)
-    if kind == "names":
-        return _parse_names(raw, line)
-    raise AssertionError(kind)
+    value = _parse_list(raw, dims, line) if kind == "list" else _parse_names(raw, line)
+    if not value:
+        raise ValidationError(f"[{section}] {key} needs at least one value")
+    return value
+
+
+def _given(sections, section) -> dict:
+    """{key: parsed value} for the schema keys of `section` the file sets."""
+    return {key: _get(sections, section, key, *SCHEMA[section][key])
+            for key in sections.get(section, {}) if key in SCHEMA[section]}
+
+
+def _pick(values: dict, **names) -> dict:
+    """{name: values[key]} for each name=key whose key is in `values`."""
+    return {name: values[key] for name, key in names.items() if key in values}
 
 
 def _check_unknown(sections):
@@ -290,25 +309,11 @@ def _check_unknown(sections):
 def _build_neuron(sections) -> AdExParameters | None:
     if "neuron" not in sections:
         return None
-    vals = {}
-    for key, (kind, dim) in SCHEMA["neuron"].items():
-        vals[key] = _get(sections, "neuron", key, kind, dim)
-    defaults = dict(t_ref=0.0, exp_enabled=True, exp_gated_in_ref=False)
-    for key, dv in defaults.items():
-        if vals.get(key) is None:
-            vals[key] = dv
-    if vals.get("exp_enabled") is False:
-        vals.setdefault("V_T", None)
-        if vals["V_T"] is None:
-            vals["V_T"] = vals.get("E_l")
-        if vals.get("Delta_T") is None:
-            vals["Delta_T"] = 1e-3
-    if vals.get("a") is None:
-        vals["a"] = 0.0
-    if vals.get("b") is None:
-        vals["b"] = 0.0
-    if vals.get("tau_w") is None:
-        vals["tau_w"] = 1.0
+    # omitted adaptation keys give a neuron without adaptation; with the
+    # exponential off, V_T and Delta_T are unused and need no value
+    vals = {"tau_w": 1.0, "a": 0.0, "b": 0.0, **_given(sections, "neuron")}
+    if not vals.get("exp_enabled", AdExParameters.exp_enabled):
+        vals = {"V_T": vals.get("E_l"), "Delta_T": 1e-3, **vals}
     missing = [k for k in ("C", "g_l", "E_l", "V_T", "Delta_T", "V_r", "V_det")
                if vals.get(k) is None]
     if missing:
@@ -320,119 +325,93 @@ def _build_neuron(sections) -> AdExParameters | None:
 
 
 def _build_circuit(sections) -> CircuitNeuronConfig:
-    get = lambda sec, key: _get(sections, sec, key, *SCHEMA[sec][key])
-    tau_m = get("circuit", "tau_m") or 20e-6
-    for name, value in (("circuit.tau_m", tau_m),
-                        ("adaptation.tau_w", get("adaptation", "tau_w")),
-                        ("syn_exc.tau_syn", get("syn_exc", "tau_syn")),
-                        ("syn_inh.tau_syn", get("syn_inh", "tau_syn")),
-                        ("exponential.delta_t", get("exponential", "delta_t"))):
-        if value is not None and not value > 0:
-            raise ValidationError(f"[{name.split('.')[0]}] violates "
-                                  f"{name.split('.')[1]} > 0")
-    e_l = get("circuit", "E_l")
-    e_l = 0.5 if e_l is None else e_l
-    v_det = get("circuit", "V_det")
-    v_det = 0.75 if v_det is None else v_det
-    v_r = get("circuit", "V_r")
-    v_r = 0.35 if v_r is None else v_r
-    t_ref = get("circuit", "t_ref")
-    t_ref = 1e-6 if t_ref is None else t_ref
-    adapt_on = bool(get("adaptation", "enabled"))
-    exp_on = bool(get("exponential", "enabled"))
-    coba = bool(get("syn_exc", "coba")) or bool(get("syn_inh", "coba"))
-    c_mem = get("circuit", "C_mem")
+    given = {section: _given(sections, section) for section in
+             ("circuit", "adaptation", "exponential", "syn_exc", "syn_inh")}
+    for section, keys in _POSITIVE.items():
+        for key in keys:
+            if key in given[section] and not given[section][key] > 0:
+                raise ValidationError(f"[{section}] violates {key} > 0")
+    circuit, adaptation, exponential = (given[s] for s in ("circuit", "adaptation",
+                                                           "exponential"))
+    coba = [given[s]["coba"] for s in ("syn_exc", "syn_inh") if "coba" in given[s]]
     try:
-        cfg = default_circuit_config(tau_m=tau_m, E_l=e_l, V_det=v_det, V_r=v_r,
-                                     t_ref=t_ref, adaptation_enabled=adapt_on,
-                                     exponential_enabled=exp_on, coba=coba)
-        if c_mem is not None:
-            cfg = replace(cfg, C_mem=c_mem,
-                          leak_ota=replace(cfg.leak_ota,
-                                           I_bias=c_mem / tau_m / cfg.leak_ota.g_per_bias))
+        cfg = default_circuit_config(
+            **_pick(circuit, tau_m="tau_m", E_l="E_l", V_det="V_det", V_r="V_r",
+                    t_ref="t_ref"),
+            **_pick(adaptation, adaptation_enabled="enabled"),
+            **_pick(exponential, exponential_enabled="enabled"),
+            **({"coba": any(coba)} if coba else {}))
+        adapt_on = cfg.adaptation.enabled
+        if "C_mem" in circuit:
+            cfg = replace(cfg, C_mem=circuit["C_mem"], leak_ota=default_leak_ota(
+                C_mem=circuit["C_mem"], **_pick(circuit, tau_m="tau_m")))
+        # the ideal parameters the circuit realizes; the circuit has no
+        # owner for these defaults, so they are stated here
         target = AdExParameters(
-            C=cfg.C_mem, g_l=cfg.g_l, E_l=e_l,
-            V_T=get("exponential", "v_t") or (v_det - 0.1),
-            Delta_T=get("exponential", "delta_t") or 0.02,
-            tau_w=get("adaptation", "tau_w") or 100e-6,
-            a=get("adaptation", "a") or 0.0,
-            b=get("adaptation", "b") or 0.0,
-            V_r=v_r, V_det=v_det, t_ref=t_ref,
-            exp_enabled=exp_on,
-            exp_gated_in_ref=bool(get("exponential", "gate_in_refractory") or False))
-        cfg = circuit_for_adex(target, cfg,
-                               pulse_width=get("adaptation", "pulse_width"))
+            C=cfg.C_mem, g_l=cfg.g_l, E_l=cfg.E_l,
+            V_T=exponential.get("v_t", cfg.V_det - 0.1),
+            Delta_T=exponential.get("delta_t", 0.02),
+            tau_w=adaptation.get("tau_w", 100e-6),
+            a=adaptation.get("a", 0.0), b=adaptation.get("b", 0.0),
+            V_r=cfg.V_r, V_det=cfg.V_det, t_ref=cfg.t_ref,
+            exp_enabled=cfg.exponential.enabled,
+            **_pick(exponential, exp_gated_in_ref="gate_in_refractory"))
+        cfg = circuit_for_adex(target, cfg, **_pick(adaptation, pulse_width="pulse_width"))
         if not adapt_on:
             cfg = replace(cfg, adaptation=replace(cfg.adaptation, enabled=False))
         for side in ("exc", "inh"):
             syn = getattr(cfg, f"syn_{side}")
-            tau_syn = get(f"syn_{side}", "tau_syn")
-            if tau_syn is not None:
-                syn = replace(syn, g_leak_line=syn.C_line / tau_syn)
-            bias = get(f"syn_{side}", "bias")
-            if bias is not None:
-                syn = replace(syn, I_b_cuba=bias)
-            e_syn = get(f"syn_{side}", "e_syn")
-            e_syn_hat = get(f"syn_{side}", "e_syn_hat")
-            if e_syn is not None and e_syn_hat is not None:
+            values = given[f"syn_{side}"]
+            if "tau_syn" in values:
+                syn = replace(syn, g_leak_line=syn.C_line / values["tau_syn"])
+            if "bias" in values:
+                syn = replace(syn, I_b_cuba=values["bias"])
+            if "e_syn" in values and "e_syn_hat" in values:
                 raise ValidationError(
                     f"[syn_{side}] give either e_syn or e_syn_hat, not both")
-            if e_syn is not None and syn.coba_enabled:
-                syn = replace(syn, E_syn_hat=e_syn - syn.I_b_cuba / syn.g2)
-            if e_syn_hat is not None and syn.coba_enabled:
-                syn = replace(syn, E_syn_hat=e_syn_hat)
-            enabled = get(f"syn_{side}", "enabled")
-            if enabled is not None:
-                syn = replace(syn, enabled=enabled)
+            if "e_syn" in values and syn.coba_enabled:
+                syn = replace(syn, E_syn_hat=values["e_syn"] - syn.I_b_cuba / syn.g2)
+            if "e_syn_hat" in values and syn.coba_enabled:
+                syn = replace(syn, E_syn_hat=values["e_syn_hat"])
+            syn = replace(syn, **_pick(values, enabled="enabled"))
             cfg = replace(cfg, **{f"syn_{side}": syn})
-        if get("exponential", "i_max") is not None:
-            cfg = replace(cfg, exponential=replace(cfg.exponential,
-                                                   I_max=get("exponential", "i_max")))
+        cfg = replace(cfg, exponential=replace(cfg.exponential,
+                                               **_pick(exponential, I_max="i_max")))
     except ValueError as err:
         raise ValidationError(str(err)) from None
     return cfg
 
 
 def _build_stimulus(sections) -> StimulusProgram:
-    if "stimulus" not in sections:
-        return StimulusProgram.constant(0.0)
-    segments = _get(sections, "stimulus", "segments", "pairs", ("time", "current"))
-    current = _get(sections, "stimulus", "current", "quantity", "current")
-    if segments is not None and current is not None:
+    given = _given(sections, "stimulus")
+    if "segments" in given and "current" in given:
         raise ValidationError("[stimulus] give either segments or current/onset, not both")
     try:
-        if segments is not None:
-            return StimulusProgram(segments)
-        current = current or 0.0
-        onset = _get(sections, "stimulus", "onset", "quantity", "time") or 0.0
-        offset = _get(sections, "stimulus", "offset", "quantity", "time")
-        if onset == 0.0 and offset is None:
+        if "segments" in given:
+            return StimulusProgram(given["segments"])
+        # a section without a current injects none
+        current = given.get("current", 0.0)
+        onset = given.get("onset", 0.0)
+        if onset == 0.0 and "offset" not in given:
             return StimulusProgram.constant(current)
-        return StimulusProgram.step(onset, current, offset)
+        return StimulusProgram.step(onset, current, given.get("offset"))
     except ValueError as err:
         raise ValidationError(f"[stimulus] {err}") from None
 
 
-def _build_calibration(sections):
-    if "calibration" not in sections:
-        return None, None, 0.02
-    get = lambda key: _get(sections, "calibration", key, *SCHEMA["calibration"][key])
-    target = CalibrationTarget(
-        tau_m=get("tau_m"), stim_gain=bool(get("stim_gain")),
-        delta_t=get("delta_t"), v_t=get("v_t"), tau_w=get("tau_w"),
-        a=get("a"), b=get("b"),
-        tau_syn_exc=get("tau_syn_exc"), tau_syn_inh=get("tau_syn_inh"),
-        psp_amplitude_exc=get("psp_amplitude_exc"),
-        psp_amplitude_inh=get("psp_amplitude_inh"),
-        offset_exc=bool(get("offset_exc")), offset_inh=bool(get("offset_inh")),
-        allow_out_of_range=bool(get("allow_out_of_range")))
-    plan = get("plan")
-    if plan is not None:
-        unknown = [p for p in plan if p not in DEFAULT_PLAN]
-        if unknown:
-            raise ValidationError(f"[calibration] unknown plan entries: {', '.join(unknown)}")
-    tol = get("tol")
-    return target, plan, (0.02 if tol is None else tol)
+def _build_calibration(sections) -> dict:
+    """The [calibration] fields of a RunConfig that the file sets."""
+    given = _given(sections, "calibration")
+    unknown = [p for p in given.get("plan", ()) if p not in DEFAULT_PLAN]
+    if unknown:
+        raise ValidationError(f"[calibration] unknown plan entries: {', '.join(unknown)}")
+    try:
+        target = CalibrationTarget(**{k: v for k, v in given.items()
+                                      if k not in ("tol", "plan")})
+    except ValueError as err:
+        raise ValidationError(f"[calibration] {err}") from None
+    return {"calibration": target,
+            **_pick(given, calibration_tol="tol", calibration_plan="plan")}
 
 
 def _check_timing(dt, duration, where=""):
@@ -445,97 +424,92 @@ def _check_timing(dt, duration, where=""):
                               f"duration ({duration:.6g} s)")
 
 
+def _build_sweep(sections, run: RunConfig) -> dict:
+    key = _get(sections, "sweep", "key", *SCHEMA["sweep"]["key"])
+    values = _get(sections, "sweep", "values", *SCHEMA["sweep"]["values"])
+    if key is None or values is None:
+        raise ValidationError("[sweep] needs both key and values")
+    section, _, name = key.partition(".")
+    if section not in SCHEMA or name not in SCHEMA[section]:
+        raise ValidationError(f"[sweep] unknown key {key!r}")
+    if section not in ("neuron", "run"):
+        raise ValidationError(f"[sweep] sweep over [{section}] is not supported; "
+                              "use neuron.* or run.*")
+    if section == "neuron" and run.model != "ideal":
+        raise ValidationError(f"[sweep] key {key!r} is not read by model "
+                              f"{run.model!r}; neuron.* sweeps need model = ideal")
+    kind, dim = SCHEMA[section][name]
+    if kind != "quantity":
+        raise ValidationError(f"[sweep] key {key!r} is not a scalar quantity")
+    values = tuple(parse_quantity(v, dim, sections["sweep"]["values"][1]) for v in values)
+    for value in values:
+        if section == "run":
+            dt, duration = (value, run.duration) if name == "dt" else (run.dt, value)
+            _check_timing(dt, duration, where=f"[sweep] {key} = {value:.6g} s: ")
+        else:
+            try:
+                replace(run.neuron, **{name: value})
+            except ValueError as err:
+                raise ValidationError(f"[sweep] {key} = {format_quantity(value, dim)}: "
+                                      f"{err}") from None
+    return {"key": key, "values": values}
+
+
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a config document into a RunConfig."""
+    """Parse and validate a config document into a RunConfig.
+
+    A key the file omits takes the default of the object that owns it; a
+    key the file sets is used as written or rejected."""
     sections = read_config_sections(text)
     _check_unknown(sections)
-    get = lambda sec, key: _get(sections, sec, key, *SCHEMA[sec][key])
 
-    run = RunConfig()
-    run.mode = get("run", "mode") or "simulate"
-    run.model = get("run", "model") or ("ideal" if "neuron" in sections else "circuit")
-    seed = get("run", "seed")
-    run.seed = DEFAULT_SEED if seed is None else seed
-    dt = get("run", "dt")
-    duration = get("run", "duration")
-    run.dt = 0.05e-6 if dt is None else dt
-    run.duration = 500e-6 if duration is None else duration
+    given = _given(sections, "run")
+    given.pop("jobs", None)  # still accepted and type-checked; runs are sequential
+    if "neuron" not in sections:
+        given.setdefault("model", "circuit")
+    run = RunConfig(**_pick(given, mode="mode", model="model", seed="seed", dt="dt",
+                            duration="duration", fmt="format", out_dir="out"))
     _check_timing(run.dt, run.duration)
-    run.fmt = get("run", "format") or "csv"
-    run.out_dir = get("run", "out")
-    get("run", "jobs")  # still accepted and type-checked; runs are sequential
 
     run.neuron = _build_neuron(sections)
     run.circuit = _build_circuit(sections)
     if run.model == "ideal" and run.neuron is None:
         raise ValidationError("model 'ideal' requires a [neuron] section")
-    run.stimulus = _build_stimulus(sections)
+    if "stimulus" in sections:
+        run.stimulus = _build_stimulus(sections)
 
     for side in ("exc", "inh"):
-        sec = f"events_{side}"
-        if sec in sections:
-            pairs = _get(sections, sec, "events", "pairs", ("time", "none"))
-            if pairs:
-                try:
-                    run.events[side] = WeightedSpikeTrain(pairs)
-                except ValueError as err:
-                    raise ValidationError(f"[{sec}] {err}") from None
+        pairs = _given(sections, f"events_{side}").get("events")
+        if pairs:
+            try:
+                run.events[side] = WeightedSpikeTrain(pairs)
+            except ValueError as err:
+                raise ValidationError(f"[events_{side}] {err}") from None
 
-    if "mismatch" in sections:
-        size = get("mismatch", "size")
-        run.mismatch_size = 128 if size is None else size
-        if run.mismatch_size < 1:
-            raise ValidationError("[mismatch] size must be >= 1")
-        run.mismatch_seed = get("mismatch", "seed")
-        enabled = get("mismatch", "enabled")
-        run.mismatch_enabled = True if enabled is None else enabled
-        for key, (raw, line) in sections["mismatch"].items():
-            for prefix in _SIGMA_PREFIXES:
-                if key.startswith(prefix):
-                    run.mismatch_overrides[key] = parse_quantity(raw, "none", line)
+    mismatch = _given(sections, "mismatch")
+    if "size" in mismatch and mismatch["size"] < 1:
+        raise ValidationError("[mismatch] size must be >= 1")
+    for key, (raw, line) in sections.get("mismatch", {}).items():
+        if key.startswith(_SIGMA_PREFIXES):
+            run.mismatch_overrides[key] = parse_quantity(raw, "none", line)
+    run = replace(run, **{f"mismatch_{key}": value for key, value in mismatch.items()})
 
-    try:
-        run.calibration, run.calibration_plan, run.calibration_tol = \
-            _build_calibration(sections)
-    except ValidationError:
-        raise
-    except ValueError as err:
-        raise ValidationError(f"[calibration] {err}") from None
+    if "calibration" in sections:
+        run = replace(run, **_build_calibration(sections))
 
     if "experiment" in sections:
-        spec = {}
-        for key in sections["experiment"]:
-            spec[key] = get("experiment", key)
+        spec = _given(sections, "experiment")
         if "name" not in spec:
             raise ValidationError("[experiment] name is required")
+        for key, value in spec.items():
+            if SCHEMA["experiment"][key][0] == "int" and value < 1:
+                raise ValidationError(f"[experiment] {key} must be >= 1, got {value}")
         run.experiment = spec
     if run.mode == "experiment" and not run.experiment:
         raise ValidationError("mode 'experiment' requires an [experiment] section")
 
     if "sweep" in sections:
-        key = get("sweep", "key")
-        values = get("sweep", "values")
-        if key is None or values is None:
-            raise ValidationError("[sweep] needs both key and values")
-        section, _, name = key.partition(".")
-        if section not in SCHEMA or name not in SCHEMA[section]:
-            raise ValidationError(f"[sweep] unknown key {key!r}")
-        if section not in ("neuron", "run"):
-            raise ValidationError(f"[sweep] sweep over [{section}] is not supported; "
-                                  "use neuron.* or run.*")
-        if section == "neuron" and run.model != "ideal":
-            raise ValidationError(f"[sweep] key {key!r} is not read by model "
-                                  f"{run.model!r}; neuron.* sweeps need model = ideal")
-        kind, dim = SCHEMA[section][name]
-        if kind != "quantity":
-            raise ValidationError(f"[sweep] key {key!r} is not a scalar quantity")
-        run.sweep = {"key": key,
-                     "values": tuple(parse_quantity(v, dim, sections["sweep"]["values"][1])
-                                     for v in values)}
-        if section == "run":
-            for value in run.sweep["values"]:
-                dt, duration = (value, run.duration) if name == "dt" else (run.dt, value)
-                _check_timing(dt, duration, where=f"[sweep] {key} = {value:.6g} s: ")
+        run.sweep = _build_sweep(sections, run)
     if run.mode == "sweep" and not run.sweep:
         raise ValidationError("mode 'sweep' requires a [sweep] section")
     return run
@@ -602,8 +576,8 @@ def serialize_config(run: RunConfig) -> str:
         lines += ["", f"[events_{side}]",
                   "events = " + ", ".join(
                       f"{q(t, 'time')} : {w!r}" for t, w in train.events)]
-    if run.mismatch_seed is not None or run.mismatch_size != 128 \
-            or not run.mismatch_enabled or run.mismatch_overrides:
+    if run.mismatch_seed is not None or run.mismatch_size != RunConfig.mismatch_size \
+            or run.mismatch_enabled != RunConfig.mismatch_enabled or run.mismatch_overrides:
         lines += ["", "[mismatch]",
                   f"size = {run.mismatch_size}",
                   f"enabled = {str(run.mismatch_enabled).lower()}"]

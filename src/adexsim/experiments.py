@@ -21,7 +21,7 @@ from .errors import FitFailed
 from .measure import (
     PspProtocol, _disable, _psp_response, exponential_sweep, fit_exponential_slope,
 )
-from .mismatch import Population, default_mismatch_model, sample_population
+from .mismatch import Population, _neuron, default_mismatch_model, sample_population
 from .model import StimulusProgram, lif_parameters, predicted_lot_isi, simulate
 from .patterns import load_patterns
 from .units import DomainMap
@@ -466,9 +466,8 @@ def run_firing_patterns(parameter_sets=None, stimulus=None, model: str = "ideal"
             f"{name}: agreement {frac:.3f}, labels {counts}, "
             f"calibration failures {len(cal.failures)}")
         if record_first:
-            first = cal.population.neurons[0]
             report.traces[name] = simulate_circuit(
-                first, StimulusProgram.step(onset, i_step, end),
+                _neuron(stacked, 0), StimulusProgram.step(onset, i_step, end),
                 duration=end + 0.04 * duration, dt=dt)
         ok = ok and frac >= agreement
     report.passed = ok

@@ -521,6 +521,10 @@ class PspProtocol:
     settle_factor: float = 10.0
     spacing_factor: float = 12.0
 
+    def __post_init__(self):
+        if not self.weight >= 0:
+            raise ValueError(f"weight must be >= 0, got {self.weight!r}")
+
 
 def _psp_response(neuron, proto: PspProtocol, n_events: int, dt=None):
     """Run the PSP protocol on a circuit; returns (baseline, amplitudes, n).

@@ -141,6 +141,21 @@ def _unstack(cfg: CircuitNeuronConfig, n: int) -> list:
     return columns(cfg)
 
 
+def _neuron(cfg: CircuitNeuronConfig, i: int) -> CircuitNeuronConfig:
+    """Neuron i of a stacked config as a scalar config, without splitting
+    the others: one walk over the tree takes value i of every leaf."""
+    def pick(obj):
+        if dataclasses.is_dataclass(obj):
+            return type(obj)(**{f.name: pick(getattr(obj, f.name))
+                                for f in dataclasses.fields(obj)})
+        if obj is None or isinstance(obj, (bool, str)):
+            return obj
+        arr = np.asarray(obj, dtype=float)
+        return arr.item(i) if arr.ndim else float(arr)
+
+    return pick(cfg)
+
+
 class Population:
     """Mismatch-perturbed copies of one nominal neuron.
 

@@ -34,6 +34,9 @@ class TestCalibrateParameter:
             bounds=(bias0 / 8, bias0 * 8), tol=0.02)
         assert abs(residual) <= 0.02
         assert measure_tau_m(cfg) == pytest.approx(2.5 * eff.tau_m, rel=0.025)
+        # a scalar neuron comes back scalar, not as a population of one
+        assert np.ndim(get_bias(cfg, "leak_ota.I_bias")) == 0
+        assert isinstance(derive_effective_adex(cfg).tau_m, float)
 
     def test_unreachable_target_not_converged_with_boundary(self, hw_circuit):
         bias0 = get_bias(hw_circuit, "leak_ota.I_bias")

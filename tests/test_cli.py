@@ -43,6 +43,41 @@ v_t = 0.62 V
 name = exponential_sweep
 """
 
+CONFIG_IDEAL_SWEEP = """
+[run]
+mode = sweep
+model = ideal
+duration = 50 us
+
+[neuron]
+C = 2.4 pF
+g_l = 0.12 uS
+E_l = 0.5 V
+V_r = 0.44 V
+V_det = 0.62 V
+exp_enabled = false
+
+[sweep]
+key = neuron.g_l
+values = 0.1 uS, 0.2 uS
+"""
+
+CONFIG_PSP = """
+[run]
+mode = experiment
+model = circuit
+
+[circuit]
+tau_m = 20 us
+
+[mismatch]
+size = 3
+enabled = false
+
+[experiment]
+name = psp
+"""
+
 CONFIG_SWEEP = CONFIG_CIRCUIT.replace(
     "mode = simulate", "mode = sweep") + """
 [sweep]
@@ -154,6 +189,33 @@ class TestExperimentCommand:
         assert result.returncode == 2
 
 
+    @pytest.mark.parametrize("command, key, message", [
+        ("psp", "weight = -1", "[experiment] weight must be >= 0, got -1.0"),
+        ("psp", "n_events = 0", "[experiment] n_events must be >= 1, got 0"),
+        ("firing_patterns", "population = 0", "[experiment] population must be >= 1, got 0"),
+    ], ids=["negative_weight", "zero_events", "zero_population"])
+    def test_bad_experiment_value_exit_2_without_output(self, tmp_path, cfg_path,
+                                                        run_cli, command, key, message):
+        # 0 used to run with the default and -1 ended in a traceback
+        out = tmp_path / "out"
+        text = CONFIG_PSP.replace("name = psp", f"name = {command}\n{key}")
+        result = run_cli(["experiment", command, "--config", cfg_path(text),
+                          "--out", str(out)], cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_zero_weight_runs_as_written(self, tmp_path, cfg_path, run_cli):
+        out = tmp_path / "out"
+        text = CONFIG_PSP.replace("name = psp", "name = psp\nweight = 0")
+        result = run_cli(["experiment", "psp", "--config", cfg_path(text),
+                          "--out", str(out)], cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        report = json.loads((out / "report_psp.json").read_text())
+        assert [row["amplitude"] for row in report["per_neuron"]] == [0.0] * 3
+        assert "weight = 0.0" in (out / "config.resolved.cfg").read_text().splitlines()
+
+
 class TestSweepCommand:
     def test_sweep_writes_summary_and_traces(self, tmp_path, cfg_path, run_cli):
         out = tmp_path / "out"
@@ -189,7 +251,13 @@ class TestConfigErrorsAtParseTime:
         # the circuit model reads no [neuron] quantity
         CONFIG_SWEEP.replace("key = run.duration", "key = neuron.g_l").replace(
             "values = 100 us, 200 us", "values = 0.1 uS, 0.2 uS"),
-    ], ids=["dt_longer_than_duration", "neuron_sweep_on_circuit"])
+        # a swept neuron value its owner rejects
+        CONFIG_IDEAL_SWEEP.replace("key = neuron.g_l", "key = neuron.C").replace(
+            "values = 0.1 uS, 0.2 uS", "values = 2 pF, 0 pF"),
+        # the ideal model takes no [events_*]; a sweep used to drop them
+        CONFIG_IDEAL_SWEEP + "\n[events_exc]\nevents = 10 us : 1.0\n",
+    ], ids=["dt_longer_than_duration", "neuron_sweep_on_circuit", "neuron_sweep_bad_value",
+            "events_on_ideal_sweep"])
     def test_exit_2_without_output(self, tmp_path, cfg_path, run_cli, text):
         out = tmp_path / "out"
         command = "sweep" if "[sweep]" in text else "simulate"
@@ -206,7 +274,12 @@ class TestConfigErrorsAtParseTime:
          "[stimulus] onset must be >= 0 s"),
         ("current = 22 nA", "current = 22 nA\nonset = 20 us\noffset = 20 us",
          "[stimulus] offset must be after onset, got offset 2e-05 s, onset 2e-05 s"),
-    ], ids=["nan_current", "negative_onset", "offset_not_after_onset"])
+        # a written 0 used to be replaced by the default
+        ("tau_m = 20 us", "tau_m = 0 us", "[circuit] violates tau_m > 0"),
+        ("current = 22 nA", "current = 22 nA\n\n[adaptation]\npulse_width = 0 us",
+         "[adaptation] violates pulse_width > 0"),
+    ], ids=["nan_current", "negative_onset", "offset_not_after_onset", "zero_tau_m",
+            "zero_pulse_width"])
     def test_bad_value_exit_2_without_output(self, tmp_path, cfg_path, run_cli,
                                              old, new, message):
         # a NaN current used to run and fail late as a non-finite circuit state

@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from adexsim import ParseError, ValidationError
-from adexsim.config import parse_config, read_config_sections, serialize_config
-from adexsim.units import parse_quantity
+from adexsim import ParseError, ValidationError, derive_effective_adex
+from adexsim.config import SCHEMA, parse_config, read_config_sections, serialize_config
+from adexsim.units import format_quantity, parse_quantity
 
 MINIMAL_LIF = """
 [run]
@@ -177,6 +178,37 @@ class TestParse:
         run = parse_config(MINIMAL_LIF + "\n[sweep]\nkey = neuron.g_l\nvalues = 10 nS, 20 nS\n")
         assert run.sweep["values"] == pytest.approx((10e-9, 20e-9))
 
+    def test_neuron_sweep_value_checked_at_parse_time(self):
+        text = MINIMAL_LIF + "\n[sweep]\nkey = neuron.C\nvalues = 2 pF, 0 pF\n"
+        with pytest.raises(ValidationError,
+                           match=r"^\[sweep\] neuron.C = 0.0 F: C must be > 0$"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("tail, match", [
+        ("[circuit]\ntau_m = 0 us", r"\[circuit\] violates tau_m > 0"),
+        ("[adaptation]\npulse_width = 0 us", r"\[adaptation\] violates pulse_width > 0"),
+        ("[experiment]\nname = psp\nn_events = 0",
+         r"\[experiment\] n_events must be >= 1, got 0"),
+        ("[experiment]\nname = leak_over_threshold\nn_isis = 0",
+         r"\[experiment\] n_isis must be >= 1, got 0"),
+        ("[experiment]\nname = firing_patterns\npopulation = 0",
+         r"\[experiment\] population must be >= 1, got 0"),
+        ("[experiment]\nname = firing_patterns\npatterns =",
+         r"\[experiment\] patterns needs at least one value"),
+        ("out =", r"\[run\] out needs a value"),
+    ], ids=["tau_m", "pulse_width", "n_events", "n_isis", "population", "patterns", "out"])
+    def test_written_value_outside_domain_rejected(self, tail, match):
+        # a written 0 or an empty value used to be replaced by a default
+        with pytest.raises(ValidationError, match=match):
+            parse_config(f"[run]\nmodel = circuit\n{tail}\n")
+
+    def test_written_zero_used_as_written(self):
+        run = parse_config(CIRCUIT_FULL.replace("v_t = 0.62 V", "v_t = 0 V")
+                           + "\n[experiment]\nname = psp\nweight = 0\n")
+        assert derive_effective_adex(run.circuit).V_T == pytest.approx(0.0, abs=1e-12)
+        assert run.experiment["weight"] == 0.0
+        assert "weight = 0.0" in serialize_config(run).splitlines()
+
     @pytest.mark.parametrize("value", ["nan pF", "inf pF", "-inf pF", "NaN F"])
     def test_non_finite_scalar_rejected_with_line(self, value):
         text = MINIMAL_LIF.replace("C = 200 pF", f"C = {value}")
@@ -250,3 +282,52 @@ class TestRoundTrip:
              first.duration, first.fmt)
         # a second round trip is byte-identical
         assert serialize_config(second) == rendered
+
+
+# a value in the usual range of each dimension; the property test scales it
+# by 0, negative and positive factors
+TYPICAL = {"time": 20e-6, "voltage": 0.6, "capacitance": 2e-12, "current": 10e-9,
+           "conductance": 30e-9, "none": 0.5}
+NUMERIC_KEYS = [(section, key, kind, dim)
+                for section in ("run", "circuit", "adaptation", "exponential",
+                                "stimulus", "experiment")
+                for key, (kind, dim) in SCHEMA[section].items()
+                if kind in ("quantity", "int")]
+
+
+def written_value(kind, dim):
+    if kind == "int":
+        return st.integers(-2, 4).map(str)
+    return st.sampled_from((0.0, -1.0, 0.25, 1.0, 3.0)).map(
+        lambda factor: format_quantity(factor * TYPICAL[dim], dim))
+
+
+@st.composite
+def numeric_configs(draw):
+    chosen = draw(st.lists(st.sampled_from(NUMERIC_KEYS), min_size=1, max_size=3,
+                           unique_by=lambda k: k[:2]))
+    sections = {"run": {"model": "circuit"},
+                "experiment": {"name": draw(st.sampled_from(
+                    SCHEMA["experiment"]["name"][1]))}}
+    for section, key, kind, dim in chosen:
+        sections.setdefault(section, {})[key] = draw(written_value(kind, dim))
+    return "\n".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                     for section, keys in sections.items())
+
+
+class TestWrittenValues:
+    @settings(max_examples=300)
+    @given(text=numeric_configs())
+    def test_used_as_written_or_rejected(self, text):
+        # a written value, 0 and negatives included, is either a config
+        # error or runs as written: the resolved text is a fixed point and
+        # carries every written [experiment] value unchanged
+        try:
+            run = parse_config(text)
+        except (ParseError, ValidationError):
+            return
+        resolved = serialize_config(run)
+        assert serialize_config(parse_config(resolved)) == resolved
+        experiment = read_config_sections(text)["experiment"]
+        for key, (raw, _) in experiment.items():
+            assert f"{key} = {raw}" in resolved.splitlines()

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from adexsim import (
     CalibrationTarget, calibrate_population, circuit_for_adex,
     default_circuit_config, derive_effective_adex, load_patterns,
-    run_psp_experiment,
+    run_firing_patterns, run_psp_experiment,
 )
 from adexsim import mismatch
 from adexsim.circuit import get_bias
@@ -88,14 +88,15 @@ class TestSamplePopulation:
 
 
 
+def refuse_to_split(cfg, n):
+    raise AssertionError("stacked population split into scalar configs")
+
+
 class TestStackedRepresentation:
     def test_population_paths_never_split_the_config(self, hw_circuit, monkeypatch):
         # sampling, calibration and the PSP experiment read the stacked
         # config only; none may build the scalar per-neuron configs
-        def refuse(cfg, n):
-            raise AssertionError("stacked population split into scalar configs")
-
-        monkeypatch.setattr(mismatch, "_unstack", refuse)
+        monkeypatch.setattr(mismatch, "_unstack", refuse_to_split)
         pop = sample_population(hw_circuit, default_mismatch_model(hw_circuit, seed=2), 16)
         target = CalibrationTarget(tau_m=derive_effective_adex(hw_circuit).tau_m,
                                    stim_gain=True)
@@ -105,6 +106,14 @@ class TestStackedRepresentation:
         assert len(report.per_neuron) == 16
         with pytest.raises(AssertionError, match="split"):
             cal.population.neurons
+
+    def test_recorded_first_neuron_never_splits_the_config(self, monkeypatch):
+        # the recorded trace of neuron 0 builds that neuron alone
+        monkeypatch.setattr(mismatch, "_unstack", refuse_to_split)
+        patterns = {"tonic_spiking": load_patterns()["tonic_spiking"]}
+        report = run_firing_patterns(patterns, model="circuit", population_size=16,
+                                     seed=0, record_first=True)
+        assert len(report.traces["tonic_spiking"].spikes) > 0
 
     def test_neurons_built_once(self, hw_circuit):
         pop = sample_population(hw_circuit, default_mismatch_model(hw_circuit, seed=4), 5)
@@ -124,6 +133,7 @@ class TestStackedRepresentation:
         pop = sample_population(nominal, default_mismatch_model(nominal, seed=seed), width)
         assert leaf_bits(Population(pop.neurons).stacked()) == leaf_bits(pop.stacked())
         assert Population.from_stacked(pop.stacked(), width).neurons == pop.neurons
+        assert mismatch._neuron(pop.stacked(), width - 1) == pop.neurons[-1]
 
 
 class TestDefaultModel:
