@@ -16,8 +16,7 @@ from .errors import (
 )
 from .model import (
     AdExParameters, NeuronState, SimulationTrace, StimulusProgram,
-    adaptation_derivative, apply_spike_reset, lif_parameters,
-    membrane_derivative, predicted_lot_isi, simulate, step,
+    lif_parameters, predicted_lot_isi, simulate, step,
 )
 from .synapse import (
     SynapseConfig, WeightedSpikeTrain, psp_metrics, synaptic_current,

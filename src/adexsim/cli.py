@@ -21,7 +21,9 @@ import numpy as np
 from . import __version__
 from .calibrate import calibrate_population
 from .circuit import simulate_circuit
-from .config import RunConfig, _pick, parse_config, serialize_config
+from .config import (
+    _EXPERIMENT_KEYS, RunConfig, _pick, parse_config, serialize_config,
+)
 from .errors import AdexSimError, ParseError, ValidationError
 from .experiments import (
     LotProtocol, PspProtocol, run_exponential_sweep, run_firing_patterns,
@@ -194,42 +196,44 @@ _LOT_TAU_M_TARGETS = (10e-6, 31.6e-6, 100e-6, 316e-6, 900e-6)
 
 def _run_one_experiment(run: RunConfig, spec: dict):
     """Run the named experiment with the keys the config sets; the
-    experiment's own defaults fill the rest."""
+    experiment's own defaults fill the rest.  `parse_config` admits only
+    the keys `_EXPERIMENT_KEYS` lists for the experiment, and each of them
+    is forwarded here."""
     name = spec["name"]
+    args = _pick(spec, **{key: key for key in _EXPERIMENT_KEYS[name]})
     if name == "leak_over_threshold":
-        proto = _pick(spec, n_isis="n_isis", tolerance="tolerance")
-        if "v_inf" in spec:
+        targets = args.pop("tau_m_targets", _LOT_TAU_M_TARGETS)
+        if "v_inf" in args:
             cfg = run.circuit
-            proto["v_inf_margin"] = (spec["v_inf"] - cfg.E_l) / (cfg.V_det - cfg.E_l)
-        return run_leak_over_threshold(_build_population(run),
-                                       spec.get("tau_m_targets", _LOT_TAU_M_TARGETS),
-                                       LotProtocol(**proto))
+            args["v_inf_margin"] = (args.pop("v_inf") - cfg.E_l) / (cfg.V_det - cfg.E_l)
+        return run_leak_over_threshold(_build_population(run), targets, LotProtocol(**args))
     if name == "psp":
+        events = {"n_events": args.pop("n_events")} if "n_events" in args else {}
         try:
-            proto = PspProtocol(**_pick(spec, line="line", weight="weight"))
+            proto = PspProtocol(**args)
         except ValueError as err:
             raise ValidationError(f"[experiment] {err}") from None
         pop = _build_population(run)
         if run.calibration is not None:
             pop = calibrate_population(pop, run.calibration, plan=run.calibration_plan,
                                        tol=run.calibration_tol).population
-        return run_psp_experiment(pop, proto, **_pick(spec, n_events="n_events"))
+        return run_psp_experiment(pop, proto, **events)
     if name == "exponential_sweep":
         cfg = run.circuit
         if not cfg.exponential.enabled:
             raise ValidationError("exponential_sweep requires [exponential] enabled = true")
-        return run_exponential_sweep(cfg, **_pick(spec, onsets="onsets", slopes="slopes"))
+        return run_exponential_sweep(cfg, **args)
     if name == "firing_patterns":
         patterns = load_patterns()
-        if "patterns" in spec:
-            unknown = [w for w in spec["patterns"] if w not in patterns]
+        if "patterns" in args:
+            unknown = [w for w in args["patterns"] if w not in patterns]
             if unknown:
                 raise ValidationError(f"unknown patterns: {', '.join(unknown)}")
-            patterns = {k: patterns[k] for k in spec["patterns"]}
+            patterns = {k: patterns[k] for k in args.pop("patterns")}
         return run_firing_patterns(
             patterns, model=run.model,
-            population_size=spec.get("population", run.mismatch_size),
-            seed=run.seed, **_pick(spec, agreement="agreement"))
+            population_size=args.pop("population", run.mismatch_size),
+            seed=run.seed, **args)
     raise ValidationError(f"unknown experiment {name!r}")
 
 

@@ -96,6 +96,15 @@ def _parse_names(text, line):
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+# the [experiment] keys each experiment reads, besides `name`; any other
+# key is a config error, and the CLI forwards exactly these
+_EXPERIMENT_KEYS = {
+    "leak_over_threshold": ("tau_m_targets", "v_inf", "n_isis", "tolerance"),
+    "psp": ("line", "weight", "n_events"),
+    "exponential_sweep": ("onsets", "slopes"),
+    "firing_patterns": ("patterns", "population", "agreement"),
+}
+
 # schema: section -> key -> (kind, dimension)
 # kinds: quantity, bool, int, string, list, pairs, names
 SCHEMA = {
@@ -194,8 +203,7 @@ SCHEMA = {
         "plan": ("names", None),
     },
     "experiment": {
-        "name": ("string", ("leak_over_threshold", "psp", "exponential_sweep",
-                            "firing_patterns")),
+        "name": ("string", tuple(_EXPERIMENT_KEYS)),
         "tau_m_targets": ("list", "time"),
         "v_inf": ("quantity", "voltage"),
         "n_isis": ("int", None),
@@ -333,14 +341,12 @@ def _build_circuit(sections) -> CircuitNeuronConfig:
                 raise ValidationError(f"[{section}] violates {key} > 0")
     circuit, adaptation, exponential = (given[s] for s in ("circuit", "adaptation",
                                                            "exponential"))
-    coba = [given[s]["coba"] for s in ("syn_exc", "syn_inh") if "coba" in given[s]]
     try:
         cfg = default_circuit_config(
             **_pick(circuit, tau_m="tau_m", E_l="E_l", V_det="V_det", V_r="V_r",
                     t_ref="t_ref"),
             **_pick(adaptation, adaptation_enabled="enabled"),
-            **_pick(exponential, exponential_enabled="enabled"),
-            **({"coba": any(coba)} if coba else {}))
+            **_pick(exponential, exponential_enabled="enabled"))
         adapt_on = cfg.adaptation.enabled
         if "C_mem" in circuit:
             cfg = replace(cfg, C_mem=circuit["C_mem"], leak_ota=default_leak_ota(
@@ -359,9 +365,15 @@ def _build_circuit(sections) -> CircuitNeuronConfig:
         cfg = circuit_for_adex(target, cfg, **_pick(adaptation, pulse_width="pulse_width"))
         if not adapt_on:
             cfg = replace(cfg, adaptation=replace(cfg.adaptation, enabled=False))
+        # each line switches to conductance-based input on its own, with
+        # the g2 of a conductance-based line of the default circuit
+        coba_lines = default_circuit_config(coba=True)
         for side in ("exc", "inh"):
             syn = getattr(cfg, f"syn_{side}")
             values = given[f"syn_{side}"]
+            if values.get("coba"):
+                syn = replace(syn, coba_enabled=True,
+                              g2=getattr(coba_lines, f"syn_{side}").g2)
             if "tau_syn" in values:
                 syn = replace(syn, g_leak_line=syn.C_line / values["tau_syn"])
             if "bias" in values:
@@ -501,9 +513,17 @@ def parse_config(text: str) -> RunConfig:
         spec = _given(sections, "experiment")
         if "name" not in spec:
             raise ValidationError("[experiment] name is required")
+        name, reads = spec["name"], _EXPERIMENT_KEYS[spec["name"]]
         for key, value in spec.items():
+            if key not in reads + ("name",):
+                raise ValidationError(f"[experiment] {key} is not read by {name}, "
+                                      f"which reads {', '.join(reads)}")
             if SCHEMA["experiment"][key][0] == "int" and value < 1:
                 raise ValidationError(f"[experiment] {key} must be >= 1, got {value}")
+        if "v_inf" in spec and not spec["v_inf"] > run.circuit.V_det:
+            raise ValidationError(
+                f"[experiment] v_inf = {format_quantity(spec['v_inf'], 'voltage')} must "
+                f"exceed the circuit's V_det = {format_quantity(run.circuit.V_det, 'voltage')}")
         run.experiment = spec
     if run.mode == "experiment" and not run.experiment:
         raise ValidationError("mode 'experiment' requires an [experiment] section")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -121,39 +122,70 @@ def _stack(cfgs: list) -> CircuitNeuronConfig:
     return combine(cfgs)
 
 
-def _unstack(cfg: CircuitNeuronConfig, n: int) -> list:
-    """Split a stacked config back into per-neuron scalar configs.
+def _columns(cfg: CircuitNeuronConfig, cols, n: int) -> list:
+    """The scalar configs of the n columns `cols` (a slice or an index
+    list) of a stacked config.
 
-    The tree is walked once: each leaf yields its n values as one list,
-    and each dataclass node is built n times from its children's lists.
+    The tree is walked once, children before parents as construction runs.
+    Each dataclass node runs its own `__post_init__` once, on the selected
+    values of its fields: every check is elementwise, so it holds for each
+    column.  The columns are then built as a frozen dataclass's `__init__`
+    builds them, one `object.__setattr__` per field, without running the
+    checks again.  When a check fails, the node's columns are built with
+    its constructor, so the error raised is the one the per-column
+    constructors raise first.
     """
+    new, put = object.__new__, object.__setattr__
+
     def columns(obj) -> list:
-        if dataclasses.is_dataclass(obj):
-            names = [f.name for f in dataclasses.fields(obj)]
-            kind = type(obj)
-            per_field = [columns(getattr(obj, name)) for name in names]
-            return [kind(**dict(zip(names, values))) for values in zip(*per_field)]
-        if obj is None or isinstance(obj, (bool, str)):
-            return [obj] * n
-        arr = np.asarray(obj, dtype=float)
-        return arr.tolist() if arr.ndim else [float(arr)] * n
+        kind = type(obj)
+        names = [f.name for f in dataclasses.fields(obj)]
+        selected, per_field = [], []
+        for name in names:
+            value = getattr(obj, name)
+            if dataclasses.is_dataclass(value):
+                selected.append(value)
+                per_field.append(columns(value))
+            elif value is None or isinstance(value, (bool, str)):
+                selected.append(value)
+                per_field.append(repeat(value, n))
+            else:
+                arr = np.asarray(value, dtype=float)
+                if arr.ndim:
+                    arr = arr[cols]
+                    if arr.shape != (n,):
+                        raise ValueError(f"{kind.__name__}.{name} does not hold {n} values")
+                selected.append(arr)
+                per_field.append(arr.tolist() if arr.ndim else repeat(float(arr), n))
+        check = new(kind)
+        for name, value in zip(names, selected):
+            put(check, name, value)
+        try:
+            check.__post_init__()
+        except ValueError:
+            # the constructors would stop at the first bad column, on its
+            # first failing check: build the columns with them to raise that
+            for values in zip(*per_field):
+                kind(**dict(zip(names, values)))
+            raise
+        objs = [new(kind) for _ in range(n)]
+        for name, values in zip(names, per_field):
+            for _ in map(put, objs, repeat(name), values):
+                pass
+        return objs
 
     return columns(cfg)
 
 
+def _unstack(cfg: CircuitNeuronConfig, n: int) -> list:
+    """Split a stacked config back into per-neuron scalar configs."""
+    return _columns(cfg, slice(None), n)
+
+
 def _neuron(cfg: CircuitNeuronConfig, i: int) -> CircuitNeuronConfig:
     """Neuron i of a stacked config as a scalar config, without splitting
-    the others: one walk over the tree takes value i of every leaf."""
-    def pick(obj):
-        if dataclasses.is_dataclass(obj):
-            return type(obj)(**{f.name: pick(getattr(obj, f.name))
-                                for f in dataclasses.fields(obj)})
-        if obj is None or isinstance(obj, (bool, str)):
-            return obj
-        arr = np.asarray(obj, dtype=float)
-        return arr.item(i) if arr.ndim else float(arr)
-
-    return pick(cfg)
+    the others."""
+    return _columns(cfg, [i], 1)[0]
 
 
 class Population:

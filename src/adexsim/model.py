@@ -190,32 +190,6 @@ class SimulationTrace:
         return np.diff(self.spikes)
 
 
-def _exp_current(V: float, p: AdExParameters, in_refractory: bool) -> float:
-    """Spike-initiation current g_l * Delta_T * exp((V - V_T)/Delta_T), gated and clamped."""
-    if not p.exp_enabled:
-        return 0.0
-    if in_refractory and p.exp_gated_in_ref:
-        return 0.0
-    arg = min((V - p.V_T) / p.Delta_T, EXP_ARG_CLAMP)
-    return p.g_l * p.Delta_T * math.exp(arg)
-
-
-def membrane_derivative(state: NeuronState, p: AdExParameters, I_ext: float) -> float:
-    """Right-hand side of the membrane equation, in volts/second."""
-    exp_term = _exp_current(state.V, p, state.ref_remaining > 0)
-    return (-p.g_l * (state.V - p.E_l) + exp_term - state.w + I_ext) / p.C
-
-
-def adaptation_derivative(state: NeuronState, p: AdExParameters) -> float:
-    """Right-hand side of the adaptation equation, in amperes/second."""
-    return (p.a * (state.V - p.E_l) - state.w) / p.tau_w
-
-
-def apply_spike_reset(state: NeuronState, p: AdExParameters) -> NeuronState:
-    """Jump conditions V -> V_r, w -> w + b; restarts the refractory timer."""
-    return NeuronState(V=p.V_r, w=state.w + p.b, ref_remaining=p.t_ref)
-
-
 def _membrane_factors(lam: float, h: float):
     """exp(-lam*h) and (1 - exp(-lam*h)) / lam, with the h limit at lam <= 0."""
     if lam > 0:

@@ -193,7 +193,13 @@ class TestExperimentCommand:
         ("psp", "weight = -1", "[experiment] weight must be >= 0, got -1.0"),
         ("psp", "n_events = 0", "[experiment] n_events must be >= 1, got 0"),
         ("firing_patterns", "population = 0", "[experiment] population must be >= 1, got 0"),
-    ], ids=["negative_weight", "zero_events", "zero_population"])
+        ("leak_over_threshold", "v_inf = 0.7 V",
+         "[experiment] v_inf = 0.7 V must exceed the circuit's V_det = 0.75 V"),
+        ("leak_over_threshold", "weight = 0.3",
+         "[experiment] weight is not read by leak_over_threshold, "
+         "which reads tau_m_targets, v_inf, n_isis, tolerance"),
+    ], ids=["negative_weight", "zero_events", "zero_population", "v_inf_below_v_det",
+            "unread_key"])
     def test_bad_experiment_value_exit_2_without_output(self, tmp_path, cfg_path,
                                                         run_cli, command, key, message):
         # 0 used to run with the default and -1 ended in a traceback

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adexsim import ParseError, ValidationError, derive_effective_adex
-from adexsim.config import SCHEMA, parse_config, read_config_sections, serialize_config
+from adexsim.config import (
+    _EXPERIMENT_KEYS, SCHEMA, parse_config, read_config_sections, serialize_config,
+)
 from adexsim.units import format_quantity, parse_quantity
 
 MINIMAL_LIF = """
@@ -263,6 +265,66 @@ class TestParse:
                 r"\[stimulus\] offset must be after onset, "
                 r"got offset 1e-05 s, onset 2e-05 s")):
             parse_config(text)
+
+
+class TestSynapticLines:
+    @pytest.mark.parametrize("exc, inh", [(True, False), (False, True), (True, True)])
+    def test_each_line_has_its_own_coba_flag(self, exc, inh):
+        # a written false on one line used to be overridden by a true on the other
+        text = (f"[run]\nmodel = circuit\n[syn_exc]\ncoba = {str(exc).lower()}\n"
+                f"[syn_inh]\ncoba = {str(inh).lower()}\n")
+        run = parse_config(text)
+        exc_line, inh_line = run.circuit.syn_exc, run.circuit.syn_inh
+        assert (exc_line.coba_enabled, inh_line.coba_enabled) == (exc, inh)
+        # a conductance-based line takes the default circuit's g2, a
+        # current-based one none
+        assert exc_line.g2 == (0.5e-6 if exc else 0.0)
+        assert inh_line.g2 == (-0.5e-6 if inh else 0.0)
+        resolved = serialize_config(run)
+        assert f"coba = {str(exc).lower()}" in resolved.split("[syn_exc]")[1].split("[")[0]
+        assert f"coba = {str(inh).lower()}" in resolved.split("[syn_inh]")[1].split("[")[0]
+        again = parse_config(resolved)
+        assert again.circuit == run.circuit
+        assert serialize_config(again) == resolved
+
+
+# (experiment, key) for each [experiment] key an experiment does not read
+UNREAD = [(name, key) for name, reads in _EXPERIMENT_KEYS.items()
+          for key in SCHEMA["experiment"] if key not in reads + ("name",)]
+
+
+class TestExperimentKeys:
+    def test_table_names_every_experiment_and_key(self):
+        assert SCHEMA["experiment"]["name"][1] == tuple(_EXPERIMENT_KEYS)
+        read = {key for reads in _EXPERIMENT_KEYS.values() for key in reads}
+        assert read | {"name"} == set(SCHEMA["experiment"])
+
+    @pytest.mark.parametrize("name, key", UNREAD, ids=[f"{n}.{k}" for n, k in UNREAD])
+    def test_key_the_experiment_does_not_read_rejected(self, name, key):
+        # such a key used to be accepted and dropped
+        kind, dim = SCHEMA["experiment"][key]
+        value = ({"int": "2", "string": "exc", "names": "tonic_spiking"}[kind]
+                 if kind in ("int", "string", "names") else format_quantity(0.5, dim))
+        text = f"[run]\nmodel = circuit\n[experiment]\nname = {name}\n{key} = {value}\n"
+        with pytest.raises(ValidationError, match=(
+                rf"^\[experiment\] {key} is not read by {name}, which reads "
+                + ", ".join(_EXPERIMENT_KEYS[name]) + "$")):
+            parse_config(text)
+
+    @pytest.mark.parametrize("v_inf", ["0.7 V", "0.75 V", "0 V"])
+    def test_v_inf_at_or_below_v_det_rejected(self, v_inf):
+        # it used to fail at run time with exit 1
+        text = ("[run]\nmodel = circuit\n[experiment]\n"
+                f"name = leak_over_threshold\nv_inf = {v_inf}\n")
+        with pytest.raises(ValidationError, match=(
+                r"^\[experiment\] v_inf = .* V must exceed the circuit's "
+                r"V_det = 0.75 V$")):
+            parse_config(text)
+
+    def test_v_inf_above_v_det_kept(self):
+        run = parse_config("[run]\nmodel = circuit\n[experiment]\n"
+                           "name = leak_over_threshold\nv_inf = 0.8 V\n")
+        assert run.experiment["v_inf"] == pytest.approx(0.8)
 
 
 class TestRoundTrip:

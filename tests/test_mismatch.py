@@ -1,5 +1,7 @@
 import dataclasses
 import functools
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +13,10 @@ from adexsim import (
     run_firing_patterns, run_psp_experiment,
 )
 from adexsim import mismatch
-from adexsim.circuit import get_bias
+from adexsim.circuit import (
+    AdaptationCircuitConfig, CircuitNeuronConfig, ExponentialCircuitConfig,
+    OtaModel, SynInCircuitConfig, get_bias,
+)
 from adexsim.mismatch import (
     MismatchModel, PARAMETER_RANGES, Population, default_mismatch_model,
     sample_population,
@@ -134,6 +139,154 @@ class TestStackedRepresentation:
         assert leaf_bits(Population(pop.neurons).stacked()) == leaf_bits(pop.stacked())
         assert Population.from_stacked(pop.stacked(), width).neurons == pop.neurons
         assert mismatch._neuron(pop.stacked(), width - 1) == pop.neurons[-1]
+
+
+def constructed_columns(cfg, n) -> list:
+    """The n scalar configs of a stacked config, each node built by its
+    class's own validating constructor: the oracle for `mismatch._unstack`."""
+    def columns(obj) -> list:
+        if dataclasses.is_dataclass(obj):
+            names = [f.name for f in dataclasses.fields(obj)]
+            per_field = [columns(getattr(obj, name)) for name in names]
+            return [type(obj)(**dict(zip(names, values))) for values in zip(*per_field)]
+        if obj is None or isinstance(obj, (bool, str)):
+            return [obj] * n
+        arr = np.asarray(obj, dtype=float)
+        return arr.tolist() if arr.ndim else [float(arr)] * n
+
+    return columns(cfg)
+
+
+# spreads on every sub-circuit, enabled or not, so that each node's columns differ
+SPREAD = MismatchModel(
+    relative={"leak_ota.g_per_bias": 0.1, "stim_gain": 0.1, "adaptation.C_w": 0.1,
+              "adaptation.ota_tau.g_per_bias": 0.1, "adaptation.ota_a.I_bias": 0.1,
+              "exponential.r_conv": 0.1, "exponential.ota.g_per_bias": 0.1,
+              "syn_exc.q_unit": 0.1, "syn_inh.leak_gain": 0.1, "syn_inh.g2": 0.1},
+    additive={"syn_exc.follower_offset": 5e-3, "syn_inh.offset_trim": 5e-3})
+
+
+def spread_population(n, seed=0, adaptation=True, exponential=True, coba=False,
+                      synapses=True):
+    nominal = default_circuit_config(adaptation_enabled=adaptation,
+                                     exponential_enabled=exponential, coba=coba)
+    nominal = dataclasses.replace(
+        nominal, syn_exc=dataclasses.replace(nominal.syn_exc, enabled=synapses))
+    return sample_population(nominal, dataclasses.replace(SPREAD, seed=seed), n)
+
+
+# (dotted path, a value its check rejects, the check's message), one per
+# elementwise check of every __post_init__ in a stacked config
+BAD_COLUMNS = [
+    ("leak_ota.I_bias", -1e-9, "I_bias must be >= 0"),
+    ("adaptation.ota_tau.I_bias", -1e-9, "I_bias must be >= 0"),
+    ("adaptation.ota_a.g_per_bias", 0.0, "g_per_bias must be > 0"),
+    ("exponential.ota.g_per_bias", -0.5, "g_per_bias must be > 0"),
+    ("adaptation.C_w", 0.0, "C_w must be > 0"),
+    ("adaptation.sign", 0.5, "sign must be +1 or -1"),
+    ("adaptation.g_w_factor", 0.0, "g_w_factor must be > 0"),
+    ("adaptation.pulse_width", -1e-9, "pulse_width must be >= 0"),
+    ("exponential.I_0", -1e-12, "I_0 must be >= 0"),
+    ("exponential.r_conv", 0.0, "r_conv must be > 0"),
+    ("exponential.n", 0.0, "n and V_therm must be > 0"),
+    ("exponential.V_therm", -1.0, "n and V_therm must be > 0"),
+    ("exponential.I_max", 0.0, "I_max must be > 0"),
+    ("syn_exc.C_line", 0.0, "C_line must be > 0"),
+    ("syn_inh.g_leak_line", -1e-6, "g_leak_line must be > 0"),
+    ("syn_exc.leak_gain", 0.0, "leak_gain must be > 0"),
+    ("syn_inh.I_b_cuba", -1e-9, "I_b_cuba must be >= 0"),
+    ("syn_exc.q_unit", -1e-15, "q_unit must be >= 0"),
+    ("syn_inh.g2", 0.0, "coba mode requires g2 != 0"),
+    ("C_mem", 3e-12, "C_mem must lie in (0, 2.47e-12] F"),
+    ("C_mem", np.nan, "C_mem must lie in (0, 2.47e-12] F"),
+    ("t_ref", -1e-6, "t_ref must be >= 0"),
+    ("stim_gain", 0.0, "stim_gain must be > 0"),
+]
+
+
+def write_column(cfg, path, column, value):
+    """Write one value of a stacked leaf in place, past the checks that
+    construction ran."""
+    np.asarray(get_bias(cfg, path))[column] = value
+
+
+class TestColumns:
+    @given(width=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1),
+           adaptation=st.booleans(), exponential=st.booleans(), coba=st.booleans(),
+           synapses=st.booleans(), data=st.data())
+    def test_columns_equal_constructed_columns(self, width, seed, adaptation,
+                                               exponential, coba, synapses, data):
+        pop = spread_population(width, seed, adaptation, exponential, coba, synapses)
+        cfg = pop.stacked()
+        expected = constructed_columns(cfg, width)
+        neurons = pop.neurons
+        assert neurons == expected
+        # same types, same bits, same field order
+        assert pickle.dumps(neurons) == pickle.dumps(expected)
+        i = data.draw(st.integers(0, width - 1))
+        assert mismatch._neuron(cfg, i) == neurons[i]
+        assert pickle.dumps(mismatch._neuron(cfg, i)) == pickle.dumps(expected[i])
+
+    @pytest.mark.parametrize("path, bad, message", BAD_COLUMNS,
+                             ids=[f"{p}={v}" for p, v, _ in BAD_COLUMNS])
+    def test_one_bad_column_raises_the_constructor_message(self, path, bad, message):
+        pop = spread_population(8, coba=True)
+        write_column(pop.stacked(), path, 5, bad)
+        with pytest.raises(ValueError) as constructed:
+            constructed_columns(pop.stacked(), 8)
+        with pytest.raises(ValueError) as split:
+            pop.neurons
+        assert str(split.value) == str(constructed.value) == message
+        # neuron 5 alone raises it too; neuron 4 does not read column 5
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mismatch._neuron(pop.stacked(), 5)
+        mismatch._neuron(pop.stacked(), 4)
+
+    def test_non_uniform_mode_check_runs(self):
+        pop = spread_population(4)
+        object.__setattr__(pop.stacked().syn_inh, "sign", "both")
+        with pytest.raises(ValueError, match="^sign must be 'exc' or 'inh'$"):
+            pop.neurons
+
+    @pytest.mark.parametrize("bad", [
+        # a child is checked before its parent, whatever the columns
+        [("C_mem", 1, 3e-12), ("leak_ota.I_bias", 6, -1.0)],
+        # siblings are checked in field order
+        [("syn_inh.C_line", 0, 0.0), ("adaptation.C_w", 7, 0.0)],
+        # within a node, the first bad column raises its first failing check
+        [("adaptation.pulse_width", 2, -1.0), ("adaptation.C_w", 3, 0.0)],
+        [("adaptation.pulse_width", 2, -1.0), ("adaptation.C_w", 2, 0.0)],
+    ], ids=["child_first", "field_order", "first_bad_column", "check_order"])
+    def test_first_error_is_the_constructors(self, bad):
+        pop = spread_population(8)
+        for path, column, value in bad:
+            write_column(pop.stacked(), path, column, value)
+        with pytest.raises(ValueError) as constructed:
+            constructed_columns(pop.stacked(), 8)
+        with pytest.raises(ValueError) as split:
+            pop.neurons
+        assert str(split.value) == str(constructed.value)
+
+    def test_leaf_of_another_length_rejected(self):
+        # the columns used to be cut to the shortest leaf without a word
+        pop = spread_population(5)
+        short = dataclasses.replace(pop.stacked(), E_l=np.full(3, 0.5))
+        with pytest.raises(ValueError, match=r"^CircuitNeuronConfig.E_l does not hold 5 values$"):
+            Population.from_stacked(short, 5).neurons
+
+    def test_each_node_checked_once(self, monkeypatch):
+        pop = spread_population(16, coba=True)
+        calls = {}
+        for kind in (OtaModel, AdaptationCircuitConfig, ExponentialCircuitConfig,
+                     SynInCircuitConfig, CircuitNeuronConfig):
+            def counted(self, check=kind.__post_init__):
+                calls[type(self).__name__] = calls.get(type(self).__name__, 0) + 1
+                check(self)
+            monkeypatch.setattr(kind, "__post_init__", counted)
+        assert len(pop.neurons) == 16
+        assert calls == {"OtaModel": 4, "AdaptationCircuitConfig": 1,
+                         "ExponentialCircuitConfig": 1, "SynInCircuitConfig": 2,
+                         "CircuitNeuronConfig": 1}
 
 
 class TestDefaultModel:

@@ -5,9 +5,10 @@ import pytest
 
 from adexsim import (
     AdExParameters, NeuronState, NonFiniteState, NotLeakOverThreshold,
-    StimulusProgram, adaptation_derivative, apply_spike_reset, lif_parameters,
-    membrane_derivative, predicted_lot_isi, simulate, step,
+    StimulusProgram, lif_parameters, predicted_lot_isi, simulate, step,
 )
+from adexsim.model import _stepper
+from ideal_reference import adaptation_derivative, apply_spike_reset, membrane_derivative
 
 
 def hw_lif(tau_m=20e-6, E_l=0.5, V_r=0.44, V_det=0.62, t_ref=0.0, C=2.47e-12):
@@ -88,6 +89,46 @@ class TestSpikeReset:
         st = apply_spike_reset(NeuronState(p.V_det, 0.0), p)
         st = apply_spike_reset(NeuronState(p.V_det, st.w), p)
         assert st.w == pytest.approx(4e-9, rel=1e-12)
+
+
+def sub_threshold_cases(tonic_params):
+    """(parameters, V, w, I) with V well below V_det for steps up to tau_m/100."""
+    from dataclasses import replace
+    return [
+        (tonic_params, -65e-3, 0.0, 100e-12),
+        (tonic_params, -52e-3, -30e-12, 0.0),
+        (replace(tonic_params, a=-1e-9, exp_gated_in_ref=True), -60e-3, 5e-12, 50e-12),
+        (replace(hw_lif(), tau_w=50e-6, a=20e-9), 0.55, 2e-9, 30e-9),
+    ]
+
+
+class TestStepperMatchesEquations:
+    # `_stepper` is the integrator; `ideal_reference` writes the equations out
+
+    def test_difference_quotient_converges_to_right_hand_side(self, tonic_params):
+        # first order: each tenfold smaller step cuts the error about tenfold
+        for p, V, w, I in sub_threshold_cases(tonic_params):
+            state = NeuronState(V, w)
+            rhs = (membrane_derivative(state, p, I), adaptation_derivative(state, p))
+            errors = []
+            for dt in (p.tau_m * 1e-2, p.tau_m * 1e-3, p.tau_m * 1e-4):
+                V1, w1, ref, spiked = _stepper(p, dt)(V, w, 0.0, I)
+                assert not spiked and ref == 0.0
+                quotient = ((V1 - V) / dt, (w1 - w) / dt)
+                errors.append([abs(q - r) / abs(r) for q, r in zip(quotient, rhs)])
+            for coarse, fine in zip(errors, errors[1:]):
+                assert all(f < c / 5 for f, c in zip(fine, coarse)), errors
+            assert max(errors[-1]) < 1e-3, errors
+
+    def test_spike_applies_the_jump_conditions(self, tonic_params):
+        from dataclasses import replace
+        p = replace(tonic_params, b=60e-12, t_ref=2e-3)
+        V, w, I, dt = p.V_det - 1e-4, 20e-12, 1e-9, 1e-5
+        V1, w1, ref, spiked = _stepper(p, dt)(V, w, 0.0, I)
+        assert spiked
+        # the state the step reaches before the jump: w integrated, V crossed
+        _, w_free, _, _ = _stepper(replace(p, b=0.0), dt)(V, w, 0.0, I)
+        assert NeuronState(V1, w1, ref) == apply_spike_reset(NeuronState(p.V_det, w_free), p)
 
 
 class TestStep:
