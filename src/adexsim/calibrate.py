@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import CircuitNeuronConfig, get_bias, set_bias
+from .circuit import EXP_CONVERSION_RATIO, CircuitNeuronConfig, get_bias, set_bias
 from .errors import FitFailed, NotConverged, NotMonotone, ValidationError
 from .measure import (
     measure_b, measure_delta_t, measure_exp_onset, measure_psp_amplitude,
@@ -300,8 +300,13 @@ def calibrate_parameter(neuron: CircuitNeuronConfig, target_value: float,
 # ---------------------------------------------------------------------------
 # plan entries
 
+def _median(x) -> float:
+    """Median of a scalar or per-neuron leaf."""
+    return float(np.median(np.atleast_1d(np.asarray(x, dtype=float))))
+
+
 def _bounds_around(cfg, path, factor):
-    center = float(np.median(np.atleast_1d(np.asarray(get_bias(cfg, path), dtype=float))))
+    center = _median(get_bias(cfg, path))
     return center / factor, center * factor
 
 
@@ -309,7 +314,7 @@ def _entry_tau_syn(line):
     def run(cfg, target, tol):
         path = f"syn_{line}.g_leak_line"
         syn = getattr(cfg, f"syn_{line}")
-        center = float(np.median(np.atleast_1d(np.asarray(syn.C_line, dtype=float)))) / target
+        center = _median(syn.C_line) / target
         return _tune_population(cfg, path,
                                 lambda c: measure_tau_syn(c, line),
                                 target, (center / 8, center * 8), tol=tol)
@@ -318,9 +323,7 @@ def _entry_tau_syn(line):
 
 def _entry_tau_m(cfg, target, tol):
     path = "leak_ota.I_bias"
-    gpb = float(np.median(np.atleast_1d(np.asarray(cfg.leak_ota.g_per_bias, dtype=float))))
-    c = float(np.median(np.atleast_1d(np.asarray(cfg.C_mem, dtype=float))))
-    center = c / (target * gpb)
+    center = _median(cfg.C_mem) / (target * _median(cfg.leak_ota.g_per_bias))
     return _tune_population(cfg, path, measure_tau_m, target,
                             (center / 8, center * 8), tol=tol)
 
@@ -328,10 +331,8 @@ def _entry_tau_m(cfg, target, tol):
 def _entry_delta_t(cfg, target, tol):
     path = "exponential.ota.I_bias"
     ex = cfg.exponential
-    med = lambda x: float(np.median(np.atleast_1d(np.asarray(x, dtype=float))))
-    from .circuit import EXP_CONVERSION_RATIO
-    center = med(ex.n) * med(ex.V_therm) / (
-        EXP_CONVERSION_RATIO * med(ex.r_conv) * target * med(ex.ota.g_per_bias))
+    center = _median(ex.n) * _median(ex.V_therm) / (
+        EXP_CONVERSION_RATIO * _median(ex.r_conv) * target * _median(ex.ota.g_per_bias))
     return _tune_population(cfg, path, measure_delta_t, target,
                             (center / 8, center * 8), tol=tol)
 
@@ -339,8 +340,7 @@ def _entry_delta_t(cfg, target, tol):
 def _entry_tau_w(cfg, target, tol):
     path = "adaptation.ota_tau.I_bias"
     ad = cfg.adaptation
-    med = lambda x: float(np.median(np.atleast_1d(np.asarray(x, dtype=float))))
-    center = med(ad.C_w) / (target * med(ad.ota_tau.g_per_bias))
+    center = _median(ad.C_w) / (target * _median(ad.ota_tau.g_per_bias))
     return _tune_population(cfg, path, measure_tau_w, target,
                             (center / 8, center * 8), tol=tol)
 
@@ -348,10 +348,9 @@ def _entry_tau_w(cfg, target, tol):
 def _entry_a(cfg, target, tol):
     path = "adaptation.ota_a.I_bias"
     ad = cfg.adaptation
-    med = lambda x: float(np.median(np.atleast_1d(np.asarray(x, dtype=float))))
     sign = 1 if target >= 0 else -1
     cfg = set_bias(cfg, "adaptation.sign", np.full(_population_size(cfg), float(sign)))
-    center = abs(target) / (med(ad.g_w_factor) * med(ad.ota_a.g_per_bias))
+    center = abs(target) / (_median(ad.g_w_factor) * _median(ad.ota_a.g_per_bias))
     return _tune_population(
         cfg, path, lambda c: sign * np.asarray(measure_subthreshold_a(c)),
         abs(target), (center / 8, center * 8), tol=tol)
@@ -440,8 +439,8 @@ def calibrate_population(pop: Population, target: CalibrationTarget,
 
     g_l_ref = None
     if target.v_t is not None:
-        tau_ref = target.tau_m or float(np.median(np.atleast_1d(np.asarray(cfg.tau_m, dtype=float))))
-        g_l_ref = float(np.median(np.atleast_1d(np.asarray(cfg.C_mem, dtype=float)))) / tau_ref
+        tau_ref = target.tau_m or _median(cfg.tau_m)
+        g_l_ref = _median(cfg.C_mem) / tau_ref
 
     entries = {
         "tau_syn_exc": (target.tau_syn_exc, _entry_tau_syn("exc")),

@@ -377,6 +377,8 @@ class PopulationRun:
     dt: float
     spikes: list
     final_state: CircuitState
+    # (step, neuron) of every spike as two rows, in step order
+    spike_columns: np.ndarray | None = None
     V: np.ndarray | None = None
     V_w: np.ndarray | None = None
     s_exc: np.ndarray | None = None
@@ -755,14 +757,16 @@ def simulate_population(cfg: CircuitNeuronConfig, n: int,
         ref_remaining=state.ref_remaining,
         pulse_remaining=state.pulse_remaining)
 
-    (steps, neuron), final, recs = _engine(
+    columns, final, recs = _engine(
         cfg, n, currents, arrivals["exc"], arrivals["inh"],
         state, dt, n_steps, record)
+    steps, neuron = columns
 
     # each neuron's spike times, in step order: one slice of a single array
     order = np.argsort(neuron, kind="stable")
     spikes = np.split(steps[order] * dt, np.cumsum(np.bincount(neuron, minlength=n))[:-1])
-    run = PopulationRun(dt=dt, spikes=spikes, final_state=final)
+    run = PopulationRun(dt=dt, spikes=spikes, final_state=final,
+                        spike_columns=columns)
     if record:
         ad = cfg.adaptation
         run.V, run.V_w, run.s_exc, run.s_inh = recs

@@ -17,7 +17,6 @@ from .calibrate import CalibrationTarget, calibrate_population
 from .circuit import (
     circuit_for_adex, default_circuit_config, simulate_circuit, simulate_population,
 )
-from .errors import FitFailed
 from .measure import (
     PspProtocol, _disable, _psp_response, exponential_sweep, fit_exponential_slope,
 )
@@ -326,10 +325,10 @@ def run_exponential_sweep(neuron, onsets=None, slopes=None,
                           min_decades: float = 3.0) -> ExperimentReport:
     """I(V) curves of the exponential branch for onset/slope settings.
 
-    Each setting is swept by `exponential_sweep` (120 points).  For every
-    slope setting the log-linear fit below saturation must match
-    the design slope within slope_tol over at least min_decades decades,
-    and onset shifts must leave the fitted slope unchanged within
+    Each setting is one row of a single `exponential_sweep` (120 points)
+    and fit.  For every slope setting the log-linear fit below saturation
+    must match the design slope within slope_tol over at least min_decades
+    decades, and onset shifts must leave the fitted slope unchanged within
     onset_shift_tol.
     """
     base = neuron.exponential
@@ -341,29 +340,30 @@ def run_exponential_sweep(neuron, onsets=None, slopes=None,
         name="exponential_sweep",
         tolerances={"slope_rel_err": slope_tol, "min_decades": min_decades,
                     "onset_slope_shift": onset_shift_tol})
-    ok = True
-    for slope in slopes:
-        g_target = base.n * base.V_therm / (8.0 * base.r_conv * slope)
+    # one row per setting, slope-major
+    slope_k, onset_k = (a.ravel() for a in np.meshgrid(slopes, onsets, indexing="ij"))
+    g_target = base.n * base.V_therm / (8.0 * base.r_conv * slope_k)
+    ex = replace(base, V_exp=onset_k,
+                 ota=replace(base.ota, I_bias=g_target / base.ota.g_per_bias))
+    grid, cur = exponential_sweep(replace(neuron, exponential=ex), n_points=120)
+    delta_t, _, decades, reasons = fit_exponential_slope(
+        grid, cur, ex.I_max, min_decades=min_decades)
+    design = ex.delta_t_eff
+    rel_err = np.abs(delta_t - design) / design
+    # a failed fit reads NaN and fails the slope test
+    ok = bool(np.all(rel_err <= slope_tol))
+    for s, slope in enumerate(slopes):
         fitted = []
-        for onset in onsets:
-            ex = replace(base, V_exp=onset,
-                         ota=replace(base.ota, I_bias=g_target / base.ota.g_per_bias))
-            grid, cur = exponential_sweep(replace(neuron, exponential=ex), n_points=120)
-            try:
-                delta_t, _, decades = fit_exponential_slope(
-                    grid, cur, ex.I_max, min_decades=min_decades)
-            except FitFailed as err:
-                report.notes.append(f"slope {slope:.4g}, onset {onset:.4g}: {err}")
-                ok = False
+        for k in range(s * len(onsets), (s + 1) * len(onsets)):
+            if reasons[k]:
+                report.notes.append(f"slope {slope:.4g}, onset {onset_k[k]:.4g}: {reasons[k]}")
                 continue
-            rel_err = abs(delta_t - ex.delta_t_eff) / ex.delta_t_eff
-            fitted.append(delta_t)
+            fitted.append(float(delta_t[k]))
             report.per_neuron.append({
-                "slope_setting": float(slope), "onset_setting": float(onset),
-                "delta_t_fit": float(delta_t), "delta_t_design": float(ex.delta_t_eff),
-                "slope_rel_err": float(rel_err), "decades": float(decades),
+                "slope_setting": float(slope), "onset_setting": float(onset_k[k]),
+                "delta_t_fit": float(delta_t[k]), "delta_t_design": float(design[k]),
+                "slope_rel_err": float(rel_err[k]), "decades": float(decades[k]),
             })
-            ok = ok and rel_err <= slope_tol and decades >= min_decades
         if len(fitted) >= 2:
             shift = (max(fitted) - min(fitted)) / float(np.mean(fitted))
             report.notes.append(

@@ -35,9 +35,9 @@ class ReleaseProtocol:
     The default offset stays well inside the linear range of the
     transconductors; the fit runs from release until the deflection has
     decayed to `floor_fraction` of the offset, and a release that never
-    gets there inside the window is not fitted.  The release is sampled
-    every tau_min / RELEASE_STEPS_PER_TAU for RELEASE_WINDOW_TAUS * tau_max,
-    with tau the nominal time constants of the population.
+    gets there inside the window is not fitted.  Each neuron's release is
+    sampled on its own grid, every tau / RELEASE_STEPS_PER_TAU for
+    RELEASE_WINDOW_TAUS * tau, with tau its own nominal time constant.
     """
 
     offset: float = 0.05
@@ -51,52 +51,75 @@ RELEASE_WINDOW_TAUS = 7.0
 NO_DECAY = "deflection did not decay"
 
 
+class _Reasons:
+    """Why each neuron's readout failed ('' if it did not): a template per
+    neuron, formatted with its numbers only where it is read, `reasons[i]`."""
+
+    def __init__(self, templates, **numbers):
+        self.templates, self.numbers = templates, numbers
+
+    def __getitem__(self, i):
+        return self.templates[i].format(
+            **{k: v[i] if np.ndim(v) else v for k, v in self.numbers.items()})
+
+
 def _population_size(cfg: CircuitNeuronConfig):
     arr = np.asarray(cfg.C_mem)
     return int(arr.shape[0]) if arr.ndim else None
 
 
-def _scalarize(values, errors, n):
+def _scalarize(values, n, reasons=("",)):
     """Population call -> array; scalar call -> float or FitFailed."""
     if n is not None:
         return values
-    if errors and errors[0] is not None:
-        raise FitFailed(errors[0])
+    if reasons[0]:
+        raise FitFailed(str(reasons[0]))
     return float(values[0])
 
 
-def log_linear_fit(x: np.ndarray, y: np.ndarray):
-    """Least-squares fit of ln(y) = slope * x + intercept; returns (slope, intercept, r2)."""
-    ly = np.log(y)
-    A = np.column_stack([x, np.ones_like(x)])
-    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    resid = ly - A @ coef
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
-    return float(coef[0]), float(coef[1]), r2
+def log_linear_fit(x: np.ndarray, y: np.ndarray, mask=True):
+    """Least-squares fit of ln(y) = slope * x + intercept along the last axis,
+    over the samples where `mask` is set (all by default); returns (slope,
+    intercept, r2) per row, the same bits for a row alone and in a batch."""
+    mask = np.broadcast_to(mask, np.shape(y))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # ln(y) reads 0 outside the mask
+        ly = np.log(np.where(mask, y, 1.0))
+        count = np.sum(mask, axis=-1)
+        x_mean = np.sum(np.where(mask, x, 0.0), axis=-1) / count
+        y_mean = np.sum(ly, axis=-1) / count
+        dx = np.where(mask, x - x_mean[..., None], 0.0)
+        dy = np.where(mask, ly - y_mean[..., None], 0.0)
+        slope = np.sum(dx * dy, axis=-1) / np.sum(dx * dx, axis=-1)
+        resid = dy - slope[..., None] * dx
+        ss_tot = np.sum(dy * dy, axis=-1)
+        r2 = np.where(ss_tot == 0, 1.0, 1.0 - np.sum(resid * resid, axis=-1) / ss_tot)
+    return slope, y_mean - slope * x_mean, r2
 
 
 def _fit_decay(times, deflection, proto: ReleaseProtocol):
-    """Fit a single-exponential decay; returns (tau, None) or (nan, reason)."""
-    if abs(deflection[0]) < 1e-12:
-        return math.nan, "nothing to fit (zero release offset)"
-    y = deflection / deflection[0]
-    floor = proto.floor_fraction
-    below = np.nonzero(y <= floor)[0]
-    if not len(below):
-        return math.nan, f"deflection never fell to the fit floor ({floor:g} of the offset)"
-    end = int(below[0])
-    if end < proto.min_samples:
-        return math.nan, f"only {end} samples above the fit floor"
-    yw = y[:end]
-    if np.any(yw <= 0):
-        return math.nan, "non-monotone trace (deflection crossed zero)"
-    slope, _, r2 = log_linear_fit(times[:end], yw)
-    if slope >= 0:
-        return math.nan, NO_DECAY
-    if r2 < proto.r2_min:
-        return math.nan, f"fit R^2 = {r2:.4f} below {proto.r2_min}"
-    return -1.0 / slope, None
+    """Fit a single-exponential decay to each row of `deflection` (samples on
+    the last axis, at `times`); returns (tau, reasons), tau NaN where a
+    row's fit failed."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = deflection / deflection[..., :1]
+    below = y <= proto.floor_fraction
+    end = np.where(below.any(axis=-1), np.argmax(below, axis=-1), -1)
+    window = np.arange(y.shape[-1]) < end[..., None]
+    slope, _, r2 = log_linear_fit(times, y, window)
+    reasons = np.select(
+        [np.abs(deflection[..., 0]) < 1e-12, np.all(y >= 1.0, axis=-1), end < 0,
+         end < proto.min_samples, np.any(window & (y <= 0), axis=-1),
+         ~(slope < 0), ~(r2 >= proto.r2_min)],
+        ["nothing to fit (zero release offset)", NO_DECAY,
+         "deflection never fell to the fit floor ({floor:g} of the offset)",
+         "only {end} samples above the fit floor",
+         "non-monotone trace (deflection crossed zero)", NO_DECAY,
+         "fit R^2 = {r2:.4f} below {r2_min}"], "")
+    with np.errstate(divide="ignore"):
+        tau = np.where(reasons == "", -1.0 / slope, math.nan)
+    return tau, _Reasons(reasons, floor=proto.floor_fraction, end=end, r2=r2,
+                         r2_min=proto.r2_min)
 
 
 def _disable(cfg: CircuitNeuronConfig, adaptation=False, exponential=False,
@@ -167,7 +190,8 @@ def _steady_state(cfg: CircuitNeuronConfig, m: int, current, start=None):
     scan in the direction the net current pushes V, then bisected to
     adjacent doubles; every neuron is solved on its own, so a batch gives
     the same bits as each neuron alone.  Returns (V, reasons): V is NaN
-    and reasons[i] names the cause where neuron i has no stable rest.
+    and reasons[i] names the cause where neuron i has no stable rest ('' if
+    it has one).
     """
     e_l = _per_neuron(cfg.E_l, m)
     inj = _per_neuron(cfg.stim_gain, m) * _per_neuron(cfg.stim_trim, m) \
@@ -230,17 +254,9 @@ def _steady_state(cfg: CircuitNeuronConfig, m: int, current, start=None):
             filter_ok = np.abs(ota_output(ad.ota_a, root, ad.E_l_adapt)) \
                 < _per_neuron(ad.ota_tau.i_sat, m)
 
-    reasons = []
-    for i in range(m):
-        if not np.isfinite(root[i]):
-            reasons.append(NO_ROOT)
-        elif not filter_ok[i]:
-            reasons.append(FILTER_SATURATED)
-        elif not stable[i]:
-            reasons.append(UNSTABLE)
-        else:
-            reasons.append(None)
-    return np.where([r is None for r in reasons], root, math.nan), reasons
+    reasons = np.select([~np.isfinite(root), ~filter_ok, ~stable],
+                        [NO_ROOT, FILTER_SATURATED, UNSTABLE], "")
+    return np.where(reasons == "", root, math.nan), reasons
 
 
 def _steady_deflection(cfg: CircuitNeuronConfig, m: int, step):
@@ -248,7 +264,7 @@ def _steady_deflection(cfg: CircuitNeuronConfig, m: int, step):
     returns (deflection, reasons) as `_steady_state` does."""
     rest, err_rest = _steady_state(cfg, m, 0.0)
     moved, err_moved = _steady_state(cfg, m, step, start=rest)
-    return moved - rest, [e0 or e1 for e0, e1 in zip(err_rest, err_moved)]
+    return moved - rest, np.where(err_rest != "", err_rest, err_moved)
 
 
 # ---------------------------------------------------------------------------
@@ -259,34 +275,30 @@ def _release_fit(ota: OtaModel, cap, proto: ReleaseProtocol, n):
 
     The deflection x from the OTA's reference then obeys
     C dx/dt = -I_sat * tanh(g * x / I_sat), whose exact solution is
-    sinh(g * x / I_sat) = sinh(g * x0 / I_sat) * exp(-g * t / C).  It is
-    sampled on the protocol grid, with tau = C / g of the live neurons,
-    and fitted as a recorded release would be.  A dead bias (I_sat = 0)
+    sinh(g * x / I_sat) = sinh(g * x0 / I_sat) * exp(-g * t / C).  Each
+    neuron's release is sampled on its own grid (see `ReleaseProtocol`),
+    with tau = C / g, and fitted as a recorded release would be, so a
+    neuron's fit does not depend on its batch.  A dead bias (I_sat = 0)
     leaves the node at x0, which the fit reports as not decaying.
     """
     m = n or 1
     g, i_sat, cap = (_per_neuron(x, m) for x in (ota.g, ota.i_sat, cap))
     live = i_sat > 0
-    if not live.any():
-        return _scalarize(np.full(m, math.nan), [NO_DECAY] * m, n)
-    tau = cap[live] / g[live]
-    dt = float(tau.min()) / RELEASE_STEPS_PER_TAU
-    times = np.arange(int(round(RELEASE_WINDOW_TAUS * float(tau.max()) / dt)) + 1) * dt
+    dt = cap / np.where(live, g, math.inf) / RELEASE_STEPS_PER_TAU
+    steps = int(round(RELEASE_WINDOW_TAUS * RELEASE_STEPS_PER_TAU))
+    times = np.arange(steps + 1) * dt[:, None]
     k = g / np.where(live, i_sat, 1.0)
     u0 = np.abs(k * proto.offset)
     with np.errstate(divide="ignore", invalid="ignore"):
         # ln sinh(u), so that a large u0 cannot overflow; then
         # u = asinh(exp(ln sinh(u)))
-        log_sinh = (u0 + np.log(-np.expm1(-2.0 * u0)) - math.log(2.0)
-                    - times[:, None] * (g / cap))
+        log_sinh = ((u0 + np.log(-np.expm1(-2.0 * u0)) - math.log(2.0))[:, None]
+                    - times * (g / cap)[:, None])
         u = np.logaddexp(log_sinh, 0.5 * np.logaddexp(2.0 * log_sinh, 0.0))
-        trace = np.where(live, math.copysign(1.0, proto.offset) * u / k, proto.offset)
-    values = np.empty(m)
-    errors = []
-    for i in range(m):
-        values[i], err = _fit_decay(times, trace[:, i], proto)
-        errors.append(err)
-    return _scalarize(values, errors, n)
+        trace = np.where(live[:, None], math.copysign(1.0, proto.offset) * u / k[:, None],
+                         proto.offset)
+    tau, reasons = _fit_decay(times, trace, proto)
+    return _scalarize(tau, n, reasons)
 
 
 def measure_tau_m(neuron, protocol: ReleaseProtocol | None = None):
@@ -362,17 +374,11 @@ def measure_subthreshold_a(neuron, deflection_target: float = 0.03):
         base.leak_ota, I_bias=np.asarray(base.leak_ota.I_bias, dtype=float) * boost))
     dv_off, err_off = _steady_deflection(_disable(base, adaptation=True), m, d_i)
     dv_on, err_on = _steady_deflection(base, m, d_i)
-
-    values = np.full(m, math.nan)
-    errors = []
-    for i in range(m):
-        err = err_off[i] or err_on[i]
-        if err is None and (dv_off[i] <= 0 or dv_on[i] <= 0):
-            err = "non-positive steady deflection"
-        if err is None:
-            values[i] = d_i[i] / dv_on[i] - d_i[i] / dv_off[i]
-        errors.append(err)
-    return _scalarize(values, errors, n)
+    reasons = np.select([err_off != "", err_on != "", ~(dv_off > 0) | ~(dv_on > 0)],
+                        [err_off, err_on, "non-positive steady deflection"], "")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.where(reasons == "", d_i / dv_on - d_i / dv_off, math.nan)
+    return _scalarize(values, n, reasons)
 
 
 def _measure_a_ideal(p: AdExParameters, deflection_target):
@@ -396,8 +402,8 @@ def exponential_sweep(neuron, n_points: int = 100):
     n_points) * slope, with the centre and slope of its own exponential
     (V_T and Delta_T for the ideal model, V_exp and delta_t_eff for a
     circuit), so a neuron's sweep does not depend on its batch.  Returns
-    (V grid, currents): (n_points,) vectors for one neuron, (n_points, n)
-    matrices for a stacked population.
+    (V grid, currents): (n_points,) vectors for one neuron, (n, n_points)
+    matrices for an exponential circuit with array leaves.
     """
     units = np.linspace(-3.5, 9.0, n_points)
     if isinstance(neuron, AdExParameters):
@@ -408,82 +414,83 @@ def exponential_sweep(neuron, n_points: int = 100):
     ex = neuron.exponential
     if not ex.enabled:
         raise InvalidConfig("exponential circuit is disabled")
-    n = _population_size(neuron)
-    if n is None:
-        grid = ex.V_exp + units * ex.delta_t_eff
-    else:
-        grid = _per_neuron(ex.V_exp, n) + units[:, None] * _per_neuron(ex.delta_t_eff, n)
-    return grid, exponential_current(grid, ex, in_refractory=False)
+    centre, slope = np.broadcast_arrays(ex.V_exp, ex.delta_t_eff)
+    grid = centre[..., None] + units * slope[..., None]
+    # the circuit's leaves broadcast against the sweep points on axis 0
+    return grid, np.ascontiguousarray(exponential_current(grid.T, ex, in_refractory=False).T)
 
 
 def fit_exponential_slope(grid: np.ndarray, currents: np.ndarray,
-                          i_max: float, r2_min: float = 0.995,
+                          i_max, r2_min: float = 0.995,
                           min_decades: float = 3.0):
-    """Log-linear fit below saturation; returns (delta_t, intercept, decades).
+    """Log-linear fit of each row below saturation; returns (delta_t,
+    intercept, decades, reasons), delta_t and intercept NaN where a row's
+    fit failed.
 
     The fit band excludes powered-down samples and everything at or above
-    the saturation shoulder (the output ceiling, or the point where the
-    local log slope collapses below half its median).
+    the saturation shoulder (the output ceiling `i_max`, or the first point
+    where the local log slope between consecutive band samples collapses
+    below half its median).
     """
-    peak = float(np.max(currents))
-    top = i_max / 10.0 if peak >= 0.9 * i_max else peak
-    band = (currents > 0) & (currents <= top)
-    idx = np.nonzero(band)[0]
-    if len(idx) >= 8:
-        seg_v = grid[idx]
-        seg_i = np.log(currents[idx])
-        local = np.diff(seg_i) / np.diff(seg_v)
-        median_slope = float(np.median(local))
-        flat = np.nonzero(local < 0.5 * median_slope)[0]
-        if len(flat) and median_slope > 0:
-            band = band.copy()
-            band[idx[flat[0] + 1:]] = False
-    if int(np.count_nonzero(band)) < 8:
-        raise FitFailed("too few samples below saturation")
-    decades = math.log10(float(currents[band].max() / currents[band].min()))
-    if decades < min_decades:
-        raise FitFailed(f"usable band spans {decades:.2f} decades, need {min_decades}")
-    slope, intercept, r2 = log_linear_fit(grid[band], currents[band])
-    if slope <= 0 or r2 < r2_min:
-        raise FitFailed(f"log-linear fit rejected (slope {slope:.3g}, R^2 {r2:.5f})")
-    return 1.0 / slope, intercept, decades
+    peak = np.max(currents, axis=-1)
+    top = np.where(peak >= 0.9 * i_max, i_max / 10.0, peak)
+    band = (currents > 0) & (currents <= top[..., None])
+    count = np.sum(band, axis=-1)
+    # band samples moved to the front of each row, in grid order
+    order = np.argsort(~band, axis=-1, kind="stable")
+    log_i = np.log(np.where(band, currents, 1.0))
+    local = np.diff(np.take_along_axis(log_i, order, axis=-1), axis=-1) \
+        / np.diff(np.take_along_axis(grid, order, axis=-1), axis=-1)
+    n_pairs = (count - 1)[..., None]
+    pairs = np.arange(local.shape[-1]) < n_pairs
+    # the median of each row's pairs, as np.median takes it
+    ranked = np.sort(np.where(pairs, local, math.inf), axis=-1)
+    middle = np.maximum(np.concatenate(((n_pairs - 1) // 2, n_pairs // 2), axis=-1), 0)
+    median = 0.5 * np.sum(np.take_along_axis(ranked, middle, axis=-1), axis=-1)
+    flat = pairs & (local < 0.5 * median[..., None])
+    shoulder = (count >= 8) & (median > 0) & np.any(flat, axis=-1)
+    rank = np.cumsum(band, axis=-1) - 1
+    band &= ~(shoulder[..., None] & (rank > np.argmax(flat, axis=-1)[..., None]))
+    count = np.sum(band, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        decades = np.log10(np.max(np.where(band, currents, -math.inf), axis=-1)
+                           / np.min(np.where(band, currents, math.inf), axis=-1))
+    slope, intercept, r2 = log_linear_fit(grid, currents, band)
+    reasons = np.select(
+        [count < 8, ~(decades >= min_decades), ~(slope > 0) | ~(r2 >= r2_min)],
+        ["too few samples below saturation",
+         "usable band spans {decades:.2f} decades, need {min_decades}",
+         "log-linear fit rejected (slope {slope:.3g}, R^2 {r2:.5f})"], "")
+    ok = reasons == ""
+    with np.errstate(divide="ignore"):
+        delta_t = np.where(ok, 1.0 / slope, math.nan)
+    return delta_t, np.where(ok, intercept, math.nan), decades, _Reasons(
+        reasons, decades=decades, min_decades=min_decades, slope=slope, r2=r2)
 
 
 def _exponential_fits(neuron, n_points, min_decades):
-    """Fit every neuron's exponential sweep on its own; returns (delta_t,
-    intercept, errors, n), NaN and the reason where a fit failed."""
+    """Fit every neuron's exponential sweep; returns (delta_t, intercept,
+    reasons, n), NaN where a fit failed."""
     grid, cur = exponential_sweep(neuron, n_points=n_points)
     ideal = isinstance(neuron, AdExParameters)
-    n = None if ideal else _population_size(neuron)
-    m = n or 1
-    grid, cur = grid.reshape(n_points, m), cur.reshape(n_points, m)
-    i_max = _per_neuron(math.inf if ideal else neuron.exponential.I_max, m)
-    fits = np.full((2, m), math.nan)
-    errors = []
-    for i in range(m):
-        try:
-            fits[:, i] = fit_exponential_slope(grid[:, i], cur[:, i], i_max[i],
-                                               min_decades=min_decades)[:2]
-            errors.append(None)
-        except FitFailed as err:
-            errors.append(str(err))
-    return fits[0], fits[1], errors, n
+    delta_t, intercept, _, reasons = fit_exponential_slope(
+        grid.reshape(-1, n_points), cur.reshape(-1, n_points),
+        math.inf if ideal else neuron.exponential.I_max, min_decades=min_decades)
+    return delta_t, intercept, reasons, None if ideal else _population_size(neuron)
 
 
 def measure_delta_t(neuron, n_points: int = 100, min_decades: float = 2.5):
     """Effective exponential slope from a three-decade clamped sweep."""
-    delta_t, _, errors, n = _exponential_fits(neuron, n_points, min_decades)
-    return _scalarize(delta_t, errors, n)
+    delta_t, _, reasons, n = _exponential_fits(neuron, n_points, min_decades)
+    return _scalarize(delta_t, n, reasons)
 
 
 def measure_exp_onset(neuron, g_l_ref, n_points: int = 100, min_decades: float = 2.5):
     """Soft-threshold estimate: the V where the fitted exponential current
     equals g_l_ref * Delta_T_fit."""
-    delta_t, intercept, errors, n = _exponential_fits(neuron, n_points, min_decades)
-    g_ref = _per_neuron(g_l_ref, len(delta_t))
-    onset = np.array([d * (math.log(g * d) - b) if err is None else math.nan
-                      for d, g, b, err in zip(delta_t, g_ref, intercept, errors)])
-    return _scalarize(onset, errors, n)
+    delta_t, intercept, reasons, n = _exponential_fits(neuron, n_points, min_decades)
+    onset = delta_t * (np.log(np.asarray(g_l_ref) * delta_t) - intercept)
+    return _scalarize(onset, n, reasons)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +510,7 @@ def measure_tau_syn(neuron, line: str = "exc"):
     if not syn.enabled:
         raise InvalidConfig(f"synaptic input '{line}' is disabled")
     n = _population_size(neuron)
-    return _scalarize(np.array(_per_neuron(syn.tau_syn, n or 1)), [], n)
+    return _scalarize(np.array(_per_neuron(syn.tau_syn, n or 1)), n)
 
 
 @dataclass(frozen=True)
@@ -570,7 +577,7 @@ def measure_psp_amplitude(neuron, line: str = "exc", weight: float = 1.0,
         return _measure_psp_ideal(*neuron, weight=weight, dt=dt)
     proto = PspProtocol(line=line, weight=weight, spacing_factor=10.0)
     _, amplitudes, n = _psp_response(neuron, proto, n_events=1, dt=dt)
-    return _scalarize(amplitudes[0], [], n)
+    return _scalarize(amplitudes[0], n)
 
 
 def measure_resting_offset(neuron, line: str = "exc"):
@@ -580,8 +587,8 @@ def measure_resting_offset(neuron, line: str = "exc"):
     m = n or 1
     cfg = _disable(neuron, adaptation=True, exponential=True, spiking=True,
                    keep_line=line)
-    rest, errors = _steady_state(cfg, m, 0.0)
-    return _scalarize(rest - _per_neuron(cfg.E_l, m), errors, n)
+    rest, reasons = _steady_state(cfg, m, 0.0)
+    return _scalarize(rest - _per_neuron(cfg.E_l, m), n, reasons)
 
 
 def _measure_psp_ideal(p: AdExParameters, syn_cfg: SynapseConfig,
@@ -618,8 +625,8 @@ def measure_stim_gain(neuron, deflection_target: float = 0.04,
         measure_tau_m(cfg) if tau_m_measured is None else tau_m_measured, m)
     g_l_meas = _per_neuron(cfg.C_mem, m) / tau
     i_cmd = deflection_target * _per_neuron(cfg.g_l, m)
-    dv, errors = _steady_deflection(cfg, m, i_cmd)
-    return _scalarize(dv * g_l_meas / i_cmd, errors, n)
+    dv, reasons = _steady_deflection(cfg, m, i_cmd)
+    return _scalarize(dv * g_l_meas / i_cmd, n, reasons)
 
 
 def measure_b(neuron):
@@ -637,33 +644,30 @@ def measure_b(neuron):
     n = _population_size(neuron)
     m = n or 1
     cfg = _disable(neuron, exponential=True, synin=True)
-    tau_w = np.broadcast_to(np.asarray(measure_tau_w(cfg), dtype=float), (m,))
+    tau_w = _per_neuron(measure_tau_w(cfg), m)
     tau_m_nom = np.atleast_1d(np.asarray(cfg.tau_m, dtype=float))
-    dt = min(float(tau_m_nom.min()) / 60.0,
-             float(np.broadcast_to(np.asarray(ad.pulse_width, dtype=float), (m,)).min()) / 5.0)
+    widths = _per_neuron(ad.pulse_width, m)
+    dt = min(float(tau_m_nom.min()) / 60.0, float(widths.min()) / 5.0)
     g_nom = np.asarray(cfg.g_l, dtype=float)
     drive = 6.0 * float(np.median(np.atleast_1d(
         g_nom * (np.asarray(cfg.V_det) - np.asarray(cfg.E_l)))))
     kick = 4.0 * float(tau_m_nom.max())
-    width = float(np.broadcast_to(np.asarray(ad.pulse_width, dtype=float), (m,)).max())
+    width = float(widths.max())
     duration = kick + 3.0 * max(width, float(tau_m_nom.max()))
     stim = StimulusProgram(((0.0, drive), (kick, 0.0)))
     run = simulate_population(cfg, m, stim, duration=duration, dt=dt, record=True)
 
-    g_w = np.broadcast_to(np.asarray(ad.g_w_factor, dtype=float), (m,)) \
-        * np.broadcast_to(np.asarray(ad.C_w, dtype=float), (m,)) / tau_w
-    values = np.empty(m)
-    errors = []
-    for i in range(m):
-        if len(run.spikes[i]) == 0:
-            values[i], err = math.nan, "forcing pulse produced no spike"
-        else:
-            k_spk = int(round(run.spikes[i][0] / dt))
-            k_end = k_spk + int(math.ceil(width / dt)) + 1
-            if k_end >= run.V_w.shape[0]:
-                values[i], err = math.nan, "pulse window ran past the trace"
-            else:
-                values[i] = g_w[i] * (run.V_w[k_spk, i] - run.V_w[k_end, i])
-                err = None
-        errors.append(err)
-    return _scalarize(values, errors, n)
+    g_w = _per_neuron(ad.g_w_factor, m) * _per_neuron(ad.C_w, m) / tau_w
+    # each neuron's first spike step: the spike columns come in step order
+    step, who = run.spike_columns
+    spiked, first = np.unique(who, return_index=True)
+    k_spk = np.full(m, -1)
+    k_spk[spiked] = step[first]
+    k_end = k_spk + int(math.ceil(width / dt)) + 1
+    reasons = np.select([k_spk < 0, k_end >= run.V_w.shape[0]],
+                        ["forcing pulse produced no spike", "pulse window ran past the trace"],
+                        "")
+    ok = reasons == ""
+    cols = np.arange(m)
+    jump = run.V_w[np.where(ok, k_spk, 0), cols] - run.V_w[np.where(ok, k_end, 0), cols]
+    return _scalarize(np.where(ok, g_w * jump, math.nan), n, reasons)

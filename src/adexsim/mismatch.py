@@ -206,9 +206,20 @@ class Population:
 
     @classmethod
     def from_stacked(cls, cfg: CircuitNeuronConfig, n: int) -> "Population":
-        """Wrap a stacked config of n neurons, without splitting it."""
+        """Wrap a stacked config of n neurons, without splitting it; every
+        array leaf must hold n values."""
         if np.shape(cfg.C_mem) != (n,):
             raise ValueError(f"stacked config does not hold {n} neurons")
+
+        def check(obj):
+            for f in dataclasses.fields(obj):
+                value = getattr(obj, f.name)
+                if dataclasses.is_dataclass(value):
+                    check(value)
+                elif np.ndim(value) and np.shape(value) != (n,):
+                    raise ValueError(f"{type(obj).__name__}.{f.name} does not hold {n} values")
+
+        check(cfg)
         pop = cls.__new__(cls)
         pop._neurons, pop._cfg, pop.size = None, cfg, n
         return pop

@@ -12,15 +12,16 @@ from adexsim import (
     lif_parameters,
 )
 from adexsim.circuit import (
-    MAX_MEMBRANE_CAPACITANCE, CircuitState, quiescent_state, set_bias,
+    MAX_MEMBRANE_CAPACITANCE, CircuitState, ota_output, quiescent_state, set_bias,
     simulate_population,
 )
 from adexsim.measure import (
-    FILTER_SATURATED, NO_ROOT, RELEASE_STEPS_PER_TAU, RELEASE_WINDOW_TAUS,
+    FILTER_SATURATED, NO_DECAY, NO_ROOT, RELEASE_STEPS_PER_TAU, RELEASE_WINDOW_TAUS,
     UNSTABLE, ReleaseProtocol, _a_protocol, _disable, _fit_decay,
-    _steady_state, measure_b, measure_delta_t, measure_exp_onset,
-    measure_psp_amplitude, measure_resting_offset, measure_stim_gain,
-    measure_subthreshold_a, measure_tau_m, measure_tau_syn, measure_tau_w,
+    _steady_state, fit_exponential_slope, measure_b, measure_delta_t,
+    measure_exp_onset, measure_psp_amplitude, measure_resting_offset,
+    measure_stim_gain, measure_subthreshold_a, measure_tau_m, measure_tau_syn,
+    measure_tau_w,
 )
 from adexsim.mismatch import (
     MismatchModel, Population, default_mismatch_model, sample_population,
@@ -78,7 +79,8 @@ class TestTauM:
         dt = cfg.tau_m / RELEASE_STEPS_PER_TAU
         times = np.arange(int(round(RELEASE_WINDOW_TAUS * cfg.tau_m / dt)) + 1) * dt
         line = proto.offset - cfg.leak_ota.i_sat / cfg.C_mem * times
-        tau, reason = _fit_decay(times, line, proto)
+        taus, reasons = _fit_decay(times, line[None], proto)
+        tau, reason = taus[0], reasons[0]
         assert math.isnan(tau) and "fit floor" in reason
         with np.errstate(over="raise"), pytest.raises(FitFailed) as err:
             measure_tau_m(cfg, proto)
@@ -137,6 +139,60 @@ class TestSubthresholdA:
 # ---------------------------------------------------------------------------
 # release closed forms against engine releases
 
+def row_fit_decay(times, deflection, proto):
+    """One row's decay fit as a loop over rows ran it before the fit was
+    batched (np.linalg.lstsq); returns (tau, reason), reason None on success.
+    A trace that never falls below its start reads as not decaying."""
+    if abs(deflection[0]) < 1e-12:
+        return math.nan, "nothing to fit (zero release offset)"
+    y = deflection / deflection[0]
+    if np.all(y >= 1.0):
+        return math.nan, NO_DECAY
+    below = np.nonzero(y <= proto.floor_fraction)[0]
+    if not len(below):
+        return math.nan, (f"deflection never fell to the fit floor "
+                          f"({proto.floor_fraction:g} of the offset)")
+    end = int(below[0])
+    if end < proto.min_samples:
+        return math.nan, f"only {end} samples above the fit floor"
+    if np.any(y[:end] <= 0):
+        return math.nan, "non-monotone trace (deflection crossed zero)"
+    A = np.column_stack([times[:end], np.ones(end)])
+    ly = np.log(y[:end])
+    coef = np.linalg.lstsq(A, ly, rcond=None)[0]
+    r2 = 1.0 - np.sum((ly - A @ coef) ** 2) / np.sum((ly - ly.mean()) ** 2)
+    if coef[0] >= 0:
+        return math.nan, NO_DECAY
+    if r2 < proto.r2_min:
+        return math.nan, f"fit R^2 = {r2:.4f} below {proto.r2_min}"
+    return -1.0 / coef[0], None
+
+
+def test_batched_decay_fit_matches_row_loop():
+    # one row per gate, each on its own time grid: the same reasons as the
+    # row loop, and the same tau to rounding
+    proto = ReleaseProtocol()
+    t = np.linspace(0.0, 7.0, 1051) * np.array([1e-6, 3e-5, 1e-4, 1e-5, 1e-5, 2e-6,
+                                                 1e-5, 1e-5, 4e-5])[:, None]
+    u = np.linspace(0.0, 7.0, 1051)
+    rows = np.array([
+        np.exp(-u),                         # clean decay
+        np.exp(-1.3 * u) * (1 + 0.01 * np.sin(40 * u)),  # decay with ripple
+        np.full_like(u, 0.05),              # dead bias
+        np.zeros_like(u),                   # zero offset
+        np.exp(-u / 50),                    # never reaches the floor
+        np.exp(-400 * u),                   # too few samples above it
+        np.exp(u / 10),                     # rising
+        1.0 - u / 3 + 0.3 * np.sin(6 * u),  # far from one exponential
+        0.05 * np.exp(-2.0 * u),            # scaled decay
+    ])
+    taus, reasons = _fit_decay(t, rows, proto)
+    want = [row_fit_decay(*row, proto) for row in zip(t, rows)]
+    np.testing.assert_allclose(taus, [w[0] for w in want], rtol=1e-9)
+    assert [reasons[i] or None for i in range(len(rows))] == [w[1] for w in want]
+    assert len({w[1] for w in want}) >= 6
+
+
 def engine_release(cfg, initial_state, node, proto=ReleaseProtocol()):
     """Each neuron's release fitted from a recorded engine run on the
     protocol grid.  `node` is (record 'V' or 'V_w', the node's reference,
@@ -151,8 +207,7 @@ def engine_release(cfg, initial_state, node, proto=ReleaseProtocol()):
     trace = getattr(run, run_node)
     times = np.arange(trace.shape[0]) * dt
     reference = np.broadcast_to(np.asarray(reference, dtype=float), (m,))
-    return np.array([_fit_decay(times, trace[:, i] - reference[i], proto)[0]
-                     for i in range(m)])
+    return _fit_decay(times, (trace - reference).T, proto)[0]
 
 
 def engine_release_tau_m(cfg, proto=ReleaseProtocol()):
@@ -227,8 +282,9 @@ class TestDeltaT:
     @given(pattern=st.sampled_from(PATTERN_NOMINALS), seed=st.integers(0, 2 ** 32 - 1),
            width=st.integers(1, 6))
     def test_scalar_equals_batch_column(self, pattern, seed, width):
-        # every neuron is swept over its own window, so its readouts do not
-        # depend on the batch; a failed scalar fit is a NaN column
+        # every engine-free readout samples, sweeps or solves each neuron on
+        # its own, so it does not depend on the batch; a failed scalar
+        # readout is a NaN column
         nominal = pattern_nominal(pattern)
         neurons = sample_population(
             nominal, default_mismatch_model(nominal, seed=seed), width).neurons
@@ -240,11 +296,56 @@ class TestDeltaT:
             except FitFailed:
                 return math.nan
 
-        np.testing.assert_array_equal(
-            measure_delta_t(cfg), [alone(measure_delta_t, c) for c in neurons])
+        for measure in (measure_tau_m, measure_tau_w, measure_delta_t,
+                        measure_subthreshold_a, measure_stim_gain, measure_resting_offset):
+            np.testing.assert_array_equal(
+                measure(cfg), [alone(measure, c) for c in neurons], err_msg=measure.__name__)
         np.testing.assert_array_equal(
             measure_exp_onset(cfg, np.asarray(cfg.g_l)),
             [alone(measure_exp_onset, c, c.g_l) for c in neurons])
+
+
+def row_exponential_fit(grid, currents, i_max, r2_min=0.995, min_decades=2.5):
+    """One row's exponential fit as a loop over rows ran it before the fit
+    was batched (np.median of the local slopes, np.linalg.lstsq); returns
+    delta_t, or NaN where a gate rejects the row."""
+    peak = float(np.max(currents))
+    top = i_max / 10.0 if peak >= 0.9 * i_max else peak
+    band = (currents > 0) & (currents <= top)
+    idx = np.nonzero(band)[0]
+    if len(idx) >= 8:
+        local = np.diff(np.log(currents[idx])) / np.diff(grid[idx])
+        median = float(np.median(local))
+        flat = np.nonzero(local < 0.5 * median)[0]
+        if len(flat) and median > 0:
+            band[idx[flat[0] + 1:]] = False
+    if np.count_nonzero(band) < 8:
+        return math.nan
+    x, ly = grid[band], np.log(currents[band])
+    A = np.column_stack([x, np.ones_like(x)])
+    coef = np.linalg.lstsq(A, ly, rcond=None)[0]
+    r2 = 1.0 - np.sum((ly - A @ coef) ** 2) / np.sum((ly - ly.mean()) ** 2)
+    decades = math.log10(currents[band].max() / currents[band].min())
+    if decades < min_decades or coef[0] <= 0 or r2 < r2_min:
+        return math.nan
+    return 1.0 / coef[0]
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), width=st.integers(1, 6))
+def test_batched_exponential_fit_matches_row_loop(seed, width):
+    # noisy sweeps with a powered-down start, a soft shoulder below the
+    # ceiling or a hard one at it: the same bands and gates as the row loop,
+    # and the same slope to rounding
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(0.3, 0.9, 100) + rng.uniform(-0.05, 0.05, (width, 1))
+    ideal = 1e-12 * np.exp((grid - 0.4) / rng.uniform(0.01, 0.05, (width, 1)))
+    knee = 10.0 ** rng.uniform(-10, -7, (width, 1))
+    cur = ideal / (1.0 + ideal / knee) * rng.lognormal(0.0, 0.02, grid.shape)
+    cur[:, :rng.integers(0, 20)] = 0.0
+    i_max = 10.0 ** rng.uniform(-9, -6, width)
+    np.testing.assert_allclose(
+        fit_exponential_slope(grid, cur, i_max, min_decades=2.5)[0],
+        [row_exponential_fit(*row) for row in zip(grid, cur, i_max)], rtol=1e-9)
 
 
 class TestTauSyn:
@@ -454,6 +555,31 @@ class TestSteadyStateSolver:
         solved = measure_resting_offset(cfg)
         assert np.count_nonzero(settled) >= m - 1
         assert np.all(np.abs(solved - oracle)[settled] <= 1e-3 * np.abs(oracle[settled]))
+
+    @given(pattern=st.sampled_from(PATTERN_NOMINALS), seed=st.integers(0, 2 ** 32 - 1),
+           command=st.floats(-2.5, 2.5))
+    def test_root_brackets_a_sign_change(self, pattern, seed, command):
+        # each finite rest and the adjacent double on the start side (E_l)
+        # bracket a sign change or a zero of the net current; every other
+        # neuron names why it has no stable rest
+        nominal = pattern_nominal(pattern)
+        cfg = _disable(sample_population(nominal, default_mismatch_model(nominal, seed=seed),
+                                         8).stacked(),
+                       exponential=True, synin=True, spiking=True)
+        ad = cfg.adaptation
+        current = command * cfg.leak_ota.i_sat
+
+        def net(V):
+            f = ota_output(cfg.leak_ota, cfg.E_l, V)
+            f = f - ad.sign * ad.g_w_factor * ota_output(ad.ota_a, V, ad.E_l_adapt)
+            return f + cfg.stim_gain * cfg.stim_trim * current
+
+        rest, reasons = _steady_state(cfg, 8, current)
+        solved = np.isfinite(rest)
+        assert np.all(solved == (reasons == ""))
+        assert set(reasons[~solved]) <= {NO_ROOT, FILTER_SATURATED, UNSTABLE}
+        across = net(rest) * net(np.nextafter(rest, cfg.E_l))
+        assert np.all(across[solved] <= 0)
 
     def test_unstable_rest_named(self, hw_circuit):
         # a = -2 g_l without the readout's leak boost: the rest is unstable

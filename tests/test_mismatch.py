@@ -15,7 +15,7 @@ from adexsim import (
 from adexsim import mismatch
 from adexsim.circuit import (
     AdaptationCircuitConfig, CircuitNeuronConfig, ExponentialCircuitConfig,
-    OtaModel, SynInCircuitConfig, get_bias,
+    OtaModel, SynInCircuitConfig, get_bias, set_bias,
 )
 from adexsim.mismatch import (
     MismatchModel, PARAMETER_RANGES, Population, default_mismatch_model,
@@ -273,6 +273,16 @@ class TestColumns:
         short = dataclasses.replace(pop.stacked(), E_l=np.full(3, 0.5))
         with pytest.raises(ValueError, match=r"^CircuitNeuronConfig.E_l does not hold 5 values$"):
             Population.from_stacked(short, 5).neurons
+
+    def test_from_stacked_rejects_a_leaf_of_another_length(self):
+        # once only C_mem was checked, and numpy's broadcast error came later
+        pop = spread_population(5)
+        short = dataclasses.replace(pop.stacked(), E_l=np.full(3, 0.5))
+        with pytest.raises(ValueError, match=r"^CircuitNeuronConfig.E_l does not hold 5 values$"):
+            Population.from_stacked(short, 5)
+        deep = set_bias(pop.stacked(), "adaptation.ota_tau.I_bias", np.ones(6))
+        with pytest.raises(ValueError, match=r"^OtaModel.I_bias does not hold 5 values$"):
+            Population.from_stacked(deep, 5)
 
     def test_each_node_checked_once(self, monkeypatch):
         pop = spread_population(16, coba=True)
