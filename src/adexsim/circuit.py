@@ -17,7 +17,7 @@ math broadcasts, so a single implementation serves both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -401,8 +401,8 @@ class PopulationRun:
 
 
 def _n_steps(duration: float, dt: float) -> int:
-    if not duration > 0 or not dt > 0:
-        raise ValueError("duration and dt must be > 0")
+    if not (0 < duration < math.inf and 0 < dt < math.inf):
+        raise ValueError("duration and dt must be finite and > 0")
     n = int(round(duration / dt))
     if n < 1:
         raise ValueError("duration shorter than one step")
@@ -413,6 +413,36 @@ def _plus_zero(x) -> bool:
     """Whether every element of x is +0.0 (-0.0 and NaN are not)."""
     x = np.asarray(x)
     return not (np.any(x != 0) or np.any(np.signbit(x)))
+
+
+def _check_width(obj, n: int) -> None:
+    """Raise ValueError naming the first numeric leaf of a config or state
+    that is neither one value nor n values."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            _check_width(value, n)
+        elif not isinstance(value, (bool, str, type(None))) and np.shape(value) not in ((), (n,)):
+            raise ValueError(f"{type(obj).__name__}.{f.name} does not hold {n} values")
+
+
+def _countdown(x0, dt: float, limit):
+    """Run timers x0 down by the engine's x <- max(x - dt, 0) while they
+    are at or above dt, each for at most `limit` steps (one number, or one
+    per timer).
+
+    Returns the steps each ran and the value it then holds.  A timer that
+    stopped below dt before its limit is +0.0 one step later and stays so.
+    """
+    x = np.array(x0, dtype=float)
+    ran = np.zeros(x.shape, dtype=np.int64)
+    limit = np.broadcast_to(limit, x.shape)
+    on = np.flatnonzero((x >= dt) & (limit > 0))
+    while on.size:
+        x[on] = np.maximum(x[on] - dt, 0.0)
+        ran[on] += 1
+        on = on[(x[on] >= dt) & (ran[on] < limit[on])]
+    return ran, x
 
 
 def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
@@ -429,18 +459,21 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     exponential-Euler nodes.  A step skips only work whose result is known
     exactly:
 
-    - no neuron refractory: h = dt for all, so the membrane factors
-      exp(-lam_m*dt) and _phi(lam_m, dt) are computed once.  Otherwise a
-      neuron held for the whole step (h = 0) takes the h = 0 factors,
-      also computed once, and only a neuron in a fractional release step
-      (0 < h < dt) computes them;
-    - no refractory timer running: no timer update and no refractory gate
-      on I_exp.  No adaptation pulse in flight: no pulse current and no
-      pulse timer update.  A flag is set on a spike and, while set,
-      tested again after each timer update; a flag left set only takes
-      the full path;
-    - every pulse_amplitude +0.0: the pulse current is +0.0 and is never
-      subtracted (x - (+0.0) is x); the pulse timer still runs;
+    - the refractory and adaptation-pulse timers: from a spike each runs
+      down from t_ref or pulse_width by x <- max(x - dt, 0), so one
+      countdown before the loop (`_countdown`) gives each neuron's course:
+      its held steps (h = 0, I_exp gated), its release step (0 < x < dt,
+      h = dt - x, gated) with that h's exp(-lam_m*h) and _phi(lam_m, h),
+      and its pulse currents min(x, dt) * p_amp / dt: full while x >= dt,
+      fractional at the x left below dt, idle at 0.  The membrane
+      factors, the I_exp gate mask and the pulse-current row are written
+      only for the neurons that spike or change phase on a step, from
+      step-keyed buckets whose entries are skipped for a neuron that has
+      spiked again since.  Initial timers take the same course, and the
+      final timers come from the same countdown;
+    - no course gated or pulsing on a step: no I_exp gate, and no pulse
+      current unless some idle pulse current (p_amp * 0.0 / dt) is not
+      +0.0 (x - (+0.0) is x);
     - an adaptation sign of +1 (or -1) for every neuron: the coupling is
       subtracted (or added) without the multiply, since x - (-y) is x + y;
     - the injected current stim_gain * stim_trim * I is computed once per
@@ -462,7 +495,12 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     V_w, V_m = S
     V_w[:], V_m[:] = bc(state.V_w), bc(state.V_m)
     s_exc, s_inh = bc(state.s_exc), bc(state.s_inh)
-    ref, pulse_left = bc(state.ref_remaining), bc(state.pulse_remaining)
+    ref0, pulse0 = bc(state.ref_remaining), bc(state.pulse_remaining)
+    # an array state is checked here as a scalar CircuitState checks itself;
+    # the timer courses below need finite timers to end
+    for x in (V_w, V_m, s_exc, s_inh, ref0, pulse0):
+        if not np.isfinite(x).all():
+            raise NonFiniteState("non-finite circuit state", time=0.0)
 
     # the nodes integrated, the last rows of S: both, or the membrane alone
     # when adaptation is off.  Per node, in the same rows: the reference it
@@ -495,9 +533,7 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     z_leak = next(rows)
     gl_g = G[0]
     lam_m = gl_g / C_mem
-    exp_free, phi_free = np.exp(-lam_m * dt), _phi(lam_m, dt)
-    exp_held, phi_held = np.exp(-lam_m * 0.0), _phi(lam_m, 0.0)
-    GN[-1], DECAY[-1], PHI[-1] = gl_g, exp_free, phi_free
+    GN[-1] = gl_g
 
     if ex.enabled:
         z_exp = next(rows)
@@ -516,14 +552,75 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
         V_ref, C_w, E_la = REF[0], CN[0], bc(ad.E_l_adapt)
         sign, gw_f = bc(ad.sign), bc(ad.g_w_factor)
         sign_rule = 1 if np.all(sign == 1) else -1 if np.all(sign == -1) else 0
-        p_amp = bc(ad.pulse_amplitude)
         lam_w = gt_g / C_w
         GN[0], DECAY[0], PHI[0] = gt_g, np.exp(-lam_w * dt), _phi(lam_w, dt)
-        pulse_i = np.empty(n)
     # forcing rows: the filter node's W and the membrane's F; the
     # membrane row of XN is the scratch X of the forcing
     W, F, X = FN[0], FN[-1], XN[-1]
+
+    # the timer courses.  The membrane's factors over a step with h of it
+    # integrated and the I_exp gate: held at h = 0, free at h = dt, one
+    # release step in between; the pulse current min(x, dt) * p_amp / dt is
+    # full while x >= dt.  A write is (row, values) pairs, made for the
+    # neurons that take it.
     dec_m, phi_m = DECAY[-1], PHI[-1]
+    pulse_i, gated = np.empty(n), np.empty(n, dtype=bool)
+    p_amp = bc(ad.pulse_amplitude)
+    p_width = bc(ad.pulse_width) if ad.enabled else np.zeros(n)
+    pulse_at = lambda x: np.minimum(x, dt) * p_amp / dt
+    full_i, idle_i = pulse_at(dt), pulse_at(0.0)
+    membrane = (dec_m, phi_m, gated)
+    HELD = (np.exp(-lam_m * 0.0), _phi(lam_m, 0.0), np.ones(n, dtype=bool))
+    FREE = (np.exp(-lam_m * dt), _phi(lam_m, dt), np.zeros(n, dtype=bool))
+
+    def course(t0, p0):
+        """Timers started at t0 (refractory) and p0 (pulse): the write of
+        their first step, the most steps one stays gated or pulsing, and
+        their phase changes.  Per change: its write, each neuron's step
+        after the start (-1 where it takes none), the distinct steps, and
+        whether every neuron takes it at the one step."""
+        held, left = _countdown(t0, dt, n_steps)
+        release = left > 0
+        h = np.clip(dt - left, 0.0, dt)
+        RELEASE = (np.exp(-lam_m * h), _phi(lam_m, h), HELD[2])
+        first = [(row, np.where(held > 0, a, np.where(release, b, c)))
+                 for row, a, b, c in zip(membrane, HELD, RELEASE, FREE)]
+        changes = [(tuple(zip(membrane[:2], RELEASE)), held, (held > 0) & release),
+                   (tuple(zip(membrane, FREE)), held + release, (held > 0) | release)]
+        gate_len = int((held + release).max())
+        held, left = _countdown(p0, dt, n_steps)
+        tail = (left != 0) | np.signbit(left)
+        tail_i = pulse_at(left)
+        first.append((pulse_i, np.where(held > 0, full_i, np.where(tail, tail_i, idle_i))))
+        changes += [(((pulse_i, tail_i),), held, (held > 0) & tail),
+                    (((pulse_i, idle_i),), held + tail, (held > 0) | tail)]
+        plan = []
+        for write, at, takes in changes:
+            at = np.where(takes, at, -1)
+            steps = np.unique(at[takes]).tolist()
+            plan.append((write, at, steps, len(steps) == 1 and takes.all()))
+        return first, gate_len, int((held + tail).max()), plan
+
+    buckets = {}
+
+    def schedule(k, idx, plan):
+        """File the phase changes of the neurons idx, whose timers started
+        at the end of step k, under the steps they fall on."""
+        for write, at, steps, every in plan:
+            for d in steps:
+                if k + 1 + d < n_steps:
+                    sel = idx if every else idx[at[idx] == d]
+                    if sel.size:
+                        buckets.setdefault(k + 1 + d, []).append((write, k, sel))
+
+    # the initial timers start as if set by a spike at the end of step -1
+    last = np.full(n, -1, dtype=np.int64)
+    first, gate_until, pulse_until, plan = course(ref0, pulse0)
+    for row, values in first:
+        row[:] = values
+    schedule(-1, np.arange(n), plan)
+    on_spike, gate_len, pulse_len, spike_plan = course(t_ref, p_width)
+    idle_live = not _plus_zero(idle_i)
 
     # synaptic lines as terms of the forcing: (kind, op, operands), op the
     # ufunc that applies the term (add for exc, subtract for inh)
@@ -553,17 +650,6 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     segment_starts = iter(_run_starts(currents))
     next_segment = next(segment_starts)
     I_inj = np.empty(n)
-
-    # refractory and adaptation-pulse flags.  The pulse current of an idle
-    # timer, p_amp * 0.0 / dt, can only be skipped where it is +0.0; that
-    # of any timer where every p_amp is +0.0 and no timer starts as NaN.
-    p_width = bc(ad.pulse_width) if ad.enabled else np.zeros(n)
-    idle_pulse = ad.enabled and not _plus_zero(p_amp * 0.0)
-    pulse_current = ad.enabled and not (_plus_zero(p_amp)
-                                        and not np.isnan(pulse_left).any())
-    refractory = not _plus_zero(ref)
-    pulsing = idle_pulse or not _plus_zero(pulse_left)
-    ref_on_spike, pulse_on_spike = not _plus_zero(t_ref), not _plus_zero(p_width)
     count = np.count_nonzero
 
     spiked = np.empty(n, dtype=bool)
@@ -587,6 +673,13 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     gate = ex_on and ex.gate_in_refractory
 
     for k in range(n_steps):
+        # the phase changes due on this step, but for neurons that have
+        # spiked again since they were filed
+        for write, k_start, sel in buckets.pop(k, ()):
+            sel = sel[last[sel] == k_start]
+            for row, values in write:
+                row[sel] = values[sel]
+
         sub(E_l, V_m, z_leak)
         if ex_on:
             sub(V_m, ex_vexp, z_exp)
@@ -611,8 +704,8 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
             minimum(z_exp, I_max, out=z_exp)
             np.less(z_exp, ex_floor, floored)
             copyto(z_exp, 0.0, where=floored)
-            if refractory and gate:
-                copyto(z_exp, 0.0, where=ref > 0)
+            if gate and k < gate_until:
+                copyto(z_exp, 0.0, where=gated)
             add(z_leak, z_exp, F)
         else:
             add(z_leak, 0.0, F)
@@ -627,10 +720,7 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
             else:
                 mul(z_a, sign, z_a)
                 sub(z_tau, z_a, W)
-            if pulsing and pulse_current:
-                minimum(pulse_left, dt, out=pulse_i)
-                mul(pulse_i, p_amp, pulse_i)
-                div(pulse_i, dt, pulse_i)
+            if k < pulse_until or idle_live:
                 sub(W, pulse_i, W)
         for kind, op, a in terms:
             if kind == "const":
@@ -654,17 +744,6 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
             next_segment = next(segment_starts, n_steps)
         add(F, I_inj, F)
 
-        # membrane held at V_r while refractory, integrating the
-        # post-release fraction of the step otherwise
-        if refractory:
-            h = np.clip(dt - ref, 0.0, dt)
-            free, held = h == dt, h == 0.0
-            dec_m[:] = np.where(free, exp_free, exp_held)
-            phi_m[:] = np.where(free, phi_free, phi_held)
-            part = ~(free | held)
-            if count(part):
-                dec_m[part] = np.exp(-lam_m[part] * h[part])
-                phi_m[part] = _phi(lam_m[part], h[part])
         # each node: V <- ref + (V - ref) * decay + (forcing + g * (V - ref)) / C * phi
         sub(NODE, REF, DN)
         mul(GN, DN, XN)
@@ -678,31 +757,24 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
         for s, decay, arrivals, dv in moving:
             mul(s, decay, s)
             add(s, arrivals[k] * dv, s)
-        if refractory:
-            sub(ref, dt, ref)
-            maximum(ref, 0.0, out=ref)
-            refractory = count(ref) > 0
-            if not refractory:
-                dec_m[:], phi_m[:] = exp_free, phi_free
-        if pulsing:
-            sub(pulse_left, dt, pulse_left)
-            maximum(pulse_left, 0.0, out=pulse_left)
-            pulsing = idle_pulse or count(pulse_left) > 0
 
         np.greater_equal(V_m, V_det, spiked)
         fired = count(spiked)
         if fired:
             copyto(V_m, V_r, where=spiked)
-            copyto(ref, t_ref, where=spiked)
-            copyto(pulse_left, p_width, where=spiked)
-            refractory = refractory or ref_on_spike
-            pulsing = pulsing or pulse_on_spike
+            idx = np.flatnonzero(spiked)
+            last[idx] = k
+            for row, values in on_spike:
+                row[idx] = values[idx]
+            schedule(k, idx, spike_plan)
+            gate_until = max(gate_until, k + 1 + gate_len)
+            pulse_until = max(pulse_until, k + 1 + pulse_len)
             end = n_spikes + fired
             if end > spikes.shape[1]:
                 grow = max(end - spikes.shape[1], spikes.shape[1] // 2)
                 spikes = np.concatenate((spikes, np.empty((2, grow), dtype=np.int64)), axis=1)
             spikes[0, n_spikes:end] = k + 1
-            spikes[1, n_spikes:end] = np.flatnonzero(spiked)
+            spikes[1, n_spikes:end] = idx
             n_spikes = end
         if record:
             V_rec[k + 1], Vw_rec[k + 1] = V_m, V_w
@@ -714,8 +786,14 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     if not np.isfinite(S).all():
         raise NonFiniteState("circuit state became non-finite (dt too large?)",
                              time=n_steps * dt)
+    # each timer runs down from its last start for the steps left after it
+    left_steps = n_steps - 1 - last
+    timers = []
+    for start in (np.where(last >= 0, t_ref, ref0), np.where(last >= 0, p_width, pulse0)):
+        ran, x = _countdown(start, dt, left_steps)
+        timers.append(np.where(ran == left_steps, x, 0.0))
     final = CircuitState(V_m=V_m, V_w=V_w, s_exc=s_exc, s_inh=s_inh,
-                         ref_remaining=ref, pulse_remaining=pulse_left)
+                         ref_remaining=timers[0], pulse_remaining=timers[1])
     recs = (V_rec, Vw_rec, se_rec, si_rec) if record else None
     return spikes[:, :n_spikes], final, recs
 
@@ -735,6 +813,9 @@ def simulate_population(cfg: CircuitNeuronConfig, n: int,
     """
     from .synapse import weights_per_boundary
 
+    for obj in (cfg, initial_state):
+        if obj is not None:
+            _check_width(obj, n)
     n_steps = _n_steps(duration, dt)
     currents = stimulus.per_step_currents(n_steps, dt)
 

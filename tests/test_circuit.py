@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies
 
 from adexsim import (
     AdExParameters, CircuitState, InvalidConfig, NonFiniteState, OtaModel,
@@ -253,6 +254,39 @@ VARIANT_STIMULI = {
 }
 
 
+# the timer-course tests: the dt of configs/adex_step.cfg and a drive that
+# gives ISIs of about 5 us.  Per neuron of the mixed batch: a t_ref of 0
+# whose 12 us pulse is still in flight at its next spike, 25 dt ending in
+# a fractional release step with a pulse below dt, 1.03 us with a pulse of
+# 2.5 dt, and a t_ref as long as the run.
+TIMER_DT, TIMER_DURATION = 0.04e-6, 40e-6
+TIMER_STIMULUS = StimulusProgram.step(2e-6, 150e-9)
+T_REFS = (0.0, 25 * TIMER_DT, 1.03e-6, TIMER_DURATION)
+PULSE_WIDTHS = (12e-6, 0.5 * TIMER_DT, 2.5 * TIMER_DT, 1.6e-6)
+# t_ref, pulse width and the initial refractory and pulse timers
+TIMER_COURSES = strategies.tuples(
+    strategies.sampled_from(T_REFS) | strategies.floats(0.0, 3e-6),
+    strategies.sampled_from(PULSE_WIDTHS) | strategies.floats(1e-9, 3e-6),
+    strategies.floats(0.0, 3e-6), strategies.floats(0.0, 3e-6))
+
+
+def _timed(cfg, t_ref, pulse_width, gate=True):
+    # the given refractory period and pulse width, the pulse's charge kept,
+    # and I_exp gated while refractory or not
+    ad = cfg.adaptation
+    return replace(cfg, t_ref=t_ref, adaptation=replace(
+        ad, pulse_width=pulse_width,
+        pulse_amplitude=ad.pulse_amplitude * ad.pulse_width / pulse_width),
+        exponential=replace(cfg.exponential, gate_in_refractory=gate))
+
+
+def _left_below_dt(x, dt):
+    # what the timer update x <- max(x - dt, 0) leaves once below dt
+    while x >= dt:
+        x = max(x - dt, 0.0)
+    return x
+
+
 class TestCircuitStep:
     def test_quiescent_stationary(self):
         cfg = default_circuit_config()
@@ -440,6 +474,87 @@ class TestCircuitStep:
             for name in fields:
                 assert np.asarray(getattr(alone.final_state, name))[0].tobytes() == \
                     np.asarray(getattr(batch.final_state, name))[i].tobytes(), (i, name)
+
+    def test_mixed_timer_batch_matches_stepwise_reference(self, hw_circuit):
+        # each column of the mixed batch, started with nonzero timers,
+        # against circuit_step on every step
+        cfg = Population([_timed(hw_circuit, t, w)
+                          for t, w in zip(T_REFS, PULSE_WIDTHS)]).stacked()
+        state = replace(quiescent_state(cfg),
+                       ref_remaining=np.array([0.3, 62.5, 0.0, 0.0]) * TIMER_DT,
+                       pulse_remaining=np.array([5.0, 0.0, 3.3, 0.7]) * TIMER_DT)
+        assert 0 < _left_below_dt(T_REFS[1], TIMER_DT) < TIMER_DT
+        run = simulate_population(cfg, 4, TIMER_STIMULUS, duration=TIMER_DURATION,
+                                  dt=TIMER_DT, initial_state=state, record=True)
+        n_steps = int(round(TIMER_DURATION / TIMER_DT))
+        currents = TIMER_STIMULUS.per_step_currents(n_steps, TIMER_DT)
+        spikes = [[] for _ in range(4)]
+        for k in range(n_steps):
+            state, spiked = circuit_step(state, cfg, currents[k], dt=TIMER_DT)
+            assert state.V_m.tobytes() == run.V[k + 1].tobytes(), k
+            assert state.V_w.tobytes() == run.V_w[k + 1].tobytes(), k
+            for i in np.flatnonzero(spiked):
+                spikes[i].append((k + 1) * TIMER_DT)
+        for i in range(4):
+            assert run.spikes[i].tobytes() == np.array(spikes[i]).tobytes(), i
+        assert np.diff(spikes[0]).min() < PULSE_WIDTHS[0]
+        assert len(spikes[3]) == 1 and min(len(s) for s in spikes[:3]) >= 4
+        for name in ("ref_remaining", "pulse_remaining"):
+            assert getattr(run.final_state, name).tobytes() == \
+                getattr(state, name).tobytes(), name
+
+    # hw_circuit is a frozen config, so one instance serves every example
+    @settings(max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(courses=strategies.lists(TIMER_COURSES, min_size=1, max_size=4),
+           gate=strategies.booleans())
+    def test_mixed_timer_batch_column_equals_neuron_alone(self, hw_circuit, courses, gate):
+        # each neuron of a batch of mixed timer courses gives the bits it
+        # gives when run alone
+        neurons = [_timed(hw_circuit, t_ref, width, gate) for t_ref, width, _, _ in courses]
+        n = len(neurons)
+        ref0 = np.array([c[2] for c in courses])
+        pulse0 = np.array([c[3] for c in courses])
+        kw = dict(duration=TIMER_DURATION / 2, dt=TIMER_DT, record=True)
+        cfg = Population(neurons).stacked()
+        batch = simulate_population(cfg, n, TIMER_STIMULUS, initial_state=replace(
+            quiescent_state(cfg), ref_remaining=ref0, pulse_remaining=pulse0), **kw)
+        for i, neuron in enumerate(neurons):
+            alone = simulate_population(neuron, 1, TIMER_STIMULUS, initial_state=replace(
+                quiescent_state(neuron), ref_remaining=ref0[i:i + 1],
+                pulse_remaining=pulse0[i:i + 1]), **kw)
+            assert alone.spikes[0].tobytes() == batch.spikes[i].tobytes(), i
+            assert alone.V[:, 0].tobytes() == batch.V[:, i].tobytes(), i
+            assert alone.V_w[:, 0].tobytes() == batch.V_w[:, i].tobytes(), i
+            for name in ("ref_remaining", "pulse_remaining"):
+                assert getattr(alone.final_state, name).tobytes() == \
+                    getattr(batch.final_state, name)[i:i + 1].tobytes(), (i, name)
+
+    @pytest.mark.parametrize("field, value", [("ref_remaining", math.nan),
+                                              ("pulse_remaining", math.inf)])
+    def test_nonfinite_initial_timer_raises_at_start(self, hw_circuit, field, value):
+        cfg = Population([hw_circuit] * 4).stacked()
+        timers = np.zeros(4)
+        timers[2] = value
+        state = replace(quiescent_state(cfg), **{field: timers})
+        with pytest.raises(NonFiniteState) as err:
+            simulate_population(cfg, 4, TIMER_STIMULUS, duration=20e-6, dt=TIMER_DT,
+                                initial_state=state)
+        assert err.value.time == 0.0
+
+    def test_leaves_not_holding_n_values_are_named(self, hw_circuit):
+        cfg = Population([hw_circuit] * 4).stacked()
+        with pytest.raises(ValueError, match=r"^CircuitNeuronConfig\.C_mem does not hold 3 values$"):
+            simulate_population(cfg, 3, TIMER_STIMULUS, duration=1e-6, dt=TIMER_DT)
+        state = replace(quiescent_state(hw_circuit), pulse_remaining=np.zeros(2))
+        with pytest.raises(ValueError, match=r"^CircuitState\.pulse_remaining does not hold 1 values$"):
+            simulate_population(hw_circuit, 1, TIMER_STIMULUS, duration=1e-6, dt=TIMER_DT,
+                                initial_state=state)
+
+    @pytest.mark.parametrize("duration, dt", [(math.inf, 0.04e-6), (1e-6, math.inf),
+                                              (math.nan, 0.04e-6), (1e-6, 0.0)])
+    def test_duration_and_dt_must_be_finite(self, hw_circuit, duration, dt):
+        with pytest.raises(ValueError, match="duration and dt must be finite and > 0"):
+            simulate_population(hw_circuit, 1, TIMER_STIMULUS, duration=duration, dt=dt)
 
 
 class TestDeriveEffectiveAdex:
