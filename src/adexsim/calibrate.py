@@ -31,7 +31,8 @@ class CalibrationTarget:
     """Desired effective parameters; None leaves a knob untouched.
 
     `stim_gain` and the two offsets are flags: they calibrate toward unit
-    gain and zero baseline shift rather than toward a value.
+    gain and zero baseline shift rather than toward a value.  The time
+    constants and delta_t must be > 0, whatever `allow_out_of_range` says.
     """
 
     tau_m: float | None = None
@@ -68,24 +69,19 @@ class CalibrationTarget:
         return out
 
     def __post_init__(self):
+        # no bias reaches a time constant or slope <= 0, in range or not
+        for name in ("tau_m", "tau_w", "delta_t", "tau_syn_exc", "tau_syn_inh"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValidationError(f"{name} target must be > 0, got {value:.4g}")
         violations = self.range_violations()
         if violations and not self.allow_out_of_range:
             raise ValidationError("; ".join(violations))
 
 
-# default calibration order: synaptic and membrane time constants first,
-# then the stimulus path, the exponential, adaptation, and finally the
-# input-circuit offsets and amplitudes which assume everything upstream
-DEFAULT_PLAN = (
-    "tau_syn_exc", "tau_syn_inh", "tau_m", "stim_gain",
-    "delta_t", "v_t", "tau_w", "a", "b",
-    "offset_exc", "offset_inh", "psp_amplitude_exc", "psp_amplitude_inh",
-)
-
-
 @dataclass
 class ParameterOutcome:
-    """Per-neuron outcome of one plan entry."""
+    """Per-neuron outcome of one calibration entry."""
 
     bias_path: str
     biases: np.ndarray
@@ -298,7 +294,7 @@ def calibrate_parameter(neuron: CircuitNeuronConfig, target_value: float,
 
 
 # ---------------------------------------------------------------------------
-# plan entries
+# calibration entries
 
 def _median(x) -> float:
     """Median of a scalar or per-neuron leaf."""
@@ -345,8 +341,23 @@ def _entry_tau_w(cfg, target, tol):
                             (center / 8, center * 8), tol=tol)
 
 
+def _exact(cfg, path, values: dict):
+    """Set each bias path of `values` in every neuron, where that makes the
+    parameter exact; the outcome reads `path`, every neuron converged."""
+    n = _population_size(cfg)
+    for p, value in values.items():
+        cfg = set_bias(cfg, p, np.full(n, value))
+    return cfg, ParameterOutcome(
+        bias_path=path, biases=np.full(n, values[path]), residuals=np.zeros(n),
+        converged=np.ones(n, dtype=bool), pre_spread=math.nan, post_spread=0.0,
+        evaluations=0), [None] * n
+
+
 def _entry_a(cfg, target, tol):
     path = "adaptation.ota_a.I_bias"
+    if target == 0:
+        # a_effective = sign * g_w_factor * I_bias * g_per_bias: exactly +0
+        return _exact(cfg, path, {path: 0.0, "adaptation.sign": 1.0})
     ad = cfg.adaptation
     sign = 1 if target >= 0 else -1
     cfg = set_bias(cfg, "adaptation.sign", np.full(_population_size(cfg), float(sign)))
@@ -420,50 +431,48 @@ def _make_entry_v_t(g_l_ref):
 
 
 def _entry_b(cfg, target, tol):
-    def measure(c):
-        return np.asarray(measure_b(c), dtype=float) / target
-    return _oneshot(cfg, "adaptation.pulse_amplitude", measure,
+    path = "adaptation.pulse_amplitude"
+    if target == 0:
+        # b_effective = g_w * pulse_amplitude * pulse_width / C_w: exactly 0
+        return _exact(cfg, path, {path: 0.0})
+    return _oneshot(cfg, path, lambda c: np.asarray(measure_b(c), dtype=float) / target,
                     lambda amp, ratio: amp / np.where(np.isfinite(ratio) & (ratio > 0), ratio, 1.0),
                     tol)
 
 
 def calibrate_population(pop: Population, target: CalibrationTarget,
-                         plan=None, tol: float = 0.02) -> CalibrationResult:
+                         tol: float = 0.02) -> CalibrationResult:
     """Sequential per-parameter calibration of a whole population.
 
-    Follows the plan order (upstream parameters first); per-neuron
-    failures are collected, flagged in the outcome and do not abort the
-    rest of the population.
+    Runs the entry of each target that is set (a value, or a flag that is
+    on), upstream parameters first (see `entries`); a zero `a` or `b` is
+    set exactly, with no measurement.  Per-neuron failures are collected,
+    flagged in the outcome and do not abort the rest of the population.
     """
     cfg = pop.stacked()
-
-    g_l_ref = None
-    if target.v_t is not None:
-        tau_ref = target.tau_m or _median(cfg.tau_m)
-        g_l_ref = _median(cfg.C_mem) / tau_ref
-
+    # run order: synaptic and membrane time constants first, then the
+    # stimulus path, the exponential, adaptation, and finally the
+    # input-circuit offsets and amplitudes which assume everything upstream
     entries = {
-        "tau_syn_exc": (target.tau_syn_exc, _entry_tau_syn("exc")),
-        "tau_syn_inh": (target.tau_syn_inh, _entry_tau_syn("inh")),
-        "tau_m": (target.tau_m, _entry_tau_m),
-        "stim_gain": (1.0 if target.stim_gain else None, _entry_stim_gain),
-        "delta_t": (target.delta_t, _entry_delta_t),
-        "v_t": (target.v_t, _make_entry_v_t(g_l_ref) if g_l_ref else None),
-        "tau_w": (target.tau_w, _entry_tau_w),
-        "a": (target.a, _entry_a),
-        "b": (target.b if (target.b or 0) != 0 else None, _entry_b),
-        "offset_exc": (0.0 if target.offset_exc else None, _entry_offset("exc")),
-        "offset_inh": (0.0 if target.offset_inh else None, _entry_offset("inh")),
-        "psp_amplitude_exc": (target.psp_amplitude_exc, _entry_psp("exc")),
-        "psp_amplitude_inh": (target.psp_amplitude_inh, _entry_psp("inh")),
+        "tau_syn_exc": _entry_tau_syn("exc"),
+        "tau_syn_inh": _entry_tau_syn("inh"),
+        "tau_m": _entry_tau_m,
+        "stim_gain": _entry_stim_gain,
+        "delta_t": _entry_delta_t,
+        "v_t": _make_entry_v_t(_median(cfg.C_mem) / (target.tau_m or _median(cfg.tau_m))),
+        "tau_w": _entry_tau_w,
+        "a": _entry_a,
+        "b": _entry_b,
+        "offset_exc": _entry_offset("exc"),
+        "offset_inh": _entry_offset("inh"),
+        "psp_amplitude_exc": _entry_psp("exc"),
+        "psp_amplitude_inh": _entry_psp("inh"),
     }
 
     result = CalibrationResult(population=pop)
-    for name in (plan or DEFAULT_PLAN):
-        if name not in entries:
-            raise ValueError(f"unknown plan entry {name!r}")
-        value, runner = entries[name]
-        if value is None or runner is None:
+    for name, runner in entries.items():
+        value = getattr(target, name)
+        if value is None or value is False:
             continue
         cfg, outcome, errors = runner(cfg, value, tol)
         result.outcomes[name] = outcome

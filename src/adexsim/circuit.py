@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 import numpy as np
 
 from .errors import InvalidConfig, NoIdealEquivalent, NonFiniteState
-from .model import AdExParameters, SimulationTrace, StimulusProgram, _run_starts
+from .model import AdExParameters, SimulationTrace, StimulusProgram, _n_steps, _run_starts
 
 MAX_MEMBRANE_CAPACITANCE = 2.47e-12
 THERMAL_VOLTAGE_300K = 25.85e-3
@@ -400,15 +400,6 @@ class PopulationRun:
             if self.adaptation_ref is not None else 0.0)
 
 
-def _n_steps(duration: float, dt: float) -> int:
-    if not (0 < duration < math.inf and 0 < dt < math.inf):
-        raise ValueError("duration and dt must be finite and > 0")
-    n = int(round(duration / dt))
-    if n < 1:
-        raise ValueError("duration shorter than one step")
-    return n
-
-
 def _plus_zero(x) -> bool:
     """Whether every element of x is +0.0 (-0.0 and NaN are not)."""
     x = np.asarray(x)
@@ -460,7 +451,8 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     exactly:
 
     - the refractory and adaptation-pulse timers: from a spike each runs
-      down from t_ref or pulse_width by x <- max(x - dt, 0), so one
+      down from t_ref or pulse_width (0 with adaptation off, whose pulse
+      never applies) by x <- max(x - dt, 0), so one
       countdown before the loop (`_countdown`) gives each neuron's course:
       its held steps (h = 0, I_exp gated), its release step (0 < x < dt,
       h = dt - x, gated) with that h's exp(-lam_m*h) and _phi(lam_m, h),

@@ -171,9 +171,7 @@ def _cmd_calibrate(run: RunConfig, out: _Output) -> int:
     if run.calibration is None:
         raise ValidationError("mode 'calibrate' requires a [calibration] section")
     pop = _build_population(run)
-    result = calibrate_population(pop, run.calibration,
-                                  plan=run.calibration_plan,
-                                  tol=run.calibration_tol)
+    result = calibrate_population(pop, run.calibration, tol=run.calibration_tol)
     payload = {"size": pop.size, "failures": result.failures, "outcomes": {}}
     for name, oc in result.outcomes.items():
         payload["outcomes"][name] = {
@@ -215,8 +213,7 @@ def _run_one_experiment(run: RunConfig, spec: dict):
             raise ValidationError(f"[experiment] {err}") from None
         pop = _build_population(run)
         if run.calibration is not None:
-            pop = calibrate_population(pop, run.calibration, plan=run.calibration_plan,
-                                       tol=run.calibration_tol).population
+            pop = calibrate_population(pop, run.calibration, tol=run.calibration_tol).population
         return run_psp_experiment(pop, proto, **events)
     if name == "exponential_sweep":
         cfg = run.circuit

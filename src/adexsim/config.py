@@ -15,11 +15,13 @@ schema is in SCHEMA below and documented in the README.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
-from .calibrate import DEFAULT_PLAN, CalibrationTarget
+from .calibrate import CalibrationTarget
 from .circuit import (
     CircuitNeuronConfig, circuit_for_adex, default_circuit_config, default_leak_ota,
+    derive_effective_adex, get_bias,
 )
 from .errors import ParseError, ValidationError
 from .model import AdExParameters, StimulusProgram
@@ -200,7 +202,6 @@ SCHEMA = {
         "offset_inh": ("bool", None),
         "allow_out_of_range": ("bool", None),
         "tol": ("quantity", "none"),
-        "plan": ("names", None),
     },
     "experiment": {
         "name": ("string", tuple(_EXPERIMENT_KEYS)),
@@ -231,6 +232,12 @@ _POSITIVE = {"circuit": ("tau_m", "C_mem"), "adaptation": ("tau_w", "pulse_width
              "syn_exc": ("tau_syn",), "syn_inh": ("tau_syn",),
              "exponential": ("delta_t",)}
 
+# keys a section reads only with its switch, off unless the file sets it true
+_SWITCHED = {"adaptation": ("enabled", ("tau_w", "a", "b", "pulse_width")),
+             "exponential": ("enabled", ("delta_t", "v_t", "i_max", "gate_in_refractory")),
+             "syn_exc": ("coba", ("e_syn", "e_syn_hat")),
+             "syn_inh": ("coba", ("e_syn", "e_syn_hat"))}
+
 
 @dataclass
 class RunConfig:
@@ -253,7 +260,6 @@ class RunConfig:
     mismatch_enabled: bool = True
     mismatch_overrides: dict = field(default_factory=dict)
     calibration: CalibrationTarget | None = None
-    calibration_plan: tuple | None = None
     calibration_tol: float = 0.02
     experiment: dict = field(default_factory=dict)
     sweep: dict = field(default_factory=dict)
@@ -332,13 +338,16 @@ def _build_neuron(sections) -> AdExParameters | None:
         raise ValidationError(f"[neuron] {err}") from None
 
 
-def _build_circuit(sections) -> CircuitNeuronConfig:
-    given = {section: _given(sections, section) for section in
-             ("circuit", "adaptation", "exponential", "syn_exc", "syn_inh")}
+def _build_circuit(given: dict) -> CircuitNeuronConfig:
+    """The circuit of {section: {key: value}}, the keys a file sets."""
     for section, keys in _POSITIVE.items():
         for key in keys:
             if key in given[section] and not given[section][key] > 0:
                 raise ValidationError(f"[{section}] violates {key} > 0")
+    for section, (switch, keys) in _SWITCHED.items():
+        for key in keys:
+            if key in given[section] and not given[section].get(switch):
+                raise ValidationError(f"[{section}] {key} is not read unless {switch} = true")
     circuit, adaptation, exponential = (given[s] for s in ("circuit", "adaptation",
                                                            "exponential"))
     try:
@@ -362,9 +371,16 @@ def _build_circuit(sections) -> CircuitNeuronConfig:
             V_r=cfg.V_r, V_det=cfg.V_det, t_ref=cfg.t_ref,
             exp_enabled=cfg.exponential.enabled,
             **_pick(exponential, exp_gated_in_ref="gate_in_refractory"))
+        # the switch as written, also where a and b are 0
         cfg = circuit_for_adex(target, cfg, **_pick(adaptation, pulse_width="pulse_width"))
-        if not adapt_on:
-            cfg = replace(cfg, adaptation=replace(cfg.adaptation, enabled=False))
+        cfg = replace(cfg, adaptation=replace(cfg.adaptation, enabled=adapt_on))
+        ex = cfg.exponential
+        if ex.enabled:
+            # the onset placed with the slope the built OTA realizes, so
+            # that V_exp depends on the written delta_t only through it
+            slope = ex.delta_t_eff
+            cfg = replace(cfg, exponential=replace(ex, V_exp=target.V_T - slope * math.log(
+                target.g_l * slope / ex.I_0)))
         # each line switches to conductance-based input on its own, with
         # the g2 of a conductance-based line of the default circuit
         coba_lines = default_circuit_config(coba=True)
@@ -381,9 +397,9 @@ def _build_circuit(sections) -> CircuitNeuronConfig:
             if "e_syn" in values and "e_syn_hat" in values:
                 raise ValidationError(
                     f"[syn_{side}] give either e_syn or e_syn_hat, not both")
-            if "e_syn" in values and syn.coba_enabled:
+            if "e_syn" in values:
                 syn = replace(syn, E_syn_hat=values["e_syn"] - syn.I_b_cuba / syn.g2)
-            if "e_syn_hat" in values and syn.coba_enabled:
+            if "e_syn_hat" in values:
                 syn = replace(syn, E_syn_hat=values["e_syn_hat"])
             syn = replace(syn, **_pick(values, enabled="enabled"))
             cfg = replace(cfg, **{f"syn_{side}": syn})
@@ -392,6 +408,49 @@ def _build_circuit(sections) -> CircuitNeuronConfig:
     except ValueError as err:
         raise ValidationError(str(err)) from None
     return cfg
+
+
+# resolved values several roundings from the bias they set, whose effective
+# value can rebuild a neighbouring bias (every other value is one rounding away)
+_REBUILT = {("adaptation", "b"): "adaptation.pulse_amplitude",
+            ("exponential", "delta_t"): "exponential.ota.I_bias"}
+
+
+def _resolved(cfg: CircuitNeuronConfig) -> dict:
+    """{section: {key: value}} of a circuit as its resolved text writes it:
+    the effective values, a `_REBUILT` one moved to the nearest float that
+    builds the same bias, so that the text builds this circuit again."""
+    eff = derive_effective_adex(cfg)
+    ad, ex = cfg.adaptation, cfg.exponential
+    out = {"circuit": {"tau_m": eff.tau_m, "C_mem": cfg.C_mem, "E_l": cfg.E_l,
+                       "V_det": cfg.V_det, "V_r": cfg.V_r, "t_ref": cfg.t_ref},
+           "adaptation": {"enabled": ad.enabled},
+           "exponential": {"enabled": ex.enabled}}
+    if ad.enabled:
+        out["adaptation"].update(tau_w=ad.tau_w, a=ad.a_effective, b=ad.b_effective,
+                                 pulse_width=ad.pulse_width)
+    if ex.enabled:
+        out["exponential"].update(delta_t=eff.Delta_T, v_t=eff.V_T, i_max=ex.I_max,
+                                  gate_in_refractory=ex.gate_in_refractory)
+    for side in ("exc", "inh"):
+        syn = getattr(cfg, f"syn_{side}")
+        out[f"syn_{side}"] = {"enabled": syn.enabled, "tau_syn": syn.tau_syn,
+                              "coba": syn.coba_enabled, "bias": syn.I_b_cuba}
+        if syn.coba_enabled:
+            out[f"syn_{side}"]["e_syn_hat"] = syn.E_syn_hat
+    for (section, key), path in _REBUILT.items():
+        if key not in out[section]:
+            continue
+        value = lo = hi = out[section][key]
+        candidates = [value]
+        for _ in range(4):  # the floats tried on each side
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+            candidates += [hi, lo]
+        out[section][key] = next(
+            (x for x in candidates
+             if get_bias(_build_circuit({**out, section: {**out[section], key: x}}), path)
+             == get_bias(cfg, path)), value)
+    return out
 
 
 def _build_stimulus(sections) -> StimulusProgram:
@@ -414,16 +473,11 @@ def _build_stimulus(sections) -> StimulusProgram:
 def _build_calibration(sections) -> dict:
     """The [calibration] fields of a RunConfig that the file sets."""
     given = _given(sections, "calibration")
-    unknown = [p for p in given.get("plan", ()) if p not in DEFAULT_PLAN]
-    if unknown:
-        raise ValidationError(f"[calibration] unknown plan entries: {', '.join(unknown)}")
     try:
-        target = CalibrationTarget(**{k: v for k, v in given.items()
-                                      if k not in ("tol", "plan")})
+        target = CalibrationTarget(**{k: v for k, v in given.items() if k != "tol"})
     except ValueError as err:
         raise ValidationError(f"[calibration] {err}") from None
-    return {"calibration": target,
-            **_pick(given, calibration_tol="tol", calibration_plan="plan")}
+    return {"calibration": target, **_pick(given, calibration_tol="tol")}
 
 
 def _check_timing(dt, duration, where=""):
@@ -484,7 +538,9 @@ def parse_config(text: str) -> RunConfig:
     _check_timing(run.dt, run.duration)
 
     run.neuron = _build_neuron(sections)
-    run.circuit = _build_circuit(sections)
+    run.circuit = _build_circuit({section: _given(sections, section) for section in
+                                  ("circuit", "adaptation", "exponential", "syn_exc",
+                                   "syn_inh")})
     if run.model == "ideal" and run.neuron is None:
         raise ValidationError("model 'ideal' requires a [neuron] section")
     if "stimulus" in sections:
@@ -547,47 +603,15 @@ def serialize_config(run: RunConfig) -> str:
              f"format = {run.fmt}"]
     if run.out_dir:
         lines.append(f"out = {run.out_dir}")
-    if run.neuron is not None:
-        p = run.neuron
-        lines += ["", "[neuron]"]
-        for name, (kind, dim) in SCHEMA["neuron"].items():
-            value = getattr(p, name)
-            lines.append(f"{name} = {q(value, dim) if kind == 'quantity' else str(value).lower()}")
+    models = {} if run.neuron is None else {
+        "neuron": {name: getattr(run.neuron, name) for name in SCHEMA["neuron"]}}
     if run.circuit is not None:
-        cfg = run.circuit
-        from .circuit import derive_effective_adex
-        eff = derive_effective_adex(cfg)
-        lines += ["", "[circuit]",
-                  f"tau_m = {q(eff.tau_m, 'time')}",
-                  f"C_mem = {q(cfg.C_mem, 'capacitance')}",
-                  f"E_l = {q(cfg.E_l, 'voltage')}",
-                  f"V_det = {q(cfg.V_det, 'voltage')}",
-                  f"V_r = {q(cfg.V_r, 'voltage')}",
-                  f"t_ref = {q(cfg.t_ref, 'time')}",
-                  "", "[adaptation]",
-                  f"enabled = {str(cfg.adaptation.enabled).lower()}"]
-        if cfg.adaptation.enabled:
-            lines += [f"tau_w = {q(cfg.adaptation.tau_w, 'time')}",
-                      f"a = {q(cfg.adaptation.a_effective, 'conductance')}",
-                      f"b = {q(cfg.adaptation.b_effective, 'current')}",
-                      f"pulse_width = {q(cfg.adaptation.pulse_width, 'time')}"]
-        lines += ["", "[exponential]",
-                  f"enabled = {str(cfg.exponential.enabled).lower()}"]
-        if cfg.exponential.enabled:
-            lines += [f"delta_t = {q(eff.Delta_T, 'voltage')}",
-                      f"v_t = {q(eff.V_T, 'voltage')}",
-                      f"i_max = {q(cfg.exponential.I_max, 'current')}",
-                      f"gate_in_refractory = "
-                      f"{str(cfg.exponential.gate_in_refractory).lower()}"]
-        for side in ("exc", "inh"):
-            syn = getattr(cfg, f"syn_{side}")
-            lines += ["", f"[syn_{side}]",
-                      f"enabled = {str(syn.enabled).lower()}",
-                      f"tau_syn = {q(syn.tau_syn, 'time')}",
-                      f"coba = {str(syn.coba_enabled).lower()}",
-                      f"bias = {q(syn.I_b_cuba, 'current')}"]
-            if syn.coba_enabled:
-                lines.append(f"e_syn_hat = {q(syn.E_syn_hat, 'voltage')}")
+        models.update(_resolved(run.circuit))
+    for section, values in models.items():
+        lines += ["", f"[{section}]"]
+        for name, value in values.items():
+            kind, dim = SCHEMA[section][name]
+            lines.append(f"{name} = {q(value, dim) if kind == 'quantity' else str(value).lower()}")
     lines += ["", "[stimulus]",
               "segments = " + ", ".join(
                   f"{q(t, 'time')} : {q(i, 'current')}"
@@ -608,9 +632,9 @@ def serialize_config(run: RunConfig) -> str:
     if run.calibration is not None:
         t = run.calibration
         lines += ["", "[calibration]"]
-        # the target's values, then its flags; tol and plan are run settings
+        # the target's values, then its flags; tol is a run setting
         keys = [(name, kind, dim) for name, (kind, dim) in SCHEMA["calibration"].items()
-                if name not in ("tol", "plan")]
+                if name != "tol"]
         for name, kind, dim in keys:
             value = getattr(t, name)
             if kind == "quantity" and value is not None:
@@ -619,8 +643,6 @@ def serialize_config(run: RunConfig) -> str:
             if kind == "bool" and getattr(t, name):
                 lines.append(f"{name} = true")
         lines.append(f"tol = {run.calibration_tol!r}")
-        if run.calibration_plan:
-            lines.append("plan = " + ", ".join(run.calibration_plan))
     if run.experiment:
         lines += ["", "[experiment]"]
         for key, value in run.experiment.items():

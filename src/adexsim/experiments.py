@@ -23,7 +23,6 @@ from .measure import (
 from .mismatch import Population, _neuron, default_mismatch_model, sample_population
 from .model import StimulusProgram, lif_parameters, predicted_lot_isi, simulate
 from .patterns import load_patterns
-from .units import DomainMap
 
 # firing-pattern labels (exhaustive; the classifier returns exactly one)
 TONIC_SPIKING = "tonic_spiking"
@@ -99,14 +98,14 @@ def _monotone(isis: np.ndarray, jitter: float, rising: bool) -> bool:
     return bool(np.all(isis[1:] <= isis[:-1] * (1.0 + jitter)))
 
 
-def classify_firing_pattern(spikes, stimulus_onset: float, duration: float,
-                            thresholds: ClassifierThresholds | None = None) -> str:
-    """Deterministic label for a spike train under a step stimulus.
+def classify_firing_pattern(spikes, stimulus_onset: float, duration: float) -> str:
+    """Deterministic label for a spike train under a step stimulus, by the
+    criteria of `DEFAULT_THRESHOLDS`.
 
     `duration` is the length of the stimulus window starting at
     `stimulus_onset`; spikes outside the window are ignored.
     """
-    th = thresholds or DEFAULT_THRESHOLDS
+    th = DEFAULT_THRESHOLDS
     spikes = np.asarray(spikes, dtype=float)
     end = stimulus_onset + duration
     spikes = spikes[(spikes >= stimulus_onset) & (spikes <= end + 1e-12 * max(end, 1.0))]
@@ -213,6 +212,10 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 # leak-over-threshold ISI study
 
+# the calibration tolerance of the leak-over-threshold and firing-pattern runs
+CALIBRATION_TOL = 0.015
+
+
 @dataclass(frozen=True)
 class LotProtocol:
     """Stimulus rule for the leak-over-threshold runs: the command current
@@ -221,17 +224,15 @@ class LotProtocol:
 
     v_inf_margin: float = 1.6
     n_isis: int = 10
-    dt_factor: float = 500.0
     tolerance: float = 0.05
 
 
-def run_leak_over_threshold(pop: Population, tau_m_targets, stimulus=None,
-                            calibration_tol: float = 0.015) -> ExperimentReport:
-    """Calibrate the population per time-constant target, measure ISIs and
-    compare with the closed-form prediction evaluated at the targets.
+def run_leak_over_threshold(pop: Population, tau_m_targets, stimulus=None) -> ExperimentReport:
+    """Calibrate tau_m and the stimulus gain per time-constant target, measure
+    ISIs and compare with the closed-form prediction evaluated at the targets.
 
     The leak-over-threshold regime digitally disables adaptation, the
-    exponential and the synaptic inputs."""
+    exponential and the synaptic inputs; a run takes 500 steps per tau."""
     proto = stimulus or LotProtocol()
     report = ExperimentReport(
         name="leak_over_threshold",
@@ -244,15 +245,14 @@ def run_leak_over_threshold(pop: Population, tau_m_targets, stimulus=None,
 
     for tau in tau_m_targets:
         target = CalibrationTarget(tau_m=tau, stim_gain=True)
-        cal = calibrate_population(pop, target, plan=("tau_m", "stim_gain"),
-                                   tol=calibration_tol)
+        cal = calibrate_population(pop, target, tol=CALIBRATION_TOL)
         g_l = c_mem / tau
         i_cmd = proto.v_inf_margin * (v_det - e_l) * g_l
         lif = lif_parameters(C=c_mem, g_l=g_l, E_l=e_l, V_r=v_r,
                              V_det=v_det, t_ref=t_ref)
         predicted = predicted_lot_isi(lif, i_cmd)
         duration = (proto.n_isis + 2) * predicted
-        dt = tau / proto.dt_factor
+        dt = tau / 500.0
         stacked = _disable(cal.population.stacked(), adaptation=True,
                            exponential=True, synin=True)
         run = simulate_population(stacked, n,
@@ -376,33 +376,31 @@ def run_exponential_sweep(neuron, onsets=None, slopes=None,
 # ---------------------------------------------------------------------------
 # firing patterns
 
-PATTERN_PLAN = ("tau_m", "stim_gain", "delta_t", "v_t", "tau_w", "a", "b")
+# integration steps per membrane time constant of a firing-pattern run
+PATTERN_STEPS_PER_TAU = 800.0
 
 
-def _simulate_ideal_pattern(pattern, dt_factor=800.0, thresholds=None):
+def _simulate_ideal_pattern(pattern):
     p = pattern.params
-    dt = p.tau_m / dt_factor
+    dt = p.tau_m / PATTERN_STEPS_PER_TAU
     end = pattern.onset + pattern.duration
     trace = simulate(p, StimulusProgram.step(pattern.onset, pattern.current, end),
                      duration=end + 0.04 * pattern.duration, dt=dt)
-    label = classify_firing_pattern(trace.spikes, pattern.onset,
-                                    pattern.duration, thresholds)
+    label = classify_firing_pattern(trace.spikes, pattern.onset, pattern.duration)
     return trace, label
 
 
 def run_firing_patterns(parameter_sets=None, stimulus=None, model: str = "ideal",
                         population_size: int = 128, seed: int = 0,
-                        domain_map: DomainMap | None = None,
                         agreement: float = 0.95,
-                        calibration_tol: float = 0.015,
-                        thresholds: ClassifierThresholds | None = None,
                         record_first: bool = True) -> ExperimentReport:
     """Reproduce the named firing patterns and classify every response.
 
     model='ideal' simulates the published sets directly; model='circuit'
-    maps each set to the hardware domain, samples a mismatched population,
-    calibrates it and requires the matching label for at least `agreement`
-    of the neurons.  `stimulus` optionally overrides the per-pattern step
+    maps each set to the hardware domain (the default `DomainMap`),
+    samples a mismatched population, calibrates it (to CALIBRATION_TOL)
+    and requires the matching label for at least `agreement` of the
+    neurons.  `stimulus` optionally overrides the per-pattern step
     protocol with a {'onset': s, 'duration': s} mapping (biological time).
     """
     patterns = parameter_sets or load_patterns()
@@ -411,7 +409,6 @@ def run_firing_patterns(parameter_sets=None, stimulus=None, model: str = "ideal"
                                   onset=stimulus.get("onset", p.onset),
                                   duration=stimulus.get("duration", p.duration))
                     for name, p in patterns.items()}
-    dm = domain_map or DomainMap()
     report = ExperimentReport(
         name=f"firing_patterns[{model}]",
         tolerances={"agreement": agreement})
@@ -419,7 +416,7 @@ def run_firing_patterns(parameter_sets=None, stimulus=None, model: str = "ideal"
 
     for name, pattern in patterns.items():
         if model == "ideal":
-            trace, label = _simulate_ideal_pattern(pattern, thresholds=thresholds)
+            trace, label = _simulate_ideal_pattern(pattern)
             match = label == pattern.label
             report.per_neuron.append({
                 "pattern": name, "neuron": 0, "label": label,
@@ -431,7 +428,7 @@ def run_firing_patterns(parameter_sets=None, stimulus=None, model: str = "ideal"
             ok = ok and match
             continue
 
-        hw, i_step, onset, duration = pattern.to_hardware(dm)
+        hw, i_step, onset, duration = pattern.to_hardware()
         nominal = circuit_for_adex(hw, default_circuit_config(E_l=hw.E_l))
         mm = default_mismatch_model(nominal, seed=seed)
         pop = sample_population(nominal, mm, population_size)
@@ -442,17 +439,16 @@ def run_firing_patterns(parameter_sets=None, stimulus=None, model: str = "ideal"
             a=hw.a if hw.a != 0 else None,
             b=hw.b if hw.b != 0 else None,
             allow_out_of_range=True)
-        cal = calibrate_population(pop, target, plan=PATTERN_PLAN,
-                                   tol=calibration_tol)
+        cal = calibrate_population(pop, target, tol=CALIBRATION_TOL)
         stacked = cal.population.stacked()
         end = onset + duration
-        dt = hw.tau_m / 800.0
+        dt = hw.tau_m / PATTERN_STEPS_PER_TAU
         run = simulate_population(
             stacked, population_size,
             StimulusProgram.step(onset, i_step, end),
             duration=end + 0.04 * duration, dt=dt,
             record=False)
-        labels = [classify_firing_pattern(run.spikes[i], onset, duration, thresholds)
+        labels = [classify_firing_pattern(run.spikes[i], onset, duration)
                   for i in range(population_size)]
         matches = np.array([lab == pattern.label for lab in labels])
         frac = float(np.mean(matches))

@@ -5,8 +5,8 @@ clamped sweep, single event) and fits the effective parameter with plain
 linear least squares on suitably transformed data, or solves the
 subthreshold steady state directly (`_steady_state`).  No routine
 integrates on its own: a response is either run on the circuit engine
-(`simulate_population`) or the ideal model (`simulate`), or read from a
-closed form (the release transients, `_release_fit`).
+(`simulate_population`) or read from a closed form (the release
+transients, `_release_fit`, and every ideal-model route).
 Routines accept an ideal-model parameter set, a single circuit config, or
 a stacked population config (array leaves); population calls return arrays
 with NaN marking per-neuron fit failures, scalar calls raise FitFailed.
@@ -24,7 +24,7 @@ from .circuit import (
     ota_output, simulate_population,
 )
 from .errors import FitFailed, InvalidConfig
-from .model import AdExParameters, StimulusProgram, simulate
+from .model import AdExParameters, StimulusProgram
 from .synapse import SynapseConfig, WeightedSpikeTrain
 
 
@@ -338,19 +338,24 @@ def measure_tau_w(neuron, protocol: ReleaseProtocol | None = None):
                         _population_size(neuron))
 
 
-def _a_protocol(a, g_l, deflection_target):
+# steady deflection of the coupled system that sizes the `a` readout's step
+A_DEFLECTION = 0.03
+
+
+def _a_protocol(a, g_l, deflection):
     """Per-neuron leak boost and step amplitude of the `a` readout.
 
     For strong negative coupling the leak is raised to keep the coupled
     system stable (a <= -g_l has no subthreshold steady state otherwise);
-    the step is sized for a fixed deflection of the coupled system.
+    the step is sized for a steady `deflection` (volts) of the coupled
+    system, A_DEFLECTION in `measure_subthreshold_a`.
     """
     boost = np.maximum(1.0, 2.5 * np.abs(a) / g_l)
     g_meas = g_l * boost
-    return boost, deflection_target * np.maximum(g_meas + a, 0.2 * g_meas)
+    return boost, deflection * np.maximum(g_meas + a, 0.2 * g_meas)
 
 
-def measure_subthreshold_a(neuron, deflection_target: float = 0.03):
+def measure_subthreshold_a(neuron):
     """Effective subthreshold adaptation strength from two steady states.
 
     With adaptation disabled the steady deflection under a current step
@@ -358,10 +363,11 @@ def measure_subthreshold_a(neuron, deflection_target: float = 0.03):
     the exponential and the synaptic inputs are off throughout, and each
     steady state is solved directly (see `_steady_state`).  The coupling
     is a property of the adaptation circuit alone, so for strong negative
-    coupling each neuron's leak bias is temporarily raised (`_a_protocol`).
+    coupling each neuron's leak bias is temporarily raised (`_a_protocol`,
+    sized for a deflection of A_DEFLECTION).
     """
     if isinstance(neuron, AdExParameters):
-        return _measure_a_ideal(neuron, deflection_target)
+        return _measure_a_ideal(neuron)
 
     if not neuron.adaptation.enabled:
         raise InvalidConfig("adaptation circuit is disabled")
@@ -369,7 +375,7 @@ def measure_subthreshold_a(neuron, deflection_target: float = 0.03):
     m = n or 1
     base = _disable(neuron, exponential=True, synin=True, spiking=True)
     boost, d_i = _a_protocol(_per_neuron(base.adaptation.a_effective, m),
-                             _per_neuron(base.g_l, m), deflection_target)
+                             _per_neuron(base.g_l, m), A_DEFLECTION)
     base = replace(base, leak_ota=replace(
         base.leak_ota, I_bias=np.asarray(base.leak_ota.I_bias, dtype=float) * boost))
     dv_off, err_off = _steady_deflection(_disable(base, adaptation=True), m, d_i)
@@ -381,9 +387,9 @@ def measure_subthreshold_a(neuron, deflection_target: float = 0.03):
     return _scalarize(values, n, reasons)
 
 
-def _measure_a_ideal(p: AdExParameters, deflection_target):
+def _measure_a_ideal(p: AdExParameters):
     # steady states of the linear equation -(g + a)(V - E_l) + I = 0
-    boost, d_i = _a_protocol(p.a, p.g_l, deflection_target)
+    boost, d_i = _a_protocol(p.a, p.g_l, A_DEFLECTION)
     g_meas = p.g_l * boost
     if not g_meas + p.a > 0:
         raise FitFailed(UNSTABLE)
@@ -421,11 +427,11 @@ def exponential_sweep(neuron, n_points: int = 100):
 
 
 def fit_exponential_slope(grid: np.ndarray, currents: np.ndarray,
-                          i_max, r2_min: float = 0.995,
-                          min_decades: float = 3.0):
+                          i_max, min_decades: float = 3.0):
     """Log-linear fit of each row below saturation; returns (delta_t,
     intercept, decades, reasons), delta_t and intercept NaN where a row's
-    fit failed.
+    fit failed: fewer than 8 samples in the band, a band narrower than
+    `min_decades` decades, or a fit with a slope <= 0 or R^2 below 0.995.
 
     The fit band excludes powered-down samples and everything at or above
     the saturation shoulder (the output ceiling `i_max`, or the first point
@@ -457,7 +463,7 @@ def fit_exponential_slope(grid: np.ndarray, currents: np.ndarray,
                            / np.min(np.where(band, currents, math.inf), axis=-1))
     slope, intercept, r2 = log_linear_fit(grid, currents, band)
     reasons = np.select(
-        [count < 8, ~(decades >= min_decades), ~(slope > 0) | ~(r2 >= r2_min)],
+        [count < 8, ~(decades >= min_decades), ~(slope > 0) | ~(r2 >= 0.995)],
         ["too few samples below saturation",
          "usable band spans {decades:.2f} decades, need {min_decades}",
          "log-linear fit rejected (slope {slope:.3g}, R^2 {r2:.5f})"], "")
@@ -468,27 +474,29 @@ def fit_exponential_slope(grid: np.ndarray, currents: np.ndarray,
         reasons, decades=decades, min_decades=min_decades, slope=slope, r2=r2)
 
 
-def _exponential_fits(neuron, n_points, min_decades):
-    """Fit every neuron's exponential sweep; returns (delta_t, intercept,
-    reasons, n), NaN where a fit failed."""
-    grid, cur = exponential_sweep(neuron, n_points=n_points)
+def _exponential_fits(neuron):
+    """Fit every neuron's exponential sweep (100 points) over at least 2.5
+    decades; returns (delta_t, intercept, reasons, n), NaN where a fit
+    failed."""
+    grid, cur = exponential_sweep(neuron, n_points=100)
     ideal = isinstance(neuron, AdExParameters)
     delta_t, intercept, _, reasons = fit_exponential_slope(
-        grid.reshape(-1, n_points), cur.reshape(-1, n_points),
-        math.inf if ideal else neuron.exponential.I_max, min_decades=min_decades)
+        grid.reshape(-1, 100), cur.reshape(-1, 100),
+        math.inf if ideal else neuron.exponential.I_max, min_decades=2.5)
     return delta_t, intercept, reasons, None if ideal else _population_size(neuron)
 
 
-def measure_delta_t(neuron, n_points: int = 100, min_decades: float = 2.5):
-    """Effective exponential slope from a three-decade clamped sweep."""
-    delta_t, _, reasons, n = _exponential_fits(neuron, n_points, min_decades)
+def measure_delta_t(neuron):
+    """Effective exponential slope from a clamped sweep of 100 points whose
+    fit spans at least 2.5 decades below saturation."""
+    delta_t, _, reasons, n = _exponential_fits(neuron)
     return _scalarize(delta_t, n, reasons)
 
 
-def measure_exp_onset(neuron, g_l_ref, n_points: int = 100, min_decades: float = 2.5):
+def measure_exp_onset(neuron, g_l_ref):
     """Soft-threshold estimate: the V where the fitted exponential current
-    equals g_l_ref * Delta_T_fit."""
-    delta_t, intercept, reasons, n = _exponential_fits(neuron, n_points, min_decades)
+    (the sweep and fit of `measure_delta_t`) equals g_l_ref * Delta_T_fit."""
+    delta_t, intercept, reasons, n = _exponential_fits(neuron)
     onset = delta_t * (np.log(np.asarray(g_l_ref) * delta_t) - intercept)
     return _scalarize(onset, n, reasons)
 
@@ -518,14 +526,13 @@ class PspProtocol:
     """Single events on one synaptic line of an otherwise quiet membrane.
 
     Adaptation, the exponential, spiking and the other line are off.  The
-    membrane settles for `settle_factor` slowest membrane time constants;
+    membrane settles for ten slowest membrane time constants;
     the events of `weight` then follow `spacing_factor` slowest time
     constants (membrane or line) apart.
     """
 
     line: str = "exc"
     weight: float = 1.0
-    settle_factor: float = 10.0
     spacing_factor: float = 12.0
 
     def __post_init__(self):
@@ -533,9 +540,10 @@ class PspProtocol:
             raise ValueError(f"weight must be >= 0, got {self.weight!r}")
 
 
-def _psp_response(neuron, proto: PspProtocol, n_events: int, dt=None):
+def _psp_response(neuron, proto: PspProtocol, n_events: int):
     """Run the PSP protocol on a circuit; returns (baseline, amplitudes, n).
 
+    The step is a 60th of the fastest time constant (membrane or line).
     The baseline is the mean V_m over the last two membrane time constants
     before the first event; amplitudes[j] is each neuron's signed peak
     deflection from it between event j and the next event (the end of the
@@ -547,8 +555,8 @@ def _psp_response(neuron, proto: PspProtocol, n_events: int, dt=None):
                    keep_line=proto.line)
     tau_m = np.atleast_1d(np.asarray(cfg.tau_m, dtype=float))
     tau_s = np.atleast_1d(np.asarray(getattr(cfg, f"syn_{proto.line}").tau_syn, dtype=float))
-    dt = dt or min(float(tau_m.min()), float(tau_s.min())) / 60.0
-    settle = proto.settle_factor * float(tau_m.max())
+    dt = min(float(tau_m.min()), float(tau_s.min())) / 60.0
+    settle = 10.0 * float(tau_m.max())
     spacing = proto.spacing_factor * max(float(tau_m.max()), float(tau_s.max()))
     times = [settle + k * spacing for k in range(n_events)]
     train = WeightedSpikeTrain(tuple((t, proto.weight) for t in times))
@@ -565,18 +573,12 @@ def _psp_response(neuron, proto: PspProtocol, n_events: int, dt=None):
     return baseline, amplitudes, n
 
 
-def measure_psp_amplitude(neuron, line: str = "exc", weight: float = 1.0,
-                          dt: float | None = None):
-    """Signed peak deflection of a single postsynaptic potential
-    (`PspProtocol`, one event and ten time constants after it).
-
-    `neuron` is a circuit config; the ideal-model route takes an
-    (AdExParameters, SynapseConfig) pair instead.
-    """
-    if isinstance(neuron, tuple):
-        return _measure_psp_ideal(*neuron, weight=weight, dt=dt)
+def measure_psp_amplitude(neuron, line: str = "exc", weight: float = 1.0):
+    """Signed peak deflection of a single postsynaptic potential of a
+    circuit config (`PspProtocol`, one event and ten time constants after
+    it)."""
     proto = PspProtocol(line=line, weight=weight, spacing_factor=10.0)
-    _, amplitudes, n = _psp_response(neuron, proto, n_events=1, dt=dt)
+    _, amplitudes, n = _psp_response(neuron, proto, n_events=1)
     return _scalarize(amplitudes[0], n)
 
 
@@ -591,30 +593,16 @@ def measure_resting_offset(neuron, line: str = "exc"):
     return _scalarize(rest - _per_neuron(cfg.E_l, m), n, reasons)
 
 
-def _measure_psp_ideal(p: AdExParameters, syn_cfg: SynapseConfig,
-                       weight: float, dt):
-    base = replace(p, a=0.0, b=0.0, exp_enabled=False, t_ref=0.0, V_det=math.inf)
-    dt = dt or min(base.tau_m, syn_cfg.tau_syn) / 60.0
-    settle = 10.0 * base.tau_m
-    tail = 10.0 * max(base.tau_m, syn_cfg.tau_syn)
-    train = WeightedSpikeTrain.single(settle, weight)
-    tr = simulate(base, StimulusProgram.constant(0.0), [(syn_cfg, train)],
-                  duration=settle + tail, dt=dt)
-    from .synapse import psp_metrics
-    _, amplitude = psp_metrics(tr, settle)
-    return amplitude
-
-
 # ---------------------------------------------------------------------------
 # stimulus path and spike-triggered increment
 
-def measure_stim_gain(neuron, deflection_target: float = 0.04,
-                      tau_m_measured=None):
+def measure_stim_gain(neuron, tau_m_measured=None):
     """Effective command-to-current gain of the stimulus path.
 
-    A known current command produces a steady deflection dV; with
-    g_l = C_mem / tau_m (capacitances are matched) the injected current is
-    dV * g_l and the gain follows.  Returns gain * trim as seen end to end.
+    A known current command, 0.04 V * g_l, produces a steady deflection
+    dV; with g_l = C_mem / tau_m (capacitances are matched) the injected
+    current is dV * g_l and the gain follows.  Returns gain * trim as seen
+    end to end.
     """
     if isinstance(neuron, AdExParameters):
         raise InvalidConfig("the stimulus path is a circuit-level property")
@@ -624,7 +612,7 @@ def measure_stim_gain(neuron, deflection_target: float = 0.04,
     tau = _per_neuron(
         measure_tau_m(cfg) if tau_m_measured is None else tau_m_measured, m)
     g_l_meas = _per_neuron(cfg.C_mem, m) / tau
-    i_cmd = deflection_target * _per_neuron(cfg.g_l, m)
+    i_cmd = 0.04 * _per_neuron(cfg.g_l, m)
     dv, reasons = _steady_deflection(cfg, m, i_cmd)
     return _scalarize(dv * g_l_meas / i_cmd, n, reasons)
 

@@ -17,7 +17,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .circuit import CircuitNeuronConfig, derive_effective_adex, get_bias, set_bias
+from .circuit import CircuitNeuronConfig, _check_width, derive_effective_adex, get_bias, set_bias
 
 
 @dataclass(frozen=True)
@@ -210,16 +210,7 @@ class Population:
         array leaf must hold n values."""
         if np.shape(cfg.C_mem) != (n,):
             raise ValueError(f"stacked config does not hold {n} neurons")
-
-        def check(obj):
-            for f in dataclasses.fields(obj):
-                value = getattr(obj, f.name)
-                if dataclasses.is_dataclass(value):
-                    check(value)
-                elif np.ndim(value) and np.shape(value) != (n,):
-                    raise ValueError(f"{type(obj).__name__}.{f.name} does not hold {n} values")
-
-        check(cfg)
+        _check_width(cfg, n)
         pop = cls.__new__(cls)
         pop._neurons, pop._cfg, pop.size = None, cfg, n
         return pop

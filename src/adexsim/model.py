@@ -271,6 +271,16 @@ def step(state: NeuronState, p: AdExParameters, I_ext: float, dt: float):
     return NeuronState(V, w, ref), spiked
 
 
+def _n_steps(duration: float, dt: float) -> int:
+    """Steps of a run of `duration` at `dt`, the one rule of both integrators."""
+    if not (0 < duration < math.inf and 0 < dt < math.inf):
+        raise ValueError("duration and dt must be finite and > 0")
+    n = int(round(duration / dt))
+    if n < 1:
+        raise ValueError("duration shorter than one step")
+    return n
+
+
 def simulate(p: AdExParameters,
              stimulus: StimulusProgram,
              synaptic_inputs: Sequence | None = None,
@@ -286,13 +296,7 @@ def simulate(p: AdExParameters,
     """
     from .synapse import synaptic_current, trace_step, weights_per_boundary
 
-    if not duration > 0:
-        raise ValueError("duration must be > 0")
-    if not dt > 0:
-        raise ValueError("dt must be > 0")
-    n_steps = int(round(duration / dt))
-    if n_steps < 1:
-        raise ValueError("duration shorter than one step")
+    n_steps = _n_steps(duration, dt)
 
     state = initial_state or NeuronState(p.E_l, 0.0, 0.0)
     # the per-step currents as Python floats, one run of equal bits at a time

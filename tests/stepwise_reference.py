@@ -113,7 +113,9 @@ def circuit_step(state: CircuitState, cfg: CircuitNeuronConfig, I_stim,
     spiked = V_m1 >= cfg.V_det
     V_m1 = np.where(spiked, cfg.V_r, V_m1)
     ref1 = np.where(spiked, cfg.t_ref, ref1)
-    pulse1 = np.where(spiked, ad.pulse_width, pulse1)
+    # a disabled circuit never applies its pulse and starts no pulse timer
+    if ad.enabled:
+        pulse1 = np.where(spiked, ad.pulse_width, pulse1)
 
     if not (_all(np.isfinite(V_m1)) and _all(np.isfinite(V_w1))
             and _all(np.isfinite(s_exc1)) and _all(np.isfinite(s_inh1))):

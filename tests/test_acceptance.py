@@ -104,8 +104,7 @@ def test_03_calibration_spread_reduction():
     pop = sample_population(nominal, default_mismatch_model(nominal, seed=1), 128)
     pre = measure_tau_m(pop.stacked())
     pre_spread = float(np.nanstd(pre) / np.nanmean(pre))
-    res = calibrate_population(pop, CalibrationTarget(tau_m=900e-6),
-                               plan=("tau_m",), tol=0.02)
+    res = calibrate_population(pop, CalibrationTarget(tau_m=900e-6), tol=0.02)
     post = measure_tau_m(res.population.stacked())
     post_spread = float(np.nanstd(post) / np.nanmean(post))
     elapsed = time.time() - t0

@@ -71,26 +71,49 @@ class TestCalibrationTarget:
         assert t.range_violations()
 
 
+class TestZeroTargets:
+    @pytest.mark.parametrize("name", ["tau_m", "tau_w", "delta_t", "tau_syn_exc",
+                                      "tau_syn_inh"])
+    @pytest.mark.parametrize("value", [0.0, -20e-6])
+    def test_non_positive_time_constant_or_slope_rejected(self, name, value):
+        # with allow_out_of_range a zero tau_m used to end in a ZeroDivisionError
+        with pytest.raises(ValidationError, match=rf"^{name} target must be > 0, got "):
+            CalibrationTarget(**{name: value}, allow_out_of_range=True)
+
+    @pytest.mark.parametrize("name, path", [("a", "adaptation.ota_a.I_bias"),
+                                            ("b", "adaptation.pulse_amplitude")])
+    def test_zero_a_or_b_set_exactly(self, small_pop, name, path):
+        # a = 0 used to end in a ZeroDivisionError, and b = 0 was skipped
+        # without an outcome, leaving every neuron's b as sampled
+        assert np.all(np.asarray(get_bias(small_pop.stacked(), path)) > 0)
+        res = calibrate_population(small_pop, CalibrationTarget(**{name: 0.0}))
+        ad = res.population.stacked().adaptation
+        assert np.all(np.asarray(ad.a_effective if name == "a" else ad.b_effective) == 0.0)
+        if name == "a":
+            assert np.all(ad.sign == 1)
+        oc = res.outcomes[name]
+        assert (oc.bias_path, oc.evaluations, res.failures) == (path, 0, [])
+        assert np.all(oc.converged) and np.all(oc.biases == 0.0)
+        assert np.array_equal(oc.biases, get_bias(res.population.stacked(), path))
+
+
 class TestCalibratePopulation:
     def test_zero_mismatch_residuals_tiny(self, hw_circuit):
         pop = sample_population(hw_circuit, MismatchModel(seed=1), 4)
         eff = derive_effective_adex(hw_circuit)
-        res = calibrate_population(pop, CalibrationTarget(tau_m=eff.tau_m),
-                                   plan=("tau_m",), tol=0.02)
+        res = calibrate_population(pop, CalibrationTarget(tau_m=eff.tau_m), tol=0.02)
         assert res.all_converged
         assert np.all(np.abs(res.outcomes["tau_m"].residuals) < 0.02)
 
     def test_spread_reduction(self, small_pop, hw_circuit):
-        res = calibrate_population(small_pop, CalibrationTarget(tau_m=20e-6),
-                                   plan=("tau_m",), tol=0.02)
+        res = calibrate_population(small_pop, CalibrationTarget(tau_m=20e-6), tol=0.02)
         oc = res.outcomes["tau_m"]
         assert oc.pre_spread > 0.1          # uncalibrated ~ sigma_rel
         assert oc.post_spread < 0.05
         assert res.all_converged
 
     def test_never_worsens_converged_neurons(self, small_pop):
-        res = calibrate_population(small_pop, CalibrationTarget(tau_m=20e-6),
-                                   plan=("tau_m",), tol=0.02)
+        res = calibrate_population(small_pop, CalibrationTarget(tau_m=20e-6), tol=0.02)
         oc = res.outcomes["tau_m"]
         taus_pre = measure_tau_m(small_pop.stacked())
         taus_post = measure_tau_m(res.population.stacked())
@@ -106,7 +129,7 @@ class TestCalibratePopulation:
         outs = []
         for _ in range(2):
             pop = sample_population(hw_circuit, mm, 8)
-            res = calibrate_population(pop, target, plan=("tau_m", "tau_w"))
+            res = calibrate_population(pop, target)
             outs.append(res)
         for name in ("tau_m", "tau_w"):
             assert np.array_equal(outs[0].outcomes[name].biases,
@@ -137,8 +160,7 @@ class TestCalibratePopulation:
         mm = MismatchModel(additive={"syn_exc.follower_offset": 5e-3}, seed=4)
         pop = sample_population(hw_circuit, mm, 6)
         pre = measure_resting_offset(pop.stacked())
-        res = calibrate_population(pop, CalibrationTarget(offset_exc=True),
-                                   plan=("offset_exc",))
+        res = calibrate_population(pop, CalibrationTarget(offset_exc=True))
         post = measure_resting_offset(res.population.stacked())
         assert np.std(post) < np.std(pre)
         assert np.all(np.abs(post) <= 0.5e-3 + 1e-9)
@@ -174,8 +196,7 @@ class TestFailureCauses:
 
     def test_v_t_spread_is_absolute_and_shrinks(self, small_pop, hw_circuit):
         eff = derive_effective_adex(hw_circuit)
-        res = calibrate_population(small_pop, CalibrationTarget(v_t=eff.V_T),
-                                   plan=("v_t",))
+        res = calibrate_population(small_pop, CalibrationTarget(v_t=eff.V_T))
         oc = res.outcomes["v_t"]
         # residuals in volts around zero: the spread is their plain std
         assert 1e-4 < oc.pre_spread < 0.05

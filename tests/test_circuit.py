@@ -218,6 +218,8 @@ def _exc_train():
     return WeightedSpikeTrain.regular(30e-6, 40e-6, 4, 0.3)
 
 
+# the neuron of the late-spike variant: adaptation off, no refractory period
+LATE_SPIKE = default_circuit_config(t_ref=0.0)
 # hw_circuit -> (config, synaptic events) for the fast-path oracle test; its
 # synaptic lines are enabled, current-based and quiet unless events arrive
 ENGINE_VARIANTS = {
@@ -245,13 +247,21 @@ ENGINE_VARIANTS = {
         c.adaptation, pulse_width=1.6e-6,
         pulse_amplitude=c.adaptation.pulse_amplitude * c.adaptation.pulse_width / 1.6e-6)),
         {}),
+    # adaptation off: a spike starts no pulse timer, so the last spike,
+    # within pulse_width of the end, leaves the final timer at 0
+    "adaptation_off_late_spike": lambda c: (LATE_SPIKE, {}),
 }
 # variants that replace the default step stimulus of the oracle test
 VARIANT_STIMULI = {
     "multi_segment_stimulus": StimulusProgram((
         (0.0, 0.0), (20e-6, 50e-9), (90e-6, -0.0), (100e-6, 0.0), (120e-6, 50e-9),
         (150e-6, 50e-9 * (1 + 2 ** -52)))),
+    # 4x the threshold current, from t = 0
+    "adaptation_off_late_spike": StimulusProgram.constant(
+        4.0 * LATE_SPIKE.g_l * (LATE_SPIKE.V_det - LATE_SPIKE.E_l)),
 }
+# variants that replace the default dt and duration (0.05 us, 200 us)
+VARIANT_TIMING = {"adaptation_off_late_spike": (0.04e-6, 22.88e-6)}
 
 
 # the timer-course tests: the dt of configs/adex_step.cfg and a drive that
@@ -388,7 +398,7 @@ class TestCircuitStep:
         # V_m and V_w, every spike and the final timers must equal circuit_step
         cfg, events = ENGINE_VARIANTS[variant](hw_circuit)
         stim = VARIANT_STIMULI.get(variant, StimulusProgram.step(20e-6, 50e-9))
-        dt, duration = 0.05e-6, 200e-6
+        dt, duration = VARIANT_TIMING.get(variant, (0.05e-6, 200e-6))
         run = simulate_population(cfg, 1, stim, syn_events=events,
                                   duration=duration, dt=dt, record=True)
         from adexsim.synapse import weights_per_boundary

@@ -299,6 +299,80 @@ class TestConfigErrorsAtParseTime:
         assert not out.exists()
 
 
+CONFIG_CALIBRATE = """
+[run]
+mode = calibrate
+model = circuit
+
+[circuit]
+tau_m = 20 us
+
+[adaptation]
+enabled = true
+a = 30 nS
+b = 2 nA
+
+[mismatch]
+size = 8
+
+[calibration]
+"""
+
+
+class TestZeroCalibrationTargets:
+    @pytest.mark.parametrize("target, name, path", [
+        ("a = 0 nS", "a", "adaptation.ota_a.I_bias"),
+        ("b = 0 A", "b", "adaptation.pulse_amplitude"),
+    ], ids=["a", "b"])
+    def test_zero_a_or_b_converges_exactly(self, tmp_path, cfg_path, run_cli,
+                                           target, name, path):
+        # a = 0 used to end in a ZeroDivisionError traceback, and b = 0 left
+        # every neuron's b as sampled, with no outcome and no failure
+        out = tmp_path / "out"
+        result = run_cli(["calibrate", "--config", cfg_path(CONFIG_CALIBRATE + target),
+                          "--out", str(out)], cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        report = json.loads((out / "calibration.json").read_text())
+        assert report["failures"] == []
+        outcome = report["outcomes"][name]
+        assert (outcome["bias_path"], outcome["evaluations"]) == (path, 0)
+        assert outcome["biases"] == [0.0] * 8
+        assert outcome["converged"] == [True] * 8
+
+    def test_zero_tau_m_exit_2_without_output(self, tmp_path, cfg_path, run_cli):
+        # with allow_out_of_range it used to end in a ZeroDivisionError
+        out = tmp_path / "out"
+        text = CONFIG_CALIBRATE + "tau_m = 0 us\nallow_out_of_range = true"
+        result = run_cli(["calibrate", "--config", cfg_path(text), "--out", str(out)],
+                         cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == "error: tau_m target must be > 0, got 0\n"
+        assert not out.exists()
+
+    def test_plan_key_exit_2_without_output(self, tmp_path, cfg_path, run_cli):
+        # the calibration target alone says which entries run
+        out = tmp_path / "out"
+        text = CONFIG_CALIBRATE + "tau_m = 20 us\nplan = tau_m"
+        result = run_cli(["calibrate", "--config", cfg_path(text), "--out", str(out)],
+                         cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: unknown key 'plan' in [calibration]")
+        assert not out.exists()
+
+
+class TestSwitchedKeys:
+    def test_key_its_switch_leaves_unread_exit_2_without_output(self, tmp_path, cfg_path,
+                                                               run_cli):
+        # [adaptation] a and b used to be parsed and dropped
+        out = tmp_path / "out"
+        text = CONFIG_CIRCUIT + "\n[adaptation]\na = 30 nS\nb = 2 nA\n"
+        result = run_cli(["simulate", "--config", cfg_path(text), "--out", str(out)],
+                         cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == "error: [adaptation] a is not read unless enabled = true\n"
+        assert not out.exists()
+
+
 class TestCsvRoundTrip:
     def test_reingested_trace_supports_postprocessing(self, tmp_path, cfg_path,
                                                        run_cli):

@@ -288,6 +288,64 @@ class TestSynapticLines:
         assert serialize_config(again) == resolved
 
 
+class TestSwitches:
+    def test_written_switch_applied_without_a_or_b(self):
+        # adaptation used to stay off: a = b = 0 turned it off, and only a
+        # written false was applied again
+        run = parse_config("[run]\nmodel = circuit\n[adaptation]\nenabled = true\n"
+                           "tau_w = 50 us\n")
+        ad = run.circuit.adaptation
+        assert ad.enabled
+        assert ad.tau_w == pytest.approx(50e-6)
+        assert (ad.a_effective, ad.b_effective) == (0.0, 0.0)
+        resolved = serialize_config(run)
+        assert "enabled = true" in resolved.split("[adaptation]")[1].split("[")[0]
+        assert serialize_config(parse_config(resolved)) == resolved
+
+    @pytest.mark.parametrize("section, lines, key, switch", [
+        ("adaptation", "a = 30 nS\nb = 2 nA", "a", "enabled"),
+        ("exponential", "delta_t = 30 mV", "delta_t", "enabled"),
+        ("exponential", "enabled = false\ngate_in_refractory = false",
+         "gate_in_refractory", "enabled"),
+        ("syn_exc", "e_syn = 0.9 V", "e_syn", "coba"),
+        ("syn_inh", "coba = false\ne_syn_hat = 0.4 V", "e_syn_hat", "coba"),
+    ], ids=["adaptation_a_b", "exponential_delta_t", "exponential_gate",
+            "syn_exc_e_syn", "syn_inh_e_syn_hat"])
+    def test_key_its_switch_leaves_unread_rejected(self, section, lines, key, switch):
+        # each used to be parsed and dropped
+        with pytest.raises(ValidationError, match=(
+                rf"^\[{section}\] {key} is not read unless {switch} = true$")):
+            parse_config(f"[run]\nmodel = circuit\n[{section}]\n{lines}\n")
+
+
+class TestResolvedText:
+    @pytest.mark.parametrize("lines", [
+        "[exponential]\nenabled = true\ndelta_t = 0.15 V",
+        "[adaptation]\nenabled = true\ntau_w = 0.0001722 s\nb = 2 nA",
+    ], ids=["delta_t", "b"])
+    def test_drifting_value_resolves_to_a_fixed_point(self, lines):
+        # the effective delta_t or b used to rebuild a neighbouring bias,
+        # and the resolved text changed on every round trip
+        run = parse_config(f"[run]\nmodel = circuit\n{lines}\n")
+        resolved = serialize_config(run)
+        assert parse_config(resolved).circuit == run.circuit
+        assert serialize_config(parse_config(resolved)) == resolved
+
+    @settings(max_examples=200)
+    @given(tau_w=st.floats(20e-6, 800e-6), b=st.floats(0.0, 20e-9),
+           pulse_width=st.floats(0.05e-6, 5e-6), delta_t=st.floats(5e-3, 0.3),
+           v_t=st.floats(0.3, 0.8))
+    def test_resolved_text_builds_the_same_circuit(self, tau_w, b, pulse_width, delta_t,
+                                                   v_t):
+        text = ("[run]\nmodel = circuit\n[circuit]\nV_det = 0.9 V\n"
+                f"[adaptation]\nenabled = true\ntau_w = {tau_w!r} s\nb = {b!r} A\n"
+                f"pulse_width = {pulse_width!r} s\n"
+                f"[exponential]\nenabled = true\ndelta_t = {delta_t!r} V\nv_t = {v_t!r} V\n")
+        run = parse_config(text)
+        resolved = serialize_config(run)
+        assert parse_config(resolved).circuit == run.circuit
+
+
 # (experiment, key) for each [experiment] key an experiment does not read
 UNREAD = [(name, key) for name, reads in _EXPERIMENT_KEYS.items()
           for key in SCHEMA["experiment"] if key not in reads + ("name",)]
@@ -373,6 +431,10 @@ def numeric_configs(draw):
                     SCHEMA["experiment"]["name"][1]))}}
     for section, key, kind, dim in chosen:
         sections.setdefault(section, {})[key] = draw(written_value(kind, dim))
+    # the keys of these sections are read only with the section enabled
+    for section in ("adaptation", "exponential"):
+        if section in sections and draw(st.booleans()):
+            sections[section]["enabled"] = "true"
     return "\n".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
                      for section, keys in sections.items())
 

@@ -225,8 +225,7 @@ class TestPsp:
         target = CalibrationTarget(
             tau_syn_exc=hw_circuit.syn_exc.tau_syn, offset_exc=True,
             psp_amplitude_exc=0.03)
-        cal = calibrate_population(
-            pop, target, plan=("tau_syn_exc", "offset_exc", "psp_amplitude_exc"))
+        cal = calibrate_population(pop, target)
         after = run_psp_experiment(cal.population, PspProtocol(weight=0.5),
                                    n_events=2)
 

@@ -479,8 +479,7 @@ def drb_seed3():
     pop = sample_population(nominal, default_mismatch_model(nominal, seed=3), 128)
     target = CalibrationTarget(tau_m=hw.tau_m, stim_gain=True, delta_t=hw.Delta_T,
                                v_t=hw.V_T, tau_w=hw.tau_w, allow_out_of_range=True)
-    cal = calibrate_population(pop, target, tol=0.015,
-                               plan=("tau_m", "stim_gain", "delta_t", "v_t", "tau_w"))
+    cal = calibrate_population(pop, target, tol=0.015)
     cfg = set_bias(cal.population.stacked(), "adaptation.sign", -1)
     ad = cfg.adaptation
     # probe bounds of the `a` plan entry

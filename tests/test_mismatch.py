@@ -105,7 +105,7 @@ class TestStackedRepresentation:
         pop = sample_population(hw_circuit, default_mismatch_model(hw_circuit, seed=2), 16)
         target = CalibrationTarget(tau_m=derive_effective_adex(hw_circuit).tau_m,
                                    stim_gain=True)
-        cal = calibrate_population(pop, target, plan=("tau_m", "stim_gain"))
+        cal = calibrate_population(pop, target)
         report = run_psp_experiment(cal.population)
         assert cal.population.size == 16
         assert len(report.per_neuron) == 16

@@ -221,6 +221,15 @@ class TestSimulate:
         assert np.allclose(tr.V, p.E_l, atol=1e-15)
         assert np.all(tr.w == 0.0)
 
+    @pytest.mark.parametrize("duration, dt", [(math.inf, 1e-7), (50e-6, math.inf),
+                                              (math.nan, 1e-7), (50e-6, math.nan),
+                                              (0.0, 1e-7)])
+    def test_duration_and_dt_must_be_finite(self, duration, dt):
+        # the circuit engine's rule; an infinite duration used to raise
+        # OverflowError and an infinite dt "duration shorter than one step"
+        with pytest.raises(ValueError, match="^duration and dt must be finite and > 0$"):
+            simulate(hw_lif(), StimulusProgram.constant(0.0), duration=duration, dt=dt)
+
     def test_tonic_regular_after_first_interval(self, tonic_params):
         # long enough for the slow subthreshold-adaptation settling to be
         # a small fraction of the train
