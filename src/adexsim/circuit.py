@@ -447,18 +447,24 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     bits do not depend on the rest of its batch.  Constants are hoisted out of the
     loop and the arrays are updated in place.  V_w and V_m are the two rows
     of one (2, n) state, so one set of calls advances both
-    exponential-Euler nodes.  A step skips only work whose result is known
-    exactly:
+    exponential-Euler nodes.  A node of capacitance C, forcing F (the sum
+    of its currents) and linear conductance g toward ref has the
+    exponential-Euler step ref + (V - ref) * exp(-lam*h)
+    + (F + g * (V - ref)) / C * phi(lam, h), with lam = g / C and
+    phi(lam, h) = (1 - exp(-lam*h)) / lam.  As exp(-lam*h) + lam * phi = 1,
+    that is V + F * phi(lam, h) / C, which the engine takes in its reduced
+    form V <- V + F * B with B = phi(lam, h) / C: one multiply and one add
+    per step.  A step skips only work whose result is known exactly:
 
     - the refractory and adaptation-pulse timers: from a spike each runs
       down from t_ref or pulse_width (0 with adaptation off, whose pulse
       never applies) by x <- max(x - dt, 0), so one
       countdown before the loop (`_countdown`) gives each neuron's course:
-      its held steps (h = 0, I_exp gated), its release step (0 < x < dt,
-      h = dt - x, gated) with that h's exp(-lam_m*h) and _phi(lam_m, h),
-      and its pulse currents min(x, dt) * p_amp / dt: full while x >= dt,
-      fractional at the x left below dt, idle at 0.  The membrane
-      factors, the I_exp gate mask and the pulse-current row are written
+      its held steps (h = 0, B = 0, I_exp gated), its release step
+      (0 < x < dt, h = dt - x, gated) with that h's B, and its pulse
+      currents min(x, dt) * p_amp / dt: full while x >= dt, fractional at
+      the x left below dt, idle at 0.  The membrane row of B, the I_exp
+      gate mask and the pulse-current row are written
       only for the neurons that spike or change phase on a step, from
       step-keyed buckets whose entries are skipped for a neuron that has
       spiked again since.  Initial timers take the same course, and the
@@ -495,15 +501,13 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
             raise NonFiniteState("non-finite circuit state", time=0.0)
 
     # the nodes integrated, the last rows of S: both, or the membrane alone
-    # when adaptation is off.  Per node, in the same rows: the reference it
-    # relaxes to, its linear conductance and capacitance, its factors over
-    # the step (the membrane's change while refractory), its forcing and
-    # two scratch rows.
+    # when adaptation is off.  Per node, in the same rows: its forcing and
+    # the factor phi(lam, h) / C that turns it into the step's change (the
+    # membrane's changes while refractory).
     m = 2 if ad.enabled else 1
     NODE = S[2 - m:]
-    REF, GN, CN, DECAY, PHI, FN, DN, XN = (np.empty((m, n)) for _ in range(8))
-    REF[-1], CN[-1] = bc(cfg.E_l), bc(cfg.C_mem)
-    E_l, C_mem = REF[-1], CN[-1]
+    FN, B = np.empty((m, n)), np.empty((m, n))
+    E_l, C_mem = bc(cfg.E_l), bc(cfg.C_mem)
     V_det, V_r, t_ref = bc(cfg.V_det), bc(cfg.V_r), bc(cfg.t_ref)
     stim_scale = bc(cfg.stim_gain) * bc(cfg.stim_trim)
 
@@ -523,9 +527,7 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     Z = np.empty_like(G)
     rows = iter(Z)
     z_leak = next(rows)
-    gl_g = G[0]
-    lam_m = gl_g / C_mem
-    GN[-1] = gl_g
+    lam_m = G[0] / C_mem
 
     if ex.enabled:
         z_exp = next(rows)
@@ -539,31 +541,27 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
         floored = np.empty(n, dtype=bool)
     if ad.enabled:
         z_tau, z_a = rows
-        gt_g = G[-2]
-        REF[0], CN[0] = bc(ad.V_ref), bc(ad.C_w)
-        V_ref, C_w, E_la = REF[0], CN[0], bc(ad.E_l_adapt)
+        V_ref, C_w, E_la = bc(ad.V_ref), bc(ad.C_w), bc(ad.E_l_adapt)
         sign, gw_f = bc(ad.sign), bc(ad.g_w_factor)
         sign_rule = 1 if np.all(sign == 1) else -1 if np.all(sign == -1) else 0
-        lam_w = gt_g / C_w
-        GN[0], DECAY[0], PHI[0] = gt_g, np.exp(-lam_w * dt), _phi(lam_w, dt)
-    # forcing rows: the filter node's W and the membrane's F; the
-    # membrane row of XN is the scratch X of the forcing
-    W, F, X = FN[0], FN[-1], XN[-1]
+        B[0] = _phi(G[-2] / C_w, dt) / C_w
+    # forcing rows: the filter node's W and the membrane's F; X is the
+    # scratch of the forcing
+    W, F, X = FN[0], FN[-1], np.empty(n)
 
-    # the timer courses.  The membrane's factors over a step with h of it
-    # integrated and the I_exp gate: held at h = 0, free at h = dt, one
-    # release step in between; the pulse current min(x, dt) * p_amp / dt is
-    # full while x >= dt.  A write is (row, values) pairs, made for the
-    # neurons that take it.
-    dec_m, phi_m = DECAY[-1], PHI[-1]
+    # the timer courses.  The membrane's factor over a step with h of it
+    # integrated and the I_exp gate: held at h = 0 (phi = 0), free at
+    # h = dt, one release step in between; the pulse current
+    # min(x, dt) * p_amp / dt is full while x >= dt.  A write is
+    # (row, values) pairs, made for the neurons that take it.
     pulse_i, gated = np.empty(n), np.empty(n, dtype=bool)
     p_amp = bc(ad.pulse_amplitude)
     p_width = bc(ad.pulse_width) if ad.enabled else np.zeros(n)
     pulse_at = lambda x: np.minimum(x, dt) * p_amp / dt
     full_i, idle_i = pulse_at(dt), pulse_at(0.0)
-    membrane = (dec_m, phi_m, gated)
-    HELD = (np.exp(-lam_m * 0.0), _phi(lam_m, 0.0), np.ones(n, dtype=bool))
-    FREE = (np.exp(-lam_m * dt), _phi(lam_m, dt), np.zeros(n, dtype=bool))
+    membrane = (B[-1], gated)
+    HELD = (np.zeros(n), np.ones(n, dtype=bool))
+    FREE = (_phi(lam_m, dt) / C_mem, np.zeros(n, dtype=bool))
 
     def course(t0, p0):
         """Timers started at t0 (refractory) and p0 (pulse): the write of
@@ -574,10 +572,10 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
         held, left = _countdown(t0, dt, n_steps)
         release = left > 0
         h = np.clip(dt - left, 0.0, dt)
-        RELEASE = (np.exp(-lam_m * h), _phi(lam_m, h), HELD[2])
+        RELEASE = (_phi(lam_m, h) / C_mem, HELD[1])
         first = [(row, np.where(held > 0, a, np.where(release, b, c)))
                  for row, a, b, c in zip(membrane, HELD, RELEASE, FREE)]
-        changes = [(tuple(zip(membrane[:2], RELEASE)), held, (held > 0) & release),
+        changes = [(((membrane[0], RELEASE[0]),), held, (held > 0) & release),
                    (tuple(zip(membrane, FREE)), held + release, (held > 0) | release)]
         gate_len = int((held + release).max())
         held, left = _countdown(p0, dt, n_steps)
@@ -736,14 +734,8 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
             next_segment = next(segment_starts, n_steps)
         add(F, I_inj, F)
 
-        # each node: V <- ref + (V - ref) * decay + (forcing + g * (V - ref)) / C * phi
-        sub(NODE, REF, DN)
-        mul(GN, DN, XN)
-        add(FN, XN, FN)
-        div(FN, CN, FN)
-        mul(DN, DECAY, DN)
-        mul(FN, PHI, FN)
-        add(REF, DN, NODE)
+        # each node: V <- V + forcing * phi(lam, h) / C
+        mul(FN, B, FN)
         add(NODE, FN, NODE)
 
         for s, decay, arrivals, dv in moving:

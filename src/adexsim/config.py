@@ -232,11 +232,17 @@ _POSITIVE = {"circuit": ("tau_m", "C_mem"), "adaptation": ("tau_w", "pulse_width
              "syn_exc": ("tau_syn",), "syn_inh": ("tau_syn",),
              "exponential": ("delta_t",)}
 
-# keys a section reads only with its switch, off unless the file sets it true
-_SWITCHED = {"adaptation": ("enabled", ("tau_w", "a", "b", "pulse_width")),
-             "exponential": ("enabled", ("delta_t", "v_t", "i_max", "gate_in_refractory")),
-             "syn_exc": ("coba", ("e_syn", "e_syn_hat")),
-             "syn_inh": ("coba", ("e_syn", "e_syn_hat"))}
+# (section, switch, the switch where the file does not set it, the keys
+# the section reads only with the switch on); a line's enabled comes first
+_SWITCHED = (("neuron", "exp_enabled", AdExParameters.exp_enabled,
+              ("V_T", "Delta_T", "exp_gated_in_ref")),
+             ("adaptation", "enabled", False, ("tau_w", "a", "b", "pulse_width")),
+             ("exponential", "enabled", False,
+              ("delta_t", "v_t", "i_max", "gate_in_refractory")),
+             *((f"syn_{side}", "enabled", True, ("tau_syn", "coba", "bias"))
+               for side in ("exc", "inh")),
+             *((f"syn_{side}", "coba", False, ("e_syn", "e_syn_hat"))
+               for side in ("exc", "inh")))
 
 
 @dataclass
@@ -320,12 +326,28 @@ def _check_unknown(sections):
             raise ParseError(f"unknown key {key!r} in [{section}]", line)
 
 
+def _unread(given: dict):
+    """(section, key, switch) of each key of {section: {key: value}} that a
+    switch of its section, as given or by default, leaves unread."""
+    for section, switch, default, keys in _SWITCHED:
+        values = given.get(section, {})
+        if not values.get(switch, default):
+            yield from ((section, key, switch) for key in keys if key in values)
+
+
+def _check_switched(given: dict) -> None:
+    for section, key, switch in _unread(given):
+        raise ValidationError(f"[{section}] {key} is not read unless {switch} = true")
+
+
 def _build_neuron(sections) -> AdExParameters | None:
     if "neuron" not in sections:
         return None
+    given = _given(sections, "neuron")
+    _check_switched({"neuron": given})
     # omitted adaptation keys give a neuron without adaptation; with the
-    # exponential off, V_T and Delta_T are unused and need no value
-    vals = {"tau_w": 1.0, "a": 0.0, "b": 0.0, **_given(sections, "neuron")}
+    # exponential off, V_T and Delta_T are unused and take no value
+    vals = {"tau_w": 1.0, "a": 0.0, "b": 0.0, **given}
     if not vals.get("exp_enabled", AdExParameters.exp_enabled):
         vals = {"V_T": vals.get("E_l"), "Delta_T": 1e-3, **vals}
     missing = [k for k in ("C", "g_l", "E_l", "V_T", "Delta_T", "V_r", "V_det")
@@ -344,10 +366,7 @@ def _build_circuit(given: dict) -> CircuitNeuronConfig:
         for key in keys:
             if key in given[section] and not given[section][key] > 0:
                 raise ValidationError(f"[{section}] violates {key} > 0")
-    for section, (switch, keys) in _SWITCHED.items():
-        for key in keys:
-            if key in given[section] and not given[section].get(switch):
-                raise ValidationError(f"[{section}] {key} is not read unless {switch} = true")
+    _check_switched(given)
     circuit, adaptation, exponential = (given[s] for s in ("circuit", "adaptation",
                                                            "exponential"))
     try:
@@ -434,9 +453,11 @@ def _resolved(cfg: CircuitNeuronConfig) -> dict:
                                   gate_in_refractory=ex.gate_in_refractory)
     for side in ("exc", "inh"):
         syn = getattr(cfg, f"syn_{side}")
-        out[f"syn_{side}"] = {"enabled": syn.enabled, "tau_syn": syn.tau_syn,
-                              "coba": syn.coba_enabled, "bias": syn.I_b_cuba}
-        if syn.coba_enabled:
+        out[f"syn_{side}"] = {"enabled": syn.enabled}
+        if syn.enabled:
+            out[f"syn_{side}"].update(tau_syn=syn.tau_syn, coba=syn.coba_enabled,
+                                      bias=syn.I_b_cuba)
+        if syn.enabled and syn.coba_enabled:
             out[f"syn_{side}"]["e_syn_hat"] = syn.E_syn_hat
     for (section, key), path in _REBUILT.items():
         if key not in out[section]:
@@ -504,6 +525,11 @@ def _build_sweep(sections, run: RunConfig) -> dict:
     if section == "neuron" and run.model != "ideal":
         raise ValidationError(f"[sweep] key {key!r} is not read by model "
                               f"{run.model!r}; neuron.* sweeps need model = ideal")
+    if section == "neuron":
+        for _, _, switch in _unread({"neuron": {"exp_enabled": run.neuron.exp_enabled,
+                                                name: None}}):
+            raise ValidationError(f"[sweep] key {key!r} is not read unless "
+                                  f"[neuron] {switch} = true")
     kind, dim = SCHEMA[section][name]
     if kind != "quantity":
         raise ValidationError(f"[sweep] key {key!r} is not a scalar quantity")
@@ -607,6 +633,8 @@ def serialize_config(run: RunConfig) -> str:
         "neuron": {name: getattr(run.neuron, name) for name in SCHEMA["neuron"]}}
     if run.circuit is not None:
         models.update(_resolved(run.circuit))
+    for section, key, _ in _unread(models):
+        del models[section][key]
     for section, values in models.items():
         lines += ["", f"[{section}]"]
         for name, value in values.items():

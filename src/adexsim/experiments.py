@@ -319,17 +319,21 @@ def run_psp_experiment(pop: Population, synapse_cfg=None,
 # ---------------------------------------------------------------------------
 # exponential sweep
 
-def run_exponential_sweep(neuron, onsets=None, slopes=None,
-                          slope_tol: float = 0.03,
-                          onset_shift_tol: float = 0.02,
-                          min_decades: float = 3.0) -> ExperimentReport:
+# the exponential sweep's bounds: the relative slope error of each fit, the
+# decades below saturation it must span, and the onset-induced slope spread
+EXP_SLOPE_TOL = 0.03
+EXP_MIN_DECADES = 3.0
+EXP_ONSET_SHIFT_TOL = 0.02
+
+
+def run_exponential_sweep(neuron, onsets=None, slopes=None) -> ExperimentReport:
     """I(V) curves of the exponential branch for onset/slope settings.
 
     Each setting is one row of a single `exponential_sweep` (120 points)
     and fit.  For every slope setting the log-linear fit below saturation
-    must match the design slope within slope_tol over at least min_decades
-    decades, and onset shifts must leave the fitted slope unchanged within
-    onset_shift_tol.
+    must match the design slope within EXP_SLOPE_TOL over at least
+    EXP_MIN_DECADES decades, and onset shifts must leave the fitted slope
+    unchanged within EXP_ONSET_SHIFT_TOL.
     """
     base = neuron.exponential
     if onsets is None:
@@ -338,8 +342,8 @@ def run_exponential_sweep(neuron, onsets=None, slopes=None,
         slopes = (base.delta_t_eff,)
     report = ExperimentReport(
         name="exponential_sweep",
-        tolerances={"slope_rel_err": slope_tol, "min_decades": min_decades,
-                    "onset_slope_shift": onset_shift_tol})
+        tolerances={"slope_rel_err": EXP_SLOPE_TOL, "min_decades": EXP_MIN_DECADES,
+                    "onset_slope_shift": EXP_ONSET_SHIFT_TOL})
     # one row per setting, slope-major
     slope_k, onset_k = (a.ravel() for a in np.meshgrid(slopes, onsets, indexing="ij"))
     g_target = base.n * base.V_therm / (8.0 * base.r_conv * slope_k)
@@ -347,11 +351,11 @@ def run_exponential_sweep(neuron, onsets=None, slopes=None,
                  ota=replace(base.ota, I_bias=g_target / base.ota.g_per_bias))
     grid, cur = exponential_sweep(replace(neuron, exponential=ex), n_points=120)
     delta_t, _, decades, reasons = fit_exponential_slope(
-        grid, cur, ex.I_max, min_decades=min_decades)
+        grid, cur, ex.I_max, min_decades=EXP_MIN_DECADES)
     design = ex.delta_t_eff
     rel_err = np.abs(delta_t - design) / design
     # a failed fit reads NaN and fails the slope test
-    ok = bool(np.all(rel_err <= slope_tol))
+    ok = bool(np.all(rel_err <= EXP_SLOPE_TOL))
     for s, slope in enumerate(slopes):
         fitted = []
         for k in range(s * len(onsets), (s + 1) * len(onsets)):
@@ -368,7 +372,7 @@ def run_exponential_sweep(neuron, onsets=None, slopes=None,
             shift = (max(fitted) - min(fitted)) / float(np.mean(fitted))
             report.notes.append(
                 f"slope {slope:.4g}: onset-induced slope spread = {shift:.4f}")
-            ok = ok and shift <= onset_shift_tol
+            ok = ok and shift <= EXP_ONSET_SHIFT_TOL
     report.passed = ok
     return report.finalize()
 

@@ -53,10 +53,17 @@ def circuit_step(state: CircuitState, cfg: CircuitNeuronConfig, I_stim,
 
     `syn_events` carries the summed weights arriving at this step's end
     boundary for the excitatory and inhibitory lines.  Each node uses an
-    exponential-Euler update around its small-signal conductance with the
-    saturation residuals and cross couplings as forward terms.  The
-    spike-triggered adaptation pulse is spread charge-exactly over the
-    steps it overlaps.
+    exponential-Euler update around its small-signal conductance g, with
+    the saturation residuals and cross couplings as forward terms: for a
+    node of capacitance C and forcing F (the sum of its currents),
+
+        V1 = ref + (V - ref) * exp(-lam*h) + (F + g * (V - ref)) / C * phi(lam, h)
+
+    with lam = g / C and phi(lam, h) = (1 - exp(-lam*h)) / lam.  Since
+    exp(-lam*h) + lam * phi(lam, h) = 1, the (V - ref) terms add up to
+    V - ref, and the update is taken in its reduced form
+    V1 = V + F * (phi(lam, h) / C).  The spike-triggered adaptation pulse
+    is spread charge-exactly over the steps it overlaps.
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
@@ -87,8 +94,7 @@ def circuit_step(state: CircuitState, cfg: CircuitNeuronConfig, I_stim,
     if ad.enabled:
         node = out_tau - ad.sign * out_a - pulse_I
         lam_w = ad.g_tau / ad.C_w
-        resid_w = (node + ad.g_tau * (V_w - ad.V_ref)) / ad.C_w
-        V_w1 = ad.V_ref + (V_w - ad.V_ref) * np.exp(-lam_w * dt) + resid_w * _phi(lam_w, dt)
+        V_w1 = V_w + node * (_phi(lam_w, dt) / ad.C_w)
     else:
         V_w1 = V_w
 
@@ -97,8 +103,7 @@ def circuit_step(state: CircuitState, cfg: CircuitNeuronConfig, I_stim,
     h = np.clip(dt - ref, 0.0, dt)
     forcing = leak_out + I_exp - I_w + I_syn_e - I_syn_i + I_inj
     lam_m = cfg.g_l / cfg.C_mem
-    resid_m = (forcing + cfg.g_l * (V_m - cfg.E_l)) / cfg.C_mem
-    V_m1 = cfg.E_l + (V_m - cfg.E_l) * np.exp(-lam_m * h) + resid_m * _phi(lam_m, h)
+    V_m1 = V_m + forcing * (_phi(lam_m, h) / cfg.C_mem)
 
     # synaptic lines: exact decay plus boundary jumps
     exc_w, inh_w = syn_events

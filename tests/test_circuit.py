@@ -431,10 +431,11 @@ class TestCircuitStep:
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_nonfinite_filter_node_reported_near_blow_up(self, hw_circuit):
-        # a huge pulse drives V_w to -inf at the first spike while the
-        # saturating OTAs keep V_m finite; the periodic check reads V_w too
+        # a pulse so large that its change of V_w over one step overflows
+        # drives V_w to -inf at the first spike while the saturating OTAs
+        # keep V_m finite; the periodic check reads V_w too
         ad = hw_circuit.adaptation
-        cfg = replace(hw_circuit, adaptation=replace(ad, pulse_amplitude=1e300))
+        cfg = replace(hw_circuit, adaptation=replace(ad, pulse_amplitude=1e308))
         stim = StimulusProgram.step(20e-6, 50e-9)
         dt, n_steps = 0.05e-6, 4000
         currents = stim.per_step_currents(n_steps, dt)
