@@ -453,12 +453,11 @@ def _resolved(cfg: CircuitNeuronConfig) -> dict:
                                   gate_in_refractory=ex.gate_in_refractory)
     for side in ("exc", "inh"):
         syn = getattr(cfg, f"syn_{side}")
-        out[f"syn_{side}"] = {"enabled": syn.enabled}
+        line = out[f"syn_{side}"] = {"enabled": syn.enabled}
         if syn.enabled:
-            out[f"syn_{side}"].update(tau_syn=syn.tau_syn, coba=syn.coba_enabled,
-                                      bias=syn.I_b_cuba)
-        if syn.enabled and syn.coba_enabled:
-            out[f"syn_{side}"]["e_syn_hat"] = syn.E_syn_hat
+            line.update(tau_syn=syn.tau_syn, coba=syn.coba_enabled, bias=syn.I_b_cuba)
+            if syn.coba_enabled:
+                line["e_syn_hat"] = syn.E_syn_hat
     for (section, key), path in _REBUILT.items():
         if key not in out[section]:
             continue

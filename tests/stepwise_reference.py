@@ -47,6 +47,41 @@ def synin_current(s_volts, cfg: SynInCircuitConfig, V_m):
     return cfg.g1_per_bias * bias * (np.asarray(s_volts) - offset)
 
 
+def node_forcings(state: CircuitState, cfg: CircuitNeuronConfig, I_stim, dt: float):
+    """The forcings of one step from `state`: the filter node's (None with
+    adaptation off), the membrane's, and the part h of the step the
+    membrane integrates (0 while held, dt - ref on its release step)."""
+    V_m = np.asarray(state.V_m, dtype=float)
+    V_w = np.asarray(state.V_w, dtype=float)
+    ref = np.asarray(state.ref_remaining, dtype=float)
+    pulse_left = np.asarray(state.pulse_remaining, dtype=float)
+    ad = cfg.adaptation
+
+    # currents at the start of the step
+    I_exp = exponential_current(V_m, cfg.exponential, ref > 0)
+    if ad.enabled:
+        out_tau = ota_output(ad.ota_tau, ad.V_ref, V_w)
+        out_a = ota_output(ad.ota_a, V_m, ad.E_l_adapt)
+        I_w = ad.g_w_factor * out_tau
+    else:
+        I_w = np.zeros_like(V_m)
+    I_syn_e = synin_current(state.s_exc, cfg.syn_exc, V_m)
+    I_syn_i = synin_current(state.s_inh, cfg.syn_inh, V_m)
+    leak_out = ota_output(cfg.leak_ota, cfg.E_l, V_m)
+    I_inj = cfg.stim_gain * cfg.stim_trim * np.asarray(I_stim, dtype=float)
+
+    # filter node: pulse current averaged charge-exactly over this step
+    node = None
+    if ad.enabled:
+        pulse_I = ad.pulse_amplitude * np.minimum(pulse_left, dt) / dt
+        node = out_tau - ad.sign * out_a - pulse_I
+    # membrane node: held at V_r while refractory, integrates the
+    # post-release fraction of the step otherwise
+    h = np.clip(dt - ref, 0.0, dt)
+    forcing = leak_out + I_exp - I_w + I_syn_e - I_syn_i + I_inj
+    return node, forcing, h
+
+
 def circuit_step(state: CircuitState, cfg: CircuitNeuronConfig, I_stim,
                  syn_events=(0.0, 0.0), dt: float = 1e-8):
     """One deterministic integration step; returns (new_state, spiked).
@@ -71,39 +106,14 @@ def circuit_step(state: CircuitState, cfg: CircuitNeuronConfig, I_stim,
     V_w = np.asarray(state.V_w, dtype=float)
     ref = np.asarray(state.ref_remaining, dtype=float)
     pulse_left = np.asarray(state.pulse_remaining, dtype=float)
-    in_ref = ref > 0
-
     ad = cfg.adaptation
-    ex = cfg.exponential
 
-    # currents at the start of the step
-    I_exp = exponential_current(V_m, ex, in_ref)
+    node, forcing, h = node_forcings(state, cfg, I_stim, dt)
     if ad.enabled:
-        out_tau = ota_output(ad.ota_tau, ad.V_ref, V_w)
-        out_a = ota_output(ad.ota_a, V_m, ad.E_l_adapt)
-        I_w = ad.g_w_factor * out_tau
-    else:
-        out_tau = out_a = I_w = np.zeros_like(V_m)
-    I_syn_e = synin_current(state.s_exc, cfg.syn_exc, V_m)
-    I_syn_i = synin_current(state.s_inh, cfg.syn_inh, V_m)
-    leak_out = ota_output(cfg.leak_ota, cfg.E_l, V_m)
-    I_inj = cfg.stim_gain * cfg.stim_trim * np.asarray(I_stim, dtype=float)
-
-    # filter node: pulse current averaged charge-exactly over this step
-    pulse_I = ad.pulse_amplitude * np.minimum(pulse_left, dt) / dt
-    if ad.enabled:
-        node = out_tau - ad.sign * out_a - pulse_I
-        lam_w = ad.g_tau / ad.C_w
-        V_w1 = V_w + node * (_phi(lam_w, dt) / ad.C_w)
+        V_w1 = V_w + node * (_phi(ad.g_tau / ad.C_w, dt) / ad.C_w)
     else:
         V_w1 = V_w
-
-    # membrane node: held at V_r while refractory, integrates the
-    # post-release fraction of the step otherwise
-    h = np.clip(dt - ref, 0.0, dt)
-    forcing = leak_out + I_exp - I_w + I_syn_e - I_syn_i + I_inj
-    lam_m = cfg.g_l / cfg.C_mem
-    V_m1 = V_m + forcing * (_phi(lam_m, h) / cfg.C_mem)
+    V_m1 = V_m + forcing * (_phi(cfg.g_l / cfg.C_mem, h) / cfg.C_mem)
 
     # synaptic lines: exact decay plus boundary jumps
     exc_w, inh_w = syn_events

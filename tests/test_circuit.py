@@ -16,7 +16,7 @@ from adexsim.circuit import (
 )
 from adexsim.measure import log_linear_fit
 from adexsim.mismatch import Population, default_mismatch_model, sample_population
-from stepwise_reference import adaptation_dynamics, circuit_step
+from stepwise_reference import adaptation_dynamics, circuit_step, node_forcings
 
 
 class TestOta:
@@ -566,6 +566,66 @@ class TestCircuitStep:
     def test_duration_and_dt_must_be_finite(self, hw_circuit, duration, dt):
         with pytest.raises(ValueError, match="duration and dt must be finite and > 0"):
             simulate_population(hw_circuit, 1, TIMER_STIMULUS, duration=duration, dt=dt)
+
+
+def _long_form(V, ref, g, C, F, h):
+    # the exponential-Euler step of a node of capacitance C and forcing F,
+    # written out around its linear conductance g toward ref
+    lam = g / C
+    phi = np.where(h > 0, -np.expm1(-lam * h) / lam, 0.0)
+    return ref + (V - ref) * np.exp(-lam * h) + (F + g * (V - ref)) / C * phi
+
+
+class TestReducedUpdate:
+    # the engine takes each node's step as V + F * phi(lam, h) / C
+    @pytest.mark.parametrize("phase", ["held", "release", "free"])
+    def test_matches_long_exponential_euler_form(self, hw_circuit, phase):
+        # random states of a mismatched batch, every membrane in one phase
+        # of its refractory course: held (ref >= dt), released part of the
+        # way through the step (0 < ref < dt), or free (ref = 0)
+        n, dt = 64, 0.05e-6
+        rng = np.random.default_rng(["held", "release", "free"].index(phase))
+        pop = sample_population(hw_circuit, default_mismatch_model(hw_circuit, seed=4), n)
+        cfg = replace(pop.stacked(), V_det=math.inf)
+        rest = quiescent_state(cfg)
+        ref = {"held": rng.uniform(1.0, 5.0, n), "release": rng.uniform(0.01, 0.99, n),
+               "free": np.zeros(n)}[phase] * dt
+        state = replace(rest, V_m=rng.uniform(0.3, 0.75, n),
+                        V_w=rest.V_w + rng.uniform(-0.1, 0.1, n),
+                        s_exc=rng.uniform(0.0, 0.05, n), ref_remaining=ref,
+                        pulse_remaining=rng.uniform(0.0, 3.0, n) * dt)
+        I_stim = rng.uniform(0.0, 100e-9)
+        run = simulate_population(cfg, n, StimulusProgram.constant(I_stim), duration=dt,
+                                  dt=dt, initial_state=state, record=True)
+        node, forcing, h = node_forcings(state, cfg, I_stim, dt)
+        ad = cfg.adaptation
+        V_w = _long_form(state.V_w, ad.V_ref, ad.g_tau, ad.C_w, node, dt)
+        V_m = _long_form(state.V_m, cfg.E_l, cfg.g_l, cfg.C_mem, forcing, h)
+        np.testing.assert_allclose(run.V_w[1], V_w, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(run.V[1], V_m, rtol=1e-13, atol=0)
+        if phase != "held":
+            assert np.all(run.V[1] != state.V_m)
+
+    def test_held_membrane_stays_exactly_at_v_r(self, hw_circuit):
+        n, dt = 8, 0.04e-6
+        cfg = sample_population(hw_circuit, default_mismatch_model(hw_circuit, seed=5),
+                                n).stacked()
+        eff = derive_effective_adex(hw_circuit)
+        stim = StimulusProgram.constant(2.5 * eff.g_l * (eff.V_det - eff.E_l))
+        run = simulate_population(cfg, n, stim, duration=100e-6, dt=dt, record=True)
+        t_ref, V_r = (np.broadcast_to(x, (n,)) for x in (cfg.t_ref, cfg.V_r))
+        checked = 0
+        for i in range(n):
+            # the steps a spike's timer starts at or above dt: held steps
+            x, held = t_ref[i], 0
+            while x >= dt:
+                x, held = max(x - dt, 0.0), held + 1
+            for t in run.spikes[i]:
+                k = int(round(t / dt))
+                course = run.V[k:k + held + 1, i]
+                assert np.all(course == V_r[i]), (i, k)
+                checked += course.size - 1
+        assert checked > 100
 
 
 class TestDeriveEffectiveAdex:

@@ -372,6 +372,23 @@ class TestSwitchedKeys:
         assert result.stderr == "error: [adaptation] a is not read unless enabled = true\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        (CONFIG_IDEAL_SWEEP.replace("exp_enabled = false",
+                                    "exp_enabled = false\nV_T = 0.55 V\nDelta_T = 20 mV"),
+         "[neuron] V_T is not read unless exp_enabled = true"),
+        (CONFIG_CIRCUIT + "\n[syn_inh]\nenabled = false\ntau_syn = 3 us\n",
+         "[syn_inh] tau_syn is not read unless enabled = true"),
+    ], ids=["neuron_exp_off", "syn_inh_off"])
+    def test_key_a_switched_off_neuron_or_line_leaves_unread_exit_2(
+            self, tmp_path, cfg_path, run_cli, text, message):
+        # each used to be parsed and dropped
+        out = tmp_path / "out"
+        result = run_cli(["simulate", "--config", cfg_path(text), "--out", str(out)],
+                         cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestCsvRoundTrip:
     def test_reingested_trace_supports_postprocessing(self, tmp_path, cfg_path,

@@ -309,13 +309,45 @@ class TestSwitches:
          "gate_in_refractory", "enabled"),
         ("syn_exc", "e_syn = 0.9 V", "e_syn", "coba"),
         ("syn_inh", "coba = false\ne_syn_hat = 0.4 V", "e_syn_hat", "coba"),
+        ("neuron", "exp_enabled = false\nV_T = -50 mV\nDelta_T = 2 mV", "V_T", "exp_enabled"),
+        ("neuron", "exp_enabled = false\nDelta_T = 2 mV", "Delta_T", "exp_enabled"),
+        ("neuron", "exp_enabled = false\nexp_gated_in_ref = true", "exp_gated_in_ref",
+         "exp_enabled"),
+        ("syn_exc", "enabled = false\ntau_syn = 3 us\nbias = 0.2 uA", "tau_syn", "enabled"),
+        ("syn_inh", "enabled = false\nbias = 0.2 uA", "bias", "enabled"),
+        ("syn_exc", "enabled = false\ncoba = true\ne_syn = 0.9 V", "coba", "enabled"),
+        ("syn_inh", "enabled = false\ncoba = false", "coba", "enabled"),
     ], ids=["adaptation_a_b", "exponential_delta_t", "exponential_gate",
-            "syn_exc_e_syn", "syn_inh_e_syn_hat"])
+            "syn_exc_e_syn", "syn_inh_e_syn_hat", "neuron_V_T", "neuron_Delta_T",
+            "neuron_gate", "syn_exc_tau_syn", "syn_inh_bias", "syn_exc_coba_e_syn",
+            "syn_inh_coba"])
     def test_key_its_switch_leaves_unread_rejected(self, section, lines, key, switch):
         # each used to be parsed and dropped
         with pytest.raises(ValidationError, match=(
                 rf"^\[{section}\] {key} is not read unless {switch} = true$")):
             parse_config(f"[run]\nmodel = circuit\n[{section}]\n{lines}\n")
+
+    def test_neuron_sweep_key_its_exponential_leaves_unread_rejected(self):
+        text = (MINIMAL_LIF.replace("mode = simulate", "mode = sweep")
+                + "[sweep]\nkey = neuron.V_T\nvalues = -50 mV, -48 mV\n")
+        with pytest.raises(ValidationError, match=(
+                r"^\[sweep\] key 'neuron.V_T' is not read unless "
+                r"\[neuron\] exp_enabled = true$")):
+            parse_config(text)
+
+    def test_switched_off_sections_resolve_to_their_switches(self):
+        # the resolved text writes no key a switch leaves unread, also
+        # where adaptation's b is rebuilt from its bias
+        text = (MINIMAL_LIF + "[adaptation]\nenabled = true\nb = 2 nA\n"
+                "[syn_exc]\nenabled = false\n[syn_inh]\nenabled = false\n")
+        run = parse_config(text)
+        resolved = serialize_config(run)
+        sections = read_config_sections(resolved)
+        assert set(sections["neuron"]) == set(SCHEMA["neuron"]) - {
+            "V_T", "Delta_T", "exp_gated_in_ref"}
+        assert sections["syn_exc"].keys() == sections["syn_inh"].keys() == {"enabled"}
+        assert serialize_config(parse_config(resolved)) == resolved
+        assert parse_config(resolved).neuron == run.neuron
 
 
 class TestResolvedText:
@@ -409,10 +441,15 @@ class TestRoundTrip:
 TYPICAL = {"time": 20e-6, "voltage": 0.6, "capacitance": 2e-12, "current": 10e-9,
            "conductance": 30e-9, "none": 0.5}
 NUMERIC_KEYS = [(section, key, kind, dim)
-                for section in ("run", "circuit", "adaptation", "exponential",
-                                "stimulus", "experiment")
+                for section in ("run", "neuron", "circuit", "adaptation", "exponential",
+                                "syn_exc", "syn_inh", "stimulus", "experiment")
                 for key, (kind, dim) in SCHEMA[section].items()
                 if kind in ("quantity", "int")]
+# the keys a [neuron] section must set, and those it needs with the
+# exponential on
+NEURON_BASE = {"C": "2.4 pF", "g_l": "0.12 uS", "E_l": "0.5 V", "V_r": "0.44 V",
+               "V_det": "0.62 V"}
+NEURON_EXP = {"V_T": "0.57 V", "Delta_T": "20 mV"}
 
 
 def written_value(kind, dim):
@@ -435,6 +472,19 @@ def numeric_configs(draw):
     for section in ("adaptation", "exponential"):
         if section in sections and draw(st.booleans()):
             sections[section]["enabled"] = "true"
+    # a line's switches, also in a section with no other key, and the
+    # neuron's exponential: written true, false or not at all
+    switch = st.sampled_from((None, "true", "false"))
+    for section, names in (("syn_exc", ("enabled", "coba")),
+                           ("syn_inh", ("enabled", "coba")), ("neuron", ("exp_enabled",))):
+        for name in names:
+            value = draw(switch) if section in sections or section != "neuron" else None
+            if value is not None:
+                sections.setdefault(section, {})[name] = value
+    if "neuron" in sections:
+        base = {**NEURON_BASE,
+                **({} if sections["neuron"].get("exp_enabled") == "false" else NEURON_EXP)}
+        sections["neuron"] = {**base, **sections["neuron"]}
     return "\n".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
                      for section, keys in sections.items())
 
