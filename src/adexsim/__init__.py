@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 from .errors import (
     AdexSimError, FitFailed, InvalidConfig, NoIdealEquivalent, NonFiniteState,
-    NotConverged, NotLeakOverThreshold, NotMonotone, ParseError,
-    ValidationError, WindowTooShort,
+    NotLeakOverThreshold, ParseError, ValidationError, WindowTooShort,
 )
 from .model import (
     AdExParameters, NeuronState, SimulationTrace, StimulusProgram,
@@ -36,10 +35,7 @@ from .measure import (
     measure_b, measure_delta_t, measure_psp_amplitude, measure_stim_gain,
     measure_subthreshold_a, measure_tau_m, measure_tau_syn, measure_tau_w,
 )
-from .calibrate import (
-    CalibrationResult, CalibrationTarget, calibrate_parameter,
-    calibrate_population,
-)
+from .calibrate import CalibrationResult, CalibrationTarget, calibrate_population
 from .experiments import (
     FIRING_PATTERN_LABELS, ClassifierThresholds, ExperimentReport,
     classify_firing_pattern, phase_plane, run_exponential_sweep,

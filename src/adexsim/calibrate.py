@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import EXP_CONVERSION_RATIO, CircuitNeuronConfig, get_bias, set_bias
-from .errors import FitFailed, NotConverged, NotMonotone, ValidationError
+from .circuit import EXP_CONVERSION_RATIO, get_bias, set_bias
+from .errors import ValidationError
 from .measure import (
     measure_b, measure_delta_t, measure_exp_onset, measure_psp_amplitude,
     measure_resting_offset, measure_stim_gain, measure_subthreshold_a,
@@ -264,33 +264,6 @@ def _tune_population(cfg, bias_path, measure_fn, targets, bounds,
         converged=converged, pre_spread=pre_spread,
         post_spread=_spread(f_final, absolute), evaluations=evaluations)
     return cfg, outcome, errors
-
-
-def calibrate_parameter(neuron: CircuitNeuronConfig, target_value: float,
-                        bias_name: str, measure, bounds,
-                        tol: float = 0.02,
-                        tol_abs: float | None = None, scale: str = "log"):
-    """Tune one bias of a single neuron; returns (neuron', bias, residual).
-
-    Raises FitFailed if a probe measurement fails, NotMonotone if the
-    3-point probe rejects the map and NotConverged (carrying the best
-    residual) if the target is unreachable or tolerance is not met within
-    MAX_REFINEMENTS refinements.
-    """
-    cfg, outcome, errors = _tune_population(
-        neuron, bias_name, lambda c: np.atleast_1d(measure(c)),
-        target_value, bounds, tol=tol, tol_abs=tol_abs, scale=scale)
-    if errors[0] is not None and errors[0].startswith(PROBE_FAILED):
-        raise FitFailed(errors[0])
-    if errors[0] is not None and "not monotone" in errors[0]:
-        raise NotMonotone(errors[0])
-    if not outcome.converged[0]:
-        raise NotConverged(errors[0] or "calibration did not converge",
-                           best_bias=float(outcome.biases[0]),
-                           best_residual=float(outcome.residuals[0]))
-    bias = float(outcome.biases[0])
-    # the tuner works on populations; hand back a scalar neuron
-    return set_bias(cfg, bias_name, bias), bias, float(outcome.residuals[0])
 
 
 # ---------------------------------------------------------------------------

@@ -844,12 +844,10 @@ def simulate_circuit(cfg: CircuitNeuronConfig,
                      stimulus: StimulusProgram,
                      syn_events=None,
                      *,
-                     duration: float, dt: float,
-                     initial_state: CircuitState | None = None) -> SimulationTrace:
+                     duration: float, dt: float) -> SimulationTrace:
     """Single-neuron circuit simulation; records V_m and the raw V_w."""
     run = simulate_population(cfg, 1, stimulus, syn_events=syn_events,
-                              duration=duration, dt=dt,
-                              initial_state=initial_state, record=True)
+                              duration=duration, dt=dt, record=True)
     return run.trace(0)
 
 

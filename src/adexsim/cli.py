@@ -44,11 +44,14 @@ def _format_float(x: float) -> str:
     return "%.9g" % x
 
 
+# the columns of a trace CSV, units in the names
+TRACE_COLUMNS = ["time_us", "V_mV", "w_nA", "s_exc", "s_inh"]
+
+
 def trace_to_csv(trace) -> str:
     """Self-describing CSV: time plus per-quantity columns with units."""
     w_na = trace.adaptation_current() * 1e9
-    header = ["time_us", "V_mV", "w_nA", "s_exc", "s_inh"]
-    lines = [",".join(header)]
+    lines = [",".join(TRACE_COLUMNS)]
     times = trace.times
     for k in range(len(trace.V)):
         lines.append(",".join(_format_float(v) for v in (
@@ -63,9 +66,8 @@ def csv_to_trace(text: str):
 
     lines = [ln for ln in text.splitlines() if ln.strip()]
     header = lines[0].split(",")
-    expected = ["time_us", "V_mV", "w_nA", "s_exc", "s_inh"]
-    if header != expected:
-        raise ValidationError(f"unexpected CSV columns {header}, need {expected}")
+    if header != TRACE_COLUMNS:
+        raise ValidationError(f"unexpected CSV columns {header}, need {TRACE_COLUMNS}")
     data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
     if len(data) < 2:
         raise ValidationError("trace CSV needs at least two samples")
@@ -220,18 +222,17 @@ def _run_one_experiment(run: RunConfig, spec: dict):
         if not cfg.exponential.enabled:
             raise ValidationError("exponential_sweep requires [exponential] enabled = true")
         return run_exponential_sweep(cfg, **args)
-    if name == "firing_patterns":
-        patterns = load_patterns()
-        if "patterns" in args:
-            unknown = [w for w in args["patterns"] if w not in patterns]
-            if unknown:
-                raise ValidationError(f"unknown patterns: {', '.join(unknown)}")
-            patterns = {k: patterns[k] for k in args.pop("patterns")}
-        return run_firing_patterns(
-            patterns, model=run.model,
-            population_size=args.pop("population", run.mismatch_size),
-            seed=run.seed, **args)
-    raise ValidationError(f"unknown experiment {name!r}")
+    # firing_patterns, the last name `_EXPERIMENT_KEYS` admits
+    patterns = load_patterns()
+    if "patterns" in args:
+        unknown = [w for w in args["patterns"] if w not in patterns]
+        if unknown:
+            raise ValidationError(f"unknown patterns: {', '.join(unknown)}")
+        patterns = {k: patterns[k] for k in args.pop("patterns")}
+    return run_firing_patterns(
+        patterns, model=run.model,
+        population_size=args.pop("population", run.mismatch_size),
+        seed=run.seed, **args)
 
 
 def _cmd_experiment(run: RunConfig, out: _Output) -> int:
@@ -271,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(cmd)
         _common_args(p)
     p = sub.add_parser("experiment")
-    p.add_argument("name", choices=("leak_over_threshold", "psp",
-                                    "exponential_sweep", "firing_patterns"))
+    p.add_argument("name", choices=tuple(_EXPERIMENT_KEYS))
     _common_args(p)
     return parser
 

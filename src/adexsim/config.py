@@ -118,7 +118,6 @@ SCHEMA = {
         "duration": ("quantity", "time"),
         "format": ("string", ("csv", "json")),
         "out": ("string", None),
-        "jobs": ("int", None),
     },
     "neuron": {
         "C": ("quantity", "capacitance"),
@@ -555,7 +554,6 @@ def parse_config(text: str) -> RunConfig:
     _check_unknown(sections)
 
     given = _given(sections, "run")
-    given.pop("jobs", None)  # still accepted and type-checked; runs are sequential
     if "neuron" not in sections:
         given.setdefault("model", "circuit")
     run = RunConfig(**_pick(given, mode="mode", model="model", seed="seed", dt="dt",
@@ -573,6 +571,9 @@ def parse_config(text: str) -> RunConfig:
 
     for side in ("exc", "inh"):
         pairs = _given(sections, f"events_{side}").get("events")
+        if f"events_{side}" in sections and not getattr(run.circuit, f"syn_{side}").enabled:
+            raise ValidationError(f"[events_{side}] is not read unless "
+                                  f"[syn_{side}] enabled = true")
         if pairs:
             try:
                 run.events[side] = WeightedSpikeTrain(pairs)

@@ -25,19 +25,6 @@ class FitFailed(AdexSimError):
     """A measurement fit did not meet its quality gate (non-monotone trace, low R^2, empty window)."""
 
 
-class NotMonotone(AdexSimError):
-    """The probed bias-to-parameter map is not monotone over the given bounds."""
-
-
-class NotConverged(AdexSimError):
-    """Calibration stopped above tolerance; carries the best residual reached."""
-
-    def __init__(self, message, best_bias=None, best_residual=None):
-        super().__init__(message)
-        self.best_bias = best_bias
-        self.best_residual = best_residual
-
-
 class InvalidConfig(AdexSimError):
     """A sub-circuit is disabled (or inconsistent) but one of its parameters is requested."""
 

@@ -15,7 +15,8 @@ import numpy as np
 
 from .calibrate import CalibrationTarget, calibrate_population
 from .circuit import (
-    circuit_for_adex, default_circuit_config, simulate_circuit, simulate_population,
+    EXP_CONVERSION_RATIO, circuit_for_adex, default_circuit_config, simulate_circuit,
+    simulate_population,
 )
 from .measure import (
     PspProtocol, _disable, _psp_response, exponential_sweep, fit_exponential_slope,
@@ -346,7 +347,7 @@ def run_exponential_sweep(neuron, onsets=None, slopes=None) -> ExperimentReport:
                     "onset_slope_shift": EXP_ONSET_SHIFT_TOL})
     # one row per setting, slope-major
     slope_k, onset_k = (a.ravel() for a in np.meshgrid(slopes, onsets, indexing="ij"))
-    g_target = base.n * base.V_therm / (8.0 * base.r_conv * slope_k)
+    g_target = base.n * base.V_therm / (EXP_CONVERSION_RATIO * base.r_conv * slope_k)
     ex = replace(base, V_exp=onset_k,
                  ota=replace(base.ota, I_bias=g_target / base.ota.g_per_bias))
     grid, cur = exponential_sweep(replace(neuron, exponential=ex), n_points=120)
@@ -394,7 +395,7 @@ def _simulate_ideal_pattern(pattern):
     return trace, label
 
 
-def run_firing_patterns(parameter_sets=None, stimulus=None, model: str = "ideal",
+def run_firing_patterns(parameter_sets=None, model: str = "ideal",
                         population_size: int = 128, seed: int = 0,
                         agreement: float = 0.95,
                         record_first: bool = True) -> ExperimentReport:
@@ -404,15 +405,9 @@ def run_firing_patterns(parameter_sets=None, stimulus=None, model: str = "ideal"
     maps each set to the hardware domain (the default `DomainMap`),
     samples a mismatched population, calibrates it (to CALIBRATION_TOL)
     and requires the matching label for at least `agreement` of the
-    neurons.  `stimulus` optionally overrides the per-pattern step
-    protocol with a {'onset': s, 'duration': s} mapping (biological time).
+    neurons.
     """
     patterns = parameter_sets or load_patterns()
-    if stimulus:
-        patterns = {name: replace(p,
-                                  onset=stimulus.get("onset", p.onset),
-                                  duration=stimulus.get("duration", p.duration))
-                    for name, p in patterns.items()}
     report = ExperimentReport(
         name=f"firing_patterns[{model}]",
         tolerances={"agreement": agreement})

@@ -6,10 +6,10 @@ linear least squares on suitably transformed data, or solves the
 subthreshold steady state directly (`_steady_state`).  No routine
 integrates on its own: a response is either run on the circuit engine
 (`simulate_population`) or read from a closed form (the release
-transients, `_release_fit`, and every ideal-model route).
-Routines accept an ideal-model parameter set, a single circuit config, or
-a stacked population config (array leaves); population calls return arrays
-with NaN marking per-neuron fit failures, scalar calls raise FitFailed.
+transients, `_release_fit`).
+Routines accept a single circuit config or a stacked population config
+(array leaves); population calls return arrays with NaN marking
+per-neuron fit failures, scalar calls raise FitFailed.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .circuit import (
     ota_output, simulate_population,
 )
 from .errors import FitFailed, InvalidConfig
-from .model import AdExParameters, StimulusProgram
-from .synapse import SynapseConfig, WeightedSpikeTrain
+from .model import StimulusProgram
+from .synapse import WeightedSpikeTrain
 
 
 @dataclass(frozen=True)
@@ -305,13 +305,8 @@ def measure_tau_m(neuron, protocol: ReleaseProtocol | None = None):
     """Membrane time constant from the release of an offset membrane.
 
     With every sub-circuit but the leak off, the release follows the
-    leak OTA's closed form (`_release_fit`, C_mem and g_l).  The ideal
-    model's membrane decays as a pure exponential, whose fit returns
-    C / g_l to rounding, so that is returned directly (the protocol
-    applies to circuits only).
+    leak OTA's closed form (`_release_fit`, C_mem and g_l).
     """
-    if isinstance(neuron, AdExParameters):
-        return float(neuron.tau_m)
     return _release_fit(neuron.leak_ota, neuron.C_mem, protocol or ReleaseProtocol(),
                         _population_size(neuron))
 
@@ -324,13 +319,8 @@ def measure_tau_w(neuron, protocol: ReleaseProtocol | None = None):
 
     The membrane is held at the adaptation reference so the subthreshold
     coupling contributes nothing; the filter node relaxes toward V_ref
-    along the `ota_tau` closed form (`_release_fit`, C_w and g_tau).  The
-    ideal model's w decays as a pure exponential, whose fit returns tau_w
-    to rounding, so that is returned directly (the protocol applies to
-    circuits only).
+    along the `ota_tau` closed form (`_release_fit`, C_w and g_tau).
     """
-    if isinstance(neuron, AdExParameters):
-        return float(neuron.tau_w)
     ad = neuron.adaptation
     if not ad.enabled:
         raise InvalidConfig("adaptation circuit is disabled")
@@ -366,9 +356,6 @@ def measure_subthreshold_a(neuron):
     coupling each neuron's leak bias is temporarily raised (`_a_protocol`,
     sized for a deflection of A_DEFLECTION).
     """
-    if isinstance(neuron, AdExParameters):
-        return _measure_a_ideal(neuron)
-
     if not neuron.adaptation.enabled:
         raise InvalidConfig("adaptation circuit is disabled")
     n = _population_size(neuron)
@@ -387,17 +374,6 @@ def measure_subthreshold_a(neuron):
     return _scalarize(values, n, reasons)
 
 
-def _measure_a_ideal(p: AdExParameters):
-    # steady states of the linear equation -(g + a)(V - E_l) + I = 0
-    boost, d_i = _a_protocol(p.a, p.g_l, A_DEFLECTION)
-    g_meas = p.g_l * boost
-    if not g_meas + p.a > 0:
-        raise FitFailed(UNSTABLE)
-    dv_off = d_i / g_meas
-    dv_on = d_i / (g_meas + p.a)
-    return float(d_i / dv_on - d_i / dv_off)
-
-
 # ---------------------------------------------------------------------------
 # exponential circuit: slope and onset
 
@@ -405,18 +381,12 @@ def exponential_sweep(neuron, n_points: int = 100):
     """Clamped I(V) sweep of the exponential branch.
 
     Every neuron is swept over its own window, centre + linspace(-3.5, 9,
-    n_points) * slope, with the centre and slope of its own exponential
-    (V_T and Delta_T for the ideal model, V_exp and delta_t_eff for a
-    circuit), so a neuron's sweep does not depend on its batch.  Returns
-    (V grid, currents): (n_points,) vectors for one neuron, (n, n_points)
-    matrices for an exponential circuit with array leaves.
+    n_points) * slope, with the centre (V_exp) and slope (delta_t_eff) of
+    its own exponential, so a neuron's sweep does not depend on its batch.
+    Returns (V grid, currents): (n_points,) vectors for one neuron,
+    (n, n_points) matrices for a circuit with array leaves.
     """
     units = np.linspace(-3.5, 9.0, n_points)
-    if isinstance(neuron, AdExParameters):
-        if not neuron.exp_enabled:
-            raise InvalidConfig("exponential term is disabled")
-        grid = neuron.V_T + units * neuron.Delta_T
-        return grid, neuron.g_l * neuron.Delta_T * np.exp((grid - neuron.V_T) / neuron.Delta_T)
     ex = neuron.exponential
     if not ex.enabled:
         raise InvalidConfig("exponential circuit is disabled")
@@ -479,11 +449,10 @@ def _exponential_fits(neuron):
     decades; returns (delta_t, intercept, reasons, n), NaN where a fit
     failed."""
     grid, cur = exponential_sweep(neuron, n_points=100)
-    ideal = isinstance(neuron, AdExParameters)
     delta_t, intercept, _, reasons = fit_exponential_slope(
-        grid.reshape(-1, 100), cur.reshape(-1, 100),
-        math.inf if ideal else neuron.exponential.I_max, min_decades=2.5)
-    return delta_t, intercept, reasons, None if ideal else _population_size(neuron)
+        grid.reshape(-1, 100), cur.reshape(-1, 100), neuron.exponential.I_max,
+        min_decades=2.5)
+    return delta_t, intercept, reasons, _population_size(neuron)
 
 
 def measure_delta_t(neuron):
@@ -510,10 +479,8 @@ def measure_tau_syn(neuron, line: str = "exc"):
     The line is linear: an event's deflection decays as a pure
     exponential, whose fit returns tau_syn = C_line / (g_leak_line *
     leak_gain) to rounding, so that is returned directly (per neuron for
-    a population).  `neuron` is a circuit config or a SynapseConfig.
+    a population).
     """
-    if isinstance(neuron, SynapseConfig):
-        return float(neuron.tau_syn)
     syn = getattr(neuron, f"syn_{line}")
     if not syn.enabled:
         raise InvalidConfig(f"synaptic input '{line}' is disabled")
@@ -596,7 +563,7 @@ def measure_resting_offset(neuron, line: str = "exc"):
 # ---------------------------------------------------------------------------
 # stimulus path and spike-triggered increment
 
-def measure_stim_gain(neuron, tau_m_measured=None):
+def measure_stim_gain(neuron):
     """Effective command-to-current gain of the stimulus path.
 
     A known current command, 0.04 V * g_l, produces a steady deflection
@@ -604,14 +571,10 @@ def measure_stim_gain(neuron, tau_m_measured=None):
     current is dV * g_l and the gain follows.  Returns gain * trim as seen
     end to end.
     """
-    if isinstance(neuron, AdExParameters):
-        raise InvalidConfig("the stimulus path is a circuit-level property")
     n = _population_size(neuron)
     m = n or 1
     cfg = _disable(neuron, adaptation=True, exponential=True, synin=True, spiking=True)
-    tau = _per_neuron(
-        measure_tau_m(cfg) if tau_m_measured is None else tau_m_measured, m)
-    g_l_meas = _per_neuron(cfg.C_mem, m) / tau
+    g_l_meas = _per_neuron(cfg.C_mem, m) / _per_neuron(measure_tau_m(cfg), m)
     i_cmd = 0.04 * _per_neuron(cfg.g_l, m)
     dv, reasons = _steady_deflection(cfg, m, i_cmd)
     return _scalarize(dv * g_l_meas / i_cmd, n, reasons)
@@ -624,8 +587,6 @@ def measure_b(neuron):
     recorded adaptation voltage across the pulse window, scaled by
     g_w = g_w_factor * C_w / tau_w, gives the increment of I_w.
     """
-    if isinstance(neuron, AdExParameters):
-        raise InvalidConfig("the increment pulse is a circuit-level property")
     ad = neuron.adaptation
     if not ad.enabled:
         raise InvalidConfig("adaptation circuit is disabled")

@@ -286,8 +286,7 @@ def simulate(p: AdExParameters,
              synaptic_inputs: Sequence | None = None,
              *,
              duration: float,
-             dt: float,
-             initial_state: NeuronState | None = None) -> SimulationTrace:
+             dt: float) -> SimulationTrace:
     """Deterministic full simulation; identical inputs yield identical traces.
 
     `synaptic_inputs` is a sequence of (SynapseConfig, WeightedSpikeTrain)
@@ -298,7 +297,7 @@ def simulate(p: AdExParameters,
 
     n_steps = _n_steps(duration, dt)
 
-    state = initial_state or NeuronState(p.E_l, 0.0, 0.0)
+    state = NeuronState(p.E_l, 0.0, 0.0)
     # the per-step currents as Python floats, one run of equal bits at a time
     currents = stimulus.per_step_currents(n_steps, dt)
     starts = _run_starts(currents)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from adexsim import NotConverged, NotMonotone, ValidationError
+from adexsim import ValidationError
 from adexsim.calibrate import (
-    CalibrationTarget, calibrate_parameter, calibrate_population,
+    PROBE_FAILED, CalibrationTarget, _tune_population, calibrate_population,
 )
 from adexsim.circuit import derive_effective_adex, get_bias
 from adexsim.measure import measure_tau_m
-from adexsim.mismatch import MismatchModel, default_mismatch_model, sample_population
+from adexsim.mismatch import (
+    MismatchModel, Population, default_mismatch_model, sample_population,
+)
 
 
 @pytest.fixture
@@ -16,46 +18,57 @@ def small_pop(hw_circuit):
     return sample_population(hw_circuit, mm, 24)
 
 
-class TestCalibrateParameter:
-    def test_already_satisfied_converges_immediately(self, hw_circuit):
+@pytest.fixture
+def one_neuron(hw_circuit):
+    """hw_circuit as a population of one."""
+    return Population([hw_circuit]).stacked()
+
+
+class TestTuneOneNeuron:
+    """The outcomes of `_tune_population` for a population of one."""
+
+    def test_already_satisfied_converges_immediately(self, hw_circuit, one_neuron):
         eff = derive_effective_adex(hw_circuit)
         bias0 = get_bias(hw_circuit, "leak_ota.I_bias")
-        cfg, bias, residual = calibrate_parameter(
-            hw_circuit, eff.tau_m, "leak_ota.I_bias", measure_tau_m,
+        _, oc, errors = _tune_population(
+            one_neuron, "leak_ota.I_bias", measure_tau_m, eff.tau_m,
             bounds=(bias0 / 8, bias0 * 8), tol=0.02)
-        assert abs(residual) <= 0.02
-        assert bias == pytest.approx(bias0, rel=0.05)
+        assert errors == [None] and oc.converged[0]
+        assert abs(oc.residuals[0]) <= 0.02
+        assert oc.biases[0] == pytest.approx(bias0, rel=0.05)
 
-    def test_reaches_shifted_target(self, hw_circuit):
+    def test_reaches_shifted_target(self, hw_circuit, one_neuron):
         eff = derive_effective_adex(hw_circuit)
         bias0 = get_bias(hw_circuit, "leak_ota.I_bias")
-        cfg, bias, residual = calibrate_parameter(
-            hw_circuit, 2.5 * eff.tau_m, "leak_ota.I_bias", measure_tau_m,
+        cfg, oc, errors = _tune_population(
+            one_neuron, "leak_ota.I_bias", measure_tau_m, 2.5 * eff.tau_m,
             bounds=(bias0 / 8, bias0 * 8), tol=0.02)
-        assert abs(residual) <= 0.02
-        assert measure_tau_m(cfg) == pytest.approx(2.5 * eff.tau_m, rel=0.025)
-        # a scalar neuron comes back scalar, not as a population of one
-        assert np.ndim(get_bias(cfg, "leak_ota.I_bias")) == 0
-        assert isinstance(derive_effective_adex(cfg).tau_m, float)
+        assert errors == [None] and oc.converged[0]
+        assert abs(oc.residuals[0]) <= 0.02
+        assert measure_tau_m(cfg)[0] == pytest.approx(2.5 * eff.tau_m, rel=0.025)
 
-    def test_unreachable_target_not_converged_with_boundary(self, hw_circuit):
+    def test_unreachable_target_not_converged_with_boundary(self, hw_circuit, one_neuron):
         bias0 = get_bias(hw_circuit, "leak_ota.I_bias")
-        with pytest.raises(NotConverged) as err:
-            calibrate_parameter(hw_circuit, 1e-2, "leak_ota.I_bias",
-                                measure_tau_m, bounds=(bias0 / 4, bias0 * 4))
-        assert err.value.best_residual is not None
-        assert err.value.best_bias is not None
+        _, oc, errors = _tune_population(
+            one_neuron, "leak_ota.I_bias", measure_tau_m, 1e-2,
+            bounds=(bias0 / 4, bias0 * 4))
+        assert not oc.converged[0]
+        assert "outside reachable" in errors[0]
+        # the boundary bias and its residual are carried
+        assert oc.biases[0] in (bias0 / 4, bias0 * 4)
+        assert np.isfinite(oc.residuals[0])
 
-    def test_non_monotone_map_rejected(self, hw_circuit):
+    def test_non_monotone_map_rejected(self, one_neuron):
         # synthetic map peaking between the probe points: must be refused
         def humped(cfg):
             b = float(np.atleast_1d(np.asarray(
                 get_bias(cfg, "leak_ota.I_bias"), dtype=float))[0])
             return np.array([-(b - 2.5e-7) ** 2])
 
-        with pytest.raises(NotMonotone):
-            calibrate_parameter(hw_circuit, -1e-15, "leak_ota.I_bias",
-                                humped, bounds=(1e-8, 1e-6))
+        _, oc, errors = _tune_population(
+            one_neuron, "leak_ota.I_bias", humped, -1e-15, bounds=(1e-8, 1e-6))
+        assert not oc.converged[0]
+        assert errors[0].startswith("bias->parameter map not monotone over ")
 
 
 class TestCalibrationTarget:
@@ -138,7 +151,6 @@ class TestCalibratePopulation:
                                   outs[1].outcomes[name].residuals)
 
     def test_unreachable_targets_flagged_not_silently_clamped(self, hw_circuit):
-        from adexsim.calibrate import _tune_population
         pop = sample_population(hw_circuit, MismatchModel(seed=1), 3)
         stacked = pop.stacked()
         bias0 = float(np.median(np.atleast_1d(np.asarray(
@@ -167,9 +179,7 @@ class TestCalibratePopulation:
 
 
 class TestFailureCauses:
-    def test_nan_probe_named_as_measurement_failure(self, hw_circuit):
-        from adexsim import FitFailed
-        from adexsim.calibrate import _tune_population
+    def test_nan_probe_named_as_measurement_failure(self, hw_circuit, one_neuron):
         pop = sample_population(hw_circuit, MismatchModel(seed=1), 3)
         stacked = pop.stacked()
         bias0 = float(np.median(np.atleast_1d(np.asarray(
@@ -187,12 +197,13 @@ class TestFailureCauses:
         _, oc, errors = _tune_population(
             stacked, "leak_ota.I_bias", lambda c: fails_at_low_bias(c, 1),
             eff.tau_m, bounds=(lo, hi), tol=0.02)
-        assert errors[1] == f"probe measurement failed at bias {lo:.4g}"
+        assert errors[1] == f"{PROBE_FAILED} {lo:.4g}"
         assert not oc.converged[1]
         assert oc.converged[0] and oc.converged[2]
-        with pytest.raises(FitFailed, match="probe measurement failed"):
-            calibrate_parameter(hw_circuit, eff.tau_m, "leak_ota.I_bias",
-                                lambda c: fails_at_low_bias(c, 0), bounds=(lo, hi))
+        _, oc, errors = _tune_population(
+            one_neuron, "leak_ota.I_bias", lambda c: fails_at_low_bias(c, 0),
+            eff.tau_m, bounds=(lo, hi))
+        assert errors == [f"{PROBE_FAILED} {lo:.4g}"] and not oc.converged[0]
 
     def test_v_t_spread_is_absolute_and_shrinks(self, small_pop, hw_circuit):
         eff = derive_effective_adex(hw_circuit)

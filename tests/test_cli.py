@@ -172,6 +172,17 @@ class TestSimulateCommand:
 
 
 class TestExperimentCommand:
+    def test_names_are_the_config_table(self, capsys):
+        # one list: the command line admits the experiments the config does
+        from adexsim.cli import build_parser
+        from adexsim.config import _EXPERIMENT_KEYS
+        parser = build_parser()
+        for name in _EXPERIMENT_KEYS:
+            assert parser.parse_args(["experiment", name, "--config", "x.cfg"]).name == name
+        with pytest.raises(SystemExit):
+            parser.parse_args(["experiment", "no_such", "--config", "x.cfg"])
+        assert "invalid choice: 'no_such'" in capsys.readouterr().err
+
     def test_exponential_sweep_end_to_end(self, tmp_path, cfg_path, run_cli):
         out = tmp_path / "out"
         result = run_cli(["experiment", "exponential_sweep",
@@ -233,6 +244,16 @@ class TestSweepCommand:
         lines = (out / "sweep_summary.csv").read_text().splitlines()
         assert lines[0] == "index,value,n_spikes,median_isi_us"
         assert len(lines) == 3
+
+    def test_jobs_key_exit_2_without_output(self, tmp_path, cfg_path, run_cli):
+        # only the --jobs flag is accepted; the config key used to be too
+        out = tmp_path / "out"
+        text = CONFIG_SWEEP.replace("mode = sweep", "mode = sweep\njobs = 4")
+        result = run_cli(["sweep", "--config", cfg_path(text), "--out", str(out)],
+                         cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: unknown key 'jobs' in [run]")
+        assert not out.exists()
 
     def test_jobs_has_no_effect(self, tmp_path, cfg_path, run_cli):
         # --jobs is accepted, runs stay sequential, and the files do not
@@ -378,7 +399,10 @@ class TestSwitchedKeys:
          "[neuron] V_T is not read unless exp_enabled = true"),
         (CONFIG_CIRCUIT + "\n[syn_inh]\nenabled = false\ntau_syn = 3 us\n",
          "[syn_inh] tau_syn is not read unless enabled = true"),
-    ], ids=["neuron_exp_off", "syn_inh_off"])
+        (CONFIG_CIRCUIT + "\n[syn_exc]\nenabled = false\n[events_exc]\n"
+                          "events = 30 us : 1.0\n",
+         "[events_exc] is not read unless [syn_exc] enabled = true"),
+    ], ids=["neuron_exp_off", "syn_inh_off", "events_exc_line_off"])
     def test_key_a_switched_off_neuron_or_line_leaves_unread_exit_2(
             self, tmp_path, cfg_path, run_cli, text, message):
         # each used to be parsed and dropped

@@ -168,13 +168,11 @@ class TestParse:
         with pytest.raises(ValidationError, match=match):
             parse_config(text)
 
-    def test_jobs_key_accepted_and_checked(self):
-        # runs are sequential: the key has no effect and is not carried on
+    def test_jobs_key_rejected(self):
+        # runs are sequential: the key used to be accepted with no effect
         text = MINIMAL_LIF.replace("model = ideal", "model = ideal\njobs = 4")
-        assert serialize_config(parse_config(text)) == \
-            serialize_config(parse_config(MINIMAL_LIF))
-        with pytest.raises(ParseError):
-            parse_config(text.replace("jobs = 4", "jobs = many"))
+        with pytest.raises(ParseError, match=r"^unknown key 'jobs' in \[run\] \(line 5\)$"):
+            parse_config(text)
 
     def test_neuron_sweep_accepted_for_ideal_model(self):
         run = parse_config(MINIMAL_LIF + "\n[sweep]\nkey = neuron.g_l\nvalues = 10 nS, 20 nS\n")
@@ -326,6 +324,19 @@ class TestSwitches:
         with pytest.raises(ValidationError, match=(
                 rf"^\[{section}\] {key} is not read unless {switch} = true$")):
             parse_config(f"[run]\nmodel = circuit\n[{section}]\n{lines}\n")
+
+    @pytest.mark.parametrize("side", ["exc", "inh"])
+    def test_events_on_a_switched_off_line_rejected(self, side):
+        # the events used to parse and never reach the membrane
+        text = (f"[run]\nmodel = circuit\n[syn_{side}]\nenabled = false\n"
+                f"[events_{side}]\nevents = 30 us : 1.0\n")
+        with pytest.raises(ValidationError, match=(
+                rf"^\[events_{side}\] is not read unless \[syn_{side}\] enabled = true$")):
+            parse_config(text)
+        # the other line's switch does not matter
+        other = "inh" if side == "exc" else "exc"
+        run = parse_config(text.replace(f"[syn_{side}]", f"[syn_{other}]"))
+        assert len(run.events[side].events) == 1
 
     def test_neuron_sweep_key_its_exponential_leaves_unread_rejected(self):
         text = (MINIMAL_LIF.replace("mode = simulate", "mode = sweep")

@@ -255,16 +255,6 @@ class TestFiringPatternsSmall:
                       duration=0.2, dt=1e-4)
         assert classify_firing_pattern(tr.spikes, 0.02, 0.15) == UNCLASSIFIED
 
-    def test_stimulus_protocol_override(self):
-        patterns = load_patterns()
-        subset = {"tonic_spiking": patterns["tonic_spiking"]}
-        report = run_firing_patterns(subset, stimulus={"duration": 0.25},
-                                     model="ideal", record_first=False)
-        assert report.passed
-        n_short = report.per_neuron[0]["n_spikes"]
-        full = run_firing_patterns(subset, model="ideal", record_first=False)
-        assert n_short < full.per_neuron[0]["n_spikes"]
-
     def test_circuit_population_small(self):
         patterns = load_patterns()
         subset = {k: patterns[k] for k in ("tonic_spiking", "regular_bursting")}

@@ -38,3 +38,61 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# module-level functions and classes that only library users call; each is
+# documented in the README's "Library-only names" paragraph
+LIBRARY_ONLY = ("csv_to_trace", "psp_metrics", "phase_plane")
+BENCH = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
+
+
+def defined_names(tree) -> list:
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def named(nodes, strings=False) -> set:
+    """Every name that `nodes` read, write or reach as an attribute, and with
+    `strings` every string constant (a name looked up at run time)."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+            elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                out.add(sub.value)
+    return out
+
+
+def dead_names(modules: dict, bench: list) -> list:
+    """'module.name' for each module-level function or class of `modules`
+    ({module name: source}) that no other statement of the package, no
+    bench source and no LIBRARY_ONLY entry names."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    used = set(LIBRARY_ONLY)
+    for source in bench:
+        used |= named([ast.parse(source)], strings=True)
+    dead = []
+    for module, tree in trees.items():
+        others = used | named(t for m, t in trees.items() if m != module)
+        for name in defined_names(tree):
+            elsewhere = [node for node in tree.body if getattr(node, "name", None) != name]
+            if name not in others | named(elsewhere):
+                dead.append(f"{module}.{name}")
+    return dead
+
+
+def test_finds_a_dead_name():
+    modules = {"a": "def used():\n    return helper()\n\ndef helper():\n    return helper\n",
+               "b": "from .a import used\n\ndef caller():\n    return used()\n"
+                    "\n\nclass Alone:\n    pass\n"}
+    assert dead_names(modules, []) == ["b.caller", "b.Alone"]
+    assert dead_names(modules, ["run('caller')\nAlone()\n"]) == []
+
+
+def test_every_function_and_class_has_a_caller():
+    # a name that only tests or __init__.py reach is an option no run uses
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert dead_names(modules, [p.read_text(encoding="utf-8") for p in BENCH]) == []

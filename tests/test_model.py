@@ -175,8 +175,7 @@ class TestStep:
                            tau_w=1e-6, a=-200e-9, b=0.0, V_r=0.4, V_det=0.9,
                            exp_enabled=False)
         with pytest.raises(NonFiniteState) as err:
-            simulate(p, StimulusProgram.constant(-10e-6), duration=2e-3, dt=1e-7,
-                     initial_state=None)
+            simulate(p, StimulusProgram.constant(-10e-6), duration=2e-3, dt=1e-7)
         assert err.value.time is not None
 
     def test_convergence_order_is_one(self, tonic_params):
