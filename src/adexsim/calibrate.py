@@ -127,10 +127,9 @@ def _tune_population(cfg, bias_path, measure_fn, targets, bounds,
                      tol=0.02, tol_abs=None, scale="log"):
     """Probe, then refine per-neuron biases until measurements hit targets.
 
-    A scalar config is tuned as a population of one.  Returns (cfg',
-    ParameterOutcome, per-neuron error strings).
+    Returns (cfg', ParameterOutcome, per-neuron error strings).
     """
-    n = _population_size(cfg) or 1
+    n = _population_size(cfg)
     targets = np.broadcast_to(np.asarray(targets, dtype=float), (n,)).copy()
     lo, hi = bounds
     current = np.broadcast_to(np.asarray(get_bias(cfg, bias_path), dtype=float), (n,)).copy()

@@ -64,6 +64,9 @@ class _Reasons:
 
 
 def _population_size(cfg: CircuitNeuronConfig):
+    """n for a stacked population config, None for one neuron."""
+    if not isinstance(cfg, CircuitNeuronConfig):
+        raise InvalidConfig(f"a measurement takes a circuit config, not {type(cfg).__name__}")
     arr = np.asarray(cfg.C_mem)
     return int(arr.shape[0]) if arr.ndim else None
 
@@ -307,8 +310,8 @@ def measure_tau_m(neuron, protocol: ReleaseProtocol | None = None):
     With every sub-circuit but the leak off, the release follows the
     leak OTA's closed form (`_release_fit`, C_mem and g_l).
     """
-    return _release_fit(neuron.leak_ota, neuron.C_mem, protocol or ReleaseProtocol(),
-                        _population_size(neuron))
+    n = _population_size(neuron)
+    return _release_fit(neuron.leak_ota, neuron.C_mem, protocol or ReleaseProtocol(), n)
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +324,11 @@ def measure_tau_w(neuron, protocol: ReleaseProtocol | None = None):
     coupling contributes nothing; the filter node relaxes toward V_ref
     along the `ota_tau` closed form (`_release_fit`, C_w and g_tau).
     """
+    n = _population_size(neuron)
     ad = neuron.adaptation
     if not ad.enabled:
         raise InvalidConfig("adaptation circuit is disabled")
-    return _release_fit(ad.ota_tau, ad.C_w, protocol or ReleaseProtocol(),
-                        _population_size(neuron))
+    return _release_fit(ad.ota_tau, ad.C_w, protocol or ReleaseProtocol(), n)
 
 
 # steady deflection of the coupled system that sizes the `a` readout's step
@@ -356,9 +359,9 @@ def measure_subthreshold_a(neuron):
     coupling each neuron's leak bias is temporarily raised (`_a_protocol`,
     sized for a deflection of A_DEFLECTION).
     """
+    n = _population_size(neuron)
     if not neuron.adaptation.enabled:
         raise InvalidConfig("adaptation circuit is disabled")
-    n = _population_size(neuron)
     m = n or 1
     base = _disable(neuron, exponential=True, synin=True, spiking=True)
     boost, d_i = _a_protocol(_per_neuron(base.adaptation.a_effective, m),
@@ -386,6 +389,7 @@ def exponential_sweep(neuron, n_points: int = 100):
     Returns (V grid, currents): (n_points,) vectors for one neuron,
     (n, n_points) matrices for a circuit with array leaves.
     """
+    _population_size(neuron)
     units = np.linspace(-3.5, 9.0, n_points)
     ex = neuron.exponential
     if not ex.enabled:
@@ -481,10 +485,10 @@ def measure_tau_syn(neuron, line: str = "exc"):
     leak_gain) to rounding, so that is returned directly (per neuron for
     a population).
     """
+    n = _population_size(neuron)
     syn = getattr(neuron, f"syn_{line}")
     if not syn.enabled:
         raise InvalidConfig(f"synaptic input '{line}' is disabled")
-    n = _population_size(neuron)
     return _scalarize(np.array(_per_neuron(syn.tau_syn, n or 1)), n)
 
 
@@ -587,10 +591,10 @@ def measure_b(neuron):
     recorded adaptation voltage across the pulse window, scaled by
     g_w = g_w_factor * C_w / tau_w, gives the increment of I_w.
     """
+    n = _population_size(neuron)
     ad = neuron.adaptation
     if not ad.enabled:
         raise InvalidConfig("adaptation circuit is disabled")
-    n = _population_size(neuron)
     m = n or 1
     cfg = _disable(neuron, exponential=True, synin=True)
     tau_w = _per_neuron(measure_tau_w(cfg), m)

@@ -3,7 +3,7 @@ import pytest
 
 from adexsim import ValidationError
 from adexsim.calibrate import (
-    PROBE_FAILED, CalibrationTarget, _tune_population, calibrate_population,
+    CalibrationTarget, _tune_population, calibrate_population,
 )
 from adexsim.circuit import derive_effective_adex, get_bias
 from adexsim.measure import measure_tau_m
@@ -197,13 +197,13 @@ class TestFailureCauses:
         _, oc, errors = _tune_population(
             stacked, "leak_ota.I_bias", lambda c: fails_at_low_bias(c, 1),
             eff.tau_m, bounds=(lo, hi), tol=0.02)
-        assert errors[1] == f"{PROBE_FAILED} {lo:.4g}"
+        assert errors[1] == f"probe measurement failed at bias {lo:.4g}"
         assert not oc.converged[1]
         assert oc.converged[0] and oc.converged[2]
         _, oc, errors = _tune_population(
             one_neuron, "leak_ota.I_bias", lambda c: fails_at_low_bias(c, 0),
             eff.tau_m, bounds=(lo, hi))
-        assert errors == [f"{PROBE_FAILED} {lo:.4g}"] and not oc.converged[0]
+        assert errors == [f"probe measurement failed at bias {lo:.4g}"] and not oc.converged[0]
 
     def test_v_t_spread_is_absolute_and_shrinks(self, small_pop, hw_circuit):
         eff = derive_effective_adex(hw_circuit)

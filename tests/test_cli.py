@@ -172,17 +172,6 @@ class TestSimulateCommand:
 
 
 class TestExperimentCommand:
-    def test_names_are_the_config_table(self, capsys):
-        # one list: the command line admits the experiments the config does
-        from adexsim.cli import build_parser
-        from adexsim.config import _EXPERIMENT_KEYS
-        parser = build_parser()
-        for name in _EXPERIMENT_KEYS:
-            assert parser.parse_args(["experiment", name, "--config", "x.cfg"]).name == name
-        with pytest.raises(SystemExit):
-            parser.parse_args(["experiment", "no_such", "--config", "x.cfg"])
-        assert "invalid choice: 'no_such'" in capsys.readouterr().err
-
     def test_exponential_sweep_end_to_end(self, tmp_path, cfg_path, run_cli):
         out = tmp_path / "out"
         result = run_cli(["experiment", "exponential_sweep",

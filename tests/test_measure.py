@@ -17,8 +17,8 @@ from adexsim.circuit import (
 from adexsim.measure import (
     FILTER_SATURATED, NO_DECAY, NO_ROOT, RELEASE_STEPS_PER_TAU, RELEASE_WINDOW_TAUS,
     UNSTABLE, ReleaseProtocol, _a_protocol, _disable, _fit_decay,
-    _steady_state, fit_exponential_slope, measure_b, measure_delta_t,
-    measure_exp_onset, measure_psp_amplitude, measure_resting_offset,
+    _steady_state, exponential_sweep, fit_exponential_slope, measure_b,
+    measure_delta_t, measure_exp_onset, measure_psp_amplitude, measure_resting_offset,
     measure_stim_gain, measure_subthreshold_a, measure_tau_m, measure_tau_syn,
     measure_tau_w,
 )
@@ -28,6 +28,18 @@ from adexsim.mismatch import (
 from adexsim.model import StimulusProgram
 from adexsim.patterns import load_patterns
 from adexsim.units import DomainMap
+
+
+@pytest.mark.parametrize("measure", [
+    measure_tau_m, measure_tau_w, measure_subthreshold_a, exponential_sweep,
+    measure_delta_t, lambda p: measure_exp_onset(p, p.g_l), measure_tau_syn,
+    measure_psp_amplitude, measure_resting_offset, measure_stim_gain, measure_b,
+], ids=["tau_m", "tau_w", "a", "sweep", "delta_t", "exp_onset", "tau_syn",
+        "psp", "resting_offset", "stim_gain", "b"])
+def test_ideal_parameter_set_is_invalid_config(hw_circuit, measure):
+    # every routine measures a circuit; the ideal model has no such route
+    with pytest.raises(InvalidConfig, match="circuit config, not AdExParameters"):
+        measure(derive_effective_adex(hw_circuit))
 
 
 class TestTauM:
