@@ -43,10 +43,12 @@ def _all(cond) -> bool:
 
 @dataclass(frozen=True)
 class OtaModel:
-    """Saturating transconductor: I = I_sat * tanh(g * dV / I_sat).
+    """Saturating transconductor: I = I_sat * tanh((g / I_sat) * dV).
 
     The small-signal transconductance is g = g_per_bias * I_bias and the
-    output saturates toward I_sat = min(I_out_max, I_bias).
+    output saturates toward I_sat = min(I_out_max, I_bias).  The transfer
+    is taken in this folded form, one multiply by g / I_sat inside the
+    envelope, by `ota_output`, `exponential_current` and the engine alike.
     """
 
     I_bias: float
@@ -76,14 +78,21 @@ class OtaModel:
         return LINEAR_5PCT_ARG * self.i_sat / np.where(np.asarray(g) > 0, g, 1.0)
 
 
-def ota_output(ota: OtaModel, V_plus, V_minus):
-    """Saturating odd transfer of dV = V_plus - V_minus with slope g at the origin."""
-    dv = np.asarray(V_plus) - np.asarray(V_minus)
+def _transfer(ota: OtaModel):
+    """The folded transfer's terms: where the output is live (I_sat > 0),
+    the output scale I_sat (1.0 where dead) and the input gain g / scale."""
     i_sat = ota.i_sat
     live = i_sat > 0
     safe = np.where(live, i_sat, 1.0)
-    out = safe * np.tanh(ota.g * dv / safe)
-    return np.where(live, out, 0.0)
+    return live, safe, ota.g / safe
+
+
+def ota_output(ota: OtaModel, V_plus, V_minus):
+    """Saturating odd transfer I_sat * tanh((g / I_sat) * dV) of
+    dV = V_plus - V_minus, slope g at the origin; 0.0 where I_sat = 0."""
+    dv = np.asarray(V_plus) - np.asarray(V_minus)
+    live, safe, k = _transfer(ota)
+    return np.where(live, safe * np.tanh(k * dv), 0.0)
 
 
 @dataclass(frozen=True)
@@ -193,12 +202,22 @@ class ExponentialCircuitConfig:
         return self.n * self.V_therm / (EXP_CONVERSION_RATIO * self.g_ota * self.r_conv)
 
 
+def _exp_gain(cfg: ExponentialCircuitConfig):
+    """Gate-voltage exponent per ampere of OTA output, 8 * r_conv / (n * V_therm)."""
+    return EXP_CONVERSION_RATIO * cfg.r_conv / (cfg.n * cfg.V_therm)
+
+
 def exponential_current(V_m, cfg: ExponentialCircuitConfig, in_refractory=False):
-    """Rectified, saturating exponential current onto the membrane."""
+    """Rectified, saturating exponential current onto the membrane.
+
+    The OTA's output scale and the conversion to the transistor's exponent
+    are one factor, so the exponent is (I_sat * c) * tanh((g / I_sat) * dV)
+    with c = 8 * r_conv / (n * V_therm)."""
     if not cfg.enabled:
         return np.zeros_like(np.asarray(V_m, dtype=float))
-    drive = ota_output(cfg.ota, V_m, cfg.V_exp)
-    x = EXP_CONVERSION_RATIO * cfg.r_conv * drive / (cfg.n * cfg.V_therm)
+    live, safe, k = _transfer(cfg.ota)
+    dv = np.asarray(V_m) - np.asarray(cfg.V_exp)
+    x = np.where(live, (safe * _exp_gain(cfg)) * np.tanh(k * dv), 0.0)
     cap = np.log(np.where(np.isfinite(cfg.I_max), cfg.I_max / np.maximum(cfg.I_0, 1e-300), 1e300))
     raw = cfg.I_0 * np.exp(np.minimum(x, cap))
     out = np.minimum(raw, cfg.I_max)
@@ -441,10 +460,9 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     """Hot loop behind simulate_population, the one integrator of the circuit.
 
     Its oracle is the stepwise reference `circuit_step` in
-    tests/stepwise_reference.py.  Every value the engine computes uses the
-    math of that reference: the same operations on the same operands in
-    the same order, so the engine matches it bit for bit, and a neuron's
-    bits do not depend on the rest of its batch.  Constants are hoisted out of the
+    tests/stepwise_reference.py.  Every value the engine computes equals
+    the value of that reference bit for bit, and a neuron's bits do not
+    depend on the rest of its batch.  Constants are hoisted out of the
     loop and the arrays are updated in place.  V_w and V_m are the two rows
     of one (2, n) state, so one set of calls advances both
     exponential-Euler nodes.  A node of capacitance C, forcing F (the sum
@@ -454,40 +472,54 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     phi(lam, h) = (1 - exp(-lam*h)) / lam.  As exp(-lam*h) + lam * phi = 1,
     that is V + F * phi(lam, h) / C, which the engine takes in its reduced
     form V <- V + F * B with B = phi(lam, h) / C: one multiply and one add
-    per step.  A step skips only work whose result is known exactly:
+    per step.
+
+    The OTAs are one (rows, n) pass per step, each row taken to
+    out * tanh(k * dV) with k = g / I_sat (`_transfer`): the filter's
+    V_ref - V_w, then the membrane's rows, V_m less the leak's E_l, the
+    exponential's V_exp and the coupling's E_l_adapt, in one broadcast
+    subtract.  A row's output scale out is I_sat, times
+    c = 8 * r_conv / (n * V_therm) for the exponential (the product
+    `exponential_current` takes) and times the adaptation sign for the
+    coupling (exact for a sign of +-1).  As a - b is -(b - a) and np.tanh
+    is odd bit for bit, the leak row holds -I_leak, and the leak is
+    subtracted from the forcing: x - (-y) is x + y, exact while I_exp is
+    not -0.0 (an I_0 other than -0.0).  The refractory I_exp gate is the
+    power-down floor, +inf while gated: every finite I_exp is then below
+    it and 0.0, and a NaN stays NaN.  A step skips only work whose result
+    is known exactly:
 
     - the refractory and adaptation-pulse timers: from a spike each runs
-      down from t_ref or pulse_width (0 with adaptation off, whose pulse
-      never applies) by x <- max(x - dt, 0), so one
+      down from t_ref or pulse_width by x <- max(x - dt, 0), so one
       countdown before the loop (`_countdown`) gives each neuron's course:
       its held steps (h = 0, B = 0, I_exp gated), its release step
       (0 < x < dt, h = dt - x, gated) with that h's B, and its pulse
       currents min(x, dt) * p_amp / dt: full while x >= dt, fractional at
       the x left below dt, idle at 0.  The membrane row of B, the I_exp
-      gate mask and the pulse-current row are written
-      only for the neurons that spike or change phase on a step, from
-      step-keyed buckets whose entries are skipped for a neuron that has
-      spiked again since.  Initial timers take the same course, and the
-      final timers come from the same countdown;
-    - no course gated or pulsing on a step: no I_exp gate, and no pulse
-      current unless some idle pulse current (p_amp * 0.0 / dt) is not
-      +0.0 (x - (+0.0) is x);
-    - an adaptation sign of +1 (or -1) for every neuron: the coupling is
-      subtracted (or added) without the multiply, since x - (-y) is x + y;
+      floor (with the gate on) and the pulse-current row (with adaptation
+      on) are written only for the neurons that spike or change phase on
+      a step, from step-keyed buckets whose entries are skipped for a
+      neuron that has spiked again since.  Initial timers take the same
+      course, and the final timers come from the same countdown;
+    - no course pulsing on a step: no pulse current unless some idle
+      pulse current (p_amp * 0.0 / dt) is not +0.0 (x - (+0.0) is x);
     - the injected current stim_gain * stim_trim * I is computed once per
       stimulus segment, where the bits of I change, not once per step;
     - a synaptic line with no arrivals that starts at +0.0 stays at +0.0:
       no decay update, and a current-based line adds a constant current;
     - an OTA whose bias is live for every neuron needs no dead-bias mask;
-    - a disabled term subtracted from the forcing is left out (x - 0.0
-      is x); a disabled term added stays (x + 0.0 turns -0.0 into +0.0).
+    - a disabled term is left out of the forcing: x - 0.0 is x, and
+      x + 0.0, which turns -0.0 into +0.0, changes no sum that ends in
+      + I_inj unless an injected current is -0.0, when it stays.
 
     Returns the (step, neuron) columns of every spike in step order, the
     final state and the records (None unless `record`).
     """
     bc = lambda x: np.broadcast_to(np.asarray(x, dtype=float), (n,)).copy()
 
+    _check_width(state, n)
     ad, ex = cfg.adaptation, cfg.exponential
+    ad_on, ex_on = ad.enabled, ex.enabled
     # the node state: row 0 the adaptation filter V_w, row 1 the membrane V_m
     S = np.empty((2, n))
     V_w, V_m = S
@@ -504,92 +536,98 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     # when adaptation is off.  Per node, in the same rows: its forcing and
     # the factor phi(lam, h) / C that turns it into the step's change (the
     # membrane's changes while refractory).
-    m = 2 if ad.enabled else 1
+    m = 2 if ad_on else 1
     NODE = S[2 - m:]
     FN, B = np.empty((m, n)), np.empty((m, n))
     E_l, C_mem = bc(cfg.E_l), bc(cfg.C_mem)
     V_det, V_r, t_ref = bc(cfg.V_det), bc(cfg.V_r), bc(cfg.t_ref)
     stim_scale = bc(cfg.stim_gain) * bc(cfg.stim_trim)
+    lam_m = bc(cfg.g_l) / C_mem
 
-    # the saturating OTAs, one row each: the leak, then the exponential's
-    # and the adaptation filter's and coupling's when enabled.  A row holds
-    # the input difference, then safe * tanh(g * difference / safe).
-    otas = [cfg.leak_ota]
-    if ex.enabled:
-        otas.append(ex.ota)
-    if ad.enabled:
-        otas += [ad.ota_tau, ad.ota_a]
-    G = np.array([bc(o.g) for o in otas])
-    i_sat = np.array([bc(o.i_sat) for o in otas])
-    live = i_sat > 0
-    SAFE = np.where(live, i_sat, 1.0)
+    # the saturating OTAs, one row each: the adaptation filter's when
+    # enabled, then the membrane's (the leak, and the exponential's and the
+    # coupling's when enabled) as (OTA, reference, output factor)
+    membrane_otas = [(cfg.leak_ota, cfg.E_l, 1.0)]
+    if ex_on:
+        membrane_otas.append((ex.ota, ex.V_exp, _exp_gain(ex)))
+    if ad_on:
+        membrane_otas.append((ad.ota_a, ad.E_l_adapt, ad.sign))
+    otas = ([(ad.ota_tau, None, 1.0)] if ad_on else []) + membrane_otas
+    live = np.empty((len(otas), n), dtype=bool)
+    K, OUT = np.empty((len(otas), n)), np.empty((len(otas), n))
+    for i, (ota, _, factor) in enumerate(otas):
+        live[i], safe, K[i] = _transfer(ota)
+        OUT[i] = safe * factor
+    REF = np.array([bc(ref) for _, ref, _ in membrane_otas])
     dead = None if live.all() else ~live
-    Z = np.empty_like(G)
-    rows = iter(Z)
-    z_leak = next(rows)
-    lam_m = G[0] / C_mem
+    # a dead row's output: 0.0 times its sign
+    DEAD = 0.0 * OUT
+    Z = np.empty_like(K)
+    ZM = Z[len(otas) - len(membrane_otas):]
+    z_leak = ZM[0]
 
-    if ex.enabled:
-        z_exp = next(rows)
-        ex_r = EXP_CONVERSION_RATIO * bc(ex.r_conv)
-        ex_nvt = bc(ex.n) * bc(ex.V_therm)
+    if ex_on:
+        z_exp = ZM[1]
         I_0, I_max = bc(ex.I_0), bc(ex.I_max)
         ex_cap = np.log(np.where(np.isfinite(I_max),
                                  I_max / np.maximum(I_0, 1e-300), 1e300))
-        ex_floor = I_0 * EXP_POWER_DOWN_FLOOR
-        ex_vexp = bc(ex.V_exp)
+        floor = I_0 * EXP_POWER_DOWN_FLOOR
         floored = np.empty(n, dtype=bool)
-    if ad.enabled:
-        z_tau, z_a = rows
-        V_ref, C_w, E_la = bc(ad.V_ref), bc(ad.C_w), bc(ad.E_l_adapt)
-        sign, gw_f = bc(ad.sign), bc(ad.g_w_factor)
-        sign_rule = 1 if np.all(sign == 1) else -1 if np.all(sign == -1) else 0
-        B[0] = _phi(G[-2] / C_w, dt) / C_w
+    if ad_on:
+        z_tau, z_a = Z[0], ZM[-1]
+        V_ref, C_w, gw_f = bc(ad.V_ref), bc(ad.C_w), bc(ad.g_w_factor)
+        B[0] = _phi(bc(ad.g_tau) / C_w, dt) / C_w
     # forcing rows: the filter node's W and the membrane's F; X is the
     # scratch of the forcing
     W, F, X = FN[0], FN[-1], np.empty(n)
 
     # the timer courses.  The membrane's factor over a step with h of it
-    # integrated and the I_exp gate: held at h = 0 (phi = 0), free at
-    # h = dt, one release step in between; the pulse current
-    # min(x, dt) * p_amp / dt is full while x >= dt.  A write is
+    # integrated: held at h = 0 (phi = 0), free at h = dt, one release
+    # step in between; with the I_exp gate, the power-down floor, +inf
+    # while held or releasing; with adaptation, the pulse current
+    # min(x, dt) * p_amp / dt, full while x >= dt.  A write is
     # (row, values) pairs, made for the neurons that take it.
-    pulse_i, gated = np.empty(n), np.empty(n, dtype=bool)
-    p_amp = bc(ad.pulse_amplitude)
-    p_width = bc(ad.pulse_width) if ad.enabled else np.zeros(n)
-    pulse_at = lambda x: np.minimum(x, dt) * p_amp / dt
-    full_i, idle_i = pulse_at(dt), pulse_at(0.0)
-    membrane = (B[-1], gated)
-    HELD = (np.zeros(n), np.ones(n, dtype=bool))
-    FREE = (_phi(lam_m, dt) / C_mem, np.zeros(n, dtype=bool))
+    membrane, HELD, FREE = [B[-1]], [np.zeros(n)], [_phi(lam_m, dt) / C_mem]
+    if ex_on and ex.gate_in_refractory:
+        membrane.append(np.empty(n))
+        HELD.append(np.full(n, np.inf))
+        FREE.append(floor)
+        floor = membrane[-1]
+    if ad_on:
+        pulse_i, p_amp = np.empty(n), bc(ad.pulse_amplitude)
+        pulse_at = lambda x: np.minimum(x, dt) * p_amp / dt
+        full_i, idle_i = pulse_at(dt), pulse_at(0.0)
+    p_width = bc(ad.pulse_width) if ad_on else np.zeros(n)
 
     def course(t0, p0):
         """Timers started at t0 (refractory) and p0 (pulse): the write of
-        their first step, the most steps one stays gated or pulsing, and
-        their phase changes.  Per change: its write, each neuron's step
-        after the start (-1 where it takes none), the distinct steps, and
+        their first step, the most steps one stays pulsing, and their
+        phase changes.  Per change: its write, each neuron's step after
+        the start (-1 where it takes none), the distinct steps, and
         whether every neuron takes it at the one step."""
         held, left = _countdown(t0, dt, n_steps)
         release = left > 0
         h = np.clip(dt - left, 0.0, dt)
-        RELEASE = (_phi(lam_m, h) / C_mem, HELD[1])
+        RELEASE = [_phi(lam_m, h) / C_mem] + HELD[1:]
         first = [(row, np.where(held > 0, a, np.where(release, b, c)))
                  for row, a, b, c in zip(membrane, HELD, RELEASE, FREE)]
         changes = [(((membrane[0], RELEASE[0]),), held, (held > 0) & release),
                    (tuple(zip(membrane, FREE)), held + release, (held > 0) | release)]
-        gate_len = int((held + release).max())
-        held, left = _countdown(p0, dt, n_steps)
-        tail = (left != 0) | np.signbit(left)
-        tail_i = pulse_at(left)
-        first.append((pulse_i, np.where(held > 0, full_i, np.where(tail, tail_i, idle_i))))
-        changes += [(((pulse_i, tail_i),), held, (held > 0) & tail),
-                    (((pulse_i, idle_i),), held + tail, (held > 0) | tail)]
+        pulse_len = 0
+        if ad_on:
+            held, left = _countdown(p0, dt, n_steps)
+            tail = (left != 0) | np.signbit(left)
+            tail_i = pulse_at(left)
+            first.append((pulse_i, np.where(held > 0, full_i, np.where(tail, tail_i, idle_i))))
+            changes += [(((pulse_i, tail_i),), held, (held > 0) & tail),
+                        (((pulse_i, idle_i),), held + tail, (held > 0) | tail)]
+            pulse_len = int((held + tail).max())
         plan = []
         for write, at, takes in changes:
             at = np.where(takes, at, -1)
             steps = np.unique(at[takes]).tolist()
             plan.append((write, at, steps, len(steps) == 1 and takes.all()))
-        return first, gate_len, int((held + tail).max()), plan
+        return first, pulse_len, plan
 
     buckets = {}
 
@@ -605,12 +643,20 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
 
     # the initial timers start as if set by a spike at the end of step -1
     last = np.full(n, -1, dtype=np.int64)
-    first, gate_until, pulse_until, plan = course(ref0, pulse0)
+    first, pulse_until, plan = course(ref0, pulse0)
     for row, values in first:
         row[:] = values
     schedule(-1, np.arange(n), plan)
-    on_spike, gate_len, pulse_len, spike_plan = course(t_ref, p_width)
-    idle_live = not _plus_zero(idle_i)
+    on_spike, pulse_len, spike_plan = course(t_ref, p_width)
+    idle_live = ad_on and not _plus_zero(idle_i)
+
+    # the injected current, recomputed where the bits of the stimulus change
+    segment_starts = _run_starts(currents)
+    inj_minus_zero = any(np.any((x == 0) & np.signbit(x))
+                         for x in (stim_scale * currents[k] for k in segment_starts))
+    segment_starts = iter(segment_starts)
+    next_segment = next(segment_starts)
+    I_inj = np.empty(n)
 
     # synaptic lines as terms of the forcing: (kind, op, operands), op the
     # ufunc that applies the term (add for exc, subtract for inh)
@@ -626,7 +672,7 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
             moving.append((s, decay, arrivals, dv))
         g1pb = bc(syn.g1_per_bias)
         if not syn.enabled:
-            if op is np.add:
+            if op is np.add and inj_minus_zero:
                 terms.append(("const", op, 0.0))
         elif syn.coba_enabled:
             terms.append(("coba", op, (bc(syn.E_syn_hat), bc(syn.g2), bc(syn.I_b_cuba),
@@ -636,12 +682,7 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
         else:
             terms.append(("cuba", op, (s, off, g1pb * bc(syn.I_b_cuba))))
 
-    # the injected current, recomputed where the bits of the stimulus change
-    segment_starts = iter(_run_starts(currents))
-    next_segment = next(segment_starts)
-    I_inj = np.empty(n)
     count = np.count_nonzero
-
     spiked = np.empty(n, dtype=bool)
     # spikes as (step, neuron) columns, in step order, of a buffer that
     # grows by half when full
@@ -657,10 +698,8 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     # their call overhead is the cost: ufuncs are bound to locals and
     # their output arrays passed positionally (except to np.minimum and
     # np.maximum, where a positional output is deprecated and slower)
-    add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
+    add, sub, mul = np.add, np.subtract, np.multiply
     minimum, maximum, copyto = np.minimum, np.maximum, np.copyto
-    ex_on, ad_on = ex.enabled, ad.enabled
-    gate = ex_on and ex.gate_in_refractory
 
     for k in range(n_steps):
         # the phase changes due on this step, but for neurons that have
@@ -670,46 +709,32 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
             for row, values in write:
                 row[sel] = values[sel]
 
-        sub(E_l, V_m, z_leak)
-        if ex_on:
-            sub(V_m, ex_vexp, z_exp)
+        sub(V_m, REF, ZM)
         if ad_on:
             sub(V_ref, V_w, z_tau)
-            sub(V_m, E_la, z_a)
-        mul(Z, G, Z)
-        div(Z, SAFE, Z)
+        mul(Z, K, Z)
         np.tanh(Z, Z)
-        mul(Z, SAFE, Z)
+        mul(Z, OUT, Z)
         if dead is not None:
-            copyto(Z, 0.0, where=dead)
+            copyto(Z, DEAD, where=dead)
 
         # forcing, in the order of the stepwise reference:
         # leak + I_exp - I_w + I_syn_exc - I_syn_inh + I_stim
         if ex_on:
-            mul(z_exp, ex_r, z_exp)
-            div(z_exp, ex_nvt, z_exp)
             minimum(z_exp, ex_cap, out=z_exp)
             np.exp(z_exp, z_exp)
             mul(z_exp, I_0, z_exp)
             minimum(z_exp, I_max, out=z_exp)
-            np.less(z_exp, ex_floor, floored)
+            np.less(z_exp, floor, floored)
             copyto(z_exp, 0.0, where=floored)
-            if gate and k < gate_until:
-                copyto(z_exp, 0.0, where=gated)
-            add(z_leak, z_exp, F)
+            sub(z_exp, z_leak, F)
         else:
-            add(z_leak, 0.0, F)
+            sub(0.0, z_leak, F)
         if ad_on:
             mul(gw_f, z_tau, X)
             sub(F, X, F)
             # filter node: out_tau - sign * out_a - pulse current
-            if sign_rule > 0:
-                sub(z_tau, z_a, W)
-            elif sign_rule < 0:
-                add(z_tau, z_a, W)
-            else:
-                mul(z_a, sign, z_a)
-                sub(z_tau, z_a, W)
+            sub(z_tau, z_a, W)
             if k < pulse_until or idle_live:
                 sub(W, pulse_i, W)
         for kind, op, a in terms:
@@ -751,7 +776,6 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
             for row, values in on_spike:
                 row[idx] = values[idx]
             schedule(k, idx, spike_plan)
-            gate_until = max(gate_until, k + 1 + gate_len)
             pulse_until = max(pulse_until, k + 1 + pulse_len)
             end = n_spikes + fired
             if end > spikes.shape[1]:
@@ -782,14 +806,32 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     return spikes[:, :n_spikes], final, recs
 
 
+def _population_run(cfg: CircuitNeuronConfig, n: int, dt: float,
+                    columns, final: CircuitState, recs) -> PopulationRun:
+    """The PopulationRun of an engine run's spike columns, final state
+    and records."""
+    steps, neuron = columns
+    # each neuron's spike times, in step order: one slice of a single array
+    order = np.argsort(neuron, kind="stable")
+    spikes = np.split(steps[order] * dt, np.cumsum(np.bincount(neuron, minlength=n))[:-1])
+    run = PopulationRun(dt=dt, spikes=spikes, final_state=final,
+                        spike_columns=columns)
+    if recs is not None:
+        ad = cfg.adaptation
+        run.V, run.V_w, run.s_exc, run.s_inh = recs
+        run.adaptation_gain = np.broadcast_to(np.asarray(ad.g_w, dtype=float), (n,))
+        run.adaptation_ref = np.broadcast_to(np.asarray(ad.V_ref, dtype=float), (n,))
+    return run
+
+
 def simulate_population(cfg: CircuitNeuronConfig, n: int,
                         stimulus: StimulusProgram,
                         syn_events=None,
                         *,
                         duration: float, dt: float,
-                        initial_state: CircuitState | None = None,
                         record: bool = False) -> PopulationRun:
-    """Run `n` neurons in lockstep; `cfg` leaves may be arrays of length n.
+    """Run `n` neurons in lockstep from rest; `cfg` leaves may be arrays
+    of length n.
 
     `syn_events` maps 'exc'/'inh' to WeightedSpikeTrain objects shared by
     the whole population.  Spike times land on sample boundaries; the run
@@ -797,9 +839,7 @@ def simulate_population(cfg: CircuitNeuronConfig, n: int,
     """
     from .synapse import weights_per_boundary
 
-    for obj in (cfg, initial_state):
-        if obj is not None:
-            _check_width(obj, n)
+    _check_width(cfg, n)
     n_steps = _n_steps(duration, dt)
     currents = stimulus.per_step_currents(n_steps, dt)
 
@@ -812,32 +852,14 @@ def simulate_population(cfg: CircuitNeuronConfig, n: int,
         else:
             init_s[key], arrivals[key] = weights_per_boundary(train, n_steps, dt)
 
-    state = initial_state or quiescent_state(cfg)
-    state = CircuitState(
-        V_m=state.V_m, V_w=state.V_w,
-        s_exc=np.asarray(state.s_exc, dtype=float)
-        + init_s["exc"] * np.asarray(cfg.syn_exc.dv_unit),
-        s_inh=np.asarray(state.s_inh, dtype=float)
-        + init_s["inh"] * np.asarray(cfg.syn_inh.dv_unit),
-        ref_remaining=state.ref_remaining,
-        pulse_remaining=state.pulse_remaining)
+    rest = quiescent_state(cfg)
+    state = replace(rest, s_exc=rest.s_exc + init_s["exc"] * np.asarray(cfg.syn_exc.dv_unit),
+                    s_inh=rest.s_inh + init_s["inh"] * np.asarray(cfg.syn_inh.dv_unit))
 
     columns, final, recs = _engine(
         cfg, n, currents, arrivals["exc"], arrivals["inh"],
         state, dt, n_steps, record)
-    steps, neuron = columns
-
-    # each neuron's spike times, in step order: one slice of a single array
-    order = np.argsort(neuron, kind="stable")
-    spikes = np.split(steps[order] * dt, np.cumsum(np.bincount(neuron, minlength=n))[:-1])
-    run = PopulationRun(dt=dt, spikes=spikes, final_state=final,
-                        spike_columns=columns)
-    if record:
-        ad = cfg.adaptation
-        run.V, run.V_w, run.s_exc, run.s_inh = recs
-        run.adaptation_gain = np.broadcast_to(np.asarray(ad.g_w, dtype=float), (n,))
-        run.adaptation_ref = np.broadcast_to(np.asarray(ad.V_ref, dtype=float), (n,))
-    return run
+    return _population_run(cfg, n, dt, columns, final, recs)
 
 
 def simulate_circuit(cfg: CircuitNeuronConfig,

@@ -4,7 +4,8 @@
 step with the plain, unhoisted math of the circuit equations.  The engine
 in `adexsim.circuit` must reproduce it bit for bit on every step; it lives
 here, apart from the package, so that the engine is never compared with
-itself.  `adaptation_dynamics` is the filter node's right-hand side.
+itself.  `adaptation_dynamics` is the filter node's right-hand side, and
+`run_from_state` runs the engine from a given state.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from adexsim.circuit import (
-    AdaptationCircuitConfig, CircuitNeuronConfig, CircuitState,
-    SynInCircuitConfig, _all, _phi, coba_effective_bias, exponential_current,
-    ota_output,
+    AdaptationCircuitConfig, CircuitNeuronConfig, CircuitState, PopulationRun,
+    SynInCircuitConfig, _all, _engine, _phi, _population_run, coba_effective_bias,
+    exponential_current, ota_output,
 )
 from adexsim.errors import InvalidConfig, NonFiniteState
+from adexsim.model import StimulusProgram, _n_steps
 
 
 def adaptation_dynamics(state, cfg: AdaptationCircuitConfig, spike_pulse_active=False):
@@ -141,3 +143,15 @@ def circuit_step(state: CircuitState, cfg: CircuitNeuronConfig, I_stim,
     if np.ndim(spiked) == 0:
         return new, bool(spiked)
     return new, spiked
+
+
+def run_from_state(cfg: CircuitNeuronConfig, n: int, stimulus: StimulusProgram,
+                   state: CircuitState, *, duration: float, dt: float,
+                   record: bool = False) -> PopulationRun:
+    """`simulate_population` without synaptic events, started from `state`
+    rather than from rest: the library's engine run from that state."""
+    n_steps = _n_steps(duration, dt)
+    quiet = np.zeros(n_steps)
+    columns, final, recs = _engine(cfg, n, stimulus.per_step_currents(n_steps, dt),
+                                   quiet, quiet, state, dt, n_steps, record)
+    return _population_run(cfg, n, dt, columns, final, recs)

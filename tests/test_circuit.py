@@ -16,7 +16,9 @@ from adexsim.circuit import (
 )
 from adexsim.measure import log_linear_fit
 from adexsim.mismatch import Population, default_mismatch_model, sample_population
-from stepwise_reference import adaptation_dynamics, circuit_step, node_forcings
+from stepwise_reference import (
+    adaptation_dynamics, circuit_step, node_forcings, run_from_state,
+)
 
 
 class TestOta:
@@ -155,6 +157,42 @@ class TestExponentialCircuit:
         assert np.all(np.asarray(exponential_current(v, ex)) == 0.0)
 
 
+class TestFoldIdentities:
+    # the engine's fused step relies on these float identities of numpy;
+    # an upgrade that breaks one fails here, not in the oracle comparison
+    VALUES = np.concatenate([
+        [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-200, 1e-20,
+         1e-8, 1e-3, 0.1, 0.39945811, 0.5, 1.0, 2.0, 7.5, 18.0, 19.5, 20.0,
+         22.0, 50.0, 710.0, 1e300, np.inf],
+        np.logspace(-320, 3, 4001),
+        np.random.default_rng(3).uniform(-25.0, 25.0, 4001)])
+
+    def test_tanh_is_odd_bit_for_bit(self):
+        # in place, as the engine calls it, and on widths that end in a
+        # partial vector
+        for x in (self.VALUES, self.VALUES[:7], self.VALUES[:1]):
+            x = np.concatenate([x, -x])
+            plus, minus = x.copy(), -x
+            np.tanh(plus, plus)
+            np.tanh(minus, minus)
+            assert minus.tobytes() == (-plus).tobytes()
+
+    def test_subtract_negated_is_add_and_swapped_is_negated(self):
+        # every pair of signed zeros, subnormals and normals, then random pairs
+        special = np.array([0.0, 5e-324, 1e-310, 1.0, 1e300])
+        special = np.concatenate([special, -special])
+        grid_a, grid_b = (x.ravel() for x in np.meshgrid(special, special))
+        values = np.concatenate([self.VALUES, -self.VALUES])
+        a = np.concatenate([grid_a, values])
+        b = np.concatenate([grid_b, np.random.default_rng(4).permutation(values)])
+        assert (a - (-b)).tobytes() == (a + b).tobytes()
+        differ = a != b
+        assert (a - b)[differ].tobytes() == (-(b - a))[differ].tobytes()
+        # and x - x is +0.0 for every finite x
+        finite = values[np.isfinite(values)]
+        assert not np.signbit(finite - finite).any()
+
+
 class TestCobaBias:
     def cfg(self):
         return default_circuit_config(coba=True).syn_exc
@@ -214,6 +252,14 @@ def _dead_ota_a(cfg):
     return replace(cfg, adaptation=replace(ad, ota_a=replace(ad.ota_a, I_bias=0.0)))
 
 
+def _exponential(cfg, **changes):
+    return replace(cfg, exponential=replace(cfg.exponential, **changes))
+
+
+def _signed(cfg, sign):
+    return replace(cfg, adaptation=replace(cfg.adaptation, sign=sign))
+
+
 def _exc_train():
     return WeightedSpikeTrain.regular(30e-6, 40e-6, 4, 0.3)
 
@@ -250,6 +296,20 @@ ENGINE_VARIANTS = {
     # adaptation off: a spike starts no pulse timer, so the last spike,
     # within pulse_width of the end, leaves the final timer at 0
     "adaptation_off_late_spike": lambda c: (LATE_SPIKE, {}),
+    # I_exp at its power-down floor only, never gated
+    "exponential_ungated": lambda c: (_exponential(c, gate_in_refractory=False), {}),
+    # the membrane's rows without the exponential's, adaptation on
+    "exponential_off": lambda c: (_exponential(c, enabled=False), {}),
+    # a dead exponential OTA: I_exp is I_0 at every V_m
+    "dead_exponential_ota": lambda c: (_exponential(
+        c, ota=replace(c.exponential.ota, I_bias=0.0)), {}),
+    # I_exp clipped at 1e-7 A on every upstroke (about 3.6e-7 A at V_det
+    # unclipped)
+    "exponential_clipped": lambda c: (_exponential(c, I_max=1e-7), {}),
+    # signs +1 and -1 in one batch, one with a dead coupling OTA, whose
+    # output is then 0.0 times its sign
+    "mixed_sign_batch": lambda c: (Population([
+        c, _signed(c, -1), _signed(_dead_ota_a(c), -1), _dead_ota_a(c)]).stacked(), {}),
 }
 # variants that replace the default step stimulus of the oracle test
 VARIANT_STIMULI = {
@@ -328,9 +388,8 @@ class TestCircuitStep:
         def release(offset, floor):
             st = quiescent_state(cfg)
             st = CircuitState(V_m=cfg.E_l + offset, V_w=st.V_w)
-            run = simulate_population(cfg, 1, StimulusProgram.constant(0.0),
-                                      duration=7 * 20e-6, dt=0.1e-6,
-                                      initial_state=st, record=True)
+            run = run_from_state(cfg, 1, StimulusProgram.constant(0.0), st,
+                                 duration=7 * 20e-6, dt=0.1e-6, record=True)
             y = run.V[:, 0] - cfg.E_l
             t = np.arange(len(y)) * 0.1e-6
             keep = y > floor * offset
@@ -395,11 +454,13 @@ class TestCircuitStep:
     @pytest.mark.parametrize("variant", sorted(ENGINE_VARIANTS))
     def test_engine_fast_paths_match_stepwise_reference(self, hw_circuit, variant):
         # each variant sends the engine down other skip paths; every step of
-        # V_m and V_w, every spike and the final timers must equal circuit_step
+        # V_m and V_w, every spike and the final timers of each neuron must
+        # equal circuit_step
         cfg, events = ENGINE_VARIANTS[variant](hw_circuit)
+        n = np.size(cfg.C_mem)
         stim = VARIANT_STIMULI.get(variant, StimulusProgram.step(20e-6, 50e-9))
         dt, duration = VARIANT_TIMING.get(variant, (0.05e-6, 200e-6))
-        run = simulate_population(cfg, 1, stim, syn_events=events,
+        run = simulate_population(cfg, n, stim, syn_events=events,
                                   duration=duration, dt=dt, record=True)
         from adexsim.synapse import weights_per_boundary
         n_steps = int(round(duration / dt))
@@ -414,20 +475,21 @@ class TestCircuitStep:
         st = CircuitState(V_m=st.V_m, V_w=st.V_w,
                           s_exc=s0["exc"] * cfg.syn_exc.dv_unit,
                           s_inh=s0["inh"] * cfg.syn_inh.dv_unit)
-        spikes = []
+        spikes = [[] for _ in range(n)]
         for k in range(n_steps):
             st, spiked = circuit_step(st, cfg, currents[k],
                                       (arrivals["exc"][k], arrivals["inh"][k]), dt)
-            assert float(st.V_m) == run.V[k + 1, 0], k
-            assert float(st.V_w) == run.V_w[k + 1, 0], k
-            if spiked:
-                spikes.append((k + 1) * dt)
-        assert len(spikes) >= 3
-        assert np.array_equal(run.spikes[0], np.array(spikes))
+            assert np.asarray(st.V_m, dtype=float).tobytes() == run.V[k + 1].tobytes(), k
+            assert np.asarray(st.V_w, dtype=float).tobytes() == run.V_w[k + 1].tobytes(), k
+            for i in np.flatnonzero(spiked):
+                spikes[i].append((k + 1) * dt)
+        assert min(len(s) for s in spikes) >= 3
+        for i in range(n):
+            assert np.array_equal(run.spikes[i], np.array(spikes[i])), i
         final = run.final_state
         for name in ("V_m", "V_w", "s_exc", "s_inh", "ref_remaining", "pulse_remaining"):
-            assert np.asarray(getattr(final, name))[0].tobytes() == \
-                np.asarray(getattr(st, name), dtype=float).tobytes(), name
+            assert np.asarray(getattr(final, name)).tobytes() == np.broadcast_to(
+                np.asarray(getattr(st, name), dtype=float), (n,)).tobytes(), name
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_nonfinite_filter_node_reported_near_blow_up(self, hw_circuit):
@@ -495,8 +557,8 @@ class TestCircuitStep:
                        ref_remaining=np.array([0.3, 62.5, 0.0, 0.0]) * TIMER_DT,
                        pulse_remaining=np.array([5.0, 0.0, 3.3, 0.7]) * TIMER_DT)
         assert 0 < _left_below_dt(T_REFS[1], TIMER_DT) < TIMER_DT
-        run = simulate_population(cfg, 4, TIMER_STIMULUS, duration=TIMER_DURATION,
-                                  dt=TIMER_DT, initial_state=state, record=True)
+        run = run_from_state(cfg, 4, TIMER_STIMULUS, state, duration=TIMER_DURATION,
+                             dt=TIMER_DT, record=True)
         n_steps = int(round(TIMER_DURATION / TIMER_DT))
         currents = TIMER_STIMULUS.per_step_currents(n_steps, TIMER_DT)
         spikes = [[] for _ in range(4)]
@@ -527,10 +589,10 @@ class TestCircuitStep:
         pulse0 = np.array([c[3] for c in courses])
         kw = dict(duration=TIMER_DURATION / 2, dt=TIMER_DT, record=True)
         cfg = Population(neurons).stacked()
-        batch = simulate_population(cfg, n, TIMER_STIMULUS, initial_state=replace(
+        batch = run_from_state(cfg, n, TIMER_STIMULUS, replace(
             quiescent_state(cfg), ref_remaining=ref0, pulse_remaining=pulse0), **kw)
         for i, neuron in enumerate(neurons):
-            alone = simulate_population(neuron, 1, TIMER_STIMULUS, initial_state=replace(
+            alone = run_from_state(neuron, 1, TIMER_STIMULUS, replace(
                 quiescent_state(neuron), ref_remaining=ref0[i:i + 1],
                 pulse_remaining=pulse0[i:i + 1]), **kw)
             assert alone.spikes[0].tobytes() == batch.spikes[i].tobytes(), i
@@ -548,8 +610,7 @@ class TestCircuitStep:
         timers[2] = value
         state = replace(quiescent_state(cfg), **{field: timers})
         with pytest.raises(NonFiniteState) as err:
-            simulate_population(cfg, 4, TIMER_STIMULUS, duration=20e-6, dt=TIMER_DT,
-                                initial_state=state)
+            run_from_state(cfg, 4, TIMER_STIMULUS, state, duration=20e-6, dt=TIMER_DT)
         assert err.value.time == 0.0
 
     def test_leaves_not_holding_n_values_are_named(self, hw_circuit):
@@ -558,8 +619,7 @@ class TestCircuitStep:
             simulate_population(cfg, 3, TIMER_STIMULUS, duration=1e-6, dt=TIMER_DT)
         state = replace(quiescent_state(hw_circuit), pulse_remaining=np.zeros(2))
         with pytest.raises(ValueError, match=r"^CircuitState\.pulse_remaining does not hold 1 values$"):
-            simulate_population(hw_circuit, 1, TIMER_STIMULUS, duration=1e-6, dt=TIMER_DT,
-                                initial_state=state)
+            run_from_state(hw_circuit, 1, TIMER_STIMULUS, state, duration=1e-6, dt=TIMER_DT)
 
     @pytest.mark.parametrize("duration, dt", [(math.inf, 0.04e-6), (1e-6, math.inf),
                                               (math.nan, 0.04e-6), (1e-6, 0.0)])
@@ -595,8 +655,8 @@ class TestReducedUpdate:
                         s_exc=rng.uniform(0.0, 0.05, n), ref_remaining=ref,
                         pulse_remaining=rng.uniform(0.0, 3.0, n) * dt)
         I_stim = rng.uniform(0.0, 100e-9)
-        run = simulate_population(cfg, n, StimulusProgram.constant(I_stim), duration=dt,
-                                  dt=dt, initial_state=state, record=True)
+        run = run_from_state(cfg, n, StimulusProgram.constant(I_stim), state, duration=dt,
+                             dt=dt, record=True)
         node, forcing, h = node_forcings(state, cfg, I_stim, dt)
         ad = cfg.adaptation
         V_w = _long_form(state.V_w, ad.V_ref, ad.g_tau, ad.C_w, node, dt)

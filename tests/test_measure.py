@@ -28,6 +28,7 @@ from adexsim.mismatch import (
 from adexsim.model import StimulusProgram
 from adexsim.patterns import load_patterns
 from adexsim.units import DomainMap
+from stepwise_reference import run_from_state
 
 
 @pytest.mark.parametrize("measure", [
@@ -197,9 +198,9 @@ def engine_release(cfg, initial_state, node, proto=ReleaseProtocol()):
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     m = int(np.size(np.asarray(cfg.C_mem)))
     dt = float(tau.min()) / RELEASE_STEPS_PER_TAU
-    run = simulate_population(cfg, m, StimulusProgram.constant(0.0),
-                              duration=RELEASE_WINDOW_TAUS * float(tau.max()), dt=dt,
-                              initial_state=initial_state, record=True)
+    run = run_from_state(cfg, m, StimulusProgram.constant(0.0), initial_state,
+                         duration=RELEASE_WINDOW_TAUS * float(tau.max()), dt=dt,
+                         record=True)
     trace = getattr(run, run_node)
     times = np.arange(trace.shape[0]) * dt
     reference = np.broadcast_to(np.asarray(reference, dtype=float), (m,))
