@@ -484,10 +484,12 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     coupling (exact for a sign of +-1).  As a - b is -(b - a) and np.tanh
     is odd bit for bit, the leak row holds -I_leak, and the leak is
     subtracted from the forcing: x - (-y) is x + y, exact while I_exp is
-    not -0.0 (an I_0 other than -0.0).  The refractory I_exp gate is the
-    power-down floor, +inf while gated: every finite I_exp is then below
-    it and 0.0, and a NaN stays NaN.  A step skips only work whose result
-    is known exactly:
+    not -0.0 (an I_0 other than -0.0).  The power-down is a multiply by
+    I_exp >= floor: an I_exp below the floor, which is never negative,
+    becomes +0.0, and a NaN stays NaN (NaN * 0.0), as `np.where` leaves
+    it.  The refractory I_exp gate is that floor set to +inf, below which
+    every finite I_exp lies.  A step skips only work whose result is known
+    exactly:
 
     - the refractory and adaptation-pulse timers: from a spike each runs
       down from t_ref or pulse_width by x <- max(x - dt, 0), so one
@@ -571,8 +573,9 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
         I_0, I_max = bc(ex.I_0), bc(ex.I_max)
         ex_cap = np.log(np.where(np.isfinite(I_max),
                                  I_max / np.maximum(I_0, 1e-300), 1e300))
+        # the power-down floor; a row of it, +inf while gated, with the gate on
         floor = I_0 * EXP_POWER_DOWN_FLOOR
-        floored = np.empty(n, dtype=bool)
+        above = np.empty(n, dtype=bool)
     if ad_on:
         z_tau, z_a = Z[0], ZM[-1]
         V_ref, C_w, gw_f = bc(ad.V_ref), bc(ad.C_w), bc(ad.g_w_factor)
@@ -589,10 +592,10 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     # (row, values) pairs, made for the neurons that take it.
     membrane, HELD, FREE = [B[-1]], [np.zeros(n)], [_phi(lam_m, dt) / C_mem]
     if ex_on and ex.gate_in_refractory:
-        membrane.append(np.empty(n))
-        HELD.append(np.full(n, np.inf))
         FREE.append(floor)
-        floor = membrane[-1]
+        floor = np.empty(n)
+        membrane.append(floor)
+        HELD.append(np.full(n, np.inf))
     if ad_on:
         pulse_i, p_amp = np.empty(n), bc(ad.pulse_amplitude)
         pulse_at = lambda x: np.minimum(x, dt) * p_amp / dt
@@ -694,7 +697,7 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
         si_rec = np.empty((n_steps + 1, n))
         V_rec[0], Vw_rec[0], se_rec[0], si_rec[0] = V_m, V_w, s_exc, s_inh
 
-    # the loop runs a few dozen ufunc calls per step, so at small widths
+    # the loop runs about twenty ufunc calls per step, so at small widths
     # their call overhead is the cost: ufuncs are bound to locals and
     # their output arrays passed positionally (except to np.minimum and
     # np.maximum, where a positional output is deprecated and slower)
@@ -725,8 +728,8 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
             np.exp(z_exp, z_exp)
             mul(z_exp, I_0, z_exp)
             minimum(z_exp, I_max, out=z_exp)
-            np.less(z_exp, floor, floored)
-            copyto(z_exp, 0.0, where=floored)
+            np.greater_equal(z_exp, floor, above)
+            mul(z_exp, above, z_exp)
             sub(z_exp, z_leak, F)
         else:
             sub(0.0, z_leak, F)
