@@ -519,10 +519,10 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     """
     bc = lambda x: np.broadcast_to(np.asarray(x, dtype=float), (n,)).copy()
 
-    _check_width(state, n)
     ad, ex = cfg.adaptation, cfg.exponential
     ad_on, ex_on = ad.enabled, ex.enabled
     # the node state: row 0 the adaptation filter V_w, row 1 the membrane V_m
+    _check_width(state, n)
     S = np.empty((2, n))
     V_w, V_m = S
     V_w[:], V_m[:] = bc(state.V_w), bc(state.V_m)
@@ -546,30 +546,31 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     stim_scale = bc(cfg.stim_gain) * bc(cfg.stim_trim)
     lam_m = bc(cfg.g_l) / C_mem
 
-    # the saturating OTAs, one row each: the adaptation filter's when
-    # enabled, then the membrane's (the leak, and the exponential's and the
-    # coupling's when enabled) as (OTA, reference, output factor)
-    membrane_otas = [(cfg.leak_ota, cfg.E_l, 1.0)]
+    # the saturating OTAs, one row each as (OTA, reference, output
+    # factor): the adaptation filter's and the exponential's, whose outputs
+    # the forcing rows W and F take first, then the coupling's and the
+    # leak's, which they subtract.  All but the filter's sense V_m.
+    otas = [(ad.ota_tau, None, 1.0)] if ad_on else []
     if ex_on:
-        membrane_otas.append((ex.ota, ex.V_exp, _exp_gain(ex)))
+        otas.append((ex.ota, ex.V_exp, _exp_gain(ex)))
     if ad_on:
-        membrane_otas.append((ad.ota_a, ad.E_l_adapt, ad.sign))
-    otas = ([(ad.ota_tau, None, 1.0)] if ad_on else []) + membrane_otas
+        otas.append((ad.ota_a, ad.E_l_adapt, ad.sign))
+    otas.append((cfg.leak_ota, cfg.E_l, 1.0))
     live = np.empty((len(otas), n), dtype=bool)
     K, OUT = np.empty((len(otas), n)), np.empty((len(otas), n))
     for i, (ota, _, factor) in enumerate(otas):
         live[i], safe, K[i] = _transfer(ota)
         OUT[i] = safe * factor
-    REF = np.array([bc(ref) for _, ref, _ in membrane_otas])
+    REF = np.array([bc(ref) for _, ref, _ in otas if ref is not None])
     dead = None if live.all() else ~live
     # a dead row's output: 0.0 times its sign
     DEAD = 0.0 * OUT
     Z = np.empty_like(K)
-    ZM = Z[len(otas) - len(membrane_otas):]
-    z_leak = ZM[0]
+    ZM = Z[len(otas) - len(REF):]
+    z_leak = Z[-1]
 
     if ex_on:
-        z_exp = ZM[1]
+        z_exp = ZM[0]
         I_0, I_max = bc(ex.I_0), bc(ex.I_max)
         ex_cap = np.log(np.where(np.isfinite(I_max),
                                  I_max / np.maximum(I_0, 1e-300), 1e300))
@@ -577,12 +578,22 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
         floor = I_0 * EXP_POWER_DOWN_FLOOR
         above = np.empty(n, dtype=bool)
     if ad_on:
-        z_tau, z_a = Z[0], ZM[-1]
+        z_tau, z_a = Z[0], Z[-2]
         V_ref, C_w, gw_f = bc(ad.V_ref), bc(ad.C_w), bc(ad.g_w_factor)
         B[0] = _phi(bc(ad.g_tau) / C_w, dt) / C_w
-    # forcing rows: the filter node's W and the membrane's F; X is the
-    # scratch of the forcing
-    W, F, X = FN[0], FN[-1], np.empty(n)
+    # forcing rows: the filter node's W and the membrane's F.  Their first
+    # terms are one subtract, W = out_tau - sign * out_a and
+    # F = I_exp - (-I_leak), or two with the exponential off (F = 0.0 -
+    # (-I_leak)).  Then one subtract takes the pulse current from W and
+    # I_w = g_w_factor * out_tau from F, the rows of P; X, I_w's row, is
+    # the scratch of the forcing.
+    W, F = FN[0], FN[-1]
+    P = np.empty((2, n))
+    pulse_i, X = P
+    if ex_on:
+        firsts = [(Z[:m], Z[m:], FN)]
+    else:
+        firsts = ([(z_tau, z_a, W)] if ad_on else []) + [(0.0, z_leak, F)]
 
     # the timer courses.  The membrane's factor over a step with h of it
     # integrated: held at h = 0 (phi = 0), free at h = dt, one release
@@ -597,17 +608,16 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
         membrane.append(floor)
         HELD.append(np.full(n, np.inf))
     if ad_on:
-        pulse_i, p_amp = np.empty(n), bc(ad.pulse_amplitude)
+        p_amp = bc(ad.pulse_amplitude)
         pulse_at = lambda x: np.minimum(x, dt) * p_amp / dt
         full_i, idle_i = pulse_at(dt), pulse_at(0.0)
     p_width = bc(ad.pulse_width) if ad_on else np.zeros(n)
 
     def course(t0, p0):
         """Timers started at t0 (refractory) and p0 (pulse): the write of
-        their first step, the most steps one stays pulsing, and their
-        phase changes.  Per change: its write, each neuron's step after
-        the start (-1 where it takes none), the distinct steps, and
-        whether every neuron takes it at the one step."""
+        their first step and their phase changes.  Per change: its write,
+        each neuron's step after the start (-1 where it takes none), the
+        distinct steps, and whether every neuron takes it at the one step."""
         held, left = _countdown(t0, dt, n_steps)
         release = left > 0
         h = np.clip(dt - left, 0.0, dt)
@@ -616,7 +626,6 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
                  for row, a, b, c in zip(membrane, HELD, RELEASE, FREE)]
         changes = [(((membrane[0], RELEASE[0]),), held, (held > 0) & release),
                    (tuple(zip(membrane, FREE)), held + release, (held > 0) | release)]
-        pulse_len = 0
         if ad_on:
             held, left = _countdown(p0, dt, n_steps)
             tail = (left != 0) | np.signbit(left)
@@ -624,13 +633,12 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
             first.append((pulse_i, np.where(held > 0, full_i, np.where(tail, tail_i, idle_i))))
             changes += [(((pulse_i, tail_i),), held, (held > 0) & tail),
                         (((pulse_i, idle_i),), held + tail, (held > 0) | tail)]
-            pulse_len = int((held + tail).max())
         plan = []
         for write, at, takes in changes:
             at = np.where(takes, at, -1)
             steps = np.unique(at[takes]).tolist()
             plan.append((write, at, steps, len(steps) == 1 and takes.all()))
-        return first, pulse_len, plan
+        return first, plan
 
     buckets = {}
 
@@ -646,12 +654,11 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
 
     # the initial timers start as if set by a spike at the end of step -1
     last = np.full(n, -1, dtype=np.int64)
-    first, pulse_until, plan = course(ref0, pulse0)
+    first, plan = course(ref0, pulse0)
     for row, values in first:
         row[:] = values
     schedule(-1, np.arange(n), plan)
-    on_spike, pulse_len, spike_plan = course(t_ref, p_width)
-    idle_live = ad_on and not _plus_zero(idle_i)
+    on_spike, spike_plan = course(t_ref, p_width)
 
     # the injected current, recomputed where the bits of the stimulus change
     segment_starts = _run_starts(currents)
@@ -721,8 +728,9 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
         if dead is not None:
             copyto(Z, DEAD, where=dead)
 
-        # forcing, in the order of the stepwise reference:
-        # leak + I_exp - I_w + I_syn_exc - I_syn_inh + I_stim
+        # the forcings, in the order of the stepwise reference:
+        # W = out_tau - sign * out_a - pulse current and
+        # F = leak + I_exp - I_w + I_syn_exc - I_syn_inh + I_stim
         if ex_on:
             minimum(z_exp, ex_cap, out=z_exp)
             np.exp(z_exp, z_exp)
@@ -730,16 +738,11 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
             minimum(z_exp, I_max, out=z_exp)
             np.greater_equal(z_exp, floor, above)
             mul(z_exp, above, z_exp)
-            sub(z_exp, z_leak, F)
-        else:
-            sub(0.0, z_leak, F)
+        for a, b, out in firsts:
+            sub(a, b, out)
         if ad_on:
             mul(gw_f, z_tau, X)
-            sub(F, X, F)
-            # filter node: out_tau - sign * out_a - pulse current
-            sub(z_tau, z_a, W)
-            if k < pulse_until or idle_live:
-                sub(W, pulse_i, W)
+            sub(FN, P, FN)
         for kind, op, a in terms:
             if kind == "const":
                 op(F, a, F)
@@ -779,7 +782,6 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
             for row, values in on_spike:
                 row[idx] = values[idx]
             schedule(k, idx, spike_plan)
-            pulse_until = max(pulse_until, k + 1 + pulse_len)
             end = n_spikes + fired
             if end > spikes.shape[1]:
                 grow = max(end - spikes.shape[1], spikes.shape[1] // 2)
