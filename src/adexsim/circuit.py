@@ -476,8 +476,8 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
 
     The OTAs are one (rows, n) pass per step, each row taken to
     out * tanh(k * dV) with k = g / I_sat (`_transfer`): the filter's
-    V_ref - V_w, then the membrane's rows, V_m less the leak's E_l, the
-    exponential's V_exp and the coupling's E_l_adapt, in one broadcast
+    V_ref - V_w, then the membrane's rows, V_m less the exponential's
+    V_exp, the coupling's E_l_adapt and the leak's E_l, in one broadcast
     subtract.  A row's output scale out is I_sat, times
     c = 8 * r_conv / (n * V_therm) for the exponential (the product
     `exponential_current` takes) and times the adaptation sign for the
@@ -488,8 +488,13 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     I_exp >= floor: an I_exp below the floor, which is never negative,
     becomes +0.0, and a NaN stays NaN (NaN * 0.0), as `np.where` leaves
     it.  The refractory I_exp gate is that floor set to +inf, below which
-    every finite I_exp lies.  A step skips only work whose result is known
-    exactly:
+    every finite I_exp lies.  The rows are ordered (filter, exponential,
+    coupling, leak), so that with both sub-circuits on one subtract of the
+    first two rows less the last two starts both forcings,
+    W = out_tau - sign * out_a and F = I_exp - (-I_leak), and one more
+    takes the pulse current from W and I_w from F.  The pulse current is
+    taken on every step, as the reference takes it.  A step skips only
+    work whose result is known exactly:
 
     - the refractory and adaptation-pulse timers: from a spike each runs
       down from t_ref or pulse_width by x <- max(x - dt, 0), so one
@@ -503,16 +508,15 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
       a step, from step-keyed buckets whose entries are skipped for a
       neuron that has spiked again since.  Initial timers take the same
       course, and the final timers come from the same countdown;
-    - no course pulsing on a step: no pulse current unless some idle
-      pulse current (p_amp * 0.0 / dt) is not +0.0 (x - (+0.0) is x);
     - the injected current stim_gain * stim_trim * I is computed once per
       stimulus segment, where the bits of I change, not once per step;
     - a synaptic line with no arrivals that starts at +0.0 stays at +0.0:
       no decay update, and a current-based line adds a constant current;
     - an OTA whose bias is live for every neuron needs no dead-bias mask;
-    - a disabled term is left out of the forcing: x - 0.0 is x, and
-      x + 0.0, which turns -0.0 into +0.0, changes no sum that ends in
-      + I_inj unless an injected current is -0.0, when it stays.
+    - a disabled term is left out of the forcing: x - 0.0 is x, and so is
+      x + 0.0 but for x = -0.0, which the forcing never is.  Its first
+      value, I_exp - (-I_leak) or 0.0 - (-I_leak), is not -0.0, and a sum
+      or difference is -0.0 only where its first operand is.
 
     Returns the (step, neuron) columns of every spike in step order, the
     final state and the records (None unless `record`).
@@ -541,7 +545,7 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     m = 2 if ad_on else 1
     NODE = S[2 - m:]
     FN, B = np.empty((m, n)), np.empty((m, n))
-    E_l, C_mem = bc(cfg.E_l), bc(cfg.C_mem)
+    C_mem = bc(cfg.C_mem)
     V_det, V_r, t_ref = bc(cfg.V_det), bc(cfg.V_r), bc(cfg.t_ref)
     stim_scale = bc(cfg.stim_gain) * bc(cfg.stim_trim)
     lam_m = bc(cfg.g_l) / C_mem
@@ -660,14 +664,6 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     schedule(-1, np.arange(n), plan)
     on_spike, spike_plan = course(t_ref, p_width)
 
-    # the injected current, recomputed where the bits of the stimulus change
-    segment_starts = _run_starts(currents)
-    inj_minus_zero = any(np.any((x == 0) & np.signbit(x))
-                         for x in (stim_scale * currents[k] for k in segment_starts))
-    segment_starts = iter(segment_starts)
-    next_segment = next(segment_starts)
-    I_inj = np.empty(n)
-
     # synaptic lines as terms of the forcing: (kind, op, operands), op the
     # ufunc that applies the term (add for exc, subtract for inh)
     terms, moving = [], []
@@ -680,11 +676,10 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
                  and _plus_zero(0.0 * decay + 0.0 * dv))
         if not quiet:
             moving.append((s, decay, arrivals, dv))
-        g1pb = bc(syn.g1_per_bias)
         if not syn.enabled:
-            if op is np.add and inj_minus_zero:
-                terms.append(("const", op, 0.0))
-        elif syn.coba_enabled:
+            continue
+        g1pb = bc(syn.g1_per_bias)
+        if syn.coba_enabled:
             terms.append(("coba", op, (bc(syn.E_syn_hat), bc(syn.g2), bc(syn.I_b_cuba),
                                        g1pb, s, off, s - off if quiet else None)))
         elif quiet:
@@ -692,6 +687,10 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
         else:
             terms.append(("cuba", op, (s, off, g1pb * bc(syn.I_b_cuba))))
 
+    # the injected current, recomputed where the bits of the stimulus change
+    segment_starts = iter(_run_starts(currents))
+    next_segment = next(segment_starts)
+    I_inj = np.empty(n)
     count = np.count_nonzero
     spiked = np.empty(n, dtype=bool)
     # spikes as (step, neuron) columns, in step order, of a buffer that

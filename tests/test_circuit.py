@@ -177,7 +177,7 @@ class TestFoldIdentities:
             np.tanh(minus, minus)
             assert minus.tobytes() == (-plus).tobytes()
 
-    def test_subtract_negated_is_add_and_swapped_is_negated(self):
+    def test_sums_and_differences(self):
         # every pair of signed zeros, subnormals and normals, then random pairs
         special = np.array([0.0, 5e-324, 1e-310, 1.0, 1e300])
         special = np.concatenate([special, -special])
@@ -191,6 +191,10 @@ class TestFoldIdentities:
         # and x - x is +0.0 for every finite x
         finite = values[np.isfinite(values)]
         assert not np.signbit(finite - finite).any()
+        # a sum or difference is -0.0 only where its first operand is
+        for result in (a + b, a - b):
+            minus_zero = (result == 0) & np.signbit(result)
+            assert ((a == 0) & np.signbit(a))[minus_zero].all()
 
 
 class TestCobaBias:
@@ -281,7 +285,7 @@ ENGINE_VARIANTS = {
     "lif": lambda c: (replace(
         c, adaptation=replace(c.adaptation, enabled=False),
         exponential=replace(c.exponential, enabled=False)), {}),
-    # the pulse timer runs, the pulse current is skipped
+    # the pulse timer runs with a pulse current of 0.0
     "zero_pulse_amplitude": lambda c: (replace(c, adaptation=replace(
         c.adaptation, pulse_amplitude=0.0)), {}),
     "adaptation_sign_minus_1": lambda c: (replace(c, adaptation=replace(
@@ -514,8 +518,8 @@ class TestCircuitStep:
     def test_engine_batch_invariance(self, hw_circuit):
         # the engine's skip decisions are made for the whole batch; each
         # neuron alone must still give the bits of its batch column.  The
-        # batch mixes adaptation signs and zero and nonzero pulse amplitudes,
-        # which a neuron alone takes on its +-1 sign and zero-pulse paths.
+        # batch mixes adaptation signs, zero and nonzero pulse amplitudes
+        # and a dead coupling OTA.
         pop = sample_population(hw_circuit, default_mismatch_model(hw_circuit, seed=9), 16)
         neurons = []
         for i, neuron in enumerate(pop.neurons):
