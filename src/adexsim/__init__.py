@@ -17,10 +17,7 @@ from .model import (
     AdExParameters, NeuronState, SimulationTrace, StimulusProgram,
     lif_parameters, predicted_lot_isi, simulate, step,
 )
-from .synapse import (
-    SynapseConfig, WeightedSpikeTrain, psp_metrics, synaptic_current,
-    trace_step,
-)
+from .synapse import WeightedSpikeTrain, psp_metrics
 from .circuit import (
     AdaptationCircuitConfig, CircuitNeuronConfig, CircuitState,
     ExponentialCircuitConfig, OtaModel, SynInCircuitConfig,

@@ -402,21 +402,19 @@ class PopulationRun:
     V_w: np.ndarray | None = None
     s_exc: np.ndarray | None = None
     s_inh: np.ndarray | None = None
-    adaptation_gain: np.ndarray | None = None
-    adaptation_ref: np.ndarray | None = None
 
-    def trace(self, i: int) -> SimulationTrace:
+    def trace(self, i: int, adaptation: AdaptationCircuitConfig) -> SimulationTrace:
+        """Neuron i's recorded trace; its `w` is the adaptation current
+        I_w = g_w * (V_ref - V_w) of `adaptation`, the run's circuit."""
         if self.V is None:
             raise ValueError("run was not recorded")
+        n = self.V.shape[1]
+        g_w, v_ref = (float(np.broadcast_to(np.asarray(x, dtype=float), (n,))[i])
+                      for x in (adaptation.g_w, adaptation.V_ref))
         return SimulationTrace(
-            dt=self.dt, V=self.V[:, i].copy(), w=self.V_w[:, i].copy(),
+            dt=self.dt, V=self.V[:, i].copy(), w=g_w * (v_ref - self.V_w[:, i]),
             s_exc=self.s_exc[:, i].copy(), s_inh=self.s_inh[:, i].copy(),
-            spikes=np.asarray(self.spikes[i]),
-            w_is_voltage=True,
-            adaptation_gain=float(np.asarray(self.adaptation_gain)[i])
-            if self.adaptation_gain is not None else 0.0,
-            adaptation_ref=float(np.asarray(self.adaptation_ref)[i])
-            if self.adaptation_ref is not None else 0.0)
+            spikes=np.asarray(self.spikes[i]))
 
 
 def _plus_zero(x) -> bool:
@@ -810,8 +808,8 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     return spikes[:, :n_spikes], final, recs
 
 
-def _population_run(cfg: CircuitNeuronConfig, n: int, dt: float,
-                    columns, final: CircuitState, recs) -> PopulationRun:
+def _population_run(n: int, dt: float, columns, final: CircuitState,
+                    recs) -> PopulationRun:
     """The PopulationRun of an engine run's spike columns, final state
     and records."""
     steps, neuron = columns
@@ -821,10 +819,7 @@ def _population_run(cfg: CircuitNeuronConfig, n: int, dt: float,
     run = PopulationRun(dt=dt, spikes=spikes, final_state=final,
                         spike_columns=columns)
     if recs is not None:
-        ad = cfg.adaptation
         run.V, run.V_w, run.s_exc, run.s_inh = recs
-        run.adaptation_gain = np.broadcast_to(np.asarray(ad.g_w, dtype=float), (n,))
-        run.adaptation_ref = np.broadcast_to(np.asarray(ad.V_ref, dtype=float), (n,))
     return run
 
 
@@ -863,7 +858,7 @@ def simulate_population(cfg: CircuitNeuronConfig, n: int,
     columns, final, recs = _engine(
         cfg, n, currents, arrivals["exc"], arrivals["inh"],
         state, dt, n_steps, record)
-    return _population_run(cfg, n, dt, columns, final, recs)
+    return _population_run(n, dt, columns, final, recs)
 
 
 def simulate_circuit(cfg: CircuitNeuronConfig,
@@ -871,10 +866,11 @@ def simulate_circuit(cfg: CircuitNeuronConfig,
                      syn_events=None,
                      *,
                      duration: float, dt: float) -> SimulationTrace:
-    """Single-neuron circuit simulation; records V_m and the raw V_w."""
+    """Single-neuron circuit simulation; records V_m and the adaptation
+    current I_w."""
     run = simulate_population(cfg, 1, stimulus, syn_events=syn_events,
                               duration=duration, dt=dt, record=True)
-    return run.trace(0)
+    return run.trace(0, cfg.adaptation)
 
 
 def derive_effective_adex(cfg: CircuitNeuronConfig) -> AdExParameters:
@@ -918,10 +914,10 @@ def derive_effective_adex(cfg: CircuitNeuronConfig) -> AdExParameters:
 # ---------------------------------------------------------------------------
 # defaults and construction helpers
 
-def default_leak_ota(tau_m: float = 20e-6, C_mem: float = MAX_MEMBRANE_CAPACITANCE,
-                     g_per_bias: float = 0.5) -> OtaModel:
+def default_leak_ota(tau_m: float = 20e-6,
+                     C_mem: float = MAX_MEMBRANE_CAPACITANCE) -> OtaModel:
     g = C_mem / tau_m
-    return OtaModel(I_bias=g / g_per_bias, g_per_bias=g_per_bias)
+    return OtaModel(I_bias=g / 0.5, g_per_bias=0.5)
 
 
 def default_circuit_config(tau_m: float = 20e-6,

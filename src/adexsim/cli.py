@@ -50,7 +50,7 @@ TRACE_COLUMNS = ["time_us", "V_mV", "w_nA", "s_exc", "s_inh"]
 
 def trace_to_csv(trace) -> str:
     """Self-describing CSV: time plus per-quantity columns with units."""
-    w_na = trace.adaptation_current() * 1e9
+    w_na = trace.w * 1e9
     lines = [",".join(TRACE_COLUMNS)]
     times = trace.times
     for k in range(len(trace.V)):
@@ -137,12 +137,7 @@ def _build_population(run: RunConfig) -> Population:
 def _simulate(run: RunConfig):
     """The trace of the run's one neuron under its stimulus."""
     if run.model == "ideal":
-        if run.events:
-            raise ValidationError(
-                "[events_*] sections require the circuit model; the ideal "
-                "model takes synaptic inputs through the library API")
-        return simulate(run.neuron, run.stimulus, None,
-                        duration=run.duration, dt=run.dt)
+        return simulate(run.neuron, run.stimulus, duration=run.duration, dt=run.dt)
     return simulate_circuit(run.circuit, run.stimulus, syn_events=run.events,
                             duration=run.duration, dt=run.dt)
 
@@ -156,7 +151,7 @@ def _cmd_simulate(run: RunConfig, out: _Output) -> int:
         payload = {
             "dt_us": trace.dt * 1e6,
             "V_mV": (trace.V * 1e3).tolist(),
-            "w_nA": (trace.adaptation_current() * 1e9).tolist(),
+            "w_nA": (trace.w * 1e9).tolist(),
             "spikes_us": (trace.spikes * 1e6).tolist(),
         }
         out.add("trace.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -246,6 +241,8 @@ def _cmd_experiment(run: RunConfig, out: _Output) -> int:
 
 
 def _cmd_sweep(run: RunConfig, out: _Output) -> int:
+    if not run.sweep:
+        raise ValidationError("mode 'sweep' requires a [sweep] section")
     section, _, name = run.sweep["key"].partition(".")
     summary_rows = ["index,value,n_spikes,median_isi_us"]
     for idx, value in enumerate(run.sweep["values"]):
@@ -302,6 +299,10 @@ def main(argv=None) -> int:
             run.seed = args.seed
         if args.fmt is not None:
             run.fmt = args.fmt
+        if run.mode not in (None, args.command):
+            raise ValidationError(
+                f"config declares mode {run.mode!r}, command line asks for {args.command!r}")
+        run.mode = args.command
         if args.command == "experiment" and run.experiment.get("name") not in (
                 None, args.name):
             raise ValidationError(

@@ -248,7 +248,9 @@ _SWITCHED = (("neuron", "exp_enabled", AdExParameters.exp_enabled,
 class RunConfig:
     """Validated run-level settings plus the parsed payload objects."""
 
-    mode: str = "simulate"
+    # the subcommand that runs the file; None where the file leaves it to
+    # the command line
+    mode: str | None = None
     model: str = "ideal"
     seed: int = DEFAULT_SEED
     dt: float = 0.05e-6
@@ -571,6 +573,9 @@ def parse_config(text: str) -> RunConfig:
 
     for side in ("exc", "inh"):
         pairs = _given(sections, f"events_{side}").get("events")
+        if f"events_{side}" in sections and run.model != "circuit":
+            raise ValidationError(f"[events_{side}] is not read unless "
+                                  f"[run] model = circuit")
         if f"events_{side}" in sections and not getattr(run.circuit, f"syn_{side}").enabled:
             raise ValidationError(f"[events_{side}] is not read unless "
                                   f"[syn_{side}] enabled = true")
@@ -607,26 +612,23 @@ def parse_config(text: str) -> RunConfig:
                 f"[experiment] v_inf = {format_quantity(spec['v_inf'], 'voltage')} must "
                 f"exceed the circuit's V_det = {format_quantity(run.circuit.V_det, 'voltage')}")
         run.experiment = spec
-    if run.mode == "experiment" and not run.experiment:
-        raise ValidationError("mode 'experiment' requires an [experiment] section")
 
     if "sweep" in sections:
         run.sweep = _build_sweep(sections, run)
-    if run.mode == "sweep" and not run.sweep:
-        raise ValidationError("mode 'sweep' requires a [sweep] section")
     return run
 
 
 def serialize_config(run: RunConfig) -> str:
     """Canonical text for a RunConfig; parse(serialize(parse(x))) == parse(x)."""
     q = format_quantity
-    lines = ["[run]",
-             f"mode = {run.mode}",
-             f"model = {run.model}",
-             f"seed = {run.seed}",
-             f"dt = {q(run.dt, 'time')}",
-             f"duration = {q(run.duration, 'time')}",
-             f"format = {run.fmt}"]
+    lines = ["[run]"]
+    if run.mode is not None:
+        lines.append(f"mode = {run.mode}")
+    lines += [f"model = {run.model}",
+              f"seed = {run.seed}",
+              f"dt = {q(run.dt, 'time')}",
+              f"duration = {q(run.duration, 'time')}",
+              f"format = {run.fmt}"]
     if run.out_dir:
         lines.append(f"out = {run.out_dir}")
     models = {} if run.neuron is None else {

@@ -151,9 +151,8 @@ def classify_firing_pattern(spikes, stimulus_onset: float, duration: float) -> s
 
 
 def phase_plane(trace) -> np.ndarray:
-    """(V, w) polyline of a trace; circuit adaptation voltages are mapped
-    back to the equivalent current g_w * (V_ref - V_w)."""
-    return np.column_stack([trace.V, trace.adaptation_current()])
+    """(V, w) polyline of a trace, w the adaptation current of either model."""
+    return np.column_stack([trace.V, trace.w])
 
 
 # ---------------------------------------------------------------------------

@@ -28,24 +28,19 @@ from .model import StimulusProgram
 from .synapse import WeightedSpikeTrain
 
 
-@dataclass(frozen=True)
-class ReleaseProtocol:
-    """Clamp-and-release measurement: offset, fit window and quality gate.
-
-    The default offset stays well inside the linear range of the
-    transconductors; the fit runs from release until the deflection has
-    decayed to `floor_fraction` of the offset, and a release that never
-    gets there inside the window is not fitted.  Each neuron's release is
-    sampled on its own grid, every tau / RELEASE_STEPS_PER_TAU for
-    RELEASE_WINDOW_TAUS * tau, with tau its own nominal time constant.
-    """
-
-    offset: float = 0.05
-    floor_fraction: float = 0.02
-    r2_min: float = 0.99
-    min_samples: int = 12
-
-
+# The clamp-and-release measurement.  The node starts RELEASE_OFFSET from
+# its reference, well inside the linear range of the transconductors; the
+# fit runs from release until the deflection has decayed to
+# RELEASE_FIT_FLOOR of the offset, and a release that never gets there
+# inside the window is not fitted.  The fit needs RELEASE_MIN_SAMPLES
+# samples above the floor and an R^2 of at least RELEASE_R2_MIN.  Each
+# neuron's release is sampled on its own grid, every tau /
+# RELEASE_STEPS_PER_TAU for RELEASE_WINDOW_TAUS * tau, with tau its own
+# nominal time constant.
+RELEASE_OFFSET = 0.05
+RELEASE_FIT_FLOOR = 0.02
+RELEASE_R2_MIN = 0.99
+RELEASE_MIN_SAMPLES = 12
 RELEASE_STEPS_PER_TAU = 150
 RELEASE_WINDOW_TAUS = 7.0
 NO_DECAY = "deflection did not decay"
@@ -100,29 +95,29 @@ def log_linear_fit(x: np.ndarray, y: np.ndarray, mask=True):
     return slope, y_mean - slope * x_mean, r2
 
 
-def _fit_decay(times, deflection, proto: ReleaseProtocol):
+def _fit_decay(times, deflection):
     """Fit a single-exponential decay to each row of `deflection` (samples on
     the last axis, at `times`); returns (tau, reasons), tau NaN where a
     row's fit failed."""
     with np.errstate(divide="ignore", invalid="ignore"):
         y = deflection / deflection[..., :1]
-    below = y <= proto.floor_fraction
+    below = y <= RELEASE_FIT_FLOOR
     end = np.where(below.any(axis=-1), np.argmax(below, axis=-1), -1)
     window = np.arange(y.shape[-1]) < end[..., None]
     slope, _, r2 = log_linear_fit(times, y, window)
     reasons = np.select(
-        [np.abs(deflection[..., 0]) < 1e-12, np.all(y >= 1.0, axis=-1), end < 0,
-         end < proto.min_samples, np.any(window & (y <= 0), axis=-1),
-         ~(slope < 0), ~(r2 >= proto.r2_min)],
-        ["nothing to fit (zero release offset)", NO_DECAY,
+        [np.all(y >= 1.0, axis=-1), end < 0,
+         end < RELEASE_MIN_SAMPLES, np.any(window & (y <= 0), axis=-1),
+         ~(slope < 0), ~(r2 >= RELEASE_R2_MIN)],
+        [NO_DECAY,
          "deflection never fell to the fit floor ({floor:g} of the offset)",
          "only {end} samples above the fit floor",
          "non-monotone trace (deflection crossed zero)", NO_DECAY,
          "fit R^2 = {r2:.4f} below {r2_min}"], "")
     with np.errstate(divide="ignore"):
         tau = np.where(reasons == "", -1.0 / slope, math.nan)
-    return tau, _Reasons(reasons, floor=proto.floor_fraction, end=end, r2=r2,
-                         r2_min=proto.r2_min)
+    return tau, _Reasons(reasons, floor=RELEASE_FIT_FLOOR, end=end, r2=r2,
+                         r2_min=RELEASE_R2_MIN)
 
 
 def _disable(cfg: CircuitNeuronConfig, adaptation=False, exponential=False,
@@ -273,13 +268,13 @@ def _steady_deflection(cfg: CircuitNeuronConfig, m: int, step):
 # ---------------------------------------------------------------------------
 # release transients
 
-def _release_fit(ota: OtaModel, cap, proto: ReleaseProtocol, n):
+def _release_fit(ota: OtaModel, cap, n):
     """Fit the release of a node that only a saturating OTA pulls back.
 
     The deflection x from the OTA's reference then obeys
     C dx/dt = -I_sat * tanh(g * x / I_sat), whose exact solution is
     sinh(g * x / I_sat) = sinh(g * x0 / I_sat) * exp(-g * t / C).  Each
-    neuron's release is sampled on its own grid (see `ReleaseProtocol`),
+    neuron's release is sampled on its own grid (the RELEASE_* constants),
     with tau = C / g, and fitted as a recorded release would be, so a
     neuron's fit does not depend on its batch.  A dead bias (I_sat = 0)
     leaves the node at x0, which the fit reports as not decaying.
@@ -291,33 +286,32 @@ def _release_fit(ota: OtaModel, cap, proto: ReleaseProtocol, n):
     steps = int(round(RELEASE_WINDOW_TAUS * RELEASE_STEPS_PER_TAU))
     times = np.arange(steps + 1) * dt[:, None]
     k = g / np.where(live, i_sat, 1.0)
-    u0 = np.abs(k * proto.offset)
+    u0 = k * RELEASE_OFFSET
     with np.errstate(divide="ignore", invalid="ignore"):
         # ln sinh(u), so that a large u0 cannot overflow; then
         # u = asinh(exp(ln sinh(u)))
         log_sinh = ((u0 + np.log(-np.expm1(-2.0 * u0)) - math.log(2.0))[:, None]
                     - times * (g / cap)[:, None])
         u = np.logaddexp(log_sinh, 0.5 * np.logaddexp(2.0 * log_sinh, 0.0))
-        trace = np.where(live[:, None], math.copysign(1.0, proto.offset) * u / k[:, None],
-                         proto.offset)
-    tau, reasons = _fit_decay(times, trace, proto)
+        trace = np.where(live[:, None], u / k[:, None], RELEASE_OFFSET)
+    tau, reasons = _fit_decay(times, trace)
     return _scalarize(tau, n, reasons)
 
 
-def measure_tau_m(neuron, protocol: ReleaseProtocol | None = None):
+def measure_tau_m(neuron):
     """Membrane time constant from the release of an offset membrane.
 
     With every sub-circuit but the leak off, the release follows the
     leak OTA's closed form (`_release_fit`, C_mem and g_l).
     """
     n = _population_size(neuron)
-    return _release_fit(neuron.leak_ota, neuron.C_mem, protocol or ReleaseProtocol(), n)
+    return _release_fit(neuron.leak_ota, neuron.C_mem, n)
 
 
 # ---------------------------------------------------------------------------
 # adaptation: time constant and subthreshold strength
 
-def measure_tau_w(neuron, protocol: ReleaseProtocol | None = None):
+def measure_tau_w(neuron):
     """Adaptation time constant from the release of an offset filter node.
 
     The membrane is held at the adaptation reference so the subthreshold
@@ -328,7 +322,7 @@ def measure_tau_w(neuron, protocol: ReleaseProtocol | None = None):
     ad = neuron.adaptation
     if not ad.enabled:
         raise InvalidConfig("adaptation circuit is disabled")
-    return _release_fit(ad.ota_tau, ad.C_w, protocol or ReleaseProtocol(), n)
+    return _release_fit(ad.ota_tau, ad.C_w, n)
 
 
 # steady deflection of the coupled system that sizes the `a` readout's step

@@ -17,10 +17,8 @@ This module is the reference oracle for the circuit-level model.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Sequence
 
 import numpy as np
 
@@ -122,23 +120,20 @@ class StimulusProgram:
         return cls(((0.0, current),))
 
     @classmethod
-    def step(cls, onset: float, amplitude: float, offset: float | None = None,
-             baseline: float = 0.0) -> "StimulusProgram":
-        """Step of `amplitude` from `onset` to `offset` (or until the end)."""
+    def step(cls, onset: float, amplitude: float,
+             offset: float | None = None) -> "StimulusProgram":
+        """Step of `amplitude` from `onset` to `offset` (or until the end),
+        zero outside it."""
         if not onset >= 0:
             raise ValueError(f"onset must be >= 0 s, got {onset!r} s")
         if offset is not None and not offset > onset:
             raise ValueError(f"offset must be after onset, got offset {offset:.6g} s, "
                              f"onset {onset:.6g} s")
-        segs = [(0.0, baseline)] if onset > 0 else []
+        segs = [(0.0, 0.0)] if onset > 0 else []
         segs.append((onset, amplitude))
         if offset is not None:
-            segs.append((offset, baseline))
+            segs.append((offset, 0.0))
         return cls(tuple(segs))
-
-    def current_at(self, t: float) -> float:
-        idx = bisect_right(self.segments, t, key=lambda seg: seg[0]) - 1
-        return self.segments[max(idx, 0)][1]
 
     def per_step_currents(self, n_steps: int, dt: float) -> np.ndarray:
         """Current at the start of each of the n integration steps."""
@@ -161,10 +156,10 @@ class SimulationTrace:
     """Time-sampled record of one simulation.
 
     `V`, `w`, `s_exc`, `s_inh` hold n_steps+1 samples (including t = 0);
-    spike times lie on sample boundaries.  Circuit simulations record the
-    adaptation state as a voltage; `w_is_voltage` plus the gain/reference
-    pair allow reconstruction of the equivalent adaptation current
-    g_w * (V_ref - V_w).
+    spike times lie on sample boundaries.  `w` is the adaptation current
+    in amperes for both models: a circuit trace holds its I_w =
+    g_w * (V_ref - V_w).  The ideal model has no synaptic traces and
+    records `s_exc` and `s_inh` as zeros.
     """
 
     dt: float
@@ -173,21 +168,10 @@ class SimulationTrace:
     s_exc: np.ndarray
     s_inh: np.ndarray
     spikes: np.ndarray
-    w_is_voltage: bool = False
-    adaptation_gain: float = 0.0
-    adaptation_ref: float = 0.0
 
     @property
     def times(self) -> np.ndarray:
         return np.arange(len(self.V)) * self.dt
-
-    def adaptation_current(self) -> np.ndarray:
-        if self.w_is_voltage:
-            return self.adaptation_gain * (self.adaptation_ref - self.w)
-        return self.w
-
-    def isis(self) -> np.ndarray:
-        return np.diff(self.spikes)
 
 
 def _membrane_factors(lam: float, h: float):
@@ -283,18 +267,13 @@ def _n_steps(duration: float, dt: float) -> int:
 
 def simulate(p: AdExParameters,
              stimulus: StimulusProgram,
-             synaptic_inputs: Sequence | None = None,
              *,
              duration: float,
              dt: float) -> SimulationTrace:
-    """Deterministic full simulation; identical inputs yield identical traces.
-
-    `synaptic_inputs` is a sequence of (SynapseConfig, WeightedSpikeTrain)
-    pairs; their traces are integrated alongside the neuron and translated
-    to membrane currents each step.
+    """Deterministic full simulation from rest; identical inputs yield
+    identical traces.  Synaptic input is a circuit feature
+    (`simulate_circuit`); the ideal trace's `s_exc` and `s_inh` are zero.
     """
-    from .synapse import synaptic_current, trace_step, weights_per_boundary
-
     n_steps = _n_steps(duration, dt)
 
     state = NeuronState(p.E_l, 0.0, 0.0)
@@ -305,43 +284,21 @@ def simulate(p: AdExParameters,
         repeat(currents.item(a), b - a) for a, b in zip(starts, starts[1:] + [n_steps]))
     advance = _stepper(p, dt)
 
-    syn = []
-    for cfg, train in (synaptic_inputs or ()):
-        s0, arrivals = weights_per_boundary(train, n_steps, dt)
-        syn.append([cfg, float(s0), arrivals])
-
     V = np.empty(n_steps + 1)
     w = np.empty(n_steps + 1)
     s_exc = np.zeros(n_steps + 1)
     s_inh = np.zeros(n_steps + 1)
     V[0], w[0] = state.V, state.w
-    for cfg, s0, _ in syn:
-        if cfg.is_excitatory:
-            s_exc[0] += s0
-        else:
-            s_inh[0] += s0
     spikes = []
 
     v, w_k, ref = state.V, state.w, state.ref_remaining
     try:
         for k, I in enumerate(step_currents):
-            for entry in syn:
-                I += synaptic_current(entry[1], entry[0], v)
             v, w_k, ref, spiked = advance(v, w_k, ref, I)
             if spiked:
                 spikes.append((k + 1) * dt)
             V[k + 1] = v
             w[k + 1] = w_k
-            if syn:
-                se = si = 0.0
-                for entry in syn:
-                    cfg = entry[0]
-                    entry[1] = trace_step(entry[1], cfg.tau_syn, dt, entry[2][k])
-                    if cfg.is_excitatory:
-                        se += entry[1]
-                    else:
-                        si += entry[1]
-                s_exc[k + 1], s_inh[k + 1] = se, si
     except NonFiniteState as err:
         raise NonFiniteState(str(err), time=(k + 1) * dt) from None
 

@@ -35,14 +35,15 @@ class FiringPattern:
     onset: float
     duration: float
 
-    def to_hardware(self, dm: DomainMap | None = None):
-        """Map the set into the accelerated hardware domain.
+    def to_hardware(self):
+        """Map the set into the accelerated hardware domain of the default
+        `DomainMap`.
 
         Returns (params, step current, onset, duration) with voltages,
         conductances and currents rescaled so the dynamics correspond
         trajectory for trajectory.
         """
-        dm = dm or DomainMap()
+        dm = DomainMap()
         hw = map_adex_parameters(self.params, dm)
         c_bio = self.params.C
         return (hw, dm.current(self.current, c_bio),

@@ -1,12 +1,10 @@
-"""Exponential synaptic traces and their translation to membrane current.
+"""Presynaptic event trains and their quantization onto integration steps.
 
-A presynaptic spike train is weighted and accumulated into a dimensionless
-trace s(t) with exponential decay; the trace drives the membrane either as
-a current (current-based) or as a conductance toward a reversal potential
-(conductance-based):
-
-    I = I_hat * s(t)            (cuba, signed by excitatory/inhibitory)
-    I = g_hat * s(t) * (E_syn - V)   (coba)
+A `WeightedSpikeTrain` is an ordered list of (time, weight) events that
+drives one synaptic input line of the circuit (`SynInCircuitConfig`);
+`weights_per_boundary` places its events on the sample boundaries at
+which the engine applies them.  `psp_metrics` reads the baseline and
+amplitude of a postsynaptic potential from a recorded trace.
 """
 
 from __future__ import annotations
@@ -17,33 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WindowTooShort
-
-MODE_CUBA = "cuba"
-MODE_COBA = "coba"
-
-
-@dataclass(frozen=True)
-class SynapseConfig:
-    mode: str
-    tau_syn: float
-    I_hat: float = 0.0
-    g_hat: float = 0.0
-    E_syn: float = 0.0
-    sign: str = "excitatory"
-
-    def __post_init__(self):
-        if self.mode not in (MODE_CUBA, MODE_COBA):
-            raise ValueError(f"mode must be '{MODE_CUBA}' or '{MODE_COBA}'")
-        if self.sign not in ("excitatory", "inhibitory"):
-            raise ValueError("sign must be 'excitatory' or 'inhibitory'")
-        if not self.tau_syn > 0:
-            raise ValueError("tau_syn must be > 0")
-        if self.I_hat < 0 or self.g_hat < 0:
-            raise ValueError("gains must be >= 0")
-
-    @property
-    def is_excitatory(self) -> bool:
-        return self.sign == "excitatory"
 
 
 @dataclass(frozen=True)
@@ -60,22 +31,6 @@ class WeightedSpikeTrain:
         if any(w < 0 for _, w in evs):
             raise ValueError("event weights must be >= 0")
         object.__setattr__(self, "events", evs)
-
-    @classmethod
-    def single(cls, time: float, weight: float = 1.0) -> "WeightedSpikeTrain":
-        return cls(((time, weight),))
-
-    @classmethod
-    def regular(cls, start: float, interval: float, count: int,
-                weight: float = 1.0) -> "WeightedSpikeTrain":
-        return cls(tuple((start + i * interval, weight) for i in range(count)))
-
-
-def trace_step(s: float, tau_syn: float, dt: float, arriving_weight_sum: float = 0.0) -> float:
-    """Exact exponential decay over dt, then the boundary jump."""
-    if not dt > 0:
-        raise ValueError("dt must be > 0")
-    return s * math.exp(-dt / tau_syn) + arriving_weight_sum
 
 
 def weights_per_boundary(train: WeightedSpikeTrain, n_steps: int, dt: float):
@@ -95,14 +50,6 @@ def weights_per_boundary(train: WeightedSpikeTrain, n_steps: int, dt: float):
         if 0 <= k < n_steps:
             arrivals[k] += wgt
     return s0, arrivals
-
-
-def synaptic_current(s: float, cfg: SynapseConfig, V_m: float) -> float:
-    """Membrane current for trace value s at membrane potential V_m."""
-    if cfg.mode == MODE_CUBA:
-        current = cfg.I_hat * s
-        return current if cfg.is_excitatory else -current
-    return cfg.g_hat * s * (cfg.E_syn - V_m)
 
 
 def psp_metrics(trace, stim_time: float, min_baseline_samples: int = 10):

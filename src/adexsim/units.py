@@ -53,7 +53,7 @@ CANONICAL_SUFFIX = {
 }
 
 
-def parse_quantity(text: str, dimension: str, line: int | None = None, column: int | None = None) -> float:
+def parse_quantity(text: str, dimension: str, line: int | None = None) -> float:
     """Parse "<number> <suffix>" into an SI float, checking the dimension.
 
     Dimensionless values ("none") must carry no suffix.  NaN and infinite
@@ -62,29 +62,29 @@ def parse_quantity(text: str, dimension: str, line: int | None = None, column: i
     parts = text.strip().split()
     if dimension == "none":
         if len(parts) != 1:
-            raise ParseError(f"expected a bare number, got {text!r}", line, column)
-        return _finite(parts[0], 1.0, line, column)
+            raise ParseError(f"expected a bare number, got {text!r}", line)
+        return _finite(parts[0], 1.0, line)
     if len(parts) != 2:
         raise ParseError(
-            f"expected '<number> <unit>' with a {dimension} unit, got {text!r}", line, column)
+            f"expected '<number> <unit>' with a {dimension} unit, got {text!r}", line)
     num, suffix = parts
     if suffix not in UNIT_SUFFIXES:
-        raise ParseError(f"unknown unit suffix {suffix!r}", line, column)
+        raise ParseError(f"unknown unit suffix {suffix!r}", line)
     scale, dim = UNIT_SUFFIXES[suffix]
     if dim != dimension:
         raise ParseError(
-            f"unit {suffix!r} is a {dim} unit, expected {dimension}", line, column)
-    return _finite(num, scale, line, column)
+            f"unit {suffix!r} is a {dim} unit, expected {dimension}", line)
+    return _finite(num, scale, line)
 
 
-def _finite(num: str, scale: float, line, column) -> float:
+def _finite(num: str, scale: float, line) -> float:
     try:
         value = float(num)
     except ValueError:
-        raise ParseError(f"not a number: {num!r}", line, column) from None
+        raise ParseError(f"not a number: {num!r}", line) from None
     value *= scale
     if not math.isfinite(value):
-        raise ParseError(f"not a finite number: {num!r}", line, column)
+        raise ParseError(f"not a finite number: {num!r}", line)
     return value
 
 

@@ -154,4 +154,4 @@ def run_from_state(cfg: CircuitNeuronConfig, n: int, stimulus: StimulusProgram,
     quiet = np.zeros(n_steps)
     columns, final, recs = _engine(cfg, n, stimulus.per_step_currents(n_steps, dt),
                                    quiet, quiet, state, dt, n_steps, record)
-    return _population_run(cfg, n, dt, columns, final, recs)
+    return _population_run(n, dt, columns, final, recs)

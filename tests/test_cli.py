@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -400,6 +401,74 @@ class TestSwitchedKeys:
                          cwd=tmp_path)
         assert result.returncode == 2, result.stderr
         assert result.stderr == f"error: {message}\n"
+        assert not out.exists()
+
+
+SHIPPED = Path(__file__).resolve().parents[1] / "configs"
+
+
+class TestModeMatchesCommand:
+    def test_written_mode_other_than_the_command_exit_2_without_output(self, tmp_path,
+                                                                      run_cli):
+        # the subcommand used to run and the file's mode was written back
+        out = tmp_path / "out"
+        result = run_cli(["simulate", "--config", str(SHIPPED / "calibrate_tau.cfg"),
+                          "--out", str(out)], cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == ("error: config declares mode 'calibrate', "
+                                 "command line asks for 'simulate'\n")
+        assert not out.exists()
+
+    def test_omitted_mode_resolves_to_the_command(self, tmp_path, cfg_path, run_cli):
+        out = tmp_path / "out"
+        text = CONFIG_SWEEP.replace("mode = sweep\n", "")
+        result = run_cli(["sweep", "--config", cfg_path(text), "--out", str(out)],
+                         cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        resolved = (out / "config.resolved.cfg").read_text().splitlines()
+        assert resolved[:2] == ["[run]", "mode = sweep"]
+
+    def test_written_mode_runs_as_an_omitted_one(self, tmp_path, cfg_path, run_cli):
+        # `mode = experiment` without an [experiment] section used to exit 2,
+        # while the file without the mode ran the experiment the command names
+        text = CONFIG_EXP_SWEEP.replace("[experiment]\nname = exponential_sweep\n", "")
+        omitted = text.replace("mode = experiment\n", "")
+        reports = []
+        for name, body in (("written", text), ("omitted", omitted)):
+            out = tmp_path / name
+            result = run_cli(["experiment", "exponential_sweep", "--config",
+                              cfg_path(body, f"{name}.cfg"), "--out", str(out)],
+                             cwd=tmp_path)
+            assert result.returncode == 0, result.stderr
+            reports.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert reports[0] == reports[1]
+
+    def test_sweep_without_sweep_section_exit_2_without_output(self, tmp_path, cfg_path,
+                                                              run_cli):
+        # with the mode left out, this used to end in a KeyError traceback
+        out = tmp_path / "out"
+        text = CONFIG_CIRCUIT.replace("mode = simulate\n", "")
+        result = run_cli(["sweep", "--config", cfg_path(text), "--out", str(out)],
+                         cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == "error: mode 'sweep' requires a [sweep] section\n"
+        assert not out.exists()
+
+
+class TestEventsNeedTheCircuit:
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["sweep"], ["calibrate"], ["experiment", "firing_patterns"]])
+    def test_exit_2_at_parse_time_under_every_command(self, tmp_path, cfg_path, run_cli,
+                                                      command):
+        # calibrate used to ignore the events without a word
+        out = tmp_path / "out"
+        text = (CONFIG_IDEAL_SWEEP.replace("mode = sweep\n", "")
+                + "\n[calibration]\ntau_m = 20 us\n\n[events_inh]\nevents = 10 us : 1.0\n")
+        result = run_cli([*command, "--config", cfg_path(text), "--out", str(out)],
+                         cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == ("error: [events_inh] is not read unless "
+                                 "[run] model = circuit\n")
         assert not out.exists()
 
 

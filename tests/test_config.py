@@ -104,6 +104,13 @@ class TestParse:
         assert not run.neuron.exp_enabled
         assert run.neuron.a == 0.0 and run.neuron.b == 0.0
 
+    def test_omitted_mode_is_left_to_the_command(self):
+        run = parse_config(MINIMAL_LIF.replace("mode = simulate\n", ""))
+        assert run.mode is None
+        resolved = serialize_config(run)
+        assert "mode" not in read_config_sections(resolved)["run"]
+        assert serialize_config(parse_config(resolved)) == resolved
+
     def test_full_circuit_config(self):
         run = parse_config(CIRCUIT_FULL)
         assert run.model == "circuit"
@@ -337,6 +344,15 @@ class TestSwitches:
         other = "inh" if side == "exc" else "exc"
         run = parse_config(text.replace(f"[syn_{side}]", f"[syn_{other}]"))
         assert len(run.events[side].events) == 1
+
+    @pytest.mark.parametrize("side", ["exc", "inh"])
+    def test_events_on_the_ideal_model_rejected(self, side):
+        # the ideal model has no synaptic input; the events used to be
+        # refused by simulate and sweep at run time and ignored by calibrate
+        text = MINIMAL_LIF + f"[events_{side}]\nevents = 30 us : 1.0\n"
+        with pytest.raises(ValidationError, match=(
+                rf"^\[events_{side}\] is not read unless \[run\] model = circuit$")):
+            parse_config(text)
 
     def test_neuron_sweep_key_its_exponential_leaves_unread_rejected(self):
         text = (MINIMAL_LIF.replace("mode = simulate", "mode = sweep")

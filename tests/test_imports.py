@@ -2,6 +2,7 @@
 its imports and is exempt)."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,18 @@ def defined_names(tree) -> list:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
 
 
+def methods(tree) -> list:
+    """(class name, def node) of each method and classmethod of the module's
+    classes.  Properties are exempt, as derived quantities, and so are
+    dunder methods, which Python calls itself."""
+    return [(cls.name, node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and not any(isinstance(d, ast.Name) and d.id == "property"
+                        for d in node.decorator_list)]
+
+
 def named(nodes, strings=False) -> set:
     """Every name that `nodes` read, write or reach as an attribute, and with
     `strings` every string constant (a name looked up at run time)."""
@@ -66,10 +79,19 @@ def named(nodes, strings=False) -> set:
     return out
 
 
+def attributes(nodes) -> Counter:
+    """How often `nodes` reach each name as an attribute (`obj.name`)."""
+    return Counter(sub.attr for node in nodes for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute))
+
+
 def dead_names(modules: dict, bench: list) -> list:
     """'module.name' for each module-level function or class of `modules`
     ({module name: source}) that no other statement of the package, no
-    bench source and no LIBRARY_ONLY entry names."""
+    bench source and no LIBRARY_ONLY entry names, then 'module.Class.name'
+    for each method or classmethod (see `methods`) that no attribute of the
+    package outside its own body, no bench source and no LIBRARY_ONLY entry
+    names."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     used = set(LIBRARY_ONLY)
     for source in bench:
@@ -81,6 +103,11 @@ def dead_names(modules: dict, bench: list) -> list:
             elsewhere = [node for node in tree.body if getattr(node, "name", None) != name]
             if name not in others | named(elsewhere):
                 dead.append(f"{module}.{name}")
+    reached = attributes(trees.values())
+    for module, tree in trees.items():
+        for cls, node in methods(tree):
+            if node.name not in used and reached[node.name] <= attributes([node])[node.name]:
+                dead.append(f"{module}.{cls}.{node.name}")
     return dead
 
 
@@ -92,7 +119,24 @@ def test_finds_a_dead_name():
     assert dead_names(modules, ["run('caller')\nAlone()\n"]) == []
 
 
+def test_finds_a_dead_method():
+    modules = {"a": ("class Thing:\n"
+                     "    def __post_init__(self):\n        self.used()\n"
+                     "    def used(self):\n        return self\n"
+                     "    def again(self):\n        return self.again()\n"
+                     "    @property\n    def derived(self):\n        return 1\n"
+                     "    @classmethod\n    def build(cls):\n        return cls()\n"
+                     "    def alone(self):\n        return 0\n"),
+               "b": "from .a import Thing\n\nThing.build()\n"}
+    assert dead_names(modules, []) == ["a.Thing.again", "a.Thing.alone"]
+    assert dead_names(modules, ["thing.again()\ngetattr(thing, 'alone')\n"]) == []
+    # with no caller left, the class and its classmethod are dead too
+    assert dead_names({**modules, "b": "from .a import Thing\n"}, []) == [
+        "a.Thing", "a.Thing.again", "a.Thing.build", "a.Thing.alone"]
+
+
 def test_every_function_and_class_has_a_caller():
-    # a name that only tests or __init__.py reach is an option no run uses
+    # a name or method that only tests or __init__.py reach is an option no
+    # run uses
     modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     assert dead_names(modules, [p.read_text(encoding="utf-8") for p in BENCH]) == []

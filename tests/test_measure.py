@@ -15,8 +15,9 @@ from adexsim.circuit import (
     simulate_population,
 )
 from adexsim.measure import (
-    FILTER_SATURATED, NO_DECAY, NO_ROOT, RELEASE_STEPS_PER_TAU, RELEASE_WINDOW_TAUS,
-    UNSTABLE, ReleaseProtocol, _a_protocol, _disable, _fit_decay,
+    FILTER_SATURATED, NO_DECAY, NO_ROOT, RELEASE_FIT_FLOOR, RELEASE_MIN_SAMPLES,
+    RELEASE_OFFSET, RELEASE_R2_MIN, RELEASE_STEPS_PER_TAU, RELEASE_WINDOW_TAUS,
+    UNSTABLE, _a_protocol, _disable, _fit_decay,
     _steady_state, exponential_sweep, fit_exponential_slope, measure_b,
     measure_delta_t, measure_exp_onset, measure_psp_amplitude, measure_resting_offset,
     measure_stim_gain, measure_subthreshold_a, measure_tau_m, measure_tau_syn,
@@ -27,7 +28,6 @@ from adexsim.mismatch import (
 )
 from adexsim.model import StimulusProgram
 from adexsim.patterns import load_patterns
-from adexsim.units import DomainMap
 from stepwise_reference import run_from_state
 
 
@@ -48,21 +48,18 @@ class TestTauM:
         eff = derive_effective_adex(hw_circuit)
         assert measure_tau_m(hw_circuit) == pytest.approx(eff.tau_m, rel=0.02)
 
-    def test_zero_offset_fit_failed(self, hw_circuit):
-        with pytest.raises(FitFailed):
-            measure_tau_m(hw_circuit, ReleaseProtocol(offset=0.0))
-
     def test_saturated_release_rejected(self):
-        # a slew-limited transconductor makes the release non-exponential
+        # a slew-limited transconductor makes the release non-exponential;
+        # g * x0 / I_sat is that of a 0.45 V offset with I_out_max = I_bias / 20
         cfg = default_circuit_config(tau_m=20e-6)
         cfg = replace(cfg, leak_ota=OtaModel(
             I_bias=cfg.leak_ota.I_bias, g_per_bias=cfg.leak_ota.g_per_bias,
-            I_out_max=cfg.leak_ota.I_bias / 20))
+            I_out_max=cfg.leak_ota.I_bias / 20 / 9))
         with pytest.raises(FitFailed):
-            measure_tau_m(cfg, ReleaseProtocol(offset=0.45))
+            measure_tau_m(cfg)
 
     def test_default_offset_within_linear_range(self, hw_circuit):
-        assert ReleaseProtocol().offset <= float(hw_circuit.leak_ota.linear_range)
+        assert RELEASE_OFFSET <= float(hw_circuit.leak_ota.linear_range)
 
     @pytest.mark.parametrize("dead_bias", [{"I_out_max": 0.0}, {"I_bias": 0.0}],
                              ids=["no_output", "no_bias"])
@@ -80,21 +77,22 @@ class TestTauM:
         # g * x0 / I_sat ~ 2e3, whose sinh overflows a double: the membrane
         # slews at I_sat / C_mem, loses a few percent of the offset in the
         # window and never reaches the fit floor, as the slew line does not
+        # (I_out_max = I_bias * 1e-4 / 9 at RELEASE_OFFSET: the g * x0 / I_sat
+        # of a 0.45 V offset with I_bias * 1e-4)
         leak = hw_circuit.leak_ota
-        cfg = replace(hw_circuit, leak_ota=replace(leak, I_out_max=leak.I_bias * 1e-4))
-        proto = ReleaseProtocol(offset=0.45)
+        cfg = replace(hw_circuit, leak_ota=replace(leak, I_out_max=leak.I_bias * 1e-4 / 9))
         dt = cfg.tau_m / RELEASE_STEPS_PER_TAU
         times = np.arange(int(round(RELEASE_WINDOW_TAUS * cfg.tau_m / dt)) + 1) * dt
-        line = proto.offset - cfg.leak_ota.i_sat / cfg.C_mem * times
-        taus, reasons = _fit_decay(times, line[None], proto)
+        line = RELEASE_OFFSET - cfg.leak_ota.i_sat / cfg.C_mem * times
+        taus, reasons = _fit_decay(times, line[None])
         tau, reason = taus[0], reasons[0]
         assert math.isnan(tau) and "fit floor" in reason
         with np.errstate(over="raise"), pytest.raises(FitFailed) as err:
-            measure_tau_m(cfg, proto)
+            measure_tau_m(cfg)
         assert str(err.value) == reason
         pop = Population([hw_circuit, cfg]).stacked()
         with np.errstate(over="raise"):
-            taus = measure_tau_m(pop, proto)
+            taus = measure_tau_m(pop)
         assert np.isfinite(taus[0]) and np.isnan(taus[1])
 
 
@@ -136,21 +134,19 @@ class TestSubthresholdA:
 # ---------------------------------------------------------------------------
 # release closed forms against engine releases
 
-def row_fit_decay(times, deflection, proto):
+def row_fit_decay(times, deflection):
     """One row's decay fit as a loop over rows ran it before the fit was
     batched (np.linalg.lstsq); returns (tau, reason), reason None on success.
     A trace that never falls below its start reads as not decaying."""
-    if abs(deflection[0]) < 1e-12:
-        return math.nan, "nothing to fit (zero release offset)"
     y = deflection / deflection[0]
     if np.all(y >= 1.0):
         return math.nan, NO_DECAY
-    below = np.nonzero(y <= proto.floor_fraction)[0]
+    below = np.nonzero(y <= RELEASE_FIT_FLOOR)[0]
     if not len(below):
         return math.nan, (f"deflection never fell to the fit floor "
-                          f"({proto.floor_fraction:g} of the offset)")
+                          f"({RELEASE_FIT_FLOOR:g} of the offset)")
     end = int(below[0])
-    if end < proto.min_samples:
+    if end < RELEASE_MIN_SAMPLES:
         return math.nan, f"only {end} samples above the fit floor"
     if np.any(y[:end] <= 0):
         return math.nan, "non-monotone trace (deflection crossed zero)"
@@ -160,37 +156,35 @@ def row_fit_decay(times, deflection, proto):
     r2 = 1.0 - np.sum((ly - A @ coef) ** 2) / np.sum((ly - ly.mean()) ** 2)
     if coef[0] >= 0:
         return math.nan, NO_DECAY
-    if r2 < proto.r2_min:
-        return math.nan, f"fit R^2 = {r2:.4f} below {proto.r2_min}"
+    if r2 < RELEASE_R2_MIN:
+        return math.nan, f"fit R^2 = {r2:.4f} below {RELEASE_R2_MIN}"
     return -1.0 / coef[0], None
 
 
 def test_batched_decay_fit_matches_row_loop():
     # one row per gate, each on its own time grid: the same reasons as the
     # row loop, and the same tau to rounding
-    proto = ReleaseProtocol()
-    t = np.linspace(0.0, 7.0, 1051) * np.array([1e-6, 3e-5, 1e-4, 1e-5, 1e-5, 2e-6,
+    t = np.linspace(0.0, 7.0, 1051) * np.array([1e-6, 3e-5, 1e-4, 1e-5, 2e-6,
                                                  1e-5, 1e-5, 4e-5])[:, None]
     u = np.linspace(0.0, 7.0, 1051)
     rows = np.array([
         np.exp(-u),                         # clean decay
         np.exp(-1.3 * u) * (1 + 0.01 * np.sin(40 * u)),  # decay with ripple
         np.full_like(u, 0.05),              # dead bias
-        np.zeros_like(u),                   # zero offset
         np.exp(-u / 50),                    # never reaches the floor
         np.exp(-400 * u),                   # too few samples above it
         np.exp(u / 10),                     # rising
         1.0 - u / 3 + 0.3 * np.sin(6 * u),  # far from one exponential
         0.05 * np.exp(-2.0 * u),            # scaled decay
     ])
-    taus, reasons = _fit_decay(t, rows, proto)
-    want = [row_fit_decay(*row, proto) for row in zip(t, rows)]
+    taus, reasons = _fit_decay(t, rows)
+    want = [row_fit_decay(*row) for row in zip(t, rows)]
     np.testing.assert_allclose(taus, [w[0] for w in want], rtol=1e-9)
     assert [reasons[i] or None for i in range(len(rows))] == [w[1] for w in want]
-    assert len({w[1] for w in want}) >= 6
+    assert len({w[1] for w in want}) >= 5
 
 
-def engine_release(cfg, initial_state, node, proto=ReleaseProtocol()):
+def engine_release(cfg, initial_state, node):
     """Each neuron's release fitted from a recorded engine run on the
     protocol grid.  `node` is (record 'V' or 'V_w', the node's reference,
     its nominal time constants)."""
@@ -204,19 +198,19 @@ def engine_release(cfg, initial_state, node, proto=ReleaseProtocol()):
     trace = getattr(run, run_node)
     times = np.arange(trace.shape[0]) * dt
     reference = np.broadcast_to(np.asarray(reference, dtype=float), (m,))
-    return _fit_decay(times, (trace - reference).T, proto)[0]
+    return _fit_decay(times, (trace - reference).T)[0]
 
 
-def engine_release_tau_m(cfg, proto=ReleaseProtocol()):
+def engine_release_tau_m(cfg):
     """measure_tau_m by an engine run: the membrane released from E_l +
     offset with every sub-circuit but the leak off."""
     cfg = _disable(cfg, adaptation=True, exponential=True, synin=True, spiking=True)
     rest = quiescent_state(cfg)
-    state = CircuitState(V_m=np.asarray(rest.V_m) + proto.offset, V_w=rest.V_w)
-    return engine_release(cfg, state, ("V", cfg.E_l, cfg.tau_m), proto)
+    state = CircuitState(V_m=np.asarray(rest.V_m) + RELEASE_OFFSET, V_w=rest.V_w)
+    return engine_release(cfg, state, ("V", cfg.E_l, cfg.tau_m))
 
 
-def engine_release_tau_w(cfg, proto=ReleaseProtocol()):
+def engine_release_tau_w(cfg):
     """measure_tau_w by an engine run: the filter node released from V_ref
     + offset with ota_a dead, so the membrane does not feed back."""
     cfg = _disable(cfg, exponential=True, synin=True, spiking=True)
@@ -224,8 +218,8 @@ def engine_release_tau_w(cfg, proto=ReleaseProtocol()):
     cfg = replace(cfg, adaptation=replace(
         ad, ota_a=replace(ad.ota_a, I_bias=0.0 * ad.ota_a.I_bias)))
     rest = quiescent_state(cfg)
-    state = CircuitState(V_m=rest.V_m, V_w=np.asarray(rest.V_w) + proto.offset)
-    return engine_release(cfg, state, ("V_w", ad.V_ref, ad.tau_w), proto)
+    state = CircuitState(V_m=rest.V_m, V_w=np.asarray(rest.V_w) + RELEASE_OFFSET)
+    return engine_release(cfg, state, ("V_w", ad.V_ref, ad.tau_w))
 
 
 PATTERN_NOMINALS = ("tonic_spiking", "delayed_regular_bursting")
@@ -234,7 +228,7 @@ PATTERN_NOMINALS = ("tonic_spiking", "delayed_regular_bursting")
 @functools.lru_cache(maxsize=None)
 def pattern_nominal(name):
     """A firing pattern's nominal circuit, as `run_firing_patterns` builds it."""
-    hw, _, _, _ = load_patterns()[name].to_hardware(DomainMap())
+    hw, _, _, _ = load_patterns()[name].to_hardware()
     return circuit_for_adex(hw, default_circuit_config(E_l=hw.E_l))
 
 
@@ -463,8 +457,7 @@ def drb_seed3():
     entries upstream of `a`, with the `a` entry's sign and probe biases."""
     from adexsim.calibrate import calibrate_population, CalibrationTarget
     from adexsim.patterns import load_patterns
-    from adexsim.units import DomainMap
-    hw, _, _, _ = load_patterns()["delayed_regular_bursting"].to_hardware(DomainMap())
+    hw, _, _, _ = load_patterns()["delayed_regular_bursting"].to_hardware()
     nominal = circuit_for_adex(hw, default_circuit_config(E_l=hw.E_l))
     pop = sample_population(nominal, default_mismatch_model(nominal, seed=3), 128)
     target = CalibrationTarget(tau_m=hw.tau_m, stim_gain=True, delta_t=hw.Delta_T,

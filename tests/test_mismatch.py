@@ -21,13 +21,12 @@ from adexsim.mismatch import (
     MismatchModel, PARAMETER_RANGES, Population, default_mismatch_model,
     sample_population,
 )
-from adexsim.units import DomainMap
 
 
 @functools.lru_cache(maxsize=None)
 def pattern_nominal(name):
     """A firing pattern's nominal circuit, as `run_firing_patterns` builds it."""
-    hw, _, _, _ = load_patterns()[name].to_hardware(DomainMap())
+    hw, _, _, _ = load_patterns()[name].to_hardware()
     return circuit_for_adex(hw, default_circuit_config(E_l=hw.E_l))
 
 

@@ -298,30 +298,20 @@ class TestSimulate:
         assert same is not differ
 
 
-def _stepwise(p, stimulus, n_steps, dt, synaptic_inputs=(), state=None):
+def _stepwise(p, stimulus, n_steps, dt):
     """V, w and spikes from a loop of public `step` calls, the oracle of
-    `simulate`; synaptic inputs go through the public synapse functions."""
-    from adexsim.synapse import synaptic_current, trace_step, weights_per_boundary
+    `simulate`."""
     currents = stimulus.per_step_currents(n_steps, dt)
-    state = state or NeuronState(p.E_l, 0.0, 0.0)
-    syn = []
-    for cfg, train in synaptic_inputs:
-        s0, arrivals = weights_per_boundary(train, n_steps, dt)
-        syn.append([cfg, float(s0), arrivals])
+    state = NeuronState(p.E_l, 0.0, 0.0)
     V, w, spikes = [state.V], [state.w], []
     for k in range(n_steps):
-        I = currents[k]
-        for entry in syn:
-            I += synaptic_current(entry[1], entry[0], state.V)
         try:
-            state, spiked = step(state, p, I, dt)
+            state, spiked = step(state, p, currents[k], dt)
         except NonFiniteState as err:
             err.step = k
             raise
         if spiked:
             spikes.append((k + 1) * dt)
-        for entry in syn:
-            entry[1] = trace_step(entry[1], entry[0].tau_syn, dt, entry[2][k])
         V.append(state.V)
         w.append(state.w)
     return np.array(V), np.array(w), np.array(spikes)
@@ -363,22 +353,6 @@ class TestSimulateEqualsStepLoop:
         oracle = _stepwise(p, stim, 4000, dt)
         assert len(oracle[2]) >= 5
         _assert_bitwise(simulate(p, stim, duration=4000 * dt, dt=dt), oracle)
-
-    def test_synaptic_inputs(self, tonic_params):
-        from adexsim.synapse import SynapseConfig, WeightedSpikeTrain
-        dt = tonic_params.tau_m / 500
-        inputs = [
-            (SynapseConfig("cuba", tau_syn=5e-3, I_hat=300e-12),
-             WeightedSpikeTrain(((0.0, 0.5),) + tuple((i * 7e-3, 1.0) for i in range(1, 40)))),
-            (SynapseConfig("coba", tau_syn=8e-3, g_hat=2e-9, E_syn=-80e-3,
-                           sign="inhibitory"),
-             WeightedSpikeTrain.regular(30e-3, 23e-3, 10, 0.7)),
-        ]
-        stim = StimulusProgram.constant(350e-12)
-        oracle = _stepwise(tonic_params, stim, 3000, dt, inputs)
-        assert len(oracle[2]) >= 3
-        trace = simulate(tonic_params, stim, inputs, duration=3000 * dt, dt=dt)
-        _assert_bitwise(trace, oracle)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_state_time(self):
@@ -457,9 +431,5 @@ class TestStimulusProgram:
 
     def test_lookup(self):
         s = StimulusProgram(((0.0, 1.0), (1e-6, 2.0), (3e-6, 0.5)))
-        assert s.current_at(0.0) == 1.0
-        assert s.current_at(1e-6) == 2.0
-        assert s.current_at(2.9e-6) == 2.0
-        assert s.current_at(5.0) == 0.5
         per = s.per_step_currents(4, 1e-6)
         assert per.tolist() == [1.0, 2.0, 2.0, 0.5]

@@ -1,45 +1,14 @@
-import math
-
 import numpy as np
 import pytest
 
 from adexsim import (
-    StimulusProgram, SynapseConfig, WeightedSpikeTrain, WindowTooShort,
-    lif_parameters, psp_metrics, simulate, synaptic_current, trace_step,
+    StimulusProgram, WeightedSpikeTrain, WindowTooShort, lif_parameters,
+    psp_metrics, simulate,
 )
 from adexsim.synapse import weights_per_boundary
 
 
-def brute_force_trace(events, t, tau):
-    """Independent convolution oracle: sum of exponentials."""
-    return sum(w * math.exp(-(t - te) / tau) for te, w in events if te <= t)
-
-
-class TestTraceStep:
-    def test_tau_definition(self):
-        assert trace_step(1.0, 10e-6, 10e-6) == pytest.approx(math.exp(-1), rel=1e-12)
-
-    def test_simultaneous_arrivals_linear(self):
-        a = trace_step(0.3, 5e-6, 1e-6, 0.5 + 0.5)
-        b = trace_step(0.3, 5e-6, 1e-6, 1.0)
-        assert a == b
-
-    def test_matches_convolution_oracle(self, rng):
-        tau = 7e-6
-        dt = 0.1e-6
-        n_steps = 1200
-        # events on sample boundaries so quantization plays no role
-        ks = np.sort(rng.choice(np.arange(1, n_steps), size=40, replace=False))
-        ws = rng.uniform(0.1, 2.0, size=len(ks))
-        events = [(k * dt, w) for k, w in zip(ks, ws)]
-        train = WeightedSpikeTrain(tuple(events))
-        s0, arrivals = weights_per_boundary(train, n_steps, dt)
-        s = s0
-        for k in range(n_steps):
-            s = trace_step(s, tau, dt, arrivals[k])
-        expected = brute_force_trace(events, n_steps * dt, tau)
-        assert s == pytest.approx(expected, rel=1e-9)
-
+class TestWeightsPerBoundary:
     def test_off_boundary_events_quantize_to_next_boundary(self):
         dt = 1e-6
         train = WeightedSpikeTrain(((2.4e-6, 1.0),))
@@ -47,58 +16,17 @@ class TestTraceStep:
         assert arrivals.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]  # applied at t = 3 us
 
     def test_superposition_property(self, rng):
-        tau, dt, n_steps = 4e-6, 0.2e-6, 500
+        dt, n_steps = 0.2e-6, 500
         t1 = WeightedSpikeTrain(tuple((float(k) * dt, 1.0)
                                       for k in np.sort(rng.choice(400, 10, replace=False) + 1)))
         t2 = WeightedSpikeTrain(tuple((float(k) * dt, 0.7)
                                       for k in np.sort(rng.choice(400, 10, replace=False) + 1)))
         both = WeightedSpikeTrain(tuple(sorted(t1.events + t2.events)))
 
-        def run(train):
-            s0, arr = weights_per_boundary(train, n_steps, dt)
-            s, out = s0, []
-            for k in range(n_steps):
-                s = trace_step(s, tau, dt, arr[k])
-                out.append(s)
-            return np.array(out)
+        def arrivals(train):
+            return weights_per_boundary(train, n_steps, dt)[1]
 
-        assert np.allclose(run(both), run(t1) + run(t2), rtol=1e-9)
-
-    def test_nonnegative_given_nonnegative_weights(self, rng):
-        tau, dt = 3e-6, 0.5e-6
-        s = 0.0
-        for _ in range(200):
-            s = trace_step(s, tau, dt, float(rng.uniform(0, 2)))
-            assert s >= 0.0
-
-
-class TestSynapticCurrent:
-    def test_zero_trace_zero_current(self):
-        cuba = SynapseConfig(mode="cuba", tau_syn=1e-6, I_hat=10e-9)
-        coba = SynapseConfig(mode="coba", tau_syn=1e-6, g_hat=10e-9, E_syn=0.7)
-        assert synaptic_current(0.0, cuba, 0.5) == 0.0
-        assert synaptic_current(0.0, coba, 0.5) == 0.0
-
-    def test_coba_reversal_zero(self):
-        coba = SynapseConfig(mode="coba", tau_syn=1e-6, g_hat=10e-9, E_syn=0.7)
-        for s in (0.1, 1.0, 5.0):
-            assert synaptic_current(s, coba, 0.7) == 0.0
-
-    def test_cuba_signs(self):
-        exc = SynapseConfig(mode="cuba", tau_syn=1e-6, I_hat=4e-9, sign="excitatory")
-        inh = SynapseConfig(mode="cuba", tau_syn=1e-6, I_hat=4e-9, sign="inhibitory")
-        assert synaptic_current(0.5, exc, 0.5) == pytest.approx(2e-9)
-        assert synaptic_current(0.5, inh, 0.5) == pytest.approx(-2e-9)
-
-    def test_coba_affine_fit_recovers_gains(self):
-        # linear-fit oracle over a membrane-potential sweep
-        g_hat, e_syn, s = 25e-9, 1.3, 0.8
-        coba = SynapseConfig(mode="coba", tau_syn=1e-6, g_hat=g_hat, E_syn=e_syn)
-        v = np.linspace(0.3, 0.9, 13)
-        i = np.array([synaptic_current(s, coba, vm) for vm in v])
-        slope, intercept = np.polyfit(v, i, 1)
-        assert abs(-slope - g_hat * s) / (g_hat * s) < 0.01
-        assert abs(intercept - g_hat * s * e_syn) / (g_hat * s * e_syn) < 0.01
+        assert np.allclose(arrivals(both), arrivals(t1) + arrivals(t2), rtol=1e-9)
 
 
 class TestPspMetrics:
@@ -114,65 +42,3 @@ class TestPspMetrics:
         tr = simulate(p, StimulusProgram.constant(0.0), duration=50e-6, dt=0.5e-6)
         with pytest.raises(WindowTooShort):
             psp_metrics(tr, 2e-6)
-
-    def test_cuba_psp_matches_double_exponential_peak(self):
-        tau_m, tau_s = 20e-6, 10e-6
-        C = 2.47e-12
-        p = lif_parameters(C=C, g_l=C / tau_m, E_l=0.5, V_r=0.3, V_det=5.0)
-        i_hat = 2e-9
-        cfg = SynapseConfig(mode="cuba", tau_syn=tau_s, I_hat=i_hat)
-        t0 = 60e-6
-        tr = simulate(p, StimulusProgram.constant(0.0),
-                      [(cfg, WeightedSpikeTrain.single(t0))],
-                      duration=220e-6, dt=0.05e-6)
-        _, amplitude = psp_metrics(tr, t0)
-        # closed-form double-exponential peak as the oracle
-        t_star = math.log(tau_m / tau_s) * tau_m * tau_s / (tau_m - tau_s)
-        peak = (i_hat / C) * tau_s * tau_m / (tau_m - tau_s) * (
-            math.exp(-t_star / tau_m) - math.exp(-t_star / tau_s))
-        assert amplitude == pytest.approx(peak, rel=0.02)
-
-    def test_equal_time_constants_limit(self):
-        # degenerate tau_syn = tau_m handled by the limit form of the oracle
-        tau = 15e-6
-        C = 2.47e-12
-        p = lif_parameters(C=C, g_l=C / tau, E_l=0.5, V_r=0.3, V_det=5.0)
-        i_hat = 2e-9
-        cfg = SynapseConfig(mode="cuba", tau_syn=tau, I_hat=i_hat)
-        t0 = 60e-6
-        tr = simulate(p, StimulusProgram.constant(0.0),
-                      [(cfg, WeightedSpikeTrain.single(t0))],
-                      duration=250e-6, dt=0.05e-6)
-        _, amplitude = psp_metrics(tr, t0)
-        peak = (i_hat / C) * tau / math.e  # limit form: (I/C) t e^{-t/tau} at t = tau
-        assert amplitude == pytest.approx(peak, rel=0.02)
-
-    def test_cuba_shape_independent_of_baseline(self):
-        tau_m, tau_s = 20e-6, 8e-6
-        C = 2.47e-12
-        cfg = SynapseConfig(mode="cuba", tau_syn=tau_s, I_hat=1e-9)
-        amps = []
-        for e_l in (0.4, 0.5, 0.6):
-            p = lif_parameters(C=C, g_l=C / tau_m, E_l=e_l, V_r=0.3, V_det=5.0)
-            tr = simulate(p, StimulusProgram.constant(0.0),
-                          [(cfg, WeightedSpikeTrain.single(60e-6))],
-                          duration=200e-6, dt=0.1e-6)
-            amps.append(psp_metrics(tr, 60e-6)[1])
-        assert np.ptp(amps) < 1e-9 * max(amps)
-
-    def test_coba_amplitude_affine_in_driving_force(self):
-        tau_m, tau_s = 20e-6, 8e-6
-        C = 2.47e-12
-        e_syn = 1.2
-        cfg = SynapseConfig(mode="coba", tau_syn=tau_s, g_hat=2e-9, E_syn=e_syn)
-        holds = np.array([0.35, 0.45, 0.55, 0.65])
-        amps = []
-        for v_h in holds:
-            p = lif_parameters(C=C, g_l=C / tau_m, E_l=v_h, V_r=0.3, V_det=5.0)
-            tr = simulate(p, StimulusProgram.constant(0.0),
-                          [(cfg, WeightedSpikeTrain.single(60e-6, 0.2))],
-                          duration=200e-6, dt=0.1e-6)
-            amps.append(psp_metrics(tr, 60e-6)[1])
-        slope, intercept = np.polyfit(holds, amps, 1)
-        zero_crossing = -intercept / slope
-        assert zero_crossing == pytest.approx(e_syn, abs=2e-3)
