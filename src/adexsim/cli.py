@@ -121,14 +121,8 @@ def _build_population(run: RunConfig) -> Population:
     if run.mismatch_enabled:
         mm = default_mismatch_model(nominal, seed=(
             run.seed if run.mismatch_seed is None else run.mismatch_seed))
-        relative = dict(mm.relative)
-        additive = dict(mm.additive)
-        for key, sigma in run.mismatch_overrides.items():
-            if key.startswith("sigma_rel_"):
-                relative[key[len("sigma_rel_"):]] = sigma
-            else:
-                additive[key[len("sigma_abs_"):]] = sigma
-        mm = MismatchModel(relative=relative, additive=additive, seed=mm.seed)
+        mm = replace(mm, **{spreads: {**getattr(mm, spreads), **sigmas}
+                            for spreads, sigmas in run.mismatch_overrides.items()})
     else:
         mm = MismatchModel(seed=run.seed)
     return sample_population(nominal, mm, run.mismatch_size)
@@ -295,21 +289,24 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         run = parse_config(text)
-        if args.seed is not None:
-            run.seed = args.seed
-        if args.fmt is not None:
-            run.fmt = args.fmt
         if run.mode not in (None, args.command):
             raise ValidationError(
                 f"config declares mode {run.mode!r}, command line asks for {args.command!r}")
-        run.mode = args.command
-        if args.command == "experiment" and run.experiment.get("name") not in (
-                None, args.name):
-            raise ValidationError(
-                f"config declares experiment {run.experiment.get('name')!r}, "
-                f"command line asks for {args.name!r}")
         if args.command == "experiment" and not run.experiment:
-            run.experiment = {"name": args.name}
+            # a file without an [experiment] section runs as one that names
+            # the experiment, under the same rules
+            run = parse_config(f"{text}\n[experiment]\nname = {args.name}\n")
+        if args.command == "experiment" and run.experiment["name"] != args.name:
+            raise ValidationError(
+                f"config declares experiment {run.experiment['name']!r}, "
+                f"command line asks for {args.name!r}")
+        if args.seed is not None:
+            if args.seed < 0:
+                raise ValidationError(f"--seed must be >= 0, got {args.seed}")
+            run.seed = args.seed
+        if args.fmt is not None:
+            run.fmt = args.fmt
+        run.mode = args.command
         out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV) or (
             "adexsim-out" if run.out_dir is None else run.out_dir)
         parent = os.path.dirname(os.path.abspath(out_dir))

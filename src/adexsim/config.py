@@ -10,7 +10,8 @@ Values carry mandatory unit suffixes for dimensioned quantities
 ("0.5 V", "20 us", "60 nA", "2.47 pF", "0.1 uS"); lists are
 comma-separated; time-tagged pairs use "time : value".  Unknown sections
 or keys are errors, as are missing units or wrong dimensions.  The exact
-schema is in SCHEMA below and documented in the README.
+schema is in SCHEMA below and documented in the README; KINDS reads and
+writes the value of each kind of key.
 """
 
 from __future__ import annotations
@@ -65,37 +66,70 @@ def read_config_sections(text: str):
     return sections
 
 
-def _parse_bool(text, line):
-    low = text.strip().lower()
+def _read_bool(raw, dims, line, where):
+    low = raw.strip().lower()
     if low in ("true", "yes", "on", "1"):
         return True
     if low in ("false", "no", "off", "0"):
         return False
-    raise ParseError(f"expected a boolean, got {text!r}", line)
+    raise ParseError(f"expected a boolean, got {raw!r}", line)
 
 
-def _parse_list(text, dimension, line):
-    return tuple(parse_quantity(part, dimension, line)
-                 for part in text.split(",") if part.strip())
+def _read_int(raw, dims, line, where):
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParseError(f"expected an integer, got {raw!r}", line) from None
 
 
-def _parse_pairs(text, dim_left, dim_right, line):
+def _read_string(raw, dims, line, where):
+    value = raw.strip()
+    if not value:
+        raise ValidationError(f"{where} needs a value")
+    if dims is not None and value not in dims:
+        raise ValidationError(f"{where} must be one of {', '.join(dims)}; got {value!r}")
+    return value
+
+
+def _nonempty(values: tuple, where) -> tuple:
+    if not values:
+        raise ValidationError(f"{where} needs at least one value")
+    return values
+
+
+def _read_pairs(raw, dims, line, where):
     """Comma-separated "left : right" pairs."""
     pairs = []
-    for part in text.split(","):
+    for part in raw.split(","):
         part = part.strip()
         if not part:
             continue
         if ":" not in part:
             raise ParseError(f"expected 'time : value' pair, got {part!r}", line)
         left, _, right = part.partition(":")
-        pairs.append((parse_quantity(left, dim_left, line),
-                      parse_quantity(right, dim_right, line)))
+        pairs.append((parse_quantity(left, dims[0], line),
+                      parse_quantity(right, dims[1], line)))
     return tuple(pairs)
 
 
-def _parse_names(text, line):
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+# kind -> (read(raw text, dims, line, "[section] key"), write(value, dims));
+# a list is comma-separated quantities, names are comma-separated words
+KINDS = {
+    "quantity": (lambda raw, dims, line, where: parse_quantity(raw, dims, line),
+                 format_quantity),
+    "bool": (_read_bool, lambda value, dims: str(value).lower()),
+    "int": (_read_int, lambda value, dims: str(value)),
+    "string": (_read_string, lambda value, dims: value),
+    "list": (lambda raw, dims, line, where: _nonempty(tuple(
+        parse_quantity(part, dims, line) for part in raw.split(",") if part.strip()), where),
+             lambda value, dims: ", ".join(format_quantity(v, dims) for v in value)),
+    "names": (lambda raw, dims, line, where: _nonempty(tuple(
+        part.strip() for part in raw.split(",") if part.strip()), where),
+              lambda value, dims: ", ".join(value)),
+    "pairs": (_read_pairs, lambda value, dims: ", ".join(
+        f"{format_quantity(left, dims[0])} : {format_quantity(right, dims[1])}"
+        for left, right in value)),
+}
 
 
 # the [experiment] keys each experiment reads, besides `name`; any other
@@ -107,8 +141,8 @@ _EXPERIMENT_KEYS = {
     "firing_patterns": ("patterns", "population", "agreement"),
 }
 
-# schema: section -> key -> (kind, dimension)
-# kinds: quantity, bool, int, string, list, pairs, names
+# schema: section -> key -> (kind, dimension), each kind read and written
+# by KINDS; a key the file sets is read once, as its kind
 SCHEMA = {
     "run": {
         "mode": ("string", ("simulate", "calibrate", "experiment", "sweep")),
@@ -156,30 +190,21 @@ SCHEMA = {
         "i_max": ("quantity", "current"),
         "gate_in_refractory": ("bool", None),
     },
-    "syn_exc": {
+    **{f"syn_{side}": {
         "enabled": ("bool", None),
         "tau_syn": ("quantity", "time"),
         "coba": ("bool", None),
         "e_syn": ("quantity", "voltage"),
         "e_syn_hat": ("quantity", "voltage"),
         "bias": ("quantity", "current"),
-    },
-    "syn_inh": {
-        "enabled": ("bool", None),
-        "tau_syn": ("quantity", "time"),
-        "coba": ("bool", None),
-        "e_syn": ("quantity", "voltage"),
-        "e_syn_hat": ("quantity", "voltage"),
-        "bias": ("quantity", "current"),
-    },
+    } for side in ("exc", "inh")},
     "stimulus": {
         "segments": ("pairs", ("time", "current")),
         "current": ("quantity", "current"),
         "onset": ("quantity", "time"),
         "offset": ("quantity", "time"),
     },
-    "events_exc": {"events": ("pairs", ("time", "none"))},
-    "events_inh": {"events": ("pairs", ("time", "none"))},
+    **{f"events_{side}": {"events": ("pairs", ("time", "none"))} for side in ("exc", "inh")},
     "mismatch": {
         "size": ("int", None),
         "seed": ("int", None),
@@ -219,12 +244,14 @@ SCHEMA = {
     },
     "sweep": {
         "key": ("string", None),
-        "values": ("names", None),
+        # quantities of the swept key's dimension
+        "values": ("list", None),
     },
 }
 
-# mismatch sigma overrides use prefixed keys with a dotted constant path
-_SIGMA_PREFIXES = ("sigma_rel_", "sigma_abs_")
+# [mismatch] spread overrides: key prefix -> the MismatchModel spreads it
+# sets; the rest of the key is the dotted path of a circuit constant
+_SPREADS = {"sigma_rel_": "relative", "sigma_abs_": "additive"}
 
 # keys a circuit owner divides by: each must be > 0 when the file sets it
 _POSITIVE = {"circuit": ("tau_m", "C_mem"), "adaptation": ("tau_w", "pulse_width"),
@@ -232,7 +259,8 @@ _POSITIVE = {"circuit": ("tau_m", "C_mem"), "adaptation": ("tau_w", "pulse_width
              "exponential": ("delta_t",)}
 
 # (section, switch, the switch where the file does not set it, the keys
-# the section reads only with the switch on); a line's enabled comes first
+# the section reads only with the switch on, a key ending in "_" standing
+# for every key it begins); a line's enabled comes first
 _SWITCHED = (("neuron", "exp_enabled", AdExParameters.exp_enabled,
               ("V_T", "Delta_T", "exp_gated_in_ref")),
              ("adaptation", "enabled", False, ("tau_w", "a", "b", "pulse_width")),
@@ -241,7 +269,8 @@ _SWITCHED = (("neuron", "exp_enabled", AdExParameters.exp_enabled,
              *((f"syn_{side}", "enabled", True, ("tau_syn", "coba", "bias"))
                for side in ("exc", "inh")),
              *((f"syn_{side}", "coba", False, ("e_syn", "e_syn_hat"))
-               for side in ("exc", "inh")))
+               for side in ("exc", "inh")),
+             ("mismatch", "enabled", True, ("seed", *_SPREADS)))
 
 
 @dataclass
@@ -265,6 +294,8 @@ class RunConfig:
     mismatch_size: int = 128
     mismatch_seed: int | None = None
     mismatch_enabled: bool = True
+    # {"relative" or "additive": {circuit path: sigma}}, the spreads the
+    # file sets over those of `default_mismatch_model`
     mismatch_overrides: dict = field(default_factory=dict)
     calibration: CalibrationTarget | None = None
     calibration_tol: float = 0.02
@@ -272,41 +303,55 @@ class RunConfig:
     sweep: dict = field(default_factory=dict)
 
 
-def _get(sections, section, key, kind, dims):
-    """The parsed value of one key, or None when the file does not set it."""
-    sec = sections.get(section, {})
-    if key not in sec:
-        return None
-    raw, line = sec[key]
-    if kind == "quantity":
-        return parse_quantity(raw, dims, line)
-    if kind == "bool":
-        return _parse_bool(raw, line)
-    if kind == "int":
-        try:
-            return int(raw)
-        except ValueError:
-            raise ParseError(f"expected an integer, got {raw!r}", line) from None
-    if kind == "string":
-        value = raw.strip()
-        if not value:
-            raise ValidationError(f"[{section}] {key} needs a value")
-        if dims is not None and value not in dims:
-            raise ValidationError(
-                f"[{section}] {key} must be one of {', '.join(dims)}; got {value!r}")
-        return value
-    if kind == "pairs":
-        return _parse_pairs(raw, dims[0], dims[1], line)
-    value = _parse_list(raw, dims, line) if kind == "list" else _parse_names(raw, line)
-    if not value:
-        raise ValidationError(f"[{section}] {key} needs at least one value")
-    return value
+# the RunConfig field each key of these sections sets, in the order the
+# resolved text writes them
+_FIELDS = {
+    "run": {"mode": "mode", "model": "model", "seed": "seed", "dt": "dt",
+            "duration": "duration", "format": "fmt", "out": "out_dir"},
+    "mismatch": {"size": "mismatch_size", "enabled": "mismatch_enabled",
+                 "seed": "mismatch_seed"},
+    "calibration": {"tol": "calibration_tol"},
+}
+
+
+def _run_fields(section: str, given: dict) -> dict:
+    """{RunConfig field: value} of the keys of `section` given that set one."""
+    return {_FIELDS[section][key]: value for key, value in given.items()
+            if key in _FIELDS[section]}
+
+
+def _written(run: RunConfig, section: str) -> dict:
+    """{key: value} of the RunConfig fields the keys of `section` set."""
+    return {key: getattr(run, name) for key, name in _FIELDS[section].items()}
+
+
+def _spread(key: str):
+    """(MismatchModel spreads, circuit path) of a spread override key, or None."""
+    for prefix, spreads in _SPREADS.items():
+        if key.startswith(prefix):
+            return spreads, key[len(prefix):]
+    return None
+
+
+def _kind(section: str, key: str) -> tuple:
+    """(kind, dims) of a key; a spread override is a bare number."""
+    if section == "mismatch" and _spread(key):
+        return "quantity", "none"
+    return SCHEMA[section][key]
+
+
+def _read(sections, section: str, key: str, dims=None):
+    """The value of a key the file sets, read as its kind; `dims` in place
+    of the schema's (the sweep values take the swept key's)."""
+    raw, line = sections[section][key]
+    kind, schema_dims = _kind(section, key)
+    return KINDS[kind][0](raw, schema_dims if dims is None else dims, line,
+                          f"[{section}] {key}")
 
 
 def _given(sections, section) -> dict:
-    """{key: parsed value} for the schema keys of `section` the file sets."""
-    return {key: _get(sections, section, key, *SCHEMA[section][key])
-            for key in sections.get(section, {}) if key in SCHEMA[section]}
+    """{key: value} for each key of `section` the file sets."""
+    return {key: _read(sections, section, key) for key in sections.get(section, {})}
 
 
 def _pick(values: dict, **names) -> dict:
@@ -320,25 +365,33 @@ def _check_unknown(sections):
             first_line = min(line for _, line in keys.values()) if keys else None
             raise ParseError(f"unknown section [{section}]", first_line)
         for key, (_, line) in keys.items():
-            if key in SCHEMA[section]:
-                continue
-            if section == "mismatch" and key.startswith(_SIGMA_PREFIXES):
-                continue
-            raise ParseError(f"unknown key {key!r} in [{section}]", line)
+            if key not in SCHEMA[section] and not (section == "mismatch" and _spread(key)):
+                raise ParseError(f"unknown key {key!r} in [{section}]", line)
 
 
 def _unread(given: dict):
     """(section, key, switch) of each key of {section: {key: value}} that a
     switch of its section, as given or by default, leaves unread."""
-    for section, switch, default, keys in _SWITCHED:
+    for section, switch, default, names in _SWITCHED:
         values = given.get(section, {})
         if not values.get(switch, default):
-            yield from ((section, key, switch) for key in keys if key in values)
+            yield from ((section, key, switch) for name in names for key in values
+                        if key == name or name.endswith("_") and key.startswith(name))
 
 
 def _check_switched(given: dict) -> None:
     for section, key, switch in _unread(given):
         raise ValidationError(f"[{section}] {key} is not read unless {switch} = true")
+
+
+def _is_constant(cfg, path: str) -> bool:
+    """Whether `path` names a float field of `cfg` down its dataclass
+    fields, a constant a spread can perturb."""
+    for name in path.split("."):
+        if name not in getattr(cfg, "__dataclass_fields__", ()):
+            return False
+        cfg = getattr(cfg, name)
+    return isinstance(cfg, float)
 
 
 def _build_neuron(sections) -> AdExParameters | None:
@@ -444,21 +497,16 @@ def _resolved(cfg: CircuitNeuronConfig) -> dict:
     ad, ex = cfg.adaptation, cfg.exponential
     out = {"circuit": {"tau_m": eff.tau_m, "C_mem": cfg.C_mem, "E_l": cfg.E_l,
                        "V_det": cfg.V_det, "V_r": cfg.V_r, "t_ref": cfg.t_ref},
-           "adaptation": {"enabled": ad.enabled},
-           "exponential": {"enabled": ex.enabled}}
-    if ad.enabled:
-        out["adaptation"].update(tau_w=ad.tau_w, a=ad.a_effective, b=ad.b_effective,
-                                 pulse_width=ad.pulse_width)
-    if ex.enabled:
-        out["exponential"].update(delta_t=eff.Delta_T, v_t=eff.V_T, i_max=ex.I_max,
-                                  gate_in_refractory=ex.gate_in_refractory)
-    for side in ("exc", "inh"):
-        syn = getattr(cfg, f"syn_{side}")
-        line = out[f"syn_{side}"] = {"enabled": syn.enabled}
-        if syn.enabled:
-            line.update(tau_syn=syn.tau_syn, coba=syn.coba_enabled, bias=syn.I_b_cuba)
-            if syn.coba_enabled:
-                line["e_syn_hat"] = syn.E_syn_hat
+           "adaptation": {"enabled": ad.enabled, "tau_w": ad.tau_w, "a": ad.a_effective,
+                          "b": ad.b_effective, "pulse_width": ad.pulse_width},
+           "exponential": {"enabled": ex.enabled, "delta_t": eff.Delta_T, "v_t": eff.V_T,
+                           "i_max": ex.I_max, "gate_in_refractory": ex.gate_in_refractory},
+           **{f"syn_{side}": {"enabled": syn.enabled, "tau_syn": syn.tau_syn,
+                              "coba": syn.coba_enabled, "bias": syn.I_b_cuba,
+                              "e_syn_hat": syn.E_syn_hat}
+              for side, syn in (("exc", cfg.syn_exc), ("inh", cfg.syn_inh))}}
+    for section, key, _ in list(_unread(out)):
+        del out[section][key]
     for (section, key), path in _REBUILT.items():
         if key not in out[section]:
             continue
@@ -498,7 +546,7 @@ def _build_calibration(sections) -> dict:
         target = CalibrationTarget(**{k: v for k, v in given.items() if k != "tol"})
     except ValueError as err:
         raise ValidationError(f"[calibration] {err}") from None
-    return {"calibration": target, **_pick(given, calibration_tol="tol")}
+    return {"calibration": target, **_run_fields("calibration", given)}
 
 
 def _check_timing(dt, duration, where=""):
@@ -512,9 +560,8 @@ def _check_timing(dt, duration, where=""):
 
 
 def _build_sweep(sections, run: RunConfig) -> dict:
-    key = _get(sections, "sweep", "key", *SCHEMA["sweep"]["key"])
-    values = _get(sections, "sweep", "values", *SCHEMA["sweep"]["values"])
-    if key is None or values is None:
+    key = _read(sections, "sweep", "key") if "key" in sections["sweep"] else None
+    if key is None or "values" not in sections["sweep"]:
         raise ValidationError("[sweep] needs both key and values")
     section, _, name = key.partition(".")
     if section not in SCHEMA or name not in SCHEMA[section]:
@@ -533,7 +580,7 @@ def _build_sweep(sections, run: RunConfig) -> dict:
     kind, dim = SCHEMA[section][name]
     if kind != "quantity":
         raise ValidationError(f"[sweep] key {key!r} is not a scalar quantity")
-    values = tuple(parse_quantity(v, dim, sections["sweep"]["values"][1]) for v in values)
+    values = _read(sections, "sweep", "values", dim)
     for value in values:
         if section == "run":
             dt, duration = (value, run.duration) if name == "dt" else (run.dt, value)
@@ -547,6 +594,29 @@ def _build_sweep(sections, run: RunConfig) -> dict:
     return {"key": key, "values": values}
 
 
+def _build_mismatch(run: RunConfig, mismatch: dict) -> None:
+    """Check the [mismatch] keys against the run that reads them and set
+    the spread overrides."""
+    _check_switched({"mismatch": mismatch})
+    name = run.experiment.get("name")
+    if name == "firing_patterns":
+        # the patterns run on `population` neurons, else [mismatch] size,
+        # drawn with the run seed
+        for key in mismatch:
+            if key != "size" or "population" in run.experiment:
+                raise ValidationError(f"[mismatch] {key} is not read by {name}, which reads "
+                                      "only [mismatch] size, without [experiment] population")
+    for key, sigma in mismatch.items():
+        if spread := _spread(key):
+            spreads, path = spread
+            if not _is_constant(run.circuit, path):
+                raise ValidationError(f"[mismatch] {key}: {path!r} names no numeric "
+                                      "constant of the circuit")
+            if not sigma >= 0:
+                raise ValidationError(f"[mismatch] {key} must be >= 0, got {sigma!r}")
+            run.mismatch_overrides.setdefault(spreads, {})[path] = sigma
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a config document into a RunConfig.
 
@@ -558,8 +628,7 @@ def parse_config(text: str) -> RunConfig:
     given = _given(sections, "run")
     if "neuron" not in sections:
         given.setdefault("model", "circuit")
-    run = RunConfig(**_pick(given, mode="mode", model="model", seed="seed", dt="dt",
-                            duration="duration", fmt="format", out_dir="out"))
+    run = RunConfig(**_run_fields("run", given))
     _check_timing(run.dt, run.duration)
 
     run.neuron = _build_neuron(sections)
@@ -588,10 +657,7 @@ def parse_config(text: str) -> RunConfig:
     mismatch = _given(sections, "mismatch")
     if "size" in mismatch and mismatch["size"] < 1:
         raise ValidationError("[mismatch] size must be >= 1")
-    for key, (raw, line) in sections.get("mismatch", {}).items():
-        if key.startswith(_SIGMA_PREFIXES):
-            run.mismatch_overrides[key] = parse_quantity(raw, "none", line)
-    run = replace(run, **{f"mismatch_{key}": value for key, value in mismatch.items()})
+    run = replace(run, **_run_fields("mismatch", mismatch))
 
     if "calibration" in sections:
         run = replace(run, **_build_calibration(sections))
@@ -615,82 +681,54 @@ def parse_config(text: str) -> RunConfig:
 
     if "sweep" in sections:
         run.sweep = _build_sweep(sections, run)
+    # last, once the circuit and the experiment that read them are built
+    for section, values in (("run", given), ("mismatch", mismatch)):
+        if values.get("seed", 0) < 0:
+            raise ValidationError(f"[{section}] seed must be >= 0, got {values['seed']}")
+    _build_mismatch(run, mismatch)
     return run
+
+
+def _section(name: str, values: dict, /, **dims) -> str:
+    """The text of a section, a `key = text` line for each value that is
+    not None; `dims` in place of the schema's, as for `_read`."""
+    lines = [f"[{name}]"]
+    for key, value in values.items():
+        if value is not None:
+            kind, schema_dims = _kind(name, key)
+            lines.append(f"{key} = {KINDS[kind][1](value, dims.get(key, schema_dims))}")
+    return "\n".join(lines)
 
 
 def serialize_config(run: RunConfig) -> str:
     """Canonical text for a RunConfig; parse(serialize(parse(x))) == parse(x)."""
-    q = format_quantity
-    lines = ["[run]"]
-    if run.mode is not None:
-        lines.append(f"mode = {run.mode}")
-    lines += [f"model = {run.model}",
-              f"seed = {run.seed}",
-              f"dt = {q(run.dt, 'time')}",
-              f"duration = {q(run.duration, 'time')}",
-              f"format = {run.fmt}"]
-    if run.out_dir:
-        lines.append(f"out = {run.out_dir}")
-    models = {} if run.neuron is None else {
-        "neuron": {name: getattr(run.neuron, name) for name in SCHEMA["neuron"]}}
+    sections = {"run": _written(run, "run")}
+    if run.neuron is not None:
+        sections["neuron"] = {key: getattr(run.neuron, key) for key in SCHEMA["neuron"]}
     if run.circuit is not None:
-        models.update(_resolved(run.circuit))
-    for section, key, _ in _unread(models):
-        del models[section][key]
-    for section, values in models.items():
-        lines += ["", f"[{section}]"]
-        for name, value in values.items():
-            kind, dim = SCHEMA[section][name]
-            lines.append(f"{name} = {q(value, dim) if kind == 'quantity' else str(value).lower()}")
-    lines += ["", "[stimulus]",
-              "segments = " + ", ".join(
-                  f"{q(t, 'time')} : {q(i, 'current')}"
-                  for t, i in run.stimulus.segments)]
+        sections.update(_resolved(run.circuit))
+    sections["stimulus"] = {"segments": run.stimulus.segments}
     for side, train in sorted(run.events.items()):
-        lines += ["", f"[events_{side}]",
-                  "events = " + ", ".join(
-                      f"{q(t, 'time')} : {w!r}" for t, w in train.events)]
-    if run.mismatch_seed is not None or run.mismatch_size != RunConfig.mismatch_size \
-            or run.mismatch_enabled != RunConfig.mismatch_enabled or run.mismatch_overrides:
-        lines += ["", "[mismatch]",
-                  f"size = {run.mismatch_size}",
-                  f"enabled = {str(run.mismatch_enabled).lower()}"]
-        if run.mismatch_seed is not None:
-            lines.append(f"seed = {run.mismatch_seed}")
-        for key, value in sorted(run.mismatch_overrides.items()):
-            lines.append(f"{key} = {value!r}")
+        sections[f"events_{side}"] = {"events": train.events}
+    mismatch = _written(run, "mismatch")
+    overrides = sorted((prefix + path, sigma) for prefix, spreads in _SPREADS.items()
+                       for path, sigma in run.mismatch_overrides.get(spreads, {}).items())
+    if overrides or mismatch != _written(RunConfig(), "mismatch"):
+        sections["mismatch"] = {**mismatch, **dict(overrides)}
     if run.calibration is not None:
-        t = run.calibration
-        lines += ["", "[calibration]"]
-        # the target's values, then its flags; tol is a run setting
-        keys = [(name, kind, dim) for name, (kind, dim) in SCHEMA["calibration"].items()
-                if name != "tol"]
-        for name, kind, dim in keys:
-            value = getattr(t, name)
-            if kind == "quantity" and value is not None:
-                lines.append(f"{name} = {q(value, dim)}")
-        for name, kind, _ in keys:
-            if kind == "bool" and getattr(t, name):
-                lines.append(f"{name} = true")
-        lines.append(f"tol = {run.calibration_tol!r}")
+        target = {key: getattr(run.calibration, key) for key in SCHEMA["calibration"]
+                  if key != "tol"}
+        # the target's values, then the flags that are on; tol is a run setting
+        sections["calibration"] = {
+            **{key: value for key, value in target.items() if not isinstance(value, bool)},
+            **{key: value for key, value in target.items() if value is True},
+            **_written(run, "calibration")}
     if run.experiment:
-        lines += ["", "[experiment]"]
-        for key, value in run.experiment.items():
-            kind, dim = SCHEMA["experiment"][key]
-            if value is None:
-                continue
-            if kind == "quantity":
-                lines.append(f"{key} = {q(value, dim)}")
-            elif kind == "list":
-                lines.append(f"{key} = " + ", ".join(q(v, dim) for v in value))
-            elif kind == "names":
-                lines.append(f"{key} = " + ", ".join(value))
-            else:
-                lines.append(f"{key} = {value}")
+        sections["experiment"] = run.experiment
+    for section, key, _ in list(_unread(sections)):
+        del sections[section][key]
+    text = "\n\n".join(_section(name, values) for name, values in sections.items())
     if run.sweep:
-        section, _, name = run.sweep["key"].partition(".")
-        _, dim = SCHEMA[section][name]
-        lines += ["", "[sweep]",
-                  f"key = {run.sweep['key']}",
-                  "values = " + ", ".join(q(v, dim) for v in run.sweep["values"])]
-    return "\n".join(lines) + "\n"
+        swept, _, name = run.sweep["key"].partition(".")
+        text += "\n\n" + _section("sweep", run.sweep, values=SCHEMA[swept][name][1])
+    return text + "\n"

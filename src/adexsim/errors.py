@@ -22,7 +22,7 @@ class WindowTooShort(AdexSimError):
 
 
 class FitFailed(AdexSimError):
-    """A measurement fit did not meet its quality gate (non-monotone trace, low R^2, empty window)."""
+    """A measurement fit did not meet its quality gate (no decay, too few samples, low R^2)."""
 
 
 class InvalidConfig(AdexSimError):

@@ -106,13 +106,11 @@ def _fit_decay(times, deflection):
     window = np.arange(y.shape[-1]) < end[..., None]
     slope, _, r2 = log_linear_fit(times, y, window)
     reasons = np.select(
-        [np.all(y >= 1.0, axis=-1), end < 0,
-         end < RELEASE_MIN_SAMPLES, np.any(window & (y <= 0), axis=-1),
+        [np.all(y >= 1.0, axis=-1), end < 0, end < RELEASE_MIN_SAMPLES,
          ~(slope < 0), ~(r2 >= RELEASE_R2_MIN)],
         [NO_DECAY,
          "deflection never fell to the fit floor ({floor:g} of the offset)",
-         "only {end} samples above the fit floor",
-         "non-monotone trace (deflection crossed zero)", NO_DECAY,
+         "only {end} samples above the fit floor", NO_DECAY,
          "fit R^2 = {r2:.4f} below {r2_min}"], "")
     with np.errstate(divide="ignore"):
         tau = np.where(reasons == "", -1.0 / slope, math.nan)

@@ -12,16 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .config import read_config_sections
+from .config import SCHEMA, _given, read_config_sections
 from .model import AdExParameters
 from .units import DomainMap, map_adex_parameters, parse_quantity
-
-_FIELD_DIMS = {
-    "C": "capacitance", "g_l": "conductance", "E_l": "voltage",
-    "V_T": "voltage", "Delta_T": "voltage", "tau_w": "time",
-    "a": "conductance", "b": "current", "V_r": "voltage",
-    "V_det": "voltage", "t_ref": "time",
-}
 
 
 @dataclass(frozen=True)
@@ -53,14 +46,13 @@ class FiringPattern:
 def _parse_pattern(text: str, source: str) -> FiringPattern:
     sections = read_config_sections(text)
     meta = sections.get("pattern", {})
-    neuron = sections.get("neuron", {})
     stim = sections.get("stimulus", {})
-    kwargs = {}
-    for key, (raw, line) in neuron.items():
-        if key not in _FIELD_DIMS:
+    # a published set gives the neuron's quantities only
+    quantities = [key for key, (kind, _) in SCHEMA["neuron"].items() if kind == "quantity"]
+    for key in sections.get("neuron", {}):
+        if key not in quantities:
             raise ValueError(f"{source}: unknown neuron key {key!r}")
-        kwargs[key] = parse_quantity(raw, _FIELD_DIMS[key], line)
-    params = AdExParameters(**kwargs)
+    params = AdExParameters(**_given(sections, "neuron"))
     return FiringPattern(
         name=meta["name"][0].strip(),
         label=meta["label"][0].strip(),

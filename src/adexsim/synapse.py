@@ -52,7 +52,11 @@ def weights_per_boundary(train: WeightedSpikeTrain, n_steps: int, dt: float):
     return s0, arrivals
 
 
-def psp_metrics(trace, stim_time: float, min_baseline_samples: int = 10):
+# the pre-stimulus samples a baseline needs
+MIN_BASELINE_SAMPLES = 10
+
+
+def psp_metrics(trace, stim_time: float):
     """Baseline and signed amplitude of a postsynaptic potential.
 
     The baseline is the mean membrane potential over the pre-stimulus
@@ -61,9 +65,9 @@ def psp_metrics(trace, stim_time: float, min_baseline_samples: int = 10):
     """
     n_pre = int(math.floor(stim_time / trace.dt))
     n_pre = min(n_pre, len(trace.V))
-    if n_pre < min_baseline_samples:
+    if n_pre < MIN_BASELINE_SAMPLES:
         raise WindowTooShort(
-            f"only {n_pre} samples before the stimulus, need >= {min_baseline_samples}")
+            f"only {n_pre} samples before the stimulus, need >= {MIN_BASELINE_SAMPLES}")
     baseline = float(np.mean(trace.V[:n_pre]))
     post = trace.V[n_pre:]
     if len(post) == 0:

@@ -472,6 +472,53 @@ class TestEventsNeedTheCircuit:
         assert not out.exists()
 
 
+CALIBRATE_TAU = (SHIPPED / "calibrate_tau.cfg").read_text()
+
+
+class TestSeedsAndMismatchKeys:
+    @pytest.mark.parametrize("text, flags, message", [
+        (CALIBRATE_TAU.replace("seed = 3", "seed = -3"), [],
+         "[run] seed must be >= 0, got -3"),
+        (CALIBRATE_TAU.replace("size = 32", "size = 32\nseed = -3"), [],
+         "[mismatch] seed must be >= 0, got -3"),
+        (CALIBRATE_TAU, ["--seed", "-3"], "--seed must be >= 0, got -3"),
+        (CALIBRATE_TAU.replace("size = 32", "size = 32\nsigma_rel_nonexistent.path = 0.1"),
+         [], "[mismatch] sigma_rel_nonexistent.path: 'nonexistent.path' names no "
+             "numeric constant of the circuit"),
+        (CALIBRATE_TAU.replace("size = 32", "size = 32\nsigma_rel_leak_ota.g_per_bias = -0.1"),
+         [], "[mismatch] sigma_rel_leak_ota.g_per_bias must be >= 0, got -0.1"),
+        (CALIBRATE_TAU.replace("size = 32", "size = 32\nenabled = false\nseed = 9\n"
+                               "sigma_rel_leak_ota.g_per_bias = 0.5"),
+         [], "[mismatch] seed is not read unless enabled = true"),
+    ], ids=["run_seed", "mismatch_seed", "seed_flag", "unknown_path", "negative_sigma",
+            "switched_off"])
+    def test_exit_2_without_output(self, tmp_path, cfg_path, run_cli, text, flags,
+                                   message):
+        # the seeds and the first two keys used to end in a traceback with
+        # exit 1; the switched-off keys ran and were written back
+        out = tmp_path / "out"
+        result = run_cli(["calibrate", "--config", cfg_path(text), "--out", str(out),
+                          *flags], cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_firing_patterns_named_on_the_command_line_reads_only_size(
+            self, tmp_path, cfg_path, run_cli):
+        # without an [experiment] section the file runs as one that names
+        # the experiment: its [mismatch] seed used to be dropped
+        out = tmp_path / "out"
+        text = (SHIPPED / "firing_patterns.cfg").read_text().replace(
+            "size = 32", "size = 32\nseed = 5").split("[experiment]")[0]
+        result = run_cli(["experiment", "firing_patterns", "--config", cfg_path(text),
+                          "--out", str(out)], cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == ("error: [mismatch] seed is not read by firing_patterns, "
+                                 "which reads only [mismatch] size, without [experiment] "
+                                 "population\n")
+        assert not out.exists()
+
+
 class TestCsvRoundTrip:
     def test_reingested_trace_supports_postprocessing(self, tmp_path, cfg_path,
                                                        run_cli):

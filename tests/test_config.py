@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -154,9 +157,12 @@ class TestParse:
         text = CIRCUIT_FULL + "\n"
         text = text.replace("[mismatch]\nsize = 16\nseed = 3\n",
                             "[mismatch]\nsize = 16\nseed = 3\n"
-                            "sigma_rel_leak_ota.g_per_bias = 0.2\n")
+                            "sigma_rel_leak_ota.g_per_bias = 0.2\n"
+                            "sigma_abs_E_l = 0.01\n")
         run = parse_config(text)
-        assert run.mismatch_overrides["sigma_rel_leak_ota.g_per_bias"] == 0.2
+        # split once into the relative and additive spreads of a MismatchModel
+        assert run.mismatch_overrides == {"relative": {"leak_ota.g_per_bias": 0.2},
+                                          "additive": {"E_l": 0.01}}
 
 
     def test_dt_longer_than_duration_rejected(self):
@@ -322,10 +328,13 @@ class TestSwitches:
         ("syn_inh", "enabled = false\nbias = 0.2 uA", "bias", "enabled"),
         ("syn_exc", "enabled = false\ncoba = true\ne_syn = 0.9 V", "coba", "enabled"),
         ("syn_inh", "enabled = false\ncoba = false", "coba", "enabled"),
+        ("mismatch", "enabled = false\nseed = 9\nsigma_rel_leak_ota.g_per_bias = 0.5",
+         "seed", "enabled"),
+        ("mismatch", "enabled = false\nsigma_abs_E_l = 0.01", "sigma_abs_E_l", "enabled"),
     ], ids=["adaptation_a_b", "exponential_delta_t", "exponential_gate",
             "syn_exc_e_syn", "syn_inh_e_syn_hat", "neuron_V_T", "neuron_Delta_T",
             "neuron_gate", "syn_exc_tau_syn", "syn_inh_bias", "syn_exc_coba_e_syn",
-            "syn_inh_coba"])
+            "syn_inh_coba", "mismatch_seed", "mismatch_sigma"])
     def test_key_its_switch_leaves_unread_rejected(self, section, lines, key, switch):
         # each used to be parsed and dropped
         with pytest.raises(ValidationError, match=(
@@ -444,6 +453,55 @@ class TestExperimentKeys:
         assert run.experiment["v_inf"] == pytest.approx(0.8)
 
 
+class TestMismatchKeys:
+    @pytest.mark.parametrize("section", ["run", "mismatch"])
+    def test_negative_seed_rejected(self, section):
+        # numpy used to reject it at run time with a ValueError traceback
+        def text(seed):
+            return ("[run]\nmodel = circuit\n" + ("" if section == "run" else "[mismatch]\n")
+                    + f"seed = {seed}\n")
+        with pytest.raises(ValidationError, match=(
+                rf"^\[{section}\] seed must be >= 0, got -3$")):
+            parse_config(text(-3))
+        run = parse_config(text(0))
+        assert (run.seed if section == "run" else run.mismatch_seed) == 0
+
+    @pytest.mark.parametrize("path", [
+        "nonexistent.path", "leak_ota", "leak_ota.nonexistent", "adaptation.enabled",
+        "adaptation.sign", "C_mem.real", "syn_exc.sign"])
+    def test_override_names_a_float_constant(self, path):
+        # such a path used to end in an AttributeError or TypeError traceback
+        # at sampling, or perturb a flag
+        with pytest.raises(ValidationError, match=(
+                rf"^\[mismatch\] sigma_rel_{path}: '{path}' names no numeric "
+                r"constant of the circuit$")):
+            parse_config(f"[run]\nmodel = circuit\n[mismatch]\nsigma_rel_{path} = 0.1\n")
+
+    @pytest.mark.parametrize("key", ["sigma_rel_leak_ota.g_per_bias", "sigma_abs_E_l"])
+    def test_negative_sigma_rejected(self, key):
+        # it used to end in a ValueError traceback from MismatchModel
+        with pytest.raises(ValidationError, match=(
+                rf"^\[mismatch\] {key} must be >= 0, got -0.1$")):
+            parse_config(f"[run]\nmodel = circuit\n[mismatch]\n{key} = -0.1\n")
+
+    @pytest.mark.parametrize("lines, key", [
+        ("seed = 9", "seed"), ("enabled = true", "enabled"),
+        ("enabled = false", "enabled"), ("sigma_abs_E_l = 0.01", "sigma_abs_E_l"),
+        ("size = 8", "size"),
+    ], ids=["seed", "enabled_true", "enabled_false", "sigma", "size_with_population"])
+    def test_key_firing_patterns_does_not_read_rejected(self, lines, key):
+        # the run seed and defaults drew the population, and the key was written back
+        population = "population = 4\n" if key == "size" else ""
+        with pytest.raises(ValidationError, match=(
+                rf"^\[mismatch\] {key} is not read by firing_patterns, which reads "
+                r"only \[mismatch\] size, without \[experiment\] population$")):
+            parse_config("[run]\nmodel = circuit\n[experiment]\nname = firing_patterns\n"
+                         f"{population}[mismatch]\n{lines}\n")
+        run = parse_config("[run]\nmodel = circuit\n[experiment]\nname = firing_patterns\n"
+                           "[mismatch]\nsize = 8\n")
+        assert run.mismatch_size == 8
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("text", [MINIMAL_LIF, CIRCUIT_FULL])
     def test_serialize_parse_round_trip(self, text):
@@ -461,6 +519,20 @@ class TestRoundTrip:
              first.duration, first.fmt)
         # a second round trip is byte-identical
         assert serialize_config(second) == rendered
+
+    @pytest.mark.parametrize("name, digest", [
+        ("adex_step", "48e1e9011884dea4a275d32f48154b0a1ecb90367749a36248131e5c3edae2a8"),
+        ("calibrate_tau", "f237fe918033135bcd11f22058402f044b36f561d57a02b59d78af09026ad162"),
+        ("firing_patterns",
+         "c70866298c818e8dcda3fd28fbbf26d9ee946b079ad63c8747c73535ab34d4a1"),
+        ("lif_demo", "621da1a53e059193dee43dcfdba7761b4bd07282025e02e56547fadd78e7aa33"),
+    ])
+    def test_shipped_config_resolves_to_pinned_bytes(self, name, digest):
+        # the resolved text of each shipped config, as written before the
+        # grammar's kinds read and wrote every section
+        text = (Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg").read_text()
+        resolved = serialize_config(parse_config(text)).encode()
+        assert hashlib.sha256(resolved).hexdigest() == digest
 
 
 # a value in the usual range of each dimension; the property test scales it
@@ -532,3 +604,13 @@ class TestWrittenValues:
         experiment = read_config_sections(text)["experiment"]
         for key, (raw, _) in experiment.items():
             assert f"{key} = {raw}" in resolved.splitlines()
+
+
+@pytest.mark.parametrize("line, key", [
+    ("exp_enabled = false", "exp_enabled"), ("V_th = -50 mV", "V_th")])
+def test_pattern_file_sets_neuron_quantities_only(line, key):
+    from adexsim.patterns import _parse_pattern
+    text = ("[pattern]\nname = x\nlabel = x\n[neuron]\nC = 200 pF\n" + line
+            + "\n[stimulus]\ncurrent = 500 pA\nonset = 20 ms\nduration = 500 ms\n")
+    with pytest.raises(ValueError, match=f"^x.cfg: unknown neuron key '{key}'$"):
+        _parse_pattern(text, "x.cfg")
