@@ -127,6 +127,14 @@ def _tune_population(cfg, bias_path, measure_fn, targets, bounds,
                      tol=0.02, tol_abs=None, scale="log"):
     """Probe, then refine per-neuron biases until measurements hit targets.
 
+    Each bias is measured once: every entry's `measure_fn` measures each
+    neuron on its own (a neuron's value does not depend on its batch), so
+    the value measured at a neuron's chosen bias is kept next to that bias
+    and not measured again.  A monotone, reachable neuron's best starts at
+    its current bias and changes only for a smaller residual, so it never
+    ends worse than it started.  `evaluations` counts the calls of
+    `measure_fn`: the 3-point probe plus one per refinement.
+
     Returns (cfg', ParameterOutcome, per-neuron error strings).
     """
     n = _population_size(cfg)
@@ -234,6 +242,7 @@ def _tune_population(cfg, bias_path, measure_fn, targets, bounds,
         better = active & ok & (np.abs(res_new) < np.abs(best_res))
         best_res = np.where(better, res_new, best_res)
         best_bias = np.where(better, nxt, best_bias)
+        best_f = np.where(better, f_new, best_f)
         # bracket update
         low_side = np.where(direction > 0, f_new < targets, f_new > targets)
         blo = np.where(active & ok & low_side, nxt, blo)
@@ -242,26 +251,15 @@ def _tune_population(cfg, bias_path, measure_fn, targets, bounds,
         f_val = np.where(active & ok, f_new, f_val)
         active = active & ~within(best_res)
 
-    # re-measure at the chosen biases; revert any neuron that would end
-    # worse than where it started (calibration must never worsen)
-    f_final = evaluate(best_bias)
-    evaluations += 1
-    final_res = residual(f_final)
-    worse = monotone & reachable & (np.abs(final_res) > np.abs(residual(f_cur)))
-    if bool(np.any(worse)):
-        best_bias = np.where(worse, current, best_bias)
-        f_final = evaluate(best_bias)
-        evaluations += 1
-        final_res = residual(f_final)
     cfg = set_bias(cfg, bias_path, best_bias)
-    converged = within(final_res) & monotone & reachable
+    converged = within(best_res) & monotone & reachable
     for i in range(n):
         if errors[i] is None and not converged[i]:
-            errors[i] = f"stopped above tolerance (residual {final_res[i]:.4g})"
+            errors[i] = f"stopped above tolerance (residual {best_res[i]:.4g})"
     outcome = ParameterOutcome(
-        bias_path=bias_path, biases=best_bias, residuals=final_res,
+        bias_path=bias_path, biases=best_bias, residuals=best_res,
         converged=converged, pre_spread=pre_spread,
-        post_spread=_spread(f_final, absolute), evaluations=evaluations)
+        post_spread=_spread(best_f, absolute), evaluations=evaluations)
     return cfg, outcome, errors
 
 

@@ -22,14 +22,16 @@ from . import __version__
 from .calibrate import calibrate_population
 from .circuit import simulate_circuit
 from .config import (
-    _EXPERIMENT_KEYS, RunConfig, _pick, parse_config, serialize_config,
+    _EXPERIMENT_KEYS, _SPREADS, RunConfig, _pick, parse_config, serialize_config,
 )
 from .errors import AdexSimError, ParseError, ValidationError
 from .experiments import (
     LotProtocol, PspProtocol, run_exponential_sweep, run_firing_patterns,
     run_leak_over_threshold, run_psp_experiment,
 )
-from .mismatch import MismatchModel, Population, default_mismatch_model, sample_population
+from .mismatch import (
+    MismatchModel, Population, _OutOfDomain, default_mismatch_model, sample_population,
+)
 from .model import simulate
 from .patterns import load_patterns
 
@@ -125,7 +127,15 @@ def _build_population(run: RunConfig) -> Population:
                             for spreads, sigmas in run.mismatch_overrides.items()})
     else:
         mm = MismatchModel(seed=run.seed)
-    return sample_population(nominal, mm, run.mismatch_size)
+    try:
+        return sample_population(nominal, mm, run.mismatch_size)
+    except _OutOfDomain as err:
+        sigma = run.mismatch_overrides.get(err.spreads, {}).get(err.path)
+        prefix = next(p for p, spreads in _SPREADS.items() if spreads == err.spreads)
+        spread = (f"the default {err.spreads} spread of {err.path}" if sigma is None
+                  else f"{prefix}{err.path} = {sigma:g}")
+        raise ValidationError(f"[mismatch] {spread} draws {err.path} outside its domain "
+                              f"({err.__cause__})") from err
 
 
 def _simulate(run: RunConfig):

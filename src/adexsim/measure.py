@@ -5,8 +5,9 @@ clamped sweep, single event) and fits the effective parameter with plain
 linear least squares on suitably transformed data, or solves the
 subthreshold steady state directly (`_steady_state`).  No routine
 integrates on its own: a response is either run on the circuit engine
-(`simulate_population`) or read from a closed form (the release
-transients, `_release_fit`).
+(`simulate_population` from rest, or `_engine` from the threshold state
+in `measure_b`) or read from a closed form (the release transients,
+`_release_fit`).
 Routines accept a single circuit config or a stacked population config
 (array leaves); population calls return arrays with NaN marking
 per-neuron fit failures, scalar calls raise FitFailed.
@@ -14,14 +15,15 @@ per-neuron fit failures, scalar calls raise FitFailed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .circuit import (
-    CircuitNeuronConfig, OtaModel, coba_effective_bias, exponential_current,
-    ota_output, simulate_population,
+    CircuitNeuronConfig, OtaModel, _engine, coba_effective_bias, exponential_current,
+    ota_output, quiescent_state, simulate_population,
 )
 from .errors import FitFailed, InvalidConfig
 from .model import StimulusProgram
@@ -44,6 +46,9 @@ RELEASE_MIN_SAMPLES = 12
 RELEASE_STEPS_PER_TAU = 150
 RELEASE_WINDOW_TAUS = 7.0
 NO_DECAY = "deflection did not decay"
+# neurons sampled and fitted at a time, and release fits kept for reuse
+RELEASE_BLOCK = 16
+RELEASE_FITS_KEPT = 4
 
 
 class _Reasons:
@@ -56,6 +61,13 @@ class _Reasons:
     def __getitem__(self, i):
         return self.templates[i].format(
             **{k: v[i] if np.ndim(v) else v for k, v in self.numbers.items()})
+
+    @staticmethod
+    def joined(parts):
+        """The reasons of consecutive row blocks as one."""
+        return _Reasons(np.concatenate([p.templates for p in parts]), **{
+            k: np.concatenate([p.numbers[k] for p in parts]) if np.ndim(v) else v
+            for k, v in parts[0].numbers.items()})
 
 
 def _population_size(cfg: CircuitNeuronConfig):
@@ -278,22 +290,41 @@ def _release_fit(ota: OtaModel, cap, n):
     leaves the node at x0, which the fit reports as not decaying.
     """
     m = n or 1
-    g, i_sat, cap = (_per_neuron(x, m) for x in (ota.g, ota.i_sat, cap))
+    tau, reasons = _release_rows(*(_per_neuron(x, m).tobytes()
+                                   for x in (ota.g, ota.i_sat, cap)))
+    return _scalarize(tau.copy(), n, reasons)
+
+
+@functools.lru_cache(maxsize=RELEASE_FITS_KEPT)
+def _release_rows(g, i_sat, cap):
+    """(tau, reasons) of `_release_fit` for the float64 bytes of g, I_sat
+    and C.  A calibration fits the same release again (the stimulus-gain
+    readout fits the `tau_m` entry's last release, `measure_b` the `tau_w`
+    entry's), so the last few fits are kept; callers copy tau.  Rows are
+    sampled and fitted RELEASE_BLOCK at a time, each on its own axis, so a
+    block gives the bits of the whole batch and the temporaries do not
+    grow with the population."""
+    g, i_sat, cap = (np.frombuffer(x) for x in (g, i_sat, cap))
     live = i_sat > 0
     dt = cap / np.where(live, g, math.inf) / RELEASE_STEPS_PER_TAU
-    steps = int(round(RELEASE_WINDOW_TAUS * RELEASE_STEPS_PER_TAU))
-    times = np.arange(steps + 1) * dt[:, None]
+    grid = np.arange(int(round(RELEASE_WINDOW_TAUS * RELEASE_STEPS_PER_TAU)) + 1)
     k = g / np.where(live, i_sat, 1.0)
     u0 = k * RELEASE_OFFSET
     with np.errstate(divide="ignore", invalid="ignore"):
-        # ln sinh(u), so that a large u0 cannot overflow; then
-        # u = asinh(exp(ln sinh(u)))
-        log_sinh = ((u0 + np.log(-np.expm1(-2.0 * u0)) - math.log(2.0))[:, None]
-                    - times * (g / cap)[:, None])
-        u = np.logaddexp(log_sinh, 0.5 * np.logaddexp(2.0 * log_sinh, 0.0))
-        trace = np.where(live[:, None], u / k[:, None], RELEASE_OFFSET)
-    tau, reasons = _fit_decay(times, trace)
-    return _scalarize(tau, n, reasons)
+        # ln sinh(u0), so that a large u0 cannot overflow
+        log_sinh0 = u0 + np.log(-np.expm1(-2.0 * u0)) - math.log(2.0)
+    taus, parts = [], []
+    for rows in (slice(i, i + RELEASE_BLOCK) for i in range(0, len(g), RELEASE_BLOCK)):
+        times = grid * dt[rows, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # ln sinh(u) along the release, then u = asinh(exp(ln sinh(u)))
+            log_sinh = log_sinh0[rows, None] - times * (g / cap)[rows, None]
+            u = np.logaddexp(log_sinh, 0.5 * np.logaddexp(2.0 * log_sinh, 0.0))
+            trace = np.where(live[rows, None], u / k[rows, None], RELEASE_OFFSET)
+        tau, reasons = _fit_decay(times, trace)
+        taus.append(tau)
+        parts.append(reasons)
+    return np.concatenate(taus), _Reasons.joined(parts)
 
 
 def measure_tau_m(neuron):
@@ -579,9 +610,15 @@ def measure_stim_gain(neuron):
 def measure_b(neuron):
     """Spike-triggered adaptation increment from the filter-node jump.
 
-    One spike is forced with a brief strong pulse; the jump of the
-    recorded adaptation voltage across the pulse window, scaled by
-    g_w = g_w_factor * C_w / tau_w, gives the increment of I_w.
+    Each neuron starts at the threshold state: V_m at its own V_det, the
+    filter node at rest (`quiescent_state`), driven at 6x its own
+    threshold current g_l * (V_det - E_l), so it spikes on the first step.
+    The run lasts until the widest pulse window has passed,
+    ceil(width / dt) + 2 steps, with dt the smaller of the fastest
+    membrane's tau_m / 60 and the narrowest pulse_width / 5.  The jump of
+    the adaptation voltage across each neuron's pulse window (its own
+    pulse_width), scaled by g_w = g_w_factor * C_w / tau_w, gives the
+    increment of I_w.
     """
     n = _population_size(neuron)
     ad = neuron.adaptation
@@ -590,29 +627,29 @@ def measure_b(neuron):
     m = n or 1
     cfg = _disable(neuron, exponential=True, synin=True)
     tau_w = _per_neuron(measure_tau_w(cfg), m)
-    tau_m_nom = np.atleast_1d(np.asarray(cfg.tau_m, dtype=float))
     widths = _per_neuron(ad.pulse_width, m)
-    dt = min(float(tau_m_nom.min()) / 60.0, float(widths.min()) / 5.0)
-    g_nom = np.asarray(cfg.g_l, dtype=float)
-    drive = 6.0 * float(np.median(np.atleast_1d(
-        g_nom * (np.asarray(cfg.V_det) - np.asarray(cfg.E_l)))))
-    kick = 4.0 * float(tau_m_nom.max())
-    width = float(widths.max())
-    duration = kick + 3.0 * max(width, float(tau_m_nom.max()))
-    stim = StimulusProgram(((0.0, drive), (kick, 0.0)))
-    run = simulate_population(cfg, m, stim, duration=duration, dt=dt, record=True)
+    dt = min(float(np.min(cfg.tau_m)) / 60.0, float(widths.min()) / 5.0)
+    v_det = _per_neuron(cfg.V_det, m)
+    # the drive folded into each neuron's stimulus trim, under a unit command
+    drive = 6.0 * _per_neuron(cfg.g_l, m) * (v_det - _per_neuron(cfg.E_l, m))
+    cfg = replace(cfg, stim_trim=_per_neuron(cfg.stim_trim, m) * drive)
+    window = np.ceil(widths / dt).astype(int) + 1
+    n_steps = int(window.max()) + 1
+    state = replace(quiescent_state(cfg), V_m=v_det)
+    columns, _, (_, V_w, _, _) = _engine(cfg, m, np.ones(n_steps), np.zeros(n_steps),
+                                         np.zeros(n_steps), state, dt, n_steps, record=True)
 
     g_w = _per_neuron(ad.g_w_factor, m) * _per_neuron(ad.C_w, m) / tau_w
     # each neuron's first spike step: the spike columns come in step order
-    step, who = run.spike_columns
+    step, who = columns
     spiked, first = np.unique(who, return_index=True)
     k_spk = np.full(m, -1)
     k_spk[spiked] = step[first]
-    k_end = k_spk + int(math.ceil(width / dt)) + 1
-    reasons = np.select([k_spk < 0, k_end >= run.V_w.shape[0]],
+    k_end = k_spk + window
+    reasons = np.select([k_spk < 0, k_end >= V_w.shape[0]],
                         ["forcing pulse produced no spike", "pulse window ran past the trace"],
                         "")
     ok = reasons == ""
     cols = np.arange(m)
-    jump = run.V_w[np.where(ok, k_spk, 0), cols] - run.V_w[np.where(ok, k_end, 0), cols]
+    jump = V_w[np.where(ok, k_spk, 0), cols] - V_w[np.where(ok, k_end, 0), cols]
     return _scalarize(np.where(ok, g_w * jump, math.nan), n, reasons)

@@ -230,23 +230,40 @@ def _lognormal_multiplier(rng, sigma_rel: float, n: int) -> np.ndarray:
     return np.exp(rng.normal(0.0, s, n) - 0.5 * s * s)
 
 
+class _OutOfDomain(ValueError):
+    """A spread drew a constant outside its domain: the MismatchModel
+    `spreads` ('relative' or 'additive') and the constant's `path`."""
+
+    def __init__(self, spreads: str, path: str, err: ValueError):
+        super().__init__(f"{spreads} spread of {path}: {err}")
+        self.spreads, self.path = spreads, path
+
+
 def sample_population(nominal: CircuitNeuronConfig, mm: MismatchModel, n: int) -> Population:
     """Draw n independent neurons around the nominal configuration.
 
     Deterministic for a given seed: paths are visited in sorted order, one
-    block of n samples each.
+    block of n samples each.  A draw outside a constant's domain raises
+    `_OutOfDomain`, a ValueError naming the spread.
     """
     if n < 1:
         raise ValueError("population size must be >= 1")
     rng = np.random.default_rng(mm.seed)
     cfg = _stack([nominal] * n)
+
+    def perturb(spreads, path, draw):
+        try:
+            return set_bias(cfg, path, draw(np.asarray(get_bias(cfg, path))))
+        except ValueError as err:
+            raise _OutOfDomain(spreads, path, err) from err
+
     for path in sorted(mm.relative):
         mult = _lognormal_multiplier(rng, mm.relative[path], n)
-        cfg = set_bias(cfg, path, np.asarray(get_bias(cfg, path)) * mult)
+        cfg = perturb("relative", path, lambda x: x * mult)
     for path in sorted(mm.additive):
         sigma = mm.additive[path]
         delta = rng.normal(0.0, sigma, n) if sigma > 0 else np.zeros(n)
-        cfg = set_bias(cfg, path, np.asarray(get_bias(cfg, path)) + delta)
+        cfg = perturb("additive", path, lambda x: x + delta)
     return Population.from_stacked(cfg, n)
 
 

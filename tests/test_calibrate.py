@@ -1,15 +1,24 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from adexsim import ValidationError
+from adexsim import ValidationError, calibrate, circuit_for_adex, default_circuit_config
 from adexsim.calibrate import (
-    CalibrationTarget, _tune_population, calibrate_population,
+    CalibrationTarget, _entry_a, _entry_delta_t, _entry_offset, _entry_psp,
+    _entry_tau_m, _entry_tau_syn, _entry_tau_w, _spread, _tune_population,
+    calibrate_population,
 )
 from adexsim.circuit import derive_effective_adex, get_bias
-from adexsim.measure import measure_tau_m
+from adexsim.experiments import CALIBRATION_TOL
+from adexsim.measure import (
+    _release_rows, measure_delta_t, measure_psp_amplitude, measure_resting_offset,
+    measure_subthreshold_a, measure_tau_m, measure_tau_syn, measure_tau_w,
+)
 from adexsim.mismatch import (
     MismatchModel, Population, default_mismatch_model, sample_population,
 )
+from adexsim.patterns import load_patterns
 
 
 @pytest.fixture
@@ -213,3 +222,80 @@ class TestFailureCauses:
         assert 1e-4 < oc.pre_spread < 0.05
         assert oc.post_spread < 0.2 * oc.pre_spread
         assert oc.post_spread == pytest.approx(float(np.std(oc.residuals)), rel=1e-9)
+
+
+@pytest.fixture
+def mixed_pop(hw_circuit):
+    """Four mismatched neurons of the test circuit and three of the
+    tonic_spiking nominal, stacked as one population."""
+    pattern, _, _, _ = load_patterns()["tonic_spiking"].to_hardware()
+    tonic = circuit_for_adex(pattern, default_circuit_config(E_l=pattern.E_l))
+    neurons = [c for nominal, size in ((hw_circuit, 4), (tonic, 3))
+               for c in sample_population(nominal, default_mismatch_model(nominal, seed=9),
+                                          size).neurons]
+    return Population(neurons).stacked()
+
+
+# per tune entry: its runner, the measure function it calls (a name of
+# adexsim.calibrate), the value the entry tunes as read from that
+# function's output, and whether its target is a value (10% above the
+# population median) or zero with an absolute tolerance
+TUNE_ENTRIES = {
+    "tau_m": (_entry_tau_m, "measure_tau_m", measure_tau_m, "value"),
+    "delta_t": (_entry_delta_t, "measure_delta_t", measure_delta_t, "value"),
+    "tau_w": (_entry_tau_w, "measure_tau_w", measure_tau_w, "value"),
+    "a": (_entry_a, "measure_subthreshold_a", measure_subthreshold_a, "value"),
+    "offset_exc": (_entry_offset("exc"), "measure_resting_offset",
+                   lambda c: measure_resting_offset(c, "exc"), "zero"),
+    "offset_inh": (_entry_offset("inh"), "measure_resting_offset",
+                   lambda c: measure_resting_offset(c, "inh"), "zero"),
+    "psp_amplitude_exc": (_entry_psp("exc"), "measure_psp_amplitude",
+                          lambda c: measure_psp_amplitude(c, "exc"), "value"),
+    "psp_amplitude_inh": (_entry_psp("inh"), "measure_psp_amplitude",
+                          lambda c: -1.0 * measure_psp_amplitude(c, "inh"), "value"),
+    "tau_syn_exc": (_entry_tau_syn("exc"), "measure_tau_syn",
+                    lambda c: measure_tau_syn(c, "exc"), "value"),
+    "tau_syn_inh": (_entry_tau_syn("inh"), "measure_tau_syn",
+                    lambda c: measure_tau_syn(c, "inh"), "value"),
+}
+
+
+@pytest.mark.parametrize("name", list(TUNE_ENTRIES))
+def test_tune_entry_keeps_the_values_it_measured(mixed_pop, monkeypatch, name):
+    # a tune entry measures each bias once and reports the value measured
+    # there, so measuring again at its chosen biases gives its residuals bit
+    # for bit, and `evaluations` is the number of measure calls
+    runner, fn_name, value, kind = TUNE_ENTRIES[name]
+    target = 0.0 if kind == "zero" else 1.1 * float(np.median(value(mixed_pop)))
+    calls = []
+    measure = getattr(calibrate, fn_name)
+    monkeypatch.setattr(calibrate, fn_name,
+                        lambda *args: calls.append(args) or measure(*args))
+    cfg, oc, _ = runner(mixed_pop, target, 0.015)
+    assert oc.evaluations == len(calls) >= 4
+    np.testing.assert_array_equal(get_bias(cfg, oc.bias_path), oc.biases)
+    again = np.asarray(value(cfg), dtype=float)
+    residuals = again - target if kind == "zero" else (again - target) / target
+    np.testing.assert_array_equal(residuals, oc.residuals)
+    assert oc.post_spread == _spread(again, absolute=kind == "zero")
+
+
+def test_calibration_memory_does_not_grow_with_width():
+    # 128 delayed_regular_bursting neurons, calibrated as run_firing_patterns
+    # calibrates them: the release fits run in row blocks and measure_b
+    # runs a few steps from the threshold state, so no record or temporary
+    # spans the population times a full-length window (15.25 MiB before)
+    hw, _, _, _ = load_patterns()["delayed_regular_bursting"].to_hardware()
+    nominal = circuit_for_adex(hw, default_circuit_config(E_l=hw.E_l))
+    pop = sample_population(nominal, default_mismatch_model(nominal, seed=1001), 128)
+    target = CalibrationTarget(tau_m=hw.tau_m, stim_gain=True, delta_t=hw.Delta_T,
+                               v_t=hw.V_T, tau_w=hw.tau_w, a=hw.a, b=hw.b,
+                               allow_out_of_range=True)
+    _release_rows.cache_clear()
+    tracemalloc.start()
+    try:
+        calibrate_population(pop, target, tol=CALIBRATION_TOL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20, peak / 2 ** 20

@@ -490,12 +490,16 @@ class TestSeedsAndMismatchKeys:
         (CALIBRATE_TAU.replace("size = 32", "size = 32\nenabled = false\nseed = 9\n"
                                "sigma_rel_leak_ota.g_per_bias = 0.5"),
          [], "[mismatch] seed is not read unless enabled = true"),
+        (CALIBRATE_TAU.replace("size = 32", "size = 4\nsigma_abs_C_mem = 1e-12"),
+         [], "[mismatch] sigma_abs_C_mem = 1e-12 draws C_mem outside its domain "
+             "(C_mem must lie in (0, 2.47e-12] F)"),
     ], ids=["run_seed", "mismatch_seed", "seed_flag", "unknown_path", "negative_sigma",
-            "switched_off"])
+            "switched_off", "out_of_domain"])
     def test_exit_2_without_output(self, tmp_path, cfg_path, run_cli, text, flags,
                                    message):
-        # the seeds and the first two keys used to end in a traceback with
-        # exit 1; the switched-off keys ran and were written back
+        # the seeds, the first two keys and a spread that draws a constant
+        # out of its domain used to end in a traceback with exit 1; the
+        # switched-off keys ran and were written back
         out = tmp_path / "out"
         result = run_cli(["calibrate", "--config", cfg_path(text), "--out", str(out),
                           *flags], cwd=tmp_path)

@@ -90,6 +90,14 @@ class TestSamplePopulation:
         again = Population.from_stacked(pop.stacked(), 6)
         assert again.neurons == pop.neurons
 
+    def test_draw_outside_the_domain_names_the_spread(self, hw_circuit):
+        # a ValueError that names the spread, its constant and the domain
+        mm = MismatchModel(additive={"C_mem": 1e-12}, seed=0)
+        with pytest.raises(ValueError, match=r"^additive spread of C_mem: C_mem must lie in "
+                                             r"\(0, 2.47e-12\] F$") as err:
+            sample_population(hw_circuit, mm, 4)
+        assert (err.value.spreads, err.value.path) == ("additive", "C_mem")
+
 
 
 def refuse_to_split(cfg, n):
