@@ -638,7 +638,7 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
         plan = []
         for write, at, takes in changes:
             at = np.where(takes, at, -1)
-            steps = np.unique(at[takes]).tolist()
+            steps = sorted(set(at[takes].tolist()))
             plan.append((write, at, steps, len(steps) == 1 and takes.all()))
         return first, plan
 
@@ -815,7 +815,9 @@ def _population_run(n: int, dt: float, columns, final: CircuitState,
     steps, neuron = columns
     # each neuron's spike times, in step order: one slice of a single array
     order = np.argsort(neuron, kind="stable")
-    spikes = np.split(steps[order] * dt, np.cumsum(np.bincount(neuron, minlength=n))[:-1])
+    times = steps[order] * dt
+    ends = np.cumsum(np.bincount(neuron, minlength=n)).tolist()
+    spikes = [times[start:end] for start, end in zip([0, *ends], ends)]
     run = PopulationRun(dt=dt, spikes=spikes, final_state=final,
                         spike_columns=columns)
     if recs is not None:

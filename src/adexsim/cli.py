@@ -22,7 +22,7 @@ from . import __version__
 from .calibrate import calibrate_population
 from .circuit import simulate_circuit
 from .config import (
-    _EXPERIMENT_KEYS, _SPREADS, RunConfig, _pick, parse_config, serialize_config,
+    _READS, _SPREADS, EXPERIMENTS, RunConfig, _label, parse_config, serialize_config,
 )
 from .errors import AdexSimError, ParseError, ValidationError
 from .experiments import (
@@ -169,8 +169,6 @@ def _cmd_simulate(run: RunConfig, out: _Output) -> int:
 
 
 def _cmd_calibrate(run: RunConfig, out: _Output) -> int:
-    if run.calibration is None:
-        raise ValidationError("mode 'calibrate' requires a [calibration] section")
     pop = _build_population(run)
     result = calibrate_population(pop, run.calibration, tol=run.calibration_tol)
     payload = {"size": pop.size, "failures": result.failures, "outcomes": {}}
@@ -196,10 +194,9 @@ _LOT_TAU_M_TARGETS = (10e-6, 31.6e-6, 100e-6, 316e-6, 900e-6)
 def _run_one_experiment(run: RunConfig, spec: dict):
     """Run the named experiment with the keys the config sets; the
     experiment's own defaults fill the rest.  `parse_config` admits only
-    the keys `_EXPERIMENT_KEYS` lists for the experiment, and each of them
-    is forwarded here."""
+    the keys the experiment reads, and each of them is forwarded here."""
     name = spec["name"]
-    args = _pick(spec, **{key: key for key in _EXPERIMENT_KEYS[name]})
+    args = {key: value for key, value in spec.items() if key != "name"}
     if name == "leak_over_threshold":
         targets = args.pop("tau_m_targets", _LOT_TAU_M_TARGETS)
         if "v_inf" in args:
@@ -221,7 +218,7 @@ def _run_one_experiment(run: RunConfig, spec: dict):
         if not cfg.exponential.enabled:
             raise ValidationError("exponential_sweep requires [exponential] enabled = true")
         return run_exponential_sweep(cfg, **args)
-    # firing_patterns, the last name `_EXPERIMENT_KEYS` admits
+    # firing_patterns, the last of `EXPERIMENTS`
     patterns = load_patterns()
     if "patterns" in args:
         unknown = [w for w in args["patterns"] if w not in patterns]
@@ -245,12 +242,10 @@ def _cmd_experiment(run: RunConfig, out: _Output) -> int:
 
 
 def _cmd_sweep(run: RunConfig, out: _Output) -> int:
-    if not run.sweep:
-        raise ValidationError("mode 'sweep' requires a [sweep] section")
     section, _, name = run.sweep["key"].partition(".")
     summary_rows = ["index,value,n_spikes,median_isi_us"]
     for idx, value in enumerate(run.sweep["values"]):
-        # parse_config admits only neuron.* (ideal model) and run.* keys
+        # parse_config admits only neuron.* and run.* keys the run reads
         point = (replace(run, neuron=replace(run.neuron, **{name: value}))
                  if section == "neuron" else replace(run, **{name: value}))
         trace = _simulate(point)
@@ -273,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(cmd)
         _common_args(p)
     p = sub.add_parser("experiment")
-    p.add_argument("name", choices=tuple(_EXPERIMENT_KEYS))
+    p.add_argument("name", choices=EXPERIMENTS)
     _common_args(p)
     return parser
 
@@ -298,25 +293,16 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {err}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        run = parse_config(text)
-        if run.mode not in (None, args.command):
-            raise ValidationError(
-                f"config declares mode {run.mode!r}, command line asks for {args.command!r}")
-        if args.command == "experiment" and not run.experiment:
-            # a file without an [experiment] section runs as one that names
-            # the experiment, under the same rules
-            run = parse_config(f"{text}\n[experiment]\nname = {args.name}\n")
-        if args.command == "experiment" and run.experiment["name"] != args.name:
-            raise ValidationError(
-                f"config declares experiment {run.experiment['name']!r}, "
-                f"command line asks for {args.name!r}")
+        run = parse_config(text, args.command, getattr(args, "name", None))
         if args.seed is not None:
             if args.seed < 0:
                 raise ValidationError(f"--seed must be >= 0, got {args.seed}")
             run.seed = args.seed
         if args.fmt is not None:
+            reading = (run.mode, run.experiment.get("name"), run.model)
+            if "format" not in _READS[reading]["run"]:
+                raise ValidationError(f"--format is not read by {_label(*reading)}")
             run.fmt = args.fmt
-        run.mode = args.command
         out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV) or (
             "adexsim-out" if run.out_dir is None else run.out_dir)
         parent = os.path.dirname(os.path.abspath(out_dir))

@@ -132,14 +132,8 @@ KINDS = {
 }
 
 
-# the [experiment] keys each experiment reads, besides `name`; any other
-# key is a config error, and the CLI forwards exactly these
-_EXPERIMENT_KEYS = {
-    "leak_over_threshold": ("tau_m_targets", "v_inf", "n_isis", "tolerance"),
-    "psp": ("line", "weight", "n_events"),
-    "exponential_sweep": ("onsets", "slopes"),
-    "firing_patterns": ("patterns", "population", "agreement"),
-}
+# the experiments `adexsim experiment <name>` runs
+EXPERIMENTS = ("leak_over_threshold", "psp", "exponential_sweep", "firing_patterns")
 
 # schema: section -> key -> (kind, dimension), each kind read and written
 # by KINDS; a key the file sets is read once, as its kind
@@ -228,7 +222,7 @@ SCHEMA = {
         "tol": ("quantity", "none"),
     },
     "experiment": {
-        "name": ("string", tuple(_EXPERIMENT_KEYS)),
+        "name": ("string", EXPERIMENTS),
         "tau_m_targets": ("list", "time"),
         "v_inf": ("quantity", "voltage"),
         "n_isis": ("int", None),
@@ -259,8 +253,9 @@ _POSITIVE = {"circuit": ("tau_m", "C_mem"), "adaptation": ("tau_w", "pulse_width
              "exponential": ("delta_t",)}
 
 # (section, switch, the switch where the file does not set it, the keys
-# the section reads only with the switch on, a key ending in "_" standing
-# for every key it begins); a line's enabled comes first
+# the section reads only with the switch on, a key ending in "_" or "."
+# standing for every key it begins); a switch of another section is a
+# (section, key) pair, and a line's enabled comes first
 _SWITCHED = (("neuron", "exp_enabled", AdExParameters.exp_enabled,
               ("V_T", "Delta_T", "exp_gated_in_ref")),
              ("adaptation", "enabled", False, ("tau_w", "a", "b", "pulse_width")),
@@ -270,15 +265,91 @@ _SWITCHED = (("neuron", "exp_enabled", AdExParameters.exp_enabled,
                for side in ("exc", "inh")),
              *((f"syn_{side}", "coba", False, ("e_syn", "e_syn_hat"))
                for side in ("exc", "inh")),
-             ("mismatch", "enabled", True, ("seed", *_SPREADS)))
+             ("mismatch", "enabled", True, ("seed", *_SPREADS)),
+             # the spread of a switched-off sub-circuit's constant
+             *(("mismatch", (sub, "enabled"), on, tuple(f"{p}{sub}." for p in _SPREADS))
+               for sub, on in (("adaptation", False), ("exponential", False),
+                               ("syn_exc", True), ("syn_inh", True))))
+
+_CIRCUIT = dict.fromkeys(("circuit", "adaptation", "exponential", "syn_exc", "syn_inh"))
+_LINES = dict.fromkeys(("stimulus", "events_exc", "events_inh"))
+_RUN = ("mode", "model", "seed", "out")
+
+# what a run reads: (command, experiment name, model) -> {section: the keys
+# it reads, None for all}.  A key is read if changing its value can change
+# an output file other than config.resolved.cfg; parse_config rejects any
+# other, serialize_config writes no other, and `_SWITCHED` gates keys
+# within these.  Every run reads [run] mode, model, seed and out (`_RUN`),
+# `seed` also where nothing is drawn, for command lines that set it on
+# every command.
+_READS = {
+    ("simulate", None, "ideal"): {"run": (*_RUN, "dt", "duration", "format"), "neuron": None,
+                                  "stimulus": None},
+    ("simulate", None, "circuit"): {"run": (*_RUN, "dt", "duration", "format"), **_CIRCUIT,
+                                    **_LINES},
+    # a sweep writes CSV alone
+    ("sweep", None, "ideal"): {"run": (*_RUN, "dt", "duration"), "neuron": None,
+                               "stimulus": None, "sweep": None},
+    ("sweep", None, "circuit"): {"run": (*_RUN, "dt", "duration"), **_CIRCUIT, **_LINES,
+                                 "sweep": None},
+    ("calibrate", None, "circuit"): {"run": _RUN, **_CIRCUIT, "mismatch": None,
+                                     "calibration": None},
+    # the run switches adaptation, the exponential and the synaptic lines
+    # off; the first two switches add mismatch draws ahead of the leak's
+    ("experiment", "leak_over_threshold", "circuit"): {
+        "run": _RUN, "circuit": None, "adaptation": ("enabled",), "exponential": ("enabled",),
+        "mismatch": None,
+        "experiment": ("name", "tau_m_targets", "v_inf", "n_isis", "tolerance")},
+    ("experiment", "psp", "circuit"): {
+        "run": _RUN, **_CIRCUIT, "mismatch": None, "calibration": None,
+        "experiment": ("name", "line", "weight", "n_events")},
+    # clamped I(V) curves outside the refractory period, placed by the leak
+    # conductance and, without v_t, by V_det
+    ("experiment", "exponential_sweep", "circuit"): {
+        "run": _RUN, "circuit": ("tau_m", "C_mem", "V_det"),
+        "exponential": ("enabled", "delta_t", "v_t", "i_max"),
+        "experiment": ("name", "onsets", "slopes")},
+    # each pattern brings its own neuron and stimulus
+    ("experiment", "firing_patterns", "circuit"): {
+        "run": (*_RUN, "format"), "mismatch": ("size",),
+        "experiment": ("name", "patterns", "population", "agreement")},
+    ("experiment", "firing_patterns", "ideal"): {
+        "run": (*_RUN, "format"), "experiment": ("name", "patterns", "agreement")},
+}
+# the sections a run cannot do without
+_NEEDS = {("simulate", None, "ideal"): ("neuron",),
+          ("sweep", None, "ideal"): ("neuron", "sweep"), ("sweep", None, "circuit"): ("sweep",),
+          ("calibrate", None, "circuit"): ("calibration",)}
+
+
+def _reads(row: dict, section: str, key: str) -> bool:
+    """Whether a run whose `_READS` row is `row` reads `key` of `section`."""
+    return section in row and (row[section] is None or key in row[section])
+
+
+def _label(command: str, name: str | None, model: str) -> str:
+    """A run as messages name it: the command, its experiment, and the
+    model where the command runs both."""
+    both = all((command, name, m) in _READS for m in ("ideal", "circuit"))
+    return " ".join(filter(None, (command, name))) + (f" with model = {model}" if both else "")
+
+
+def _check_read(sections, row: dict, label: str) -> None:
+    """Reject each section and key of the file that the run does not read."""
+    for section, keys in sections.items():
+        unread = [key for key in keys if not _reads(row, section, key)]
+        if unread or section not in row:
+            reads = row.get(section) or ()
+            which = f", which reads [{section}] {', '.join(reads)}" if reads else ""
+            raise ValidationError(f"{' '.join((f'[{section}]', *unread[:1]))} is not read "
+                                  f"by {label}{which}")
 
 
 @dataclass
 class RunConfig:
     """Validated run-level settings plus the parsed payload objects."""
 
-    # the subcommand that runs the file; None where the file leaves it to
-    # the command line
+    # the command that runs the file
     mode: str | None = None
     model: str = "ideal"
     seed: int = DEFAULT_SEED
@@ -371,12 +442,14 @@ def _check_unknown(sections):
 
 def _unread(given: dict):
     """(section, key, switch) of each key of {section: {key: value}} that a
-    switch of its section, as given or by default, leaves unread."""
+    switch, as given or by default, leaves unread."""
     for section, switch, default, names in _SWITCHED:
-        values = given.get(section, {})
-        if not values.get(switch, default):
-            yield from ((section, key, switch) for name in names for key in values
-                        if key == name or name.endswith("_") and key.startswith(name))
+        owner, flag = switch if isinstance(switch, tuple) else (section, switch)
+        if not given.get(owner, {}).get(flag, default):
+            switch = flag if owner == section else f"[{owner}] {flag}"
+            yield from ((section, key, switch) for name in names
+                        for key in given.get(section, {})
+                        if key == name or name.endswith(("_", ".")) and key.startswith(name))
 
 
 def _check_switched(given: dict) -> None:
@@ -394,11 +467,7 @@ def _is_constant(cfg, path: str) -> bool:
     return isinstance(cfg, float)
 
 
-def _build_neuron(sections) -> AdExParameters | None:
-    if "neuron" not in sections:
-        return None
-    given = _given(sections, "neuron")
-    _check_switched({"neuron": given})
+def _build_neuron(given: dict) -> AdExParameters:
     # omitted adaptation keys give a neuron without adaptation; with the
     # exponential off, V_T and Delta_T are unused and take no value
     vals = {"tau_w": 1.0, "a": 0.0, "b": 0.0, **given}
@@ -416,13 +485,8 @@ def _build_neuron(sections) -> AdExParameters | None:
 
 def _build_circuit(given: dict) -> CircuitNeuronConfig:
     """The circuit of {section: {key: value}}, the keys a file sets."""
-    for section, keys in _POSITIVE.items():
-        for key in keys:
-            if key in given[section] and not given[section][key] > 0:
-                raise ValidationError(f"[{section}] violates {key} > 0")
-    _check_switched(given)
-    circuit, adaptation, exponential = (given[s] for s in ("circuit", "adaptation",
-                                                           "exponential"))
+    circuit, adaptation, exponential = (given.get(s, {}) for s in ("circuit", "adaptation",
+                                                                   "exponential"))
     try:
         cfg = default_circuit_config(
             **_pick(circuit, tau_m="tau_m", E_l="E_l", V_det="V_det", V_r="V_r",
@@ -459,7 +523,7 @@ def _build_circuit(given: dict) -> CircuitNeuronConfig:
         coba_lines = default_circuit_config(coba=True)
         for side in ("exc", "inh"):
             syn = getattr(cfg, f"syn_{side}")
-            values = given[f"syn_{side}"]
+            values = given.get(f"syn_{side}", {})
             if values.get("coba"):
                 syn = replace(syn, coba_enabled=True,
                               g2=getattr(coba_lines, f"syn_{side}").g2)
@@ -522,8 +586,7 @@ def _resolved(cfg: CircuitNeuronConfig) -> dict:
     return out
 
 
-def _build_stimulus(sections) -> StimulusProgram:
-    given = _given(sections, "stimulus")
+def _build_stimulus(given: dict) -> StimulusProgram:
     if "segments" in given and "current" in given:
         raise ValidationError("[stimulus] give either segments or current/onset, not both")
     try:
@@ -539,9 +602,8 @@ def _build_stimulus(sections) -> StimulusProgram:
         raise ValidationError(f"[stimulus] {err}") from None
 
 
-def _build_calibration(sections) -> dict:
+def _build_calibration(given: dict) -> dict:
     """The [calibration] fields of a RunConfig that the file sets."""
-    given = _given(sections, "calibration")
     try:
         target = CalibrationTarget(**{k: v for k, v in given.items() if k != "tol"})
     except ValueError as err:
@@ -559,7 +621,7 @@ def _check_timing(dt, duration, where=""):
                               f"duration ({duration:.6g} s)")
 
 
-def _build_sweep(sections, run: RunConfig) -> dict:
+def _build_sweep(sections, run: RunConfig, row: dict, label: str) -> dict:
     key = _read(sections, "sweep", "key") if "key" in sections["sweep"] else None
     if key is None or "values" not in sections["sweep"]:
         raise ValidationError("[sweep] needs both key and values")
@@ -567,11 +629,10 @@ def _build_sweep(sections, run: RunConfig) -> dict:
     if section not in SCHEMA or name not in SCHEMA[section]:
         raise ValidationError(f"[sweep] unknown key {key!r}")
     if section not in ("neuron", "run"):
-        raise ValidationError(f"[sweep] sweep over [{section}] is not supported; "
-                              "use neuron.* or run.*")
-    if section == "neuron" and run.model != "ideal":
-        raise ValidationError(f"[sweep] key {key!r} is not read by model "
-                              f"{run.model!r}; neuron.* sweeps need model = ideal")
+        raise ValidationError(f"[sweep] key {key!r}: sweep over [{section}] is not "
+                              "supported; use neuron.* or run.*")
+    if not _reads(row, section, name):
+        raise ValidationError(f"[sweep] key {key!r} is not read by {label}")
     if section == "neuron":
         for _, _, switch in _unread({"neuron": {"exp_enabled": run.neuron.exp_enabled,
                                                 name: None}}):
@@ -595,17 +656,7 @@ def _build_sweep(sections, run: RunConfig) -> dict:
 
 
 def _build_mismatch(run: RunConfig, mismatch: dict) -> None:
-    """Check the [mismatch] keys against the run that reads them and set
-    the spread overrides."""
-    _check_switched({"mismatch": mismatch})
-    name = run.experiment.get("name")
-    if name == "firing_patterns":
-        # the patterns run on `population` neurons, else [mismatch] size,
-        # drawn with the run seed
-        for key in mismatch:
-            if key != "size" or "population" in run.experiment:
-                raise ValidationError(f"[mismatch] {key} is not read by {name}, which reads "
-                                      "only [mismatch] size, without [experiment] population")
+    """Check the [mismatch] spread overrides and set them."""
     for key, sigma in mismatch.items():
         if spread := _spread(key):
             spreads, path = spread
@@ -617,34 +668,66 @@ def _build_mismatch(run: RunConfig, mismatch: dict) -> None:
             run.mismatch_overrides.setdefault(spreads, {})[path] = sigma
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a config document into a RunConfig.
+def parse_config(text: str, command: str | None = None,
+                 experiment: str | None = None) -> RunConfig:
+    """Parse and validate a config document into a RunConfig for the
+    command that runs it (else the file's [run] mode) and, under
+    `experiment`, the experiment named (else the file's [experiment] name).
 
     A key the file omits takes the default of the object that owns it; a
-    key the file sets is used as written or rejected."""
+    key the file sets is used as written or rejected, and so is a key the
+    run does not read (`_READS`)."""
     sections = read_config_sections(text)
     _check_unknown(sections)
 
     given = _given(sections, "run")
-    if "neuron" not in sections:
-        given.setdefault("model", "circuit")
-    run = RunConfig(**_run_fields("run", given))
+    command = command or given.get("mode")
+    if command is None:
+        raise ValidationError("[run] mode is required where no command runs the file")
+    if given.get("mode", command) != command:
+        raise ValidationError(
+            f"[run] mode declares {given['mode']!r}, command line asks for {command!r}")
+    name = None
+    if command == "experiment":
+        written = _read(sections, "experiment", "name") if "name" in sections.get(
+            "experiment", {}) else None
+        name = experiment or written
+        if name is None or written is None and "experiment" in sections:
+            raise ValidationError("[experiment] name is required")
+        if written not in (None, name):
+            raise ValidationError(
+                f"[experiment] name declares {written!r}, command line asks for {name!r}")
+    # the ideal model where the file has a [neuron] section the run reads
+    model = given.get("model", "ideal" if "neuron" in sections
+                      and (command, name, "ideal") in _READS else "circuit")
+    label = _label(command, name, model)
+    if (command, name, model) not in _READS:
+        raise ValidationError(f"[run] model = {model} is not read by {label}, "
+                              "which runs model = circuit")
+    row = _READS[command, name, model]
+    _check_read(sections, row, label)
+    for section in _NEEDS.get((command, name, model), ()):
+        if section not in sections:
+            raise ValidationError(f"{label} requires a [{section}] section")
+
+    values = {section: _given(sections, section) for section in sections if section != "sweep"}
+    for section, keys in _POSITIVE.items():
+        for key in keys:
+            if not values.get(section, {}).get(key, 1) > 0:
+                raise ValidationError(f"[{section}] violates {key} > 0")
+    _check_switched(values)
+    run = RunConfig(**_run_fields("run", {**given, "mode": command, "model": model}))
     _check_timing(run.dt, run.duration)
 
-    run.neuron = _build_neuron(sections)
-    run.circuit = _build_circuit({section: _given(sections, section) for section in
-                                  ("circuit", "adaptation", "exponential", "syn_exc",
-                                   "syn_inh")})
-    if run.model == "ideal" and run.neuron is None:
-        raise ValidationError("model 'ideal' requires a [neuron] section")
+    if "neuron" in row:
+        run.neuron = _build_neuron(values["neuron"])
+    if "circuit" in row:
+        run.circuit = _build_circuit(values)
     if "stimulus" in sections:
-        run.stimulus = _build_stimulus(sections)
+        run.stimulus = _build_stimulus(values["stimulus"])
 
     for side in ("exc", "inh"):
-        pairs = _given(sections, f"events_{side}").get("events")
-        if f"events_{side}" in sections and run.model != "circuit":
-            raise ValidationError(f"[events_{side}] is not read unless "
-                                  f"[run] model = circuit")
+        pairs = values.get(f"events_{side}", {}).get("events")
         if f"events_{side}" in sections and not getattr(run.circuit, f"syn_{side}").enabled:
             raise ValidationError(f"[events_{side}] is not read unless "
                                   f"[syn_{side}] enabled = true")
@@ -654,37 +737,34 @@ def parse_config(text: str) -> RunConfig:
             except ValueError as err:
                 raise ValidationError(f"[events_{side}] {err}") from None
 
-    mismatch = _given(sections, "mismatch")
+    mismatch = values.get("mismatch", {})
     if "size" in mismatch and mismatch["size"] < 1:
         raise ValidationError("[mismatch] size must be >= 1")
     run = replace(run, **_run_fields("mismatch", mismatch))
 
     if "calibration" in sections:
-        run = replace(run, **_build_calibration(sections))
+        run = replace(run, **_build_calibration(values["calibration"]))
 
-    if "experiment" in sections:
-        spec = _given(sections, "experiment")
-        if "name" not in spec:
-            raise ValidationError("[experiment] name is required")
-        name, reads = spec["name"], _EXPERIMENT_KEYS[spec["name"]]
+    if name is not None:
+        spec = values.get("experiment") or {"name": name}
         for key, value in spec.items():
-            if key not in reads + ("name",):
-                raise ValidationError(f"[experiment] {key} is not read by {name}, "
-                                      f"which reads {', '.join(reads)}")
             if SCHEMA["experiment"][key][0] == "int" and value < 1:
                 raise ValidationError(f"[experiment] {key} must be >= 1, got {value}")
         if "v_inf" in spec and not spec["v_inf"] > run.circuit.V_det:
             raise ValidationError(
                 f"[experiment] v_inf = {format_quantity(spec['v_inf'], 'voltage')} must "
                 f"exceed the circuit's V_det = {format_quantity(run.circuit.V_det, 'voltage')}")
+        if "population" in spec and "size" in mismatch:
+            raise ValidationError(f"[mismatch] size is not read by {label}, which reads "
+                                  "[experiment] population in its place")
         run.experiment = spec
 
     if "sweep" in sections:
-        run.sweep = _build_sweep(sections, run)
+        run.sweep = _build_sweep(sections, run, row, label)
     # last, once the circuit and the experiment that read them are built
-    for section, values in (("run", given), ("mismatch", mismatch)):
-        if values.get("seed", 0) < 0:
-            raise ValidationError(f"[{section}] seed must be >= 0, got {values['seed']}")
+    for section, seeds in (("run", given), ("mismatch", mismatch)):
+        if seeds.get("seed", 0) < 0:
+            raise ValidationError(f"[{section}] seed must be >= 0, got {seeds['seed']}")
     _build_mismatch(run, mismatch)
     return run
 
@@ -701,7 +781,8 @@ def _section(name: str, values: dict, /, **dims) -> str:
 
 
 def serialize_config(run: RunConfig) -> str:
-    """Canonical text for a RunConfig; parse(serialize(parse(x))) == parse(x)."""
+    """Canonical text for a RunConfig: the keys its run reads (`_READS`);
+    parse(serialize(parse(x))) == parse(x)."""
     sections = {"run": _written(run, "run")}
     if run.neuron is not None:
         sections["neuron"] = {key: getattr(run.neuron, key) for key in SCHEMA["neuron"]}
@@ -727,7 +808,10 @@ def serialize_config(run: RunConfig) -> str:
         sections["experiment"] = run.experiment
     for section, key, _ in list(_unread(sections)):
         del sections[section][key]
-    text = "\n\n".join(_section(name, values) for name, values in sections.items())
+    row = _READS[run.mode, run.experiment.get("name"), run.model]
+    text = "\n\n".join(
+        _section(name, {key: value for key, value in values.items() if _reads(row, name, key)})
+        for name, values in sections.items() if name in row)
     if run.sweep:
         swept, _, name = run.sweep["key"].partition(".")
         text += "\n\n" + _section("sweep", run.sweep, values=SCHEMA[swept][name][1])

@@ -1,10 +1,17 @@
 import json
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from adexsim import ParseError, ValidationError
+from adexsim.cli import _run_one_experiment, main, report_to_json
+from adexsim.config import EXPERIMENTS, parse_config, read_config_sections
 
 CONFIG_CIRCUIT = """
 [run]
@@ -197,8 +204,8 @@ class TestExperimentCommand:
         ("leak_over_threshold", "v_inf = 0.7 V",
          "[experiment] v_inf = 0.7 V must exceed the circuit's V_det = 0.75 V"),
         ("leak_over_threshold", "weight = 0.3",
-         "[experiment] weight is not read by leak_over_threshold, "
-         "which reads tau_m_targets, v_inf, n_isis, tolerance"),
+         "[experiment] weight is not read by experiment leak_over_threshold, "
+         "which reads [experiment] name, tau_m_targets, v_inf, n_isis, tolerance"),
     ], ids=["negative_weight", "zero_events", "zero_population", "v_inf_below_v_det",
             "unread_key"])
     def test_bad_experiment_value_exit_2_without_output(self, tmp_path, cfg_path,
@@ -206,6 +213,9 @@ class TestExperimentCommand:
         # 0 used to run with the default and -1 ended in a traceback
         out = tmp_path / "out"
         text = CONFIG_PSP.replace("name = psp", f"name = {command}\n{key}")
+        if command == "firing_patterns":
+            # it reads no circuit section and no [mismatch] key but size
+            text = text.split("[circuit]")[0] + text[text.index("[experiment]"):]
         result = run_cli(["experiment", command, "--config", cfg_path(text),
                           "--out", str(out)], cwd=tmp_path)
         assert result.returncode == 2, result.stderr
@@ -384,8 +394,8 @@ class TestSwitchedKeys:
         assert not out.exists()
 
     @pytest.mark.parametrize("text, message", [
-        (CONFIG_IDEAL_SWEEP.replace("exp_enabled = false",
-                                    "exp_enabled = false\nV_T = 0.55 V\nDelta_T = 20 mV"),
+        (CONFIG_IDEAL_SWEEP.split("[sweep]")[0].replace("mode = sweep", "mode = simulate")
+         .replace("exp_enabled = false", "exp_enabled = false\nV_T = 0.55 V\nDelta_T = 20 mV"),
          "[neuron] V_T is not read unless exp_enabled = true"),
         (CONFIG_CIRCUIT + "\n[syn_inh]\nenabled = false\ntau_syn = 3 us\n",
          "[syn_inh] tau_syn is not read unless enabled = true"),
@@ -415,7 +425,7 @@ class TestModeMatchesCommand:
         result = run_cli(["simulate", "--config", str(SHIPPED / "calibrate_tau.cfg"),
                           "--out", str(out)], cwd=tmp_path)
         assert result.returncode == 2, result.stderr
-        assert result.stderr == ("error: config declares mode 'calibrate', "
+        assert result.stderr == ("error: [run] mode declares 'calibrate', "
                                  "command line asks for 'simulate'\n")
         assert not out.exists()
 
@@ -451,24 +461,31 @@ class TestModeMatchesCommand:
         result = run_cli(["sweep", "--config", cfg_path(text), "--out", str(out)],
                          cwd=tmp_path)
         assert result.returncode == 2, result.stderr
-        assert result.stderr == "error: mode 'sweep' requires a [sweep] section\n"
+        assert result.stderr == ("error: sweep with model = circuit requires a [sweep] "
+                                 "section\n")
         assert not out.exists()
 
 
 class TestEventsNeedTheCircuit:
-    @pytest.mark.parametrize("command", [
-        ["simulate"], ["sweep"], ["calibrate"], ["experiment", "firing_patterns"]])
+    @pytest.mark.parametrize("command, message", [
+        (["simulate"], "[events_inh] events is not read by simulate with model = ideal"),
+        (["sweep"], "[events_inh] events is not read by sweep with model = ideal"),
+        (["calibrate"], "[run] model = ideal is not read by calibrate, "
+                        "which runs model = circuit"),
+        (["experiment", "firing_patterns"],
+         "[run] duration is not read by experiment firing_patterns with model = ideal, "
+         "which reads [run] mode, model, seed, out, format")])
     def test_exit_2_at_parse_time_under_every_command(self, tmp_path, cfg_path, run_cli,
-                                                      command):
-        # calibrate used to ignore the events without a word
+                                                      command, message):
+        # calibrate used to ignore the events without a word, and
+        # firing_patterns the neuron
         out = tmp_path / "out"
-        text = (CONFIG_IDEAL_SWEEP.replace("mode = sweep\n", "")
-                + "\n[calibration]\ntau_m = 20 us\n\n[events_inh]\nevents = 10 us : 1.0\n")
+        text = (CONFIG_IDEAL_SWEEP.replace("mode = sweep\n", "").split("[sweep]")[0]
+                + "\n[events_inh]\nevents = 10 us : 1.0\n")
         result = run_cli([*command, "--config", cfg_path(text), "--out", str(out)],
                          cwd=tmp_path)
         assert result.returncode == 2, result.stderr
-        assert result.stderr == ("error: [events_inh] is not read unless "
-                                 "[run] model = circuit\n")
+        assert result.stderr == f"error: {message}\n"
         assert not out.exists()
 
 
@@ -517,10 +534,123 @@ class TestSeedsAndMismatchKeys:
         result = run_cli(["experiment", "firing_patterns", "--config", cfg_path(text),
                           "--out", str(out)], cwd=tmp_path)
         assert result.returncode == 2, result.stderr
-        assert result.stderr == ("error: [mismatch] seed is not read by firing_patterns, "
-                                 "which reads only [mismatch] size, without [experiment] "
-                                 "population\n")
+        assert result.stderr == ("error: [mismatch] seed is not read by experiment "
+                                 "firing_patterns with model = circuit, which reads "
+                                 "[mismatch] size\n")
         assert not out.exists()
+
+
+class TestLeakOverThresholdReads:
+    TEXT = ("[run]\nmodel = circuit\n[mismatch]\nsize = 2\n[experiment]\n"
+            "name = leak_over_threshold\ntau_m_targets = 20 us\nn_isis = 3\n")
+    SWITCHES = "[adaptation]\nenabled = true\n[exponential]\nenabled = true\n"
+
+    def test_reads_the_switches_and_no_value_they_switch(self):
+        # the run switches adaptation, the exponential and the synaptic lines
+        # off; the first two switches still add mismatch draws ahead of the
+        # leak's, so they are read, and the values behind them are not
+        def report(run):
+            return report_to_json(_run_one_experiment(run, run.experiment))
+
+        off = report(parse_config(self.TEXT, "experiment"))
+        run = parse_config(self.TEXT + self.SWITCHES, "experiment")
+        on = report(run)
+        assert on != off
+        other = parse_config(
+            "[run]\nmodel = circuit\n[adaptation]\nenabled = true\ntau_w = 50 us\n"
+            "a = 20 nS\nb = 2 nA\npulse_width = 0.2 us\n[exponential]\nenabled = true\n"
+            "delta_t = 30 mV\nv_t = 0.65 V\n[syn_exc]\nenabled = false\n"
+            "[syn_inh]\ncoba = true\n", "simulate").circuit
+        assert other != run.circuit
+        assert report(replace(run, circuit=other)) == on
+        for section, key in (("adaptation", "tau_w = 50 us"), ("exponential", "v_t = 0.65 V")):
+            switch = f"[{section}]\nenabled = true\n"
+            with pytest.raises(ValidationError, match=(
+                    rf"^\[{section}\] {key.split()[0]} is not read by experiment "
+                    rf"leak_over_threshold, which reads \[{section}\] enabled$")):
+                parse_config(self.TEXT + self.SWITCHES.replace(switch, f"{switch}{key}\n"),
+                             "experiment")
+        with pytest.raises(ValidationError, match=(
+                r"^\[syn_exc\] enabled is not read by experiment leak_over_threshold$")):
+            parse_config(self.TEXT + "[syn_exc]\nenabled = false\n", "experiment")
+
+
+# every command a file can run under: (command, experiment name)
+COMMANDS = [("simulate", None), ("sweep", None), ("calibrate", None),
+            *(("experiment", name) for name in EXPERIMENTS)]
+# the commands whose output files take a format: trace files in CSV or JSON
+FORMAT_COMMANDS = {("simulate", None), ("experiment", "firing_patterns")}
+# lines of the sections the parse-level property leaves out, valid or not
+SECTION_LINES = {
+    "calibration": ("tau_m = 30 us", "stim_gain = true", "tol = 0.05", "tol = 20 mV",
+                    "plan = tau_m"),
+    "events_exc": ("events = 30 us : 1.0", "events = 30 us : nan"),
+    "events_inh": ("events = 10 us : 0.5", "events = 10 us"),
+    "sweep": ("key = run.duration", "key = neuron.g_l", "key = circuit.tau_m",
+              "values = 100 us, 200 us", "values = 0.1 uS"),
+    "mismatch": ("size = 3", "size = 0", "seed = 4", "enabled = false",
+                 "sigma_rel_leak_ota.g_per_bias = 0.2",
+                 "sigma_rel_adaptation.ota_a.g_per_bias = 0.1", "sigma_abs_nonexistent = 0.1"),
+}
+NEURON = "[neuron]\nC = 2.4 pF\ng_l = 0.12 uS\nE_l = 0.5 V\nV_r = 0.44 V\nV_det = 0.62 V\n"
+
+
+@st.composite
+def cli_configs(draw):
+    """(config text, --format value or None)."""
+    model = draw(st.sampled_from(("circuit", "ideal")))
+    text = f"[run]\nmodel = {model}\n" + (NEURON if model == "ideal" else "")
+    if draw(st.booleans()):
+        text += "[stimulus]\ncurrent = 20 nA\n"
+    if draw(st.booleans()):
+        text += f"[experiment]\nname = {draw(st.sampled_from(EXPERIMENTS))}\n"
+    for section in draw(st.lists(st.sampled_from(sorted(SECTION_LINES)), min_size=1,
+                                 max_size=3, unique=True)):
+        lines = draw(st.lists(st.sampled_from(SECTION_LINES[section]), min_size=1,
+                              max_size=2, unique=True))
+        text += f"[{section}]\n" + "".join(f"{line}\n" for line in lines)
+    return text, draw(st.sampled_from((None, "csv", "json")))
+
+
+def names_the_fault(message: str, text: str) -> bool:
+    """Whether an error message names a section of `text` and one of its
+    keys, the line it points at, the section the command needs or the flag."""
+    return ("(line " in message or "requires a [" in message or "--format" in message
+            or any(f"[{section}]" in message
+                   and any(re.search(rf"(?<![\w.]){re.escape(key)}(?![\w.])", message)
+                           for key in keys)
+                   for section, keys in read_config_sections(text).items()))
+
+
+class TestConfigPropertyAtTheCommandLine:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(config=cli_configs())
+    def test_invalid_config_exit_2_naming_section_and_key_without_output(
+            self, tmp_path, capsys, config):
+        # each command runs a generated config in-process; a config the
+        # parser or the --format gate rejects must exit 2 at once, naming
+        # what it rejects, and leave no output directory.  A valid one is
+        # not run.
+        text, fmt = config
+        path = tmp_path / "run.cfg"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        flags = [] if fmt is None else ["--format", fmt]
+        for command, name in COMMANDS:
+            try:
+                parse_config(text, command, name)
+                if fmt is None or (command, name) in FORMAT_COMMANDS:
+                    continue
+            except (ParseError, ValidationError):
+                pass
+            status = main([command, *filter(None, [name]), "--config", str(path),
+                           "--out", str(out), *flags])
+            message = capsys.readouterr().err
+            assert status == 2, (command, name, text, message)
+            assert message.startswith("error: ") and message.count("\n") == 1, message
+            assert names_the_fault(message, text), (command, name, text, message)
+            assert not out.exists()
 
 
 class TestCsvRoundTrip:

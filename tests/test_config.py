@@ -1,4 +1,5 @@
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from adexsim import ParseError, ValidationError, derive_effective_adex
 from adexsim.config import (
-    _EXPERIMENT_KEYS, SCHEMA, parse_config, read_config_sections, serialize_config,
+    _READS, EXPERIMENTS, SCHEMA, parse_config, read_config_sections, serialize_config,
 )
 from adexsim.units import format_quantity, parse_quantity
 
@@ -24,15 +25,8 @@ V_det = -40 mV
 exp_enabled = false
 """
 
-CIRCUIT_FULL = """
-[run]
-mode = simulate
-model = circuit
-seed = 7
-dt = 0.05 us
-duration = 300 us
-format = csv
-
+# the circuit sections, which simulate and calibrate read alike
+CIRCUIT = """
 [circuit]
 tau_m = 20 us
 E_l = 0.5 V
@@ -57,13 +51,30 @@ enabled = true
 tau_syn = 10 us
 coba = true
 e_syn = 1.3 V
+"""
 
+CIRCUIT_FULL = """
+[run]
+mode = simulate
+model = circuit
+seed = 7
+dt = 0.05 us
+duration = 300 us
+format = csv
+""" + CIRCUIT + """
 [stimulus]
 segments = 0 us : 0 nA, 20 us : 60 nA, 250 us : 0 nA
 
 [events_exc]
 events = 30 us : 1.0, 60 us : 0.5
+"""
 
+CALIBRATE_FULL = """
+[run]
+mode = calibrate
+model = circuit
+seed = 7
+""" + CIRCUIT + """
 [mismatch]
 size = 16
 seed = 3
@@ -73,6 +84,9 @@ tau_m = 20 us
 stim_gain = true
 tol = 0.015
 """
+
+# the [neuron] keys an ideal run needs besides those of the exponential
+NEURON = "[neuron]\nC = 2.4 pF\ng_l = 0.12 uS\nE_l = 0.5 V\nV_r = 0.44 V\nV_det = 0.62 V\n"
 
 
 class TestReader:
@@ -108,11 +122,15 @@ class TestParse:
         assert run.neuron.a == 0.0 and run.neuron.b == 0.0
 
     def test_omitted_mode_is_left_to_the_command(self):
-        run = parse_config(MINIMAL_LIF.replace("mode = simulate\n", ""))
-        assert run.mode is None
+        text = MINIMAL_LIF.replace("mode = simulate\n", "")
+        with pytest.raises(ValidationError, match=(
+                r"^\[run\] mode is required where no command runs the file$")):
+            parse_config(text)
+        run = parse_config(text, "simulate")
+        assert run.mode == "simulate"
         resolved = serialize_config(run)
-        assert "mode" not in read_config_sections(resolved)["run"]
-        assert serialize_config(parse_config(resolved)) == resolved
+        assert read_config_sections(resolved)["run"]["mode"] == ("simulate", 2)
+        assert resolved == serialize_config(parse_config(MINIMAL_LIF))
 
     def test_full_circuit_config(self):
         run = parse_config(CIRCUIT_FULL)
@@ -122,15 +140,16 @@ class TestParse:
         assert cfg.syn_exc.coba_enabled
         assert cfg.syn_exc.virtual_reversal == pytest.approx(1.3)
         assert run.events["exc"].events[0] == (pytest.approx(30e-6), 1.0)
+        run = parse_config(CALIBRATE_FULL)
+        assert run.circuit == parse_config(CIRCUIT_FULL).circuit
         assert run.mismatch_size == 16
         assert run.calibration.tau_m == pytest.approx(20e-6)
         assert run.calibration_tol == pytest.approx(0.015)
 
     def test_negative_time_constant_names_invariant(self):
-        bad = MINIMAL_LIF.replace("[neuron]", "[circuit]\ntau_m = -1 us\n\n[neuron]")
-        with pytest.raises(ValidationError) as err:
+        bad = CIRCUIT_FULL.replace("tau_m = 20 us", "tau_m = -1 us")
+        with pytest.raises(ValidationError, match=r"^\[circuit\] violates tau_m > 0$"):
             parse_config(bad)
-        assert "tau_m" in str(err.value) or "> 0" in str(err.value)
 
     def test_unknown_key_is_error_with_line(self):
         bad = MINIMAL_LIF + "frobnicate = 3\n"
@@ -154,8 +173,7 @@ class TestParse:
             parse_config(bad)
 
     def test_sigma_override_keys_allowed(self):
-        text = CIRCUIT_FULL + "\n"
-        text = text.replace("[mismatch]\nsize = 16\nseed = 3\n",
+        text = CALIBRATE_FULL.replace("[mismatch]\nsize = 16\nseed = 3\n",
                             "[mismatch]\nsize = 16\nseed = 3\n"
                             "sigma_rel_leak_ota.g_per_bias = 0.2\n"
                             "sigma_abs_E_l = 0.01\n")
@@ -171,13 +189,15 @@ class TestParse:
             parse_config(text)
 
     @pytest.mark.parametrize("key, values, match", [
-        ("neuron.g_l", "0.1 uS, 0.2 uS", "not read by model 'circuit'"),
+        ("neuron.g_l", "0.1 uS, 0.2 uS",
+         r"^\[sweep\] key 'neuron.g_l' is not read by sweep with model = circuit$"),
         ("stimulus.current", "1 nA, 2 nA", "not supported"),
         ("run.dt", "0.1 us, 1 ms", "must not exceed duration"),
     ])
     def test_sweep_key_checked_at_parse_time(self, key, values, match):
-        text = CIRCUIT_FULL.replace("mode = simulate", "mode = sweep") \
-            + f"\n[sweep]\nkey = {key}\nvalues = {values}\n"
+        # a sweep writes CSV alone and reads no [run] format
+        text = CIRCUIT_FULL.replace("mode = simulate", "mode = sweep").replace(
+            "format = csv\n", "") + f"\n[sweep]\nkey = {key}\nvalues = {values}\n"
         with pytest.raises(ValidationError, match=match):
             parse_config(text)
 
@@ -188,11 +208,13 @@ class TestParse:
             parse_config(text)
 
     def test_neuron_sweep_accepted_for_ideal_model(self):
-        run = parse_config(MINIMAL_LIF + "\n[sweep]\nkey = neuron.g_l\nvalues = 10 nS, 20 nS\n")
+        run = parse_config(MINIMAL_LIF.replace("mode = simulate", "mode = sweep")
+                           + "\n[sweep]\nkey = neuron.g_l\nvalues = 10 nS, 20 nS\n")
         assert run.sweep["values"] == pytest.approx((10e-9, 20e-9))
 
     def test_neuron_sweep_value_checked_at_parse_time(self):
-        text = MINIMAL_LIF + "\n[sweep]\nkey = neuron.C\nvalues = 2 pF, 0 pF\n"
+        text = (MINIMAL_LIF.replace("mode = simulate", "mode = sweep")
+                + "\n[sweep]\nkey = neuron.C\nvalues = 2 pF, 0 pF\n")
         with pytest.raises(ValidationError,
                            match=r"^\[sweep\] neuron.C = 0.0 F: C must be > 0$"):
             parse_config(text)
@@ -212,13 +234,15 @@ class TestParse:
     ], ids=["tau_m", "pulse_width", "n_events", "n_isis", "population", "patterns", "out"])
     def test_written_value_outside_domain_rejected(self, tail, match):
         # a written 0 or an empty value used to be replaced by a default
+        command = "experiment" if "[experiment]" in tail else "simulate"
         with pytest.raises(ValidationError, match=match):
-            parse_config(f"[run]\nmodel = circuit\n{tail}\n")
+            parse_config(f"[run]\nmodel = circuit\n{tail}\n", command)
 
     def test_written_zero_used_as_written(self):
-        run = parse_config(CIRCUIT_FULL.replace("v_t = 0.62 V", "v_t = 0 V")
-                           + "\n[experiment]\nname = psp\nweight = 0\n")
+        run = parse_config(CIRCUIT_FULL.replace("v_t = 0.62 V", "v_t = 0 V"))
         assert derive_effective_adex(run.circuit).V_T == pytest.approx(0.0, abs=1e-12)
+        run = parse_config("[run]\nmodel = circuit\n[experiment]\nname = psp\nweight = 0\n",
+                           "experiment")
         assert run.experiment["weight"] == 0.0
         assert "weight = 0.0" in serialize_config(run).splitlines()
 
@@ -235,28 +259,31 @@ class TestParse:
         with pytest.raises(ParseError, match="not a finite number"):
             parse_quantity("1e300 GOhm", "resistance", line=4)
 
-    @pytest.mark.parametrize("old, new", [
+    @pytest.mark.parametrize("base, old, new", [
         # pairs: a stimulus segment and a synaptic event
-        ("segments = 0 us : 0 nA, 20 us : 60 nA, 250 us : 0 nA",
+        (CIRCUIT_FULL, "segments = 0 us : 0 nA, 20 us : 60 nA, 250 us : 0 nA",
          "segments = 0 us : 0 nA, 20 us : nan nA, 250 us : 0 nA"),
-        ("events = 30 us : 1.0, 60 us : 0.5", "events = 30 us : inf, 60 us : 0.5"),
+        (CIRCUIT_FULL, "events = 30 us : 1.0, 60 us : 0.5",
+         "events = 30 us : inf, 60 us : 0.5"),
         # a mismatch override
-        ("seed = 3\n", "seed = 3\nsigma_rel_leak_ota.g_per_bias = nan\n"),
+        (CALIBRATE_FULL, "seed = 3\n", "seed = 3\nsigma_rel_leak_ota.g_per_bias = nan\n"),
     ], ids=["segment", "event_weight", "mismatch_override"])
-    def test_non_finite_pair_and_override_rejected(self, old, new):
-        assert old in CIRCUIT_FULL
-        text = CIRCUIT_FULL.replace(old, new)
+    def test_non_finite_pair_and_override_rejected(self, base, old, new):
+        assert old in base
+        text = base.replace(old, new)
         with pytest.raises(ParseError, match="not a finite number") as err:
             parse_config(text)
         bad_line = next(line for line in new.splitlines() if "nan" in line or "inf" in line)
         assert err.value.line == text.splitlines().index(bad_line) + 1
 
-    @pytest.mark.parametrize("section", [
-        "[sweep]\nkey = neuron.g_l\nvalues = 10 nS, nan nS\n",
-        "[experiment]\nname = exponential_sweep\nonsets = 0.6 V, inf V\n",
+    @pytest.mark.parametrize("head, section", [
+        (MINIMAL_LIF.replace("mode = simulate", "mode = sweep"),
+         "[sweep]\nkey = neuron.g_l\nvalues = 10 nS, nan nS\n"),
+        ("[run]\nmode = experiment\nmodel = circuit\n",
+         "[experiment]\nname = exponential_sweep\nonsets = 0.6 V, inf V\n"),
     ], ids=["sweep_values", "list"])
-    def test_non_finite_list_and_sweep_values_rejected(self, section):
-        text = MINIMAL_LIF + "\n" + section
+    def test_non_finite_list_and_sweep_values_rejected(self, head, section):
+        text = head + "\n" + section
         with pytest.raises(ParseError, match="not a finite number") as err:
             parse_config(text)
         assert err.value.line == len(text.splitlines())
@@ -284,7 +311,7 @@ class TestSynapticLines:
         # a written false on one line used to be overridden by a true on the other
         text = (f"[run]\nmodel = circuit\n[syn_exc]\ncoba = {str(exc).lower()}\n"
                 f"[syn_inh]\ncoba = {str(inh).lower()}\n")
-        run = parse_config(text)
+        run = parse_config(text, "simulate")
         exc_line, inh_line = run.circuit.syn_exc, run.circuit.syn_inh
         assert (exc_line.coba_enabled, inh_line.coba_enabled) == (exc, inh)
         # a conductance-based line takes the default circuit's g2, a
@@ -304,7 +331,7 @@ class TestSwitches:
         # adaptation used to stay off: a = b = 0 turned it off, and only a
         # written false was applied again
         run = parse_config("[run]\nmodel = circuit\n[adaptation]\nenabled = true\n"
-                           "tau_w = 50 us\n")
+                           "tau_w = 50 us\n", "simulate")
         ad = run.circuit.adaptation
         assert ad.enabled
         assert ad.tau_w == pytest.approx(50e-6)
@@ -336,10 +363,34 @@ class TestSwitches:
             "neuron_gate", "syn_exc_tau_syn", "syn_inh_bias", "syn_exc_coba_e_syn",
             "syn_inh_coba", "mismatch_seed", "mismatch_sigma"])
     def test_key_its_switch_leaves_unread_rejected(self, section, lines, key, switch):
-        # each used to be parsed and dropped
+        # each used to be parsed and dropped; each section under a command
+        # that reads it
+        head, command = {"neuron": ("[run]\nmodel = ideal\n" + NEURON, "simulate"),
+                         "mismatch": ("[run]\nmodel = circuit\n[calibration]\n", "calibrate")
+                         }.get(section, ("[run]\nmodel = circuit\n", "simulate"))
+        body = f"{lines}\n" if section == "neuron" else f"[{section}]\n{lines}\n"
         with pytest.raises(ValidationError, match=(
                 rf"^\[{section}\] {key} is not read unless {switch} = true$")):
-            parse_config(f"[run]\nmodel = circuit\n[{section}]\n{lines}\n")
+            parse_config(head + body, command)
+
+    @pytest.mark.parametrize("sub, default", [
+        ("adaptation", ""), ("exponential", ""),
+        ("syn_exc", "enabled = false\n"), ("syn_inh", "enabled = false\n")])
+    def test_spread_of_a_switched_off_constant_rejected(self, sub, default):
+        # the spread used to be drawn, shifting the other constants' draws,
+        # and had no effect of its own
+        path = {"adaptation": "ota_tau.g_per_bias", "exponential": "r_conv",
+                "syn_exc": "q_unit", "syn_inh": "leak_gain"}[sub]
+        text = (f"[run]\nmodel = circuit\n[{sub}]\n{default}[calibration]\n"
+                f"[mismatch]\nsigma_rel_{sub}.{path} = 0.5\n")
+        with pytest.raises(ValidationError, match=(
+                rf"^\[mismatch\] sigma_rel_{sub}.{path} is not read unless "
+                rf"\[{sub}\] enabled = true$")):
+            parse_config(text, "calibrate")
+        on = text.replace(default, "") if default else text.replace(
+            f"[{sub}]\n", f"[{sub}]\nenabled = true\n")
+        run = parse_config(on, "calibrate")
+        assert run.mismatch_overrides == {"relative": {f"{sub}.{path}": 0.5}}
 
     @pytest.mark.parametrize("side", ["exc", "inh"])
     def test_events_on_a_switched_off_line_rejected(self, side):
@@ -348,10 +399,10 @@ class TestSwitches:
                 f"[events_{side}]\nevents = 30 us : 1.0\n")
         with pytest.raises(ValidationError, match=(
                 rf"^\[events_{side}\] is not read unless \[syn_{side}\] enabled = true$")):
-            parse_config(text)
+            parse_config(text, "simulate")
         # the other line's switch does not matter
         other = "inh" if side == "exc" else "exc"
-        run = parse_config(text.replace(f"[syn_{side}]", f"[syn_{other}]"))
+        run = parse_config(text.replace(f"[syn_{side}]", f"[syn_{other}]"), "simulate")
         assert len(run.events[side].events) == 1
 
     @pytest.mark.parametrize("side", ["exc", "inh"])
@@ -360,7 +411,7 @@ class TestSwitches:
         # refused by simulate and sweep at run time and ignored by calibrate
         text = MINIMAL_LIF + f"[events_{side}]\nevents = 30 us : 1.0\n"
         with pytest.raises(ValidationError, match=(
-                rf"^\[events_{side}\] is not read unless \[run\] model = circuit$")):
+                rf"^\[events_{side}\] events is not read by simulate with model = ideal$")):
             parse_config(text)
 
     def test_neuron_sweep_key_its_exponential_leaves_unread_rejected(self):
@@ -371,19 +422,24 @@ class TestSwitches:
                 r"\[neuron\] exp_enabled = true$")):
             parse_config(text)
 
-    def test_switched_off_sections_resolve_to_their_switches(self):
+    @pytest.mark.parametrize("text", [
+        MINIMAL_LIF,
+        "[run]\nmode = simulate\nmodel = circuit\n[adaptation]\nenabled = true\nb = 2 nA\n"
+        "[syn_exc]\nenabled = false\n[syn_inh]\nenabled = false\n"], ids=["neuron", "circuit"])
+    def test_switched_off_sections_resolve_to_their_switches(self, text):
         # the resolved text writes no key a switch leaves unread, also
         # where adaptation's b is rebuilt from its bias
-        text = (MINIMAL_LIF + "[adaptation]\nenabled = true\nb = 2 nA\n"
-                "[syn_exc]\nenabled = false\n[syn_inh]\nenabled = false\n")
         run = parse_config(text)
         resolved = serialize_config(run)
         sections = read_config_sections(resolved)
-        assert set(sections["neuron"]) == set(SCHEMA["neuron"]) - {
-            "V_T", "Delta_T", "exp_gated_in_ref"}
-        assert sections["syn_exc"].keys() == sections["syn_inh"].keys() == {"enabled"}
+        if run.neuron is not None:
+            assert set(sections["neuron"]) == set(SCHEMA["neuron"]) - {
+                "V_T", "Delta_T", "exp_gated_in_ref"}
+        else:
+            assert sections["syn_exc"].keys() == sections["syn_inh"].keys() == {"enabled"}
         assert serialize_config(parse_config(resolved)) == resolved
         assert parse_config(resolved).neuron == run.neuron
+        assert parse_config(resolved).circuit == run.circuit
 
 
 class TestResolvedText:
@@ -394,7 +450,7 @@ class TestResolvedText:
     def test_drifting_value_resolves_to_a_fixed_point(self, lines):
         # the effective delta_t or b used to rebuild a neighbouring bias,
         # and the resolved text changed on every round trip
-        run = parse_config(f"[run]\nmodel = circuit\n{lines}\n")
+        run = parse_config(f"[run]\nmodel = circuit\n{lines}\n", "simulate")
         resolved = serialize_config(run)
         assert parse_config(resolved).circuit == run.circuit
         assert serialize_config(parse_config(resolved)) == resolved
@@ -409,21 +465,24 @@ class TestResolvedText:
                 f"[adaptation]\nenabled = true\ntau_w = {tau_w!r} s\nb = {b!r} A\n"
                 f"pulse_width = {pulse_width!r} s\n"
                 f"[exponential]\nenabled = true\ndelta_t = {delta_t!r} V\nv_t = {v_t!r} V\n")
-        run = parse_config(text)
+        run = parse_config(text, "simulate")
         resolved = serialize_config(run)
         assert parse_config(resolved).circuit == run.circuit
 
 
+# the [experiment] keys each experiment reads on the circuit model
+EXPERIMENT_READS = {name: _READS["experiment", name, "circuit"]["experiment"]
+                    for name in EXPERIMENTS}
 # (experiment, key) for each [experiment] key an experiment does not read
-UNREAD = [(name, key) for name, reads in _EXPERIMENT_KEYS.items()
-          for key in SCHEMA["experiment"] if key not in reads + ("name",)]
+UNREAD = [(name, key) for name, reads in EXPERIMENT_READS.items()
+          for key in SCHEMA["experiment"] if key not in reads]
 
 
 class TestExperimentKeys:
     def test_table_names_every_experiment_and_key(self):
-        assert SCHEMA["experiment"]["name"][1] == tuple(_EXPERIMENT_KEYS)
-        read = {key for reads in _EXPERIMENT_KEYS.values() for key in reads}
-        assert read | {"name"} == set(SCHEMA["experiment"])
+        assert {name for _, name, _ in _READS} == {None, *EXPERIMENTS}
+        read = {key for reads in EXPERIMENT_READS.values() for key in reads}
+        assert read == set(SCHEMA["experiment"])
 
     @pytest.mark.parametrize("name, key", UNREAD, ids=[f"{n}.{k}" for n, k in UNREAD])
     def test_key_the_experiment_does_not_read_rejected(self, name, key):
@@ -433,9 +492,10 @@ class TestExperimentKeys:
                  if kind in ("int", "string", "names") else format_quantity(0.5, dim))
         text = f"[run]\nmodel = circuit\n[experiment]\nname = {name}\n{key} = {value}\n"
         with pytest.raises(ValidationError, match=(
-                rf"^\[experiment\] {key} is not read by {name}, which reads "
-                + ", ".join(_EXPERIMENT_KEYS[name]) + "$")):
-            parse_config(text)
+                rf"^\[experiment\] {key} is not read by experiment {name}"
+                r"( with model = circuit)?, which reads \[experiment\] "
+                + ", ".join(EXPERIMENT_READS[name]) + "$")):
+            parse_config(text, "experiment")
 
     @pytest.mark.parametrize("v_inf", ["0.7 V", "0.75 V", "0 V"])
     def test_v_inf_at_or_below_v_det_rejected(self, v_inf):
@@ -445,11 +505,11 @@ class TestExperimentKeys:
         with pytest.raises(ValidationError, match=(
                 r"^\[experiment\] v_inf = .* V must exceed the circuit's "
                 r"V_det = 0.75 V$")):
-            parse_config(text)
+            parse_config(text, "experiment")
 
     def test_v_inf_above_v_det_kept(self):
         run = parse_config("[run]\nmodel = circuit\n[experiment]\n"
-                           "name = leak_over_threshold\nv_inf = 0.8 V\n")
+                           "name = leak_over_threshold\nv_inf = 0.8 V\n", "experiment")
         assert run.experiment["v_inf"] == pytest.approx(0.8)
 
 
@@ -459,11 +519,11 @@ class TestMismatchKeys:
         # numpy used to reject it at run time with a ValueError traceback
         def text(seed):
             return ("[run]\nmodel = circuit\n" + ("" if section == "run" else "[mismatch]\n")
-                    + f"seed = {seed}\n")
+                    + f"seed = {seed}\n[calibration]\n")
         with pytest.raises(ValidationError, match=(
                 rf"^\[{section}\] seed must be >= 0, got -3$")):
-            parse_config(text(-3))
-        run = parse_config(text(0))
+            parse_config(text(-3), "calibrate")
+        run = parse_config(text(0), "calibrate")
         assert (run.seed if section == "run" else run.mismatch_seed) == 0
 
     @pytest.mark.parametrize("path", [
@@ -475,14 +535,16 @@ class TestMismatchKeys:
         with pytest.raises(ValidationError, match=(
                 rf"^\[mismatch\] sigma_rel_{path}: '{path}' names no numeric "
                 r"constant of the circuit$")):
-            parse_config(f"[run]\nmodel = circuit\n[mismatch]\nsigma_rel_{path} = 0.1\n")
+            parse_config("[run]\nmodel = circuit\n[adaptation]\nenabled = true\n[calibration]\n"
+                         f"[mismatch]\nsigma_rel_{path} = 0.1\n", "calibrate")
 
     @pytest.mark.parametrize("key", ["sigma_rel_leak_ota.g_per_bias", "sigma_abs_E_l"])
     def test_negative_sigma_rejected(self, key):
         # it used to end in a ValueError traceback from MismatchModel
         with pytest.raises(ValidationError, match=(
                 rf"^\[mismatch\] {key} must be >= 0, got -0.1$")):
-            parse_config(f"[run]\nmodel = circuit\n[mismatch]\n{key} = -0.1\n")
+            parse_config(f"[run]\nmodel = circuit\n[calibration]\n[mismatch]\n{key} = -0.1\n",
+                         "calibrate")
 
     @pytest.mark.parametrize("lines, key", [
         ("seed = 9", "seed"), ("enabled = true", "enabled"),
@@ -492,18 +554,20 @@ class TestMismatchKeys:
     def test_key_firing_patterns_does_not_read_rejected(self, lines, key):
         # the run seed and defaults drew the population, and the key was written back
         population = "population = 4\n" if key == "size" else ""
+        which = ("[experiment] population in its place" if key == "size"
+                 else "[mismatch] size")
         with pytest.raises(ValidationError, match=(
-                rf"^\[mismatch\] {key} is not read by firing_patterns, which reads "
-                r"only \[mismatch\] size, without \[experiment\] population$")):
+                rf"^\[mismatch\] {key} is not read by experiment firing_patterns with "
+                rf"model = circuit, which reads {re.escape(which)}$")):
             parse_config("[run]\nmodel = circuit\n[experiment]\nname = firing_patterns\n"
-                         f"{population}[mismatch]\n{lines}\n")
+                         f"{population}[mismatch]\n{lines}\n", "experiment")
         run = parse_config("[run]\nmodel = circuit\n[experiment]\nname = firing_patterns\n"
-                           "[mismatch]\nsize = 8\n")
+                           "[mismatch]\nsize = 8\n", "experiment")
         assert run.mismatch_size == 8
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("text", [MINIMAL_LIF, CIRCUIT_FULL])
+    @pytest.mark.parametrize("text", [MINIMAL_LIF, CIRCUIT_FULL, CALIBRATE_FULL])
     def test_serialize_parse_round_trip(self, text):
         first = parse_config(text)
         rendered = serialize_config(first)
@@ -522,14 +586,15 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("name, digest", [
         ("adex_step", "48e1e9011884dea4a275d32f48154b0a1ecb90367749a36248131e5c3edae2a8"),
-        ("calibrate_tau", "f237fe918033135bcd11f22058402f044b36f561d57a02b59d78af09026ad162"),
+        ("calibrate_tau", "da66518314537cf88c07cbae37daaa817cae0aac6f0fabc05e0397e429bbd2de"),
         ("firing_patterns",
-         "c70866298c818e8dcda3fd28fbbf26d9ee946b079ad63c8747c73535ab34d4a1"),
+         "c1f2b48d0238aa1a856c1003ccf6a55c4b6e94a4bd7e9af63f4f7192bf4242af"),
         ("lif_demo", "621da1a53e059193dee43dcfdba7761b4bd07282025e02e56547fadd78e7aa33"),
     ])
     def test_shipped_config_resolves_to_pinned_bytes(self, name, digest):
         # the resolved text of each shipped config, as written before the
-        # grammar's kinds read and wrote every section
+        # grammar's kinds read and wrote every section; calibrate_tau and
+        # firing_patterns without the lines their runs do not read
         text = (Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg").read_text()
         resolved = serialize_config(parse_config(text)).encode()
         assert hashlib.sha256(resolved).hexdigest() == digest
@@ -560,11 +625,21 @@ def written_value(kind, dim):
 
 @st.composite
 def numeric_configs(draw):
-    chosen = draw(st.lists(st.sampled_from(NUMERIC_KEYS), min_size=1, max_size=3,
+    """(text, command, experiment name): numeric keys the run reads, and
+    now and then one it does not."""
+    command, name, model = draw(st.sampled_from(sorted(_READS, key=str)))
+    row = _READS[command, name, model]
+
+    def read(section, key):
+        return section in row and (row[section] is None or key in row[section])
+
+    keys = NUMERIC_KEYS if draw(st.integers(0, 4)) == 0 else [
+        k for k in NUMERIC_KEYS if read(*k[:2])]
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3,
                            unique_by=lambda k: k[:2]))
-    sections = {"run": {"model": "circuit"},
-                "experiment": {"name": draw(st.sampled_from(
-                    SCHEMA["experiment"]["name"][1]))}}
+    sections = {"run": {"model": model}}
+    if name is not None:
+        sections["experiment"] = {"name": name}
     for section, key, kind, dim in chosen:
         sections.setdefault(section, {})[key] = draw(written_value(kind, dim))
     # the keys of these sections are read only with the section enabled
@@ -576,33 +651,43 @@ def numeric_configs(draw):
     switch = st.sampled_from((None, "true", "false"))
     for section, names in (("syn_exc", ("enabled", "coba")),
                            ("syn_inh", ("enabled", "coba")), ("neuron", ("exp_enabled",))):
-        for name in names:
-            value = draw(switch) if section in sections or section != "neuron" else None
+        for key in names:
+            value = draw(switch) if read(section, key) else None
             if value is not None:
-                sections.setdefault(section, {})[name] = value
-    if "neuron" in sections:
+                sections.setdefault(section, {})[key] = value
+    if "neuron" in row:
         base = {**NEURON_BASE,
-                **({} if sections["neuron"].get("exp_enabled") == "false" else NEURON_EXP)}
-        sections["neuron"] = {**base, **sections["neuron"]}
-    return "\n".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                **({} if sections.get("neuron", {}).get("exp_enabled") == "false"
+                   else NEURON_EXP)}
+        sections["neuron"] = {**base, **sections.get("neuron", {})}
+    # the sections the command needs
+    if command == "calibrate":
+        sections["calibration"] = {}
+    if command == "sweep":
+        sections["sweep"] = {"key": "run.duration", "values": "100 us, 200 us"}
+    text = "\n".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
                      for section, keys in sections.items())
+    return text, command, name
 
 
 class TestWrittenValues:
     @settings(max_examples=300)
-    @given(text=numeric_configs())
-    def test_used_as_written_or_rejected(self, text):
+    @given(config=numeric_configs())
+    def test_used_as_written_or_rejected(self, config):
         # a written value, 0 and negatives included, is either a config
-        # error or runs as written: the resolved text is a fixed point and
-        # carries every written [experiment] value unchanged
+        # error or runs as written: the resolved text is a fixed point,
+        # writes every section of the file and carries every written
+        # [experiment] value unchanged
+        text, command, name = config
         try:
-            run = parse_config(text)
+            run = parse_config(text, command, name)
         except (ParseError, ValidationError):
             return
         resolved = serialize_config(run)
         assert serialize_config(parse_config(resolved)) == resolved
-        experiment = read_config_sections(text)["experiment"]
-        for key, (raw, _) in experiment.items():
+        written = read_config_sections(text)
+        assert set(written) <= set(read_config_sections(resolved))
+        for key, (raw, _) in written.get("experiment", {}).items():
             assert f"{key} = {raw}" in resolved.splitlines()
 
 

@@ -2,6 +2,8 @@
 its imports and is exempt)."""
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -140,3 +142,20 @@ def test_every_function_and_class_has_a_caller():
     # run uses
     modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     assert dead_names(modules, [p.read_text(encoding="utf-8") for p in BENCH]) == []
+
+
+def test_engine_run_leaves_numpy_ma_unimported(cli_env):
+    # numpy.ma takes about 15 ms to import, which every `adexsim simulate`
+    # child would pay; the engine's set-up and spike split do without it
+    code = ("import sys\n"
+            "from adexsim.circuit import default_circuit_config, simulate_population\n"
+            "from adexsim.model import StimulusProgram\n"
+            "run = simulate_population(default_circuit_config(adaptation_enabled=True), 3,\n"
+            "                          StimulusProgram.constant(100e-9),\n"
+            "                          duration=60e-6, dt=0.05e-6)\n"
+            "assert all(len(spikes) for spikes in run.spikes)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=cli_env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
