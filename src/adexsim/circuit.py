@@ -41,7 +41,7 @@ def _all(cond) -> bool:
     return bool(np.all(cond))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OtaModel:
     """Saturating transconductor: I = I_sat * tanh((g / I_sat) * dV).
 
@@ -95,7 +95,7 @@ def ota_output(ota: OtaModel, V_plus, V_minus):
     return np.where(live, safe * np.tanh(k * dv), 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdaptationCircuitConfig:
     """Low-pass filter on the adaptation voltage V_w plus its output stage.
 
@@ -157,7 +157,7 @@ class AdaptationCircuitConfig:
         return self.g_w * self.pulse_amplitude * self.pulse_width / self.C_w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExponentialCircuitConfig:
     """Weak-inversion exponential feedback current.
 
@@ -227,7 +227,7 @@ def exponential_current(V_m, cfg: ExponentialCircuitConfig, in_refractory=False)
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SynInCircuitConfig:
     """Synaptic integrator line plus its output OTA.
 
@@ -303,7 +303,7 @@ def coba_effective_bias(V_m, cfg: SynInCircuitConfig):
     return np.maximum(0.0, cfg.I_b_cuba + cfg.g2 * (cfg.E_syn_hat - np.asarray(V_m)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CircuitNeuronConfig:
     """Full behavioral neuron: membrane node plus its four sub-circuits.
 

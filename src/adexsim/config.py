@@ -252,11 +252,15 @@ _POSITIVE = {"circuit": ("tau_m", "C_mem"), "adaptation": ("tau_w", "pulse_width
              "syn_exc": ("tau_syn",), "syn_inh": ("tau_syn",),
              "exponential": ("delta_t",)}
 
+# the neuron's default exponential switch (a slotted dataclass keeps its
+# defaults on its fields, not as class attributes)
+_EXP_ENABLED = AdExParameters.__dataclass_fields__["exp_enabled"].default
+
 # (section, switch, the switch where the file does not set it, the keys
 # the section reads only with the switch on, a key ending in "_" or "."
 # standing for every key it begins); a switch of another section is a
 # (section, key) pair, and a line's enabled comes first
-_SWITCHED = (("neuron", "exp_enabled", AdExParameters.exp_enabled,
+_SWITCHED = (("neuron", "exp_enabled", _EXP_ENABLED,
               ("V_T", "Delta_T", "exp_gated_in_ref")),
              ("adaptation", "enabled", False, ("tau_w", "a", "b", "pulse_width")),
              ("exponential", "enabled", False,
@@ -276,12 +280,13 @@ _LINES = dict.fromkeys(("stimulus", "events_exc", "events_inh"))
 _RUN = ("mode", "model", "seed", "out")
 
 # what a run reads: (command, experiment name, model) -> {section: the keys
-# it reads, None for all}.  A key is read if changing its value can change
-# an output file other than config.resolved.cfg; parse_config rejects any
-# other, serialize_config writes no other, and `_SWITCHED` gates keys
-# within these.  Every run reads [run] mode, model, seed and out (`_RUN`),
-# `seed` also where nothing is drawn, for command lines that set it on
-# every command.
+# it reads, None for all; a key ending in "_" or "." stands for every key
+# it begins, as a spread override's path prefix}.  A key is read if
+# changing its value can change an output file other than
+# config.resolved.cfg; parse_config rejects any other, serialize_config
+# writes no other, and `_SWITCHED` gates keys within these.  Every run
+# reads [run] mode, model, seed and out (`_RUN`), `seed` also where nothing
+# is drawn, for command lines that set it on every command.
 _READS = {
     ("simulate", None, "ideal"): {"run": (*_RUN, "dt", "duration", "format"), "neuron": None,
                                   "stimulus": None},
@@ -295,10 +300,14 @@ _READS = {
     ("calibrate", None, "circuit"): {"run": _RUN, **_CIRCUIT, "mismatch": None,
                                      "calibration": None},
     # the run switches adaptation, the exponential and the synaptic lines
-    # off; the first two switches add mismatch draws ahead of the leak's
+    # off; the first two switches add mismatch draws ahead of the leak's,
+    # and the lines' constants, drawn after it, are read by no spread
     ("experiment", "leak_over_threshold", "circuit"): {
         "run": _RUN, "circuit": None, "adaptation": ("enabled",), "exponential": ("enabled",),
-        "mismatch": None,
+        "mismatch": ("size", "seed", "enabled", *(
+            prefix + path for prefix in _SPREADS for path in (
+                "C_mem", "leak_ota.", "E_l", "V_det", "V_r", "t_ref", "adaptation.",
+                "exponential.", "stim_"))),
         "experiment": ("name", "tau_m_targets", "v_inf", "n_isis", "tolerance")},
     ("experiment", "psp", "circuit"): {
         "run": _RUN, **_CIRCUIT, "mismatch": None, "calibration": None,
@@ -322,9 +331,16 @@ _NEEDS = {("simulate", None, "ideal"): ("neuron",),
           ("calibrate", None, "circuit"): ("calibration",)}
 
 
+def _names(name: str, key: str) -> bool:
+    """Whether `name` names `key`: the key itself or, ending in "_" or ".",
+    every key it begins."""
+    return key == name or name.endswith(("_", ".")) and key.startswith(name)
+
+
 def _reads(row: dict, section: str, key: str) -> bool:
     """Whether a run whose `_READS` row is `row` reads `key` of `section`."""
-    return section in row and (row[section] is None or key in row[section])
+    return section in row and (row[section] is None
+                               or any(_names(name, key) for name in row[section]))
 
 
 def _label(command: str, name: str | None, model: str) -> str:
@@ -448,8 +464,7 @@ def _unread(given: dict):
         if not given.get(owner, {}).get(flag, default):
             switch = flag if owner == section else f"[{owner}] {flag}"
             yield from ((section, key, switch) for name in names
-                        for key in given.get(section, {})
-                        if key == name or name.endswith(("_", ".")) and key.startswith(name))
+                        for key in given.get(section, {}) if _names(name, key))
 
 
 def _check_switched(given: dict) -> None:
@@ -471,7 +486,7 @@ def _build_neuron(given: dict) -> AdExParameters:
     # omitted adaptation keys give a neuron without adaptation; with the
     # exponential off, V_T and Delta_T are unused and take no value
     vals = {"tau_w": 1.0, "a": 0.0, "b": 0.0, **given}
-    if not vals.get("exp_enabled", AdExParameters.exp_enabled):
+    if not vals.get("exp_enabled", _EXP_ENABLED):
         vals = {"V_T": vals.get("E_l"), "Delta_T": 1e-3, **vals}
     missing = [k for k in ("C", "g_l", "E_l", "V_T", "Delta_T", "V_r", "V_det")
                if vals.get(k) is None]

@@ -100,8 +100,11 @@ class MismatchModel:
 def _stack(cfgs: list) -> CircuitNeuronConfig:
     """Combine per-neuron configs into one config with array leaves.
 
-    Numeric fields become arrays of length len(cfgs); flags and mode
-    strings must be uniform across the population.
+    Numeric fields become leaves of shape (len(cfgs),).  A field whose
+    values all have the same bits is stored once: its leaf is a read-only
+    stride-0 view of that one value (`np.broadcast_to`).  Any other field
+    is an ordinary array.  Flags and mode strings must be uniform across
+    the population.
     """
     if not cfgs:
         raise ValueError("empty population")
@@ -117,7 +120,11 @@ def _stack(cfgs: list) -> CircuitNeuronConfig:
             if any(o != first for o in objs):
                 raise ValueError("flags and modes must be uniform across a population")
             return first
-        return np.array([float(o) for o in objs])
+        values = np.array([float(o) for o in objs])
+        bits = values.view(np.uint64)
+        if (bits == bits[0]).all():
+            return np.broadcast_to(values[0], values.shape)
+        return values
 
     return combine(cfgs)
 
@@ -133,7 +140,8 @@ def _columns(cfg: CircuitNeuronConfig, cols, n: int) -> list:
     builds them, one `object.__setattr__` per field, without running the
     checks again.  When a check fails, the node's columns are built with
     its constructor, so the error raised is the one the per-column
-    constructors raise first.
+    constructors raise first.  A stride-0 leaf holds one value, and every
+    column gets the same float object for it.
     """
     new, put = object.__new__, object.__setattr__
 
@@ -156,7 +164,8 @@ def _columns(cfg: CircuitNeuronConfig, cols, n: int) -> list:
                     if arr.shape != (n,):
                         raise ValueError(f"{kind.__name__}.{name} does not hold {n} values")
                 selected.append(arr)
-                per_field.append(arr.tolist() if arr.ndim else repeat(float(arr), n))
+                per_field.append(repeat(float(arr.flat[0]), n) if arr.strides in ((), (0,))
+                                 else arr.tolist())
         check = new(kind)
         for name, value in zip(names, selected):
             put(check, name, value)
@@ -191,9 +200,12 @@ def _neuron(cfg: CircuitNeuronConfig, i: int) -> CircuitNeuronConfig:
 class Population:
     """Mismatch-perturbed copies of one nominal neuron.
 
-    A population is one stacked config whose numeric leaves are arrays of
-    `size` values, the form every population routine reads.  The scalar
-    per-neuron configs in `neurons` are built from it on first access.
+    A population is one stacked config whose numeric leaves hold `size`
+    values each, the form every population routine reads.  A value that
+    every neuron holds with the same bits is stored once, as a read-only
+    stride-0 leaf (see `_stack`); perturbed and calibrated leaves are
+    ordinary arrays.  The scalar per-neuron configs in `neurons` are built
+    from it on first access, one shared float object per stride-0 leaf.
     """
 
     def __init__(self, neurons):

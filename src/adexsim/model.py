@@ -30,7 +30,7 @@ from .errors import NonFiniteState, NotLeakOverThreshold
 EXP_ARG_CLAMP = 20.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdExParameters:
     """Constants of the ideal model plus reset/threshold/refractory bookkeeping.
 

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from adexsim import ParseError, ValidationError
 from adexsim.cli import _run_one_experiment, main, report_to_json
-from adexsim.config import EXPERIMENTS, parse_config, read_config_sections
+from adexsim.config import EXPERIMENTS, parse_config, read_config_sections, serialize_config
 
 CONFIG_CIRCUIT = """
 [run]
@@ -573,6 +573,32 @@ class TestLeakOverThresholdReads:
         with pytest.raises(ValidationError, match=(
                 r"^\[syn_exc\] enabled is not read by experiment leak_over_threshold$")):
             parse_config(self.TEXT + "[syn_exc]\nenabled = false\n", "experiment")
+
+    @pytest.mark.parametrize("override", ["sigma_rel_syn_exc.q_unit = 0.5",
+                                          "sigma_abs_syn_inh.follower_offset = 0.05"])
+    def test_spread_of_a_switched_off_line_rejected(self, override, tmp_path, cfg_path,
+                                                    run_cli):
+        # the lines' constants are drawn after the leak's and the run switches
+        # the lines off: the report used to be that of the run without it
+        out = tmp_path / "out"
+        text = self.TEXT.replace("size = 2\n", f"size = 2\n{override}\n")
+        result = run_cli(["experiment", "leak_over_threshold", "--config", cfg_path(text),
+                          "--out", str(out)], cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        key = override.split()[0]
+        assert result.stderr.startswith(f"error: [mismatch] {key} is not read by experiment "
+                                        "leak_over_threshold, which reads [mismatch] ")
+        assert not out.exists()
+
+    def test_spread_of_a_constant_it_reads_changes_the_report(self):
+        def report(text):
+            run = parse_config(text, "experiment")
+            return report_to_json(_run_one_experiment(run, run.experiment))
+
+        for override in ("sigma_rel_leak_ota.g_per_bias = 0.3", "sigma_abs_V_det = 0.01"):
+            text = self.TEXT.replace("size = 2\n", f"size = 2\n{override}\n")
+            assert report(text) != report(self.TEXT), override
+            assert override in serialize_config(parse_config(text, "experiment"))
 
 
 # every command a file can run under: (command, experiment name)

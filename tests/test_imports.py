@@ -1,15 +1,20 @@
 """Every import in the package modules is used (`__init__.py` re-exports
-its imports and is exempt)."""
+its imports and is exempt), every function and class has a caller, and
+every config node stores its fields in slots."""
 
 import ast
+import dataclasses
 import subprocess
 import sys
+import typing
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import adexsim
+from adexsim.circuit import CircuitNeuronConfig
+from adexsim.model import AdExParameters
 
 MODULES = sorted(p for p in Path(adexsim.__file__).resolve().parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -159,3 +164,50 @@ def test_engine_run_leaves_numpy_ma_unimported(cli_env):
                             env=cli_env)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+def slotless(root) -> list:
+    """Name of `root` and of each dataclass its fields reach by their
+    annotated types, in the order reached, that has no `__slots__` of its
+    own: each of its instances carries a __dict__."""
+    reached, out, todo = set(), [], [root]
+    while todo:
+        cls = todo.pop(0)
+        if cls in reached:
+            continue
+        reached.add(cls)
+        if "__slots__" not in vars(cls):
+            out.append(cls.__name__)
+        todo += [t for t in typing.get_type_hints(cls).values() if dataclasses.is_dataclass(t)]
+    return out
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class SlottedLeaf:
+    x: float
+
+
+@dataclasses.dataclass(frozen=True)
+class LooseNode:
+    leaf: SlottedLeaf
+    y: float = 0.0
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class SlottedRoot:
+    loose: LooseNode
+    leaf: SlottedLeaf
+
+
+def test_finds_a_node_without_slots():
+    assert slotless(SlottedRoot) == ["LooseNode"]
+    assert slotless(LooseNode) == ["LooseNode"]
+    assert slotless(SlottedLeaf) == []
+
+
+@pytest.mark.parametrize("root", [CircuitNeuronConfig, AdExParameters],
+                         ids=lambda root: root.__name__)
+def test_config_nodes_have_slots(root):
+    # a population's scalar neurons are nine such nodes each, thousands of
+    # them in a wide population: a node with a __dict__ multiplies its size
+    assert slotless(root) == []

@@ -14,13 +14,15 @@ from adexsim import (
 )
 from adexsim import mismatch
 from adexsim.circuit import (
-    AdaptationCircuitConfig, CircuitNeuronConfig, ExponentialCircuitConfig,
-    OtaModel, SynInCircuitConfig, get_bias, set_bias,
+    AdaptationCircuitConfig, CircuitNeuronConfig, CircuitState, ExponentialCircuitConfig,
+    OtaModel, SynInCircuitConfig, get_bias, set_bias, simulate_population,
 )
 from adexsim.mismatch import (
     MismatchModel, PARAMETER_RANGES, Population, default_mismatch_model,
     sample_population,
 )
+from adexsim.model import StimulusProgram
+from adexsim.synapse import WeightedSpikeTrain
 
 
 @functools.lru_cache(maxsize=None)
@@ -30,23 +32,32 @@ def pattern_nominal(name):
     return circuit_for_adex(hw, default_circuit_config(E_l=hw.E_l))
 
 
-def leaf_bits(cfg) -> dict:
-    """Dotted path -> (dtype, shape, bytes) of each numeric leaf, or the
-    flag or mode itself."""
+def is_flag(value) -> bool:
+    return value is None or isinstance(value, (bool, str))
+
+
+def leaves(cfg) -> dict:
+    """Dotted path -> each leaf of a config: a number, an array, a flag or
+    a mode."""
     out = {}
 
     def walk(obj, path):
         if dataclasses.is_dataclass(obj):
             for f in dataclasses.fields(obj):
                 walk(getattr(obj, f.name), f"{path}.{f.name}".lstrip("."))
-        elif obj is None or isinstance(obj, (bool, str)):
-            out[path] = obj
         else:
-            arr = np.asarray(obj)
-            out[path] = (arr.dtype.str, arr.shape, arr.tobytes())
+            out[path] = obj
 
     walk(cfg, "")
     return out
+
+
+def leaf_bits(cfg) -> dict:
+    """Dotted path -> (dtype, shape, bytes) of each numeric leaf, or the
+    flag or mode itself."""
+    return {path: leaf if is_flag(leaf) else
+            (np.asarray(leaf).dtype.str, np.shape(leaf), np.asarray(leaf).tobytes())
+            for path, leaf in leaves(cfg).items()}
 
 
 class TestSamplePopulation:
@@ -212,9 +223,14 @@ BAD_COLUMNS = [
 
 
 def write_column(cfg, path, column, value):
-    """Write one value of a stacked leaf in place, past the checks that
-    construction ran."""
-    np.asarray(get_bias(cfg, path))[column] = value
+    """Put one value into a stacked leaf, past the checks that construction
+    ran: the leaf's node takes a writable copy of the leaf holding the
+    value (a uniform leaf is a read-only view)."""
+    *parents, name = path.split(".")
+    node = get_bias(cfg, ".".join(parents)) if parents else cfg
+    leaf = np.array(getattr(node, name), dtype=float)
+    leaf[column] = value
+    object.__setattr__(node, name, leaf)
 
 
 class TestColumns:
@@ -304,6 +320,92 @@ class TestColumns:
         assert calls == {"OtaModel": 4, "AdaptationCircuitConfig": 1,
                          "ExponentialCircuitConfig": 1, "SynInCircuitConfig": 2,
                          "CircuitNeuronConfig": 1}
+
+
+def stride_zero(cfg) -> set:
+    """Paths of the stride-0 leaves of a stacked config."""
+    return {path for path, leaf in leaves(cfg).items()
+            if not is_flag(leaf) and np.asarray(leaf).strides == (0,)}
+
+
+def uniform(cfg) -> set:
+    """Paths of the numeric leaves of a stacked config whose values all
+    have the same bits."""
+    return {path for path, leaf in leaves(cfg).items()
+            if not is_flag(leaf) and np.unique(np.asarray(leaf).view(np.uint64)).size == 1}
+
+
+def materialized(cfg):
+    """A copy of a config whose numeric leaves are all ordinary arrays."""
+    if dataclasses.is_dataclass(cfg):
+        return dataclasses.replace(cfg, **{f.name: materialized(getattr(cfg, f.name))
+                                           for f in dataclasses.fields(cfg)})
+    return cfg if is_flag(cfg) else np.array(cfg, dtype=float)
+
+
+populations = dict(width=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+                   adaptation=st.booleans(), exponential=st.booleans(), coba=st.booleans(),
+                   synapses=st.booleans())
+
+
+class TestUniformLeaves:
+    """A value every neuron holds with the same bits is stored once."""
+
+    @given(**populations)
+    def test_stack_stores_a_uniform_leaf_once(self, width, seed, adaptation, exponential,
+                                              coba, synapses):
+        pop = spread_population(width, seed, adaptation, exponential, coba, synapses)
+        stacked = mismatch._stack(pop.neurons)
+        once = uniform(stacked)
+        for path, leaf in leaves(stacked).items():
+            if not is_flag(leaf):
+                assert np.shape(leaf) == (width,), path
+                assert (leaf.strides == (0,)) == (path in once), path
+                assert leaf.flags.writeable == (path not in once), path
+        # sampling perturbs the spread constants alone; every other leaf
+        # keeps the nominal value's one slot
+        spread = set(SPREAD.relative) | set(SPREAD.additive)
+        numeric = {path for path, leaf in leaves(stacked).items() if not is_flag(leaf)}
+        assert stride_zero(pop.stacked()) == numeric - spread
+
+    @given(**populations)
+    def test_neurons_share_the_float_of_a_uniform_leaf(self, width, seed, adaptation,
+                                                       exponential, coba, synapses):
+        pop = spread_population(width, seed, adaptation, exponential, coba, synapses)
+        paths = stride_zero(pop.stacked())
+        assert paths
+        for path in paths:
+            first = get_bias(pop.neurons[0], path)
+            assert type(first) is float
+            assert all(get_bias(neuron, path) is first for neuron in pop.neurons), path
+        last = mismatch._neuron(pop.stacked(), width - 1)
+        assert all(get_bias(last, path) == get_bias(pop.neurons[0], path) for path in paths)
+
+    @given(**populations)
+    def test_restack_keeps_every_bit_and_every_uniform_leaf(self, width, seed, adaptation,
+                                                            exponential, coba, synapses):
+        pop = spread_population(width, seed, adaptation, exponential, coba, synapses)
+        restacked = Population(pop.neurons).stacked()
+        assert leaf_bits(restacked) == leaf_bits(pop.stacked())
+        assert stride_zero(pop.stacked()) <= stride_zero(restacked) == uniform(restacked)
+
+    @given(**populations)
+    def test_simulation_equals_a_materialized_copy(self, width, seed, adaptation,
+                                                   exponential, coba, synapses):
+        pop = spread_population(width, seed, adaptation, exponential, coba, synapses)
+        cfg, neuron = pop.stacked(), pop.neurons[0]
+        stimulus = StimulusProgram.step(
+            5e-6, 3.0 * neuron.g_l * (neuron.V_det - neuron.E_l), 40e-6)
+        events = {side: WeightedSpikeTrain(((8e-6, 1.0), (20e-6, 0.5)))
+                  for side in ("exc", "inh")} if synapses else None
+        runs = [simulate_population(c, width, stimulus, events, duration=40e-6, dt=0.05e-6)
+                for c in (cfg, materialized(cfg))]
+        assert stride_zero(cfg) and not stride_zero(materialized(cfg))
+        assert runs[0].spike_columns.size
+        assert runs[0].spike_columns.tobytes() == runs[1].spike_columns.tobytes()
+        for f in dataclasses.fields(CircuitState):
+            assert (np.asarray(getattr(runs[0].final_state, f.name)).tobytes()
+                    == np.asarray(getattr(runs[1].final_state, f.name)).tobytes()), f.name
 
 
 class TestDefaultModel:
