@@ -15,7 +15,7 @@ from .errors import (
 )
 from .model import (
     AdExParameters, NeuronState, SimulationTrace, StimulusProgram,
-    lif_parameters, predicted_lot_isi, simulate, step,
+    lif_parameters, predicted_lot_isi, simulate,
 )
 from .synapse import WeightedSpikeTrain, psp_metrics
 from .circuit import (
@@ -34,9 +34,9 @@ from .measure import (
 )
 from .calibrate import CalibrationResult, CalibrationTarget, calibrate_population
 from .experiments import (
-    FIRING_PATTERN_LABELS, ClassifierThresholds, ExperimentReport,
+    FIRING_PATTERN_LABELS, ExperimentReport,
     classify_firing_pattern, phase_plane, run_exponential_sweep,
     run_firing_patterns, run_leak_over_threshold, run_psp_experiment,
 )
 from .patterns import FiringPattern, load_patterns
-from .units import DomainMap, map_adex_parameters
+from .units import map_adex_parameters

@@ -43,17 +43,16 @@ def _all(cond) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class OtaModel:
-    """Saturating transconductor: I = I_sat * tanh((g / I_sat) * dV).
+    """Saturating transconductor: I = I_bias * tanh((g / I_bias) * dV).
 
     The small-signal transconductance is g = g_per_bias * I_bias and the
-    output saturates toward I_sat = min(I_out_max, I_bias).  The transfer
-    is taken in this folded form, one multiply by g / I_sat inside the
-    envelope, by `ota_output`, `exponential_current` and the engine alike.
+    output saturates at its bias, I_sat = I_bias.  The transfer is taken
+    in this folded form, one multiply by g / I_sat inside the envelope, by
+    `ota_output`, `exponential_current` and the engine alike.
     """
 
     I_bias: float
     g_per_bias: float
-    I_out_max: float = math.inf
 
     def __post_init__(self):
         if not _all(np.asarray(self.I_bias) >= 0):
@@ -67,23 +66,18 @@ class OtaModel:
         return self.g_per_bias * self.I_bias
 
     @property
-    def i_sat(self):
-        return np.minimum(self.I_out_max, self.I_bias)
-
-    @property
     def linear_range(self):
         """Half-width of the input range within which the transfer stays
         linear to 5% or better: the envelope's own 5%-deviation point."""
         g = self.g
-        return LINEAR_5PCT_ARG * self.i_sat / np.where(np.asarray(g) > 0, g, 1.0)
+        return LINEAR_5PCT_ARG * self.I_bias / np.where(np.asarray(g) > 0, g, 1.0)
 
 
 def _transfer(ota: OtaModel):
     """The folded transfer's terms: where the output is live (I_sat > 0),
     the output scale I_sat (1.0 where dead) and the input gain g / scale."""
-    i_sat = ota.i_sat
-    live = i_sat > 0
-    safe = np.where(live, i_sat, 1.0)
+    live = ota.I_bias > 0
+    safe = np.where(live, ota.I_bias, 1.0)
     return live, safe, ota.g / safe
 
 
@@ -257,7 +251,6 @@ class SynInCircuitConfig:
     offset_trim: float = 0.0
     leak_gain: float = 1.0
     coba_enabled: bool = False
-    sign: str = "exc"
     enabled: bool = True
 
     def __post_init__(self):
@@ -271,8 +264,6 @@ class SynInCircuitConfig:
             raise ValueError("I_b_cuba must be >= 0")
         if not _all(np.asarray(self.q_unit) >= 0):
             raise ValueError("q_unit must be >= 0")
-        if self.sign not in ("exc", "inh"):
-            raise ValueError("sign must be 'exc' or 'inh'")
         if self.coba_enabled and not _all(np.asarray(self.g2) != 0):
             raise ValueError("coba mode requires g2 != 0")
 
@@ -430,7 +421,7 @@ def _check_width(obj, n: int) -> None:
         value = getattr(obj, f.name)
         if is_dataclass(value):
             _check_width(value, n)
-        elif not isinstance(value, (bool, str, type(None))) and np.shape(value) not in ((), (n,)):
+        elif np.shape(value) not in ((), (n,)):
             raise ValueError(f"{type(obj).__name__}.{f.name} does not hold {n} values")
 
 
@@ -957,11 +948,11 @@ def default_circuit_config(tau_m: float = 20e-6,
     syn_exc = SynInCircuitConfig(
         C_line=3e-12, g_leak_line=0.3e-6, I_b_cuba=0.5e-6, q_unit=0.18e-12,
         g2=0.5e-6 if coba else 0.0, E_syn_hat=0.7,
-        coba_enabled=coba, sign="exc")
+        coba_enabled=coba)
     syn_inh = SynInCircuitConfig(
         C_line=3e-12, g_leak_line=0.3e-6, I_b_cuba=0.5e-6, q_unit=0.18e-12,
         g2=-0.5e-6 if coba else 0.0, E_syn_hat=0.45,
-        coba_enabled=coba, sign="inh")
+        coba_enabled=coba)
     return CircuitNeuronConfig(
         C_mem=C_mem,
         leak_ota=default_leak_ota(tau_m, C_mem),

@@ -680,6 +680,10 @@ def _build_mismatch(run: RunConfig, mismatch: dict) -> None:
                                       "constant of the circuit")
             if not sigma >= 0:
                 raise ValidationError(f"[mismatch] {key} must be >= 0, got {sigma!r}")
+            # a relative spread scales the nominal, which leaves 0 at 0
+            if spreads == "relative" and get_bias(run.circuit, path) == 0:
+                raise ValidationError(f"[mismatch] {key}: the nominal {path} is 0, which "
+                                      "a relative spread leaves unchanged")
             run.mismatch_overrides.setdefault(spreads, {})[path] = sigma
 
 

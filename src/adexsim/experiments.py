@@ -18,6 +18,7 @@ from .circuit import (
     EXP_CONVERSION_RATIO, circuit_for_adex, default_circuit_config, simulate_circuit,
     simulate_population,
 )
+from .errors import NotLeakOverThreshold
 from .measure import (
     PspProtocol, _disable, _psp_response, exponential_sweep, fit_exponential_slope,
 )
@@ -42,36 +43,27 @@ FIRING_PATTERN_LABELS = (
 )
 
 
-@dataclass(frozen=True)
-class ClassifierThresholds:
-    """Centralized decision constants of the ISI-sequence classifier.
-
-    All criteria are ratios, so uniform time rescaling cannot change a
-    label.  delay_ratio was tuned on the published parameter sets: the
-    largest non-delayed first-spike latency (tonic, charging from rest)
-    is ~1.5 mean ISIs while the delayed sets sit at 2.9 and above.  Burst
-    detection keys on the largest consecutive ISI up-jump, which stays
-    below ~1.7 for smoothly adapting trains but exceeds 4 when a burst
-    ends; for bursting trains the onset delay is judged against the
-    inter-burst interval.
-    """
-
-    delay_ratio: float = 2.0
-    burst_delay_ratio: float = 0.5
-    burst_ratio: float = 0.25
-    burst_gap: float = 3.0
-    tonic_cv: float = 0.05
-    transient_fraction: float = 0.8
-    trend_increase: float = 1.25
-    trend_decrease: float = 0.8
-    jitter: float = 0.05
-    tail_cv: float = 0.1
+# the decision constants of the ISI-sequence classifier.  All criteria are
+# ratios, so uniform time rescaling cannot change a label.  DELAY_RATIO was
+# tuned on the published parameter sets: the largest non-delayed
+# first-spike latency (tonic, charging from rest) is ~1.5 mean ISIs while
+# the delayed sets sit at 2.9 and above.  Burst detection keys on the
+# largest consecutive ISI up-jump, which stays below ~1.7 for smoothly
+# adapting trains but exceeds 4 when a burst ends; for bursting trains the
+# onset delay is judged against the inter-burst interval.
+DELAY_RATIO = 2.0
+BURST_DELAY_RATIO = 0.5
+BURST_RATIO = 0.25
+BURST_GAP = 3.0
+TONIC_CV = 0.05
+TRANSIENT_FRACTION = 0.8
+TREND_INCREASE = 1.25
+TREND_DECREASE = 0.8
+JITTER = 0.05
+TAIL_CV = 0.1
 
 
-DEFAULT_THRESHOLDS = ClassifierThresholds()
-
-
-def _burst_split(isis: np.ndarray, th: ClassifierThresholds):
+def _burst_split(isis: np.ndarray):
     """Bimodal intra/inter ISI split seeded by the largest consecutive
     up-jump in time order.
 
@@ -82,38 +74,37 @@ def _burst_split(isis: np.ndarray, th: ClassifierThresholds):
         return None
     up = isis[1:] / isis[:-1]
     k = int(np.argmax(up))
-    if up[k] < th.burst_gap:
+    if up[k] < BURST_GAP:
         return None
     cut = math.sqrt(isis[k] * isis[k + 1])
     short = isis < cut
     if not short.any() or short.all():
         return None
-    if float(np.mean(isis[short]) / np.mean(isis[~short])) >= th.burst_ratio:
+    if float(np.mean(isis[short]) / np.mean(isis[~short])) >= BURST_RATIO:
         return None
     return short
 
 
-def _monotone(isis: np.ndarray, jitter: float, rising: bool) -> bool:
+def _monotone(isis: np.ndarray, rising: bool) -> bool:
     if rising:
-        return bool(np.all(isis[1:] >= isis[:-1] * (1.0 - jitter)))
-    return bool(np.all(isis[1:] <= isis[:-1] * (1.0 + jitter)))
+        return bool(np.all(isis[1:] >= isis[:-1] * (1.0 - JITTER)))
+    return bool(np.all(isis[1:] <= isis[:-1] * (1.0 + JITTER)))
 
 
 def classify_firing_pattern(spikes, stimulus_onset: float, duration: float) -> str:
     """Deterministic label for a spike train under a step stimulus, by the
-    criteria of `DEFAULT_THRESHOLDS`.
+    classifier's decision constants above.
 
     `duration` is the length of the stimulus window starting at
     `stimulus_onset`; spikes outside the window are ignored.
     """
-    th = DEFAULT_THRESHOLDS
     spikes = np.asarray(spikes, dtype=float)
     end = stimulus_onset + duration
     spikes = spikes[(spikes >= stimulus_onset) & (spikes <= end + 1e-12 * max(end, 1.0))]
     n = len(spikes)
     if n == 0:
         return UNCLASSIFIED
-    if spikes[-1] < stimulus_onset + th.transient_fraction * duration:
+    if spikes[-1] < stimulus_onset + TRANSIENT_FRACTION * duration:
         # truly ceased: the silent tail dwarfs every observed interval
         # (guards against slow bursting whose last burst lands early)
         max_isi = float(np.max(np.diff(spikes))) if n >= 2 else 0.0
@@ -124,28 +115,28 @@ def classify_firing_pattern(spikes, stimulus_onset: float, duration: float) -> s
 
     isis = np.diff(spikes)
     latency = spikes[0] - stimulus_onset
-    delayed = latency / float(np.mean(isis)) > th.delay_ratio
+    delayed = latency / float(np.mean(isis)) > DELAY_RATIO
 
-    short = _burst_split(isis, th)
+    short = _burst_split(isis)
     if short is not None:
         inter = isis[~short]
-        delayed_burst = latency / float(np.mean(inter)) > th.burst_delay_ratio
+        delayed_burst = latency / float(np.mean(inter)) > BURST_DELAY_RATIO
         prefix = int(np.argmin(short)) if not short.all() else 0
         prefix_only = bool(short[:prefix].all() and not short[prefix:].any())
         if prefix_only and not delayed_burst:
             tail = isis[~short]
             if len(tail) >= 2:
                 ref = tail[1:] if len(tail) > 2 else tail
-                if float(np.std(ref) / np.mean(ref)) < th.tail_cv:
+                if float(np.std(ref) / np.mean(ref)) < TAIL_CV:
                     return INITIAL_BURST
         return DELAYED_REGULAR_BURSTING if delayed_burst else REGULAR_BURSTING
 
-    if isis[-1] >= th.trend_increase * isis[0] and _monotone(isis, th.jitter, rising=True):
+    if isis[-1] >= TREND_INCREASE * isis[0] and _monotone(isis, rising=True):
         return ADAPTATION
-    if isis[-1] <= th.trend_decrease * isis[0] and _monotone(isis, th.jitter, rising=False):
+    if isis[-1] <= TREND_DECREASE * isis[0] and _monotone(isis, rising=False):
         return DELAYED_ACCELERATING if delayed else UNCLASSIFIED
     steady = isis[1:] if len(isis) > 2 else isis
-    if not delayed and float(np.std(steady) / np.mean(steady)) < th.tonic_cv:
+    if not delayed and float(np.std(steady) / np.mean(steady)) < TONIC_CV:
         return TONIC_SPIKING
     return UNCLASSIFIED
 
@@ -229,7 +220,9 @@ class LotProtocol:
 
 def run_leak_over_threshold(pop: Population, tau_m_targets, stimulus=None) -> ExperimentReport:
     """Calibrate tau_m and the stimulus gain per time-constant target, measure
-    ISIs and compare with the closed-form prediction evaluated at the targets.
+    ISIs and compare each with the closed-form prediction from the neuron's
+    own constants at the target, under one command current set from their
+    population medians (NaN, with a note, where V_inf does not exceed V_det).
 
     The leak-over-threshold regime digitally disables adaptation, the
     exponential and the synaptic inputs; a run takes 500 steps per tau."""
@@ -238,20 +231,35 @@ def run_leak_over_threshold(pop: Population, tau_m_targets, stimulus=None) -> Ex
         name="leak_over_threshold",
         tolerances={"median_rel_isi_dev": proto.tolerance})
     n = pop.size
-    # mismatch leaves these constants at their nominal values: read neuron 0
+    # each neuron's C_mem, E_l, V_r, V_det and t_ref, and their medians (the
+    # nominal value where mismatch leaves a constant uniform)
     cfg = pop.stacked()
-    c_mem, e_l, v_r, v_det, t_ref = (float(np.asarray(x)[0]) for x in (
-        cfg.C_mem, cfg.E_l, cfg.V_r, cfg.V_det, cfg.t_ref))
+    own = [np.broadcast_to(np.asarray(x, dtype=float), (n,)).tolist() for x in (
+        cfg.C_mem, cfg.E_l, cfg.V_r, cfg.V_det, cfg.t_ref)]
+    median = [float(np.median(x)) for x in own]
+    c_mem, e_l, _, v_det, _ = median
 
     for tau in tau_m_targets:
         target = CalibrationTarget(tau_m=tau, stim_gain=True)
         cal = calibrate_population(pop, target, tol=CALIBRATION_TOL)
         g_l = c_mem / tau
         i_cmd = proto.v_inf_margin * (v_det - e_l) * g_l
-        lif = lif_parameters(C=c_mem, g_l=g_l, E_l=e_l, V_r=v_r,
-                             V_det=v_det, t_ref=t_ref)
-        predicted = predicted_lot_isi(lif, i_cmd)
-        duration = (proto.n_isis + 2) * predicted
+
+        def lot_isi(c, e, r, d, t):
+            lif = lif_parameters(C=c, g_l=c / tau, E_l=e, V_r=r, V_det=d, t_ref=t)
+            return predicted_lot_isi(lif, i_cmd)
+
+        # the run lasts n_isis + 2 of the longest ISI predicted
+        longest = lot_isi(*median)
+        predicted = []
+        for i, constants in enumerate(zip(*own)):
+            try:
+                predicted.append(lot_isi(*constants))
+            except NotLeakOverThreshold as err:
+                predicted.append(math.nan)
+                report.notes.append(f"tau_m={tau:.3g}: neuron {i}: {err}")
+        longest = max([longest, *(x for x in predicted if not math.isnan(x))])
+        duration = (proto.n_isis + 2) * longest
         dt = tau / 500.0
         stacked = _disable(cal.population.stacked(), adaptation=True,
                            exponential=True, synin=True)
@@ -262,10 +270,10 @@ def run_leak_over_threshold(pop: Population, tau_m_targets, stimulus=None) -> Ex
             isis = np.diff(run.spikes[i])
             isis = isis[1:] if len(isis) > 2 else isis
             measured = float(np.median(isis)) if len(isis) else math.nan
-            dev = (measured - predicted) / predicted if math.isfinite(measured) else math.nan
+            dev = (measured - predicted[i]) / predicted[i]
             report.per_neuron.append({
                 "tau_m_target": tau, "neuron": i,
-                "isi_measured": measured, "isi_predicted": predicted,
+                "isi_measured": measured, "isi_predicted": predicted[i],
                 "rel_dev": dev, "abs_rel_dev": abs(dev),
                 "calibrated": bool(np.all([o.converged[i] for o in cal.outcomes.values()])),
             })
@@ -401,7 +409,7 @@ def run_firing_patterns(parameter_sets=None, model: str = "ideal",
     """Reproduce the named firing patterns and classify every response.
 
     model='ideal' simulates the published sets directly; model='circuit'
-    maps each set to the hardware domain (the default `DomainMap`),
+    maps each set to the hardware domain (`map_adex_parameters`),
     samples a mismatched population, calibrates it (to CALIBRATION_TOL)
     and requires the matching label for at least `agreement` of the
     neurons.

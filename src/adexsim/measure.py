@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import (
-    CircuitNeuronConfig, OtaModel, _engine, coba_effective_bias, exponential_current,
-    ota_output, quiescent_state, simulate_population,
+    CircuitNeuronConfig, OtaModel, _engine, _transfer, coba_effective_bias,
+    exponential_current, ota_output, quiescent_state, simulate_population,
 )
 from .errors import FitFailed, InvalidConfig
 from .model import StimulusProgram
@@ -177,9 +177,8 @@ SCAN_POINTS = 64
 
 def _ota_slope(ota: OtaModel, V_plus, V_minus):
     """Slope of `ota_output` in V_plus: g * (1 - (out / I_sat)^2)."""
-    i_sat = ota.i_sat
-    live = i_sat > 0
-    ratio = ota_output(ota, V_plus, V_minus) / np.where(live, i_sat, 1.0)
+    live, safe, _ = _transfer(ota)
+    ratio = ota_output(ota, V_plus, V_minus) / safe
     return np.where(live, ota.g * (1.0 - ratio * ratio), 0.0)
 
 
@@ -233,7 +232,7 @@ def _steady_state(cfg: CircuitNeuronConfig, m: int, current, start=None):
 
     with np.errstate(invalid="ignore", divide="ignore"):
         g_l = _per_neuron(cfg.g_l, m)
-        half = LEAK_SATURATION_ARG * _per_neuron(cfg.leak_ota.i_sat, m) \
+        half = LEAK_SATURATION_ARG * _per_neuron(cfg.leak_ota.I_bias, m) \
             / np.where(g_l > 0, g_l, math.nan)
         v0 = e_l if start is None else _per_neuron(start, m)
         direction = np.sign(balance(v0))
@@ -260,7 +259,7 @@ def _steady_state(cfg: CircuitNeuronConfig, m: int, current, start=None):
         filter_ok = np.ones(m, dtype=bool)
         if ad.enabled:
             filter_ok = np.abs(ota_output(ad.ota_a, root, ad.E_l_adapt)) \
-                < _per_neuron(ad.ota_tau.i_sat, m)
+                < _per_neuron(ad.ota_tau.I_bias, m)
 
     reasons = np.select([~np.isfinite(root), ~filter_ok, ~stable],
                         [NO_ROOT, FILTER_SATURATED, UNSTABLE], "")
@@ -291,7 +290,7 @@ def _release_fit(ota: OtaModel, cap, n):
     """
     m = n or 1
     tau, reasons = _release_rows(*(_per_neuron(x, m).tobytes()
-                                   for x in (ota.g, ota.i_sat, cap)))
+                                   for x in (ota.g, ota.I_bias, cap)))
     return _scalarize(tau.copy(), n, reasons)
 
 

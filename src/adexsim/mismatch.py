@@ -14,6 +14,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import is_
 
 import numpy as np
 
@@ -103,23 +104,29 @@ def _stack(cfgs: list) -> CircuitNeuronConfig:
     Numeric fields become leaves of shape (len(cfgs),).  A field whose
     values all have the same bits is stored once: its leaf is a read-only
     stride-0 view of that one value (`np.broadcast_to`).  Any other field
-    is an ordinary array.  Flags and mode strings must be uniform across
-    the population.
+    is an ordinary array.  Flags must be uniform across the population.
+    One object shared by every config (all of `[nominal] * n`) is read once.
     """
     if not cfgs:
         raise ValueError("empty population")
+    n = len(cfgs)
 
     def combine(objs):
         first = objs[0]
+        # n references to one object: its bits are the same n times
+        if len(objs) > 1 and all(map(is_, objs, repeat(first))):
+            objs = objs[:1]
         if dataclasses.is_dataclass(first):
             kwargs = {}
             for f in dataclasses.fields(first):
                 kwargs[f.name] = combine([getattr(o, f.name) for o in objs])
             return type(first)(**kwargs)
-        if first is None or isinstance(first, (bool, str)):
+        if first is None or isinstance(first, bool):
             if any(o != first for o in objs):
-                raise ValueError("flags and modes must be uniform across a population")
+                raise ValueError("flags must be uniform across a population")
             return first
+        if len(objs) == 1:
+            return np.broadcast_to(float(first), (n,))
         values = np.array([float(o) for o in objs])
         bits = values.view(np.uint64)
         if (bits == bits[0]).all():
@@ -154,7 +161,7 @@ def _columns(cfg: CircuitNeuronConfig, cols, n: int) -> list:
             if dataclasses.is_dataclass(value):
                 selected.append(value)
                 per_field.append(columns(value))
-            elif value is None or isinstance(value, (bool, str)):
+            elif value is None or isinstance(value, bool):
                 selected.append(value)
                 per_field.append(repeat(value, n))
             else:

@@ -244,17 +244,6 @@ def _stepper(p: AdExParameters, dt: float):
     return advance
 
 
-def step(state: NeuronState, p: AdExParameters, I_ext: float, dt: float):
-    """Advance (V, w) by one step; returns (new_state, spiked).
-
-    The step rules are those of `_stepper`, which `simulate` runs too.
-    """
-    if not dt > 0:
-        raise ValueError("dt must be > 0")
-    V, w, ref, spiked = _stepper(p, dt)(state.V, state.w, state.ref_remaining, I_ext)
-    return NeuronState(V, w, ref), spiked
-
-
 def _n_steps(duration: float, dt: float) -> int:
     """Steps of a run of `duration` at `dt`, the one rule of both integrators."""
     if not (0 < duration < math.inf and 0 < dt < math.inf):

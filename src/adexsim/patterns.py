@@ -14,7 +14,7 @@ from importlib import resources
 
 from .config import SCHEMA, _given, read_config_sections
 from .model import AdExParameters
-from .units import DomainMap, map_adex_parameters, parse_quantity
+from .units import hw_current, hw_time, map_adex_parameters, parse_quantity
 
 
 @dataclass(frozen=True)
@@ -29,18 +29,16 @@ class FiringPattern:
     duration: float
 
     def to_hardware(self):
-        """Map the set into the accelerated hardware domain of the default
-        `DomainMap`.
+        """Map the set into the accelerated hardware domain
+        (`map_adex_parameters`).
 
         Returns (params, step current, onset, duration) with voltages,
         conductances and currents rescaled so the dynamics correspond
         trajectory for trajectory.
         """
-        dm = DomainMap()
-        hw = map_adex_parameters(self.params, dm)
-        c_bio = self.params.C
-        return (hw, dm.current(self.current, c_bio),
-                dm.time(self.onset), dm.time(self.duration))
+        hw = map_adex_parameters(self.params)
+        return (hw, hw_current(self.current, self.params.C),
+                hw_time(self.onset), hw_time(self.duration))
 
 
 def _parse_pattern(text: str, source: str) -> FiringPattern:

@@ -9,8 +9,9 @@ silent scale errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
+from .circuit import MAX_MEMBRANE_CAPACITANCE
 from .errors import ParseError
 
 # suffix -> (scale to SI, dimension name)
@@ -95,63 +96,59 @@ def format_quantity(value: float, dimension: str) -> str:
     return f"{float(value)!r} {CANONICAL_SUFFIX[dimension]}"
 
 
-@dataclass(frozen=True)
-class DomainMap:
-    """Affine map between the biological parameter domain and the accelerated
-    hardware-like domain the circuit model lives in.
-
-    time:     t_hw = t_bio / time_speedup
-    voltage:  V_hw = voltage_scale * (V_bio - v_bio_ref) + v_hw_ref
-    currents and conductances follow from the membrane equation once the
-    hardware membrane capacitance is fixed (see map_adex_parameters).
-
-    The default voltage scale of 10 places typical -80..0 mV biological
-    swings at 0.3..1.1 V and a 2 mV slope at 20 mV, inside the reachable
-    hardware ranges.
-    """
-
-    time_speedup: float = 1000.0
-    voltage_scale: float = 10.0
-    v_bio_ref: float = -70e-3
-    v_hw_ref: float = 0.4
-    c_hw: float = 2.47e-12
-
-    def voltage(self, v_bio: float) -> float:
-        return self.voltage_scale * (v_bio - self.v_bio_ref) + self.v_hw_ref
-
-    def voltage_diff(self, dv_bio: float) -> float:
-        return self.voltage_scale * dv_bio
-
-    def time(self, t_bio: float) -> float:
-        return t_bio / self.time_speedup
-
-    def current(self, i_bio: float, c_bio: float) -> float:
-        """Currents scale with alpha * k * C_hw / C_bio so the membrane ODE is preserved."""
-        return i_bio * self.voltage_scale * self.time_speedup * self.c_hw / c_bio
-
-    def conductance(self, g_bio: float, c_bio: float) -> float:
-        return g_bio * self.time_speedup * self.c_hw / c_bio
+# the affine map between the biological parameter domain and the
+# accelerated hardware domain the circuit model lives in:
+#
+#     time:     t_hw = t_bio / TIME_SPEEDUP
+#     voltage:  V_hw = VOLTAGE_SCALE * (V_bio - V_BIO_REF) + V_HW_REF
+#
+# currents and conductances follow from the membrane equation once the
+# hardware membrane capacitance is fixed, at the circuit's largest (see
+# map_adex_parameters).  The voltage scale of 10 places typical -80..0 mV
+# biological swings at 0.3..1.1 V and a 2 mV slope at 20 mV, inside the
+# reachable hardware ranges.
+TIME_SPEEDUP = 1000.0
+VOLTAGE_SCALE = 10.0
+V_BIO_REF = -70e-3
+V_HW_REF = 0.4
 
 
-def map_adex_parameters(p, dm: DomainMap):
+def hw_voltage(v_bio):
+    return VOLTAGE_SCALE * (v_bio - V_BIO_REF) + V_HW_REF
+
+
+def hw_time(t_bio):
+    return t_bio / TIME_SPEEDUP
+
+
+def hw_current(i_bio, c_bio):
+    """Currents scale with alpha * k * C_hw / C_bio so the membrane ODE is preserved."""
+    return i_bio * VOLTAGE_SCALE * TIME_SPEEDUP * MAX_MEMBRANE_CAPACITANCE / c_bio
+
+
+def hw_conductance(g_bio, c_bio):
+    return g_bio * TIME_SPEEDUP * MAX_MEMBRANE_CAPACITANCE / c_bio
+
+
+def map_adex_parameters(p):
     """Map ideal-model parameters from the biological to the hardware domain.
 
     The mapped model is dynamically equivalent: trajectories correspond via
     the affine voltage map and the time speedup.  `p` is an AdExParameters
-    instance (imported lazily to avoid a module cycle).
+    instance.
     """
     c_bio = p.C
     return replace(
         p,
-        C=dm.c_hw,
-        g_l=dm.conductance(p.g_l, c_bio),
-        E_l=dm.voltage(p.E_l),
-        V_T=dm.voltage(p.V_T),
-        Delta_T=dm.voltage_diff(p.Delta_T),
-        tau_w=dm.time(p.tau_w),
-        a=dm.conductance(p.a, c_bio),
-        b=dm.current(p.b, c_bio),
-        V_r=dm.voltage(p.V_r),
-        V_det=dm.voltage(p.V_det),
-        t_ref=dm.time(p.t_ref),
+        C=MAX_MEMBRANE_CAPACITANCE,
+        g_l=hw_conductance(p.g_l, c_bio),
+        E_l=hw_voltage(p.E_l),
+        V_T=hw_voltage(p.V_T),
+        Delta_T=VOLTAGE_SCALE * p.Delta_T,
+        tau_w=hw_time(p.tau_w),
+        a=hw_conductance(p.a, c_bio),
+        b=hw_current(p.b, c_bio),
+        V_r=hw_voltage(p.V_r),
+        V_det=hw_voltage(p.V_det),
+        t_ref=hw_time(p.t_ref),
     )

@@ -55,10 +55,11 @@ class TestOta:
         assert np.ptp(ratio) / np.mean(ratio) < 0.05
 
     def test_bounded_and_monotone(self):
-        ota = OtaModel(I_bias=50e-9, g_per_bias=0.5, I_out_max=30e-9)
+        # g = 25 nS saturating at 30 nA
+        ota = OtaModel(I_bias=30e-9, g_per_bias=0.5 * 50 / 30)
         dv = np.linspace(-3.0, 3.0, 401)
         out = np.asarray(ota_output(ota, dv, 0.0))
-        assert np.all(np.abs(out) <= min(ota.I_out_max, ota.I_bias) + 1e-18)
+        assert np.all(np.abs(out) <= ota.I_bias + 1e-18)
         assert np.all(np.diff(out) >= 0)
 
     def test_linear_within_linear_range(self):
@@ -850,7 +851,7 @@ class TestSaturatingLeakIsi:
         circuit = float(np.median(np.diff(run.spikes[0])))
         leak = cfg.leak_ota
         inj = current * cfg.stim_gain * cfg.stim_trim
-        exact = saturating_lif_isi(cfg.t_ref, cfg.C_mem, float(leak.g), float(leak.i_sat),
+        exact = saturating_lif_isi(cfg.t_ref, cfg.C_mem, float(leak.g), float(leak.I_bias),
                                    cfg.E_l, cfg.V_r, cfg.V_det, inj)
         v_inf = cfg.E_l + inj / cfg.g_l
         linear = cfg.t_ref + cfg.C_mem / cfg.g_l * math.log(
@@ -865,12 +866,14 @@ class TestSaturatingLeakIsi:
     @given(saturation=strategies.floats(0.1, 1.0),
            drives=strategies.lists(strategies.floats(1.05, 4.0), min_size=1, max_size=4))
     def test_circuit_holds_the_exact_isi(self, saturation, drives):
-        # the leak saturates at `saturation` of its bias; each neuron is
-        # driven at its own multiple of the threshold current through its
-        # stimulus trim (the nominal stim_gain is 1), in one engine call
+        # the leak keeps its g and saturates at `saturation` of its nominal
+        # bias; each neuron is driven at its own multiple of the threshold
+        # current through its stimulus trim (the nominal stim_gain is 1), in
+        # one engine call
         cfg = _lif_circuit(default_circuit_config(tau_m=20e-6, E_l=0.5, t_ref=1e-6))
-        leak = replace(cfg.leak_ota, I_out_max=saturation * cfg.leak_ota.I_bias)
-        g, i_sat = float(leak.g), float(leak.i_sat)
+        leak = replace(cfg.leak_ota, I_bias=saturation * cfg.leak_ota.I_bias,
+                       g_per_bias=cfg.leak_ota.g_per_bias / saturation)
+        g, i_sat = float(leak.g), float(leak.I_bias)
         threshold = i_sat * math.tanh(g * (cfg.V_det - cfg.E_l) / i_sat)
         cfg = replace(cfg, leak_ota=leak, stim_trim=np.asarray(drives))
         exact = [saturating_lif_isi(cfg.t_ref, cfg.C_mem, g, i_sat, cfg.E_l, cfg.V_r,

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from adexsim import ParseError, ValidationError
-from adexsim.cli import _run_one_experiment, main, report_to_json
+from adexsim.cli import _build_population, _run_one_experiment, main, report_to_json
 from adexsim.config import EXPERIMENTS, parse_config, read_config_sections, serialize_config
 
 CONFIG_CIRCUIT = """
@@ -510,13 +511,22 @@ class TestSeedsAndMismatchKeys:
         (CALIBRATE_TAU.replace("size = 32", "size = 4\nsigma_abs_C_mem = 1e-12"),
          [], "[mismatch] sigma_abs_C_mem = 1e-12 draws C_mem outside its domain "
              "(C_mem must lie in (0, 2.47e-12] F)"),
+        (CALIBRATE_TAU.replace("size = 32", "size = 32\nsigma_rel_leak_ota.I_out_max = 0.1"),
+         [], "[mismatch] sigma_rel_leak_ota.I_out_max: 'leak_ota.I_out_max' names no "
+             "numeric constant of the circuit"),
+        (CALIBRATE_TAU.replace("size = 32",
+                               "size = 32\nsigma_rel_syn_exc.follower_offset = 0.1"),
+         [], "[mismatch] sigma_rel_syn_exc.follower_offset: the nominal "
+             "syn_exc.follower_offset is 0, which a relative spread leaves unchanged"),
     ], ids=["run_seed", "mismatch_seed", "seed_flag", "unknown_path", "negative_sigma",
-            "switched_off", "out_of_domain"])
+            "switched_off", "out_of_domain", "output_cap", "zero_nominal"])
     def test_exit_2_without_output(self, tmp_path, cfg_path, run_cli, text, flags,
                                    message):
         # the seeds, the first two keys and a spread that draws a constant
         # out of its domain used to end in a traceback with exit 1; the
-        # switched-off keys ran and were written back
+        # switched-off keys ran and were written back; the OTA output cap,
+        # now gone, and a relative spread of a zero nominal ran without
+        # changing an output
         out = tmp_path / "out"
         result = run_cli(["calibrate", "--config", cfg_path(text), "--out", str(out),
                           *flags], cwd=tmp_path)
@@ -589,6 +599,31 @@ class TestLeakOverThresholdReads:
         assert result.stderr.startswith(f"error: [mismatch] {key} is not read by experiment "
                                         "leak_over_threshold, which reads [mismatch] ")
         assert not out.exists()
+
+    def test_each_neuron_predicted_from_its_own_constants(self):
+        # every row used to hold neuron 0's prediction: with V_det spread the
+        # deviations read 0.0004 / 0.0905 / -0.332 / -0.124 and the run
+        # exited 1.  Each neuron's ISI is now predicted from its own
+        # constants under the one command current of the median constants
+        text = self.TEXT.replace("[run]\nmodel = circuit\n", (
+            "[run]\nmodel = circuit\nseed = 5\n[circuit]\nV_det = 0.62 V\nV_r = 0.44 V\n")
+        ).replace("size = 2\n", "size = 4\nsigma_abs_V_det = 0.02\n")
+        run = parse_config(text, "experiment")
+        report = _run_one_experiment(run, run.experiment)
+        assert report.passed
+        pop = _build_population(run).stacked()
+        tau, v_det = 20e-6, np.asarray(pop.V_det)
+        assert np.unique(v_det).size == 4
+        g_l = run.circuit.C_mem / tau
+        i_cmd = 1.6 * (float(np.median(v_det)) - run.circuit.E_l) * g_l
+        v_inf = run.circuit.E_l + i_cmd / g_l
+        for row, own in zip(report.per_neuron, v_det):
+            closed = run.circuit.t_ref + tau * math.log(
+                (v_inf - run.circuit.V_r) / (v_inf - own))
+            assert row["isi_predicted"] == pytest.approx(closed, rel=1e-12)
+            # a spike lands on the end of its step: within one dt = tau / 500
+            assert abs(row["isi_measured"] - row["isi_predicted"]) < tau / 500
+            assert abs(row["rel_dev"]) < 0.0015
 
     def test_spread_of_a_constant_it_reads_changes_the_report(self):
         def report(text):

@@ -538,6 +538,25 @@ class TestMismatchKeys:
             parse_config("[run]\nmodel = circuit\n[adaptation]\nenabled = true\n[calibration]\n"
                          f"[mismatch]\nsigma_rel_{path} = 0.1\n", "calibrate")
 
+    @pytest.mark.parametrize("path, adaptation", [
+        ("syn_exc.follower_offset", ""), ("adaptation.pulse_amplitude", "enabled = true\n")])
+    def test_relative_spread_of_a_zero_nominal_rejected(self, path, adaptation):
+        # x * m is 0 for every draw m: the sigma was read by nothing and
+        # only shifted the later constants' draws
+        text = (f"[run]\nmodel = circuit\n[adaptation]\n{adaptation}[calibration]\n"
+                f"[mismatch]\nsigma_rel_{path} = 0.1\n")
+        with pytest.raises(ValidationError, match=(
+                rf"^\[mismatch\] sigma_rel_{path}: the nominal {path} is 0, which a "
+                r"relative spread leaves unchanged$")):
+            parse_config(text, "calibrate")
+        # an absolute spread, or a b that makes the pulse nonzero, is read
+        run = parse_config(text.replace("sigma_rel_", "sigma_abs_"), "calibrate")
+        assert run.mismatch_overrides == {"additive": {path: 0.1}}
+        if adaptation:
+            run = parse_config(text.replace("enabled = true\n", "enabled = true\nb = 1 nA\n"),
+                               "calibrate")
+            assert run.mismatch_overrides == {"relative": {path: 0.1}}
+
     @pytest.mark.parametrize("key", ["sigma_rel_leak_ota.g_per_bias", "sigma_abs_E_l"])
     def test_negative_sigma_rejected(self, key):
         # it used to end in a ValueError traceback from MismatchModel

@@ -13,7 +13,8 @@ from adexsim.experiments import (
     classify_firing_pattern, phase_plane, run_exponential_sweep,
     run_firing_patterns, run_leak_over_threshold, run_psp_experiment,
 )
-from adexsim.mismatch import MismatchModel, default_mismatch_model, sample_population
+from adexsim.mismatch import MismatchModel, Population, default_mismatch_model, sample_population
+from adexsim.model import lif_parameters, predicted_lot_isi
 from adexsim.patterns import load_patterns
 
 
@@ -165,6 +166,35 @@ class TestLeakOverThreshold:
         assert report.passed
         devs = [row["abs_rel_dev"] for row in report.per_neuron]
         assert np.nanmedian(devs) < 0.01
+
+    def test_uniform_constants_keep_the_nominal_prediction(self, hw_circuit):
+        # default mismatch leaves C_mem, E_l, V_r, V_det and t_ref uniform:
+        # every row holds the nominal neuron's prediction, bit for bit
+        pop = sample_population(hw_circuit, default_mismatch_model(hw_circuit, seed=2), 6)
+        tau = 20e-6
+        report = run_leak_over_threshold(pop, (tau,), LotProtocol(n_isis=3))
+        g_l = hw_circuit.C_mem / tau
+        i_cmd = 1.6 * (hw_circuit.V_det - hw_circuit.E_l) * g_l
+        lif = lif_parameters(C=hw_circuit.C_mem, g_l=g_l, E_l=hw_circuit.E_l,
+                             V_r=hw_circuit.V_r, V_det=hw_circuit.V_det,
+                             t_ref=hw_circuit.t_ref)
+        assert {row["isi_predicted"] for row in report.per_neuron} == {
+            predicted_lot_isi(lif, i_cmd)}
+
+    def test_neuron_below_its_own_threshold_has_no_prediction(self, hw_circuit):
+        # the median V_det sets V_inf = 0.692 V, below the third neuron's
+        # V_det: it has no prediction and a note, where the run used to
+        # raise NotLeakOverThreshold for the whole population
+        lif = replace(hw_circuit, V_det=0.62, V_r=0.44)
+        pop = Population([lif, lif, replace(lif, V_det=0.9)])
+        report = run_leak_over_threshold(pop, (20e-6,), LotProtocol(n_isis=3))
+        rows = report.per_neuron
+        assert math.isnan(rows[2]["isi_predicted"]) and math.isnan(rows[2]["rel_dev"])
+        assert math.isnan(rows[2]["isi_measured"])
+        assert rows[0]["isi_predicted"] == rows[1]["isi_predicted"]
+        assert report.notes[0] == ("tau_m=2e-05: neuron 2: equilibrium 0.692 V does not "
+                                   "exceed the detection threshold 0.9 V")
+        assert report.passed
 
     def test_mismatched_population_calibrates_to_pass(self, hw_circuit):
         pop = sample_population(hw_circuit,

@@ -92,20 +92,44 @@ def attributes(nodes) -> Counter:
                    if isinstance(sub, ast.Attribute))
 
 
+def reads_from(tree, module: str) -> set:
+    """The names of the package module `module` that `tree` reads: each it
+    imports from it (`from .module import name`, at any depth) and reads by
+    the name it binds, and each it reaches as an attribute of the module
+    (`from . import module`, then `module.name`).  A local or an attribute
+    of another object that has the same name is not one of them."""
+    bound, modules = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module == module:
+                    bound[alias.asname or alias.name] = alias.name
+                elif node.module is None and alias.name == module:
+                    modules.add(alias.asname or alias.name)
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in bound:
+            out.add(bound[node.id])
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
+            out.add(node.attr)
+    return out
+
+
 def dead_names(modules: dict, bench: list) -> list:
     """'module.name' for each module-level function or class of `modules`
-    ({module name: source}) that no other statement of the package, no
-    bench source and no LIBRARY_ONLY entry names, then 'module.Class.name'
-    for each method or classmethod (see `methods`) that no attribute of the
-    package outside its own body, no bench source and no LIBRARY_ONLY entry
-    names."""
+    ({module name: source}) that no other statement of its module names,
+    no other module reads from it (`reads_from`), and no bench source and
+    no LIBRARY_ONLY entry names, then 'module.Class.name' for each method
+    or classmethod (see `methods`) that no attribute of the package outside
+    its own body, no bench source and no LIBRARY_ONLY entry names."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     used = set(LIBRARY_ONLY)
     for source in bench:
         used |= named([ast.parse(source)], strings=True)
     dead = []
     for module, tree in trees.items():
-        others = used | named(t for m, t in trees.items() if m != module)
+        others = used.union(*(reads_from(t, module) for m, t in trees.items() if m != module))
         for name in defined_names(tree):
             elsewhere = [node for node in tree.body if getattr(node, "name", None) != name]
             if name not in others | named(elsewhere):
@@ -124,6 +148,12 @@ def test_finds_a_dead_name():
                     "\n\nclass Alone:\n    pass\n"}
     assert dead_names(modules, []) == ["b.caller", "b.Alone"]
     assert dead_names(modules, ["run('caller')\nAlone()\n"]) == []
+    # a local or another object's attribute of the same name does not read
+    # a function; an attribute of its module does
+    shadowed = {**modules,
+                "a": modules["a"] + "\ndef step():\n    return 0\n\ndef reached():\n    return 1\n",
+                "c": "from . import a\n\ndef run(step):\n    return step.step + a.reached()\n"}
+    assert dead_names(shadowed, []) == ["a.step", "b.caller", "b.Alone", "c.run"]
 
 
 def test_finds_a_dead_method():

@@ -52,22 +52,21 @@ class TestTauM:
 
     def test_saturated_release_rejected(self):
         # a slew-limited transconductor makes the release non-exponential;
-        # g * x0 / I_sat is that of a 0.45 V offset with I_out_max = I_bias / 20
+        # g * x0 / I_sat is that of a 0.45 V offset with I_bias / 20, at the
+        # same g
         cfg = default_circuit_config(tau_m=20e-6)
         cfg = replace(cfg, leak_ota=OtaModel(
-            I_bias=cfg.leak_ota.I_bias, g_per_bias=cfg.leak_ota.g_per_bias,
-            I_out_max=cfg.leak_ota.I_bias / 20 / 9))
+            I_bias=cfg.leak_ota.I_bias / 20 / 9, g_per_bias=cfg.leak_ota.g_per_bias * 20 * 9))
         with pytest.raises(FitFailed):
             measure_tau_m(cfg)
 
     def test_default_offset_within_linear_range(self, hw_circuit):
         assert RELEASE_OFFSET <= float(hw_circuit.leak_ota.linear_range)
 
-    @pytest.mark.parametrize("dead_bias", [{"I_out_max": 0.0}, {"I_bias": 0.0}],
-                             ids=["no_output", "no_bias"])
-    def test_dead_leak_does_not_decay(self, hw_circuit, dead_bias):
-        # I_sat = 0: the leak OTA gives no current and the node stays put
-        dead = replace(hw_circuit, leak_ota=replace(hw_circuit.leak_ota, **dead_bias))
+    def test_dead_leak_does_not_decay(self, hw_circuit):
+        # I_sat = I_bias = 0: the leak OTA gives no current and the node
+        # stays put
+        dead = replace(hw_circuit, leak_ota=replace(hw_circuit.leak_ota, I_bias=0.0))
         with pytest.raises(FitFailed, match="did not decay"):
             measure_tau_m(dead)
         pop = Population([hw_circuit, dead, hw_circuit]).stacked()
@@ -79,13 +78,14 @@ class TestTauM:
         # g * x0 / I_sat ~ 2e3, whose sinh overflows a double: the membrane
         # slews at I_sat / C_mem, loses a few percent of the offset in the
         # window and never reaches the fit floor, as the slew line does not
-        # (I_out_max = I_bias * 1e-4 / 9 at RELEASE_OFFSET: the g * x0 / I_sat
-        # of a 0.45 V offset with I_bias * 1e-4)
+        # (I_bias * 1e-4 / 9 at the same g and RELEASE_OFFSET: the
+        # g * x0 / I_sat of a 0.45 V offset with I_bias * 1e-4)
         leak = hw_circuit.leak_ota
-        cfg = replace(hw_circuit, leak_ota=replace(leak, I_out_max=leak.I_bias * 1e-4 / 9))
+        cfg = replace(hw_circuit, leak_ota=replace(leak, I_bias=leak.I_bias * 1e-4 / 9,
+                                                   g_per_bias=leak.g_per_bias * 9e4))
         dt = cfg.tau_m / RELEASE_STEPS_PER_TAU
         times = np.arange(int(round(RELEASE_WINDOW_TAUS * cfg.tau_m / dt)) + 1) * dt
-        line = RELEASE_OFFSET - cfg.leak_ota.i_sat / cfg.C_mem * times
+        line = RELEASE_OFFSET - cfg.leak_ota.I_bias / cfg.C_mem * times
         taus, reasons = _fit_decay(times, line[None])
         tau, reason = taus[0], reasons[0]
         assert math.isnan(tau) and "fit floor" in reason
@@ -616,7 +616,7 @@ class TestSteadyStateSolver:
                                          8).stacked(),
                        exponential=True, synin=True, spiking=True)
         ad = cfg.adaptation
-        current = command * cfg.leak_ota.i_sat
+        current = command * cfg.leak_ota.I_bias
 
         def net(V):
             f = ota_output(cfg.leak_ota, cfg.E_l, V)
@@ -640,10 +640,12 @@ class TestSteadyStateSolver:
         assert np.isnan(rest[0]) and reasons[0] == UNSTABLE
 
     def test_saturated_filter_named(self, hw_circuit):
-        # a command far beyond what ota_tau can balance
+        # a command far beyond what ota_tau, at its g and a 1 pA bias, can
+        # balance
         cfg = _disable(hw_circuit, exponential=True, synin=True, spiking=True)
         ad = cfg.adaptation
-        cfg = replace(cfg, adaptation=replace(ad, ota_tau=replace(ad.ota_tau, I_out_max=1e-12)))
+        cfg = replace(cfg, adaptation=replace(ad, ota_tau=replace(
+            ad.ota_tau, I_bias=1e-12, g_per_bias=ad.ota_tau.g / 1e-12)))
         rest, reasons = _steady_state(cfg, 1, 0.2 * float(cfg.g_l))
         assert np.isnan(rest[0]) and reasons[0] == FILTER_SATURATED
 
@@ -651,7 +653,7 @@ class TestSteadyStateSolver:
         # more current than the saturated leak and adaptation can sink
         cfg = _disable(hw_circuit, adaptation=True, exponential=True, synin=True,
                        spiking=True)
-        rest, reasons = _steady_state(cfg, 1, 2 * float(cfg.leak_ota.i_sat))
+        rest, reasons = _steady_state(cfg, 1, 2 * float(cfg.leak_ota.I_bias))
         assert np.isnan(rest[0]) and reasons[0] == NO_ROOT
         with pytest.raises(FitFailed, match="saturation"):
             measure_stim_gain(replace(cfg, stim_gain=60.0))

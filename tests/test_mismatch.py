@@ -265,12 +265,6 @@ class TestColumns:
             mismatch._neuron(pop.stacked(), 5)
         mismatch._neuron(pop.stacked(), 4)
 
-    def test_non_uniform_mode_check_runs(self):
-        pop = spread_population(4)
-        object.__setattr__(pop.stacked().syn_inh, "sign", "both")
-        with pytest.raises(ValueError, match="^sign must be 'exc' or 'inh'$"):
-            pop.neurons
-
     @pytest.mark.parametrize("bad", [
         # a child is checked before its parent, whatever the columns
         [("C_mem", 1, 3e-12), ("leak_ota.I_bias", 6, -1.0)],
@@ -367,6 +361,24 @@ class TestUniformLeaves:
         spread = set(SPREAD.relative) | set(SPREAD.additive)
         numeric = {path for path, leaf in leaves(stacked).items() if not is_flag(leaf)}
         assert stride_zero(pop.stacked()) == numeric - spread
+
+    @given(width=st.integers(1, 12), adaptation=st.booleans(), exponential=st.booleans(),
+           coba=st.booleans())
+    def test_shared_nominal_stacks_as_its_copies(self, width, adaptation, exponential, coba):
+        # n references to one nominal are read once; the stacked config is
+        # the one that n copies of it, each with float objects of its own,
+        # give through the bit scan, leaf for leaf and stride for stride
+        nominal = default_circuit_config(adaptation_enabled=adaptation,
+                                         exponential_enabled=exponential, coba=coba)
+        copies = [pickle.loads(pickle.dumps(nominal)) for _ in range(width)]
+        assert width == 1 or copies[0].C_mem is not copies[1].C_mem
+        shared, copied = (mismatch._stack(c) for c in ([nominal] * width, copies))
+        assert leaf_bits(shared) == leaf_bits(copied)
+        for path, leaf in leaves(shared).items():
+            if not is_flag(leaf):
+                other = get_bias(copied, path)
+                assert leaf.strides == other.strides == (0,), path
+                assert not leaf.flags.writeable and not other.flags.writeable, path
 
     @given(**populations)
     def test_neurons_share_the_float_of_a_uniform_leaf(self, width, seed, adaptation,

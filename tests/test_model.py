@@ -5,7 +5,7 @@ import pytest
 
 from adexsim import (
     AdExParameters, NeuronState, NonFiniteState, NotLeakOverThreshold,
-    StimulusProgram, lif_parameters, predicted_lot_isi, simulate, step,
+    StimulusProgram, lif_parameters, predicted_lot_isi, simulate,
 )
 from adexsim.model import _stepper
 from ideal_reference import adaptation_derivative, apply_spike_reset, membrane_derivative
@@ -135,12 +135,13 @@ class TestStep:
     def test_stationary_at_rest_for_any_dt(self):
         p = hw_lif()
         for dt in (p.tau_m / 1000, p.tau_m / 100, p.tau_m / 10, p.tau_m, 5 * p.tau_m):
-            st = NeuronState(p.E_l, 0.0)
+            advance = _stepper(p, dt)
+            V, w, ref = p.E_l, 0.0, 0.0
             for _ in range(50):
-                st, spiked = step(st, p, 0.0, dt)
+                V, w, ref, spiked = advance(V, w, ref, 0.0)
                 assert not spiked
-            assert st.V == pytest.approx(p.E_l, abs=1e-15)
-            assert st.w == 0.0
+            assert V == pytest.approx(p.E_l, abs=1e-15)
+            assert w == 0.0
 
     def test_lif_isi_matches_closed_form(self):
         p = hw_lif(t_ref=0.0)
@@ -156,17 +157,16 @@ class TestStep:
     def test_refractory_holds_v_and_evolves_w(self):
         from dataclasses import replace
         p = replace(hw_lif(t_ref=5e-6), a=10e-9, b=1e-9, tau_w=20e-6)
-        st = NeuronState(p.V_r, 2e-9, ref_remaining=5e-6)
-        st2, spiked = step(st, p, 1e-6, 1e-6)
+        V, w, ref, spiked = _stepper(p, 1e-6)(p.V_r, 2e-9, 5e-6, 1e-6)
         assert not spiked
-        assert st2.V == p.V_r
-        assert st2.w != st.w
-        assert st2.ref_remaining == pytest.approx(4e-6)
+        assert V == p.V_r
+        assert w != 2e-9
+        assert ref == pytest.approx(4e-6)
 
     def test_nonfinite_raises(self):
         p = hw_lif()
         with pytest.raises(NonFiniteState):
-            step(NeuronState(p.E_l, 0.0), p, math.nan, 1e-8)
+            _stepper(p, 1e-8)(p.E_l, 0.0, 0.0, math.nan)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_runaway_negative_instability_raises(self):
@@ -299,14 +299,16 @@ class TestSimulate:
 
 
 def _stepwise(p, stimulus, n_steps, dt):
-    """V, w and spikes from a loop of public `step` calls, the oracle of
-    `simulate`."""
+    """V, w and spikes from a loop of `_stepper` calls, one state checked
+    per step, the oracle of `simulate`."""
     currents = stimulus.per_step_currents(n_steps, dt)
+    advance = _stepper(p, dt)
     state = NeuronState(p.E_l, 0.0, 0.0)
     V, w, spikes = [state.V], [state.w], []
     for k in range(n_steps):
         try:
-            state, spiked = step(state, p, currents[k], dt)
+            *values, spiked = advance(state.V, state.w, state.ref_remaining, currents[k])
+            state = NeuronState(*values)
         except NonFiniteState as err:
             err.step = k
             raise

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from adexsim import ParseError, StimulusProgram, simulate
-from adexsim.units import DomainMap, format_quantity, map_adex_parameters, parse_quantity
+from adexsim.units import (
+    TIME_SPEEDUP, VOLTAGE_SCALE, format_quantity, hw_current, hw_time, hw_voltage,
+    map_adex_parameters, parse_quantity,
+)
 
 
 class TestQuantityParsing:
@@ -41,36 +44,32 @@ class TestQuantityParsing:
 
 class TestDomainMap:
     def test_voltage_and_time(self):
-        dm = DomainMap()
-        assert dm.voltage(-70e-3) == pytest.approx(0.4)
-        assert dm.voltage(0.0) == pytest.approx(1.1)
-        assert dm.time(20e-3) == pytest.approx(20e-6)
+        assert hw_voltage(-70e-3) == pytest.approx(0.4)
+        assert hw_voltage(0.0) == pytest.approx(1.1)
+        assert hw_time(20e-3) == pytest.approx(20e-6)
 
     def test_mapped_dynamics_correspond(self, tonic_params):
         # the mapped model's trajectory is the affine image of the original
-        dm = DomainMap()
-        hw = map_adex_parameters(tonic_params, dm)
-        assert hw.tau_m == pytest.approx(tonic_params.tau_m / dm.time_speedup)
-        assert hw.Delta_T == pytest.approx(
-            dm.voltage_scale * tonic_params.Delta_T)
+        hw = map_adex_parameters(tonic_params)
+        assert hw.tau_m == pytest.approx(tonic_params.tau_m / TIME_SPEEDUP)
+        assert hw.Delta_T == pytest.approx(VOLTAGE_SCALE * tonic_params.Delta_T)
 
         i_bio = 500e-12
-        i_hw = dm.current(i_bio, tonic_params.C)
+        i_hw = hw_current(i_bio, tonic_params.C)
         dt_bio = tonic_params.tau_m / 400
         tr_bio = simulate(tonic_params, StimulusProgram.constant(i_bio),
                           duration=0.25, dt=dt_bio)
         tr_hw = simulate(hw, StimulusProgram.constant(i_hw),
-                         duration=0.25 / dm.time_speedup,
-                         dt=dt_bio / dm.time_speedup)
+                         duration=0.25 / TIME_SPEEDUP,
+                         dt=dt_bio / TIME_SPEEDUP)
         assert len(tr_bio.spikes) == len(tr_hw.spikes)
-        assert np.allclose(tr_hw.spikes, tr_bio.spikes / dm.time_speedup,
+        assert np.allclose(tr_hw.spikes, tr_bio.spikes / TIME_SPEEDUP,
                            rtol=1e-9, atol=1e-12)
-        assert np.allclose(tr_hw.V, dm.voltage(tr_bio.V), atol=2e-9)
+        assert np.allclose(tr_hw.V, hw_voltage(tr_bio.V), atol=2e-9)
 
     def test_ranges_land_in_hardware_envelope(self, tonic_params):
         from adexsim.mismatch import PARAMETER_RANGES
-        dm = DomainMap()
-        hw = map_adex_parameters(tonic_params, dm)
+        hw = map_adex_parameters(tonic_params)
         assert PARAMETER_RANGES["tau_m"].contains(hw.tau_m)
         assert PARAMETER_RANGES["delta_t"].contains(hw.Delta_T)
         assert PARAMETER_RANGES["E_l"].contains(hw.E_l)
