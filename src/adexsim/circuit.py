@@ -821,13 +821,15 @@ def simulate_population(cfg: CircuitNeuronConfig, n: int,
                         syn_events=None,
                         *,
                         duration: float, dt: float,
-                        record: bool = False) -> PopulationRun:
-    """Run `n` neurons in lockstep from rest; `cfg` leaves may be arrays
-    of length n.
+                        record: bool = False,
+                        start: CircuitState | None = None) -> PopulationRun:
+    """Run `n` neurons in lockstep from `start`, by default from rest
+    (`quiescent_state`); `cfg` and `start` leaves may be arrays of length n.
 
     `syn_events` maps 'exc'/'inh' to WeightedSpikeTrain objects shared by
-    the whole population.  Spike times land on sample boundaries; the run
-    is deterministic.
+    the whole population; events at t = 0 add to the start state's line.
+    Spike times land on sample boundaries; the run is deterministic.  This
+    is the one caller of the engine.
     """
     from .synapse import weights_per_boundary
 
@@ -844,9 +846,11 @@ def simulate_population(cfg: CircuitNeuronConfig, n: int,
         else:
             init_s[key], arrivals[key] = weights_per_boundary(train, n_steps, dt)
 
-    rest = quiescent_state(cfg)
-    state = replace(rest, s_exc=rest.s_exc + init_s["exc"] * np.asarray(cfg.syn_exc.dv_unit),
-                    s_inh=rest.s_inh + init_s["inh"] * np.asarray(cfg.syn_inh.dv_unit))
+    state = quiescent_state(cfg) if start is None else start
+    if syn_events:
+        state = replace(
+            state, s_exc=state.s_exc + init_s["exc"] * np.asarray(cfg.syn_exc.dv_unit),
+            s_inh=state.s_inh + init_s["inh"] * np.asarray(cfg.syn_inh.dv_unit))
 
     columns, final, recs = _engine(
         cfg, n, currents, arrivals["exc"], arrivals["inh"],

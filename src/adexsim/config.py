@@ -684,6 +684,14 @@ def _build_mismatch(run: RunConfig, mismatch: dict) -> None:
             if spreads == "relative" and get_bias(run.circuit, path) == 0:
                 raise ValidationError(f"[mismatch] {key}: the nominal {path} is 0, which "
                                       "a relative spread leaves unchanged")
+            # the coupling's g is g_per_bias * I_bias: nothing reads g_per_bias
+            # while the bias is 0, unless a calibrated a sets the bias
+            if (path == "adaptation.ota_a.g_per_bias"
+                    and get_bias(run.circuit, "adaptation.ota_a.I_bias") == 0
+                    and not (run.calibration is not None and run.calibration.a)):
+                raise ValidationError(
+                    f"[mismatch] {key}: the nominal adaptation.ota_a.I_bias is 0 and no "
+                    "nonzero [calibration] a sets it, so nothing reads its g_per_bias")
             run.mismatch_overrides.setdefault(spreads, {})[path] = sigma
 
 

@@ -14,7 +14,9 @@ class NonFiniteState(AdexSimError):
 
 
 class NotLeakOverThreshold(AdexSimError):
-    """The leak/stimulus equilibrium potential does not exceed the detection threshold."""
+    """The leak-over-threshold closed form does not apply: the leak/stimulus
+    equilibrium potential does not exceed the detection threshold, or the
+    reset potential lies above it."""
 
 
 class WindowTooShort(AdexSimError):

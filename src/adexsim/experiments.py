@@ -222,7 +222,8 @@ def run_leak_over_threshold(pop: Population, tau_m_targets, stimulus=None) -> Ex
     """Calibrate tau_m and the stimulus gain per time-constant target, measure
     ISIs and compare each with the closed-form prediction from the neuron's
     own constants at the target, under one command current set from their
-    population medians (NaN, with a note, where V_inf does not exceed V_det).
+    population medians (NaN, with a note, where V_inf does not exceed V_det
+    or V_r is not below it).
 
     The leak-over-threshold regime digitally disables adaptation, the
     exponential and the synaptic inputs; a run takes 500 steps per tau."""
@@ -246,6 +247,11 @@ def run_leak_over_threshold(pop: Population, tau_m_targets, stimulus=None) -> Ex
         i_cmd = proto.v_inf_margin * (v_det - e_l) * g_l
 
         def lot_isi(c, e, r, d, t):
+            # reset at or above the threshold, the ISI does not follow the
+            # drive: the closed form reads t_ref, or less
+            if not r < d:
+                raise NotLeakOverThreshold(
+                    f"reset {r:.6g} V is not below the detection threshold {d:.6g} V")
             lif = lif_parameters(C=c, g_l=c / tau, E_l=e, V_r=r, V_det=d, t_ref=t)
             return predicted_lot_isi(lif, i_cmd)
 

@@ -5,8 +5,8 @@ clamped sweep, single event) and fits the effective parameter with plain
 linear least squares on suitably transformed data, or solves the
 subthreshold steady state directly (`_steady_state`).  No routine
 integrates on its own: a response is either run on the circuit engine
-(`simulate_population` from rest, or `_engine` from the threshold state
-in `measure_b`) or read from a closed form (the release transients,
+through `simulate_population` (from rest, or from the threshold state in
+`measure_b`) or read from a closed form (the release transients,
 `_release_fit`).
 Routines accept a single circuit config or a stacked population config
 (array leaves); population calls return arrays with NaN marking
@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import (
-    CircuitNeuronConfig, OtaModel, _engine, _transfer, coba_effective_bias,
+    CircuitNeuronConfig, OtaModel, _transfer, coba_effective_bias,
     exponential_current, ota_output, quiescent_state, simulate_population,
 )
 from .errors import FitFailed, InvalidConfig
@@ -634,21 +634,20 @@ def measure_b(neuron):
     cfg = replace(cfg, stim_trim=_per_neuron(cfg.stim_trim, m) * drive)
     window = np.ceil(widths / dt).astype(int) + 1
     n_steps = int(window.max()) + 1
-    state = replace(quiescent_state(cfg), V_m=v_det)
-    columns, _, (_, V_w, _, _) = _engine(cfg, m, np.ones(n_steps), np.zeros(n_steps),
-                                         np.zeros(n_steps), state, dt, n_steps, record=True)
+    run = simulate_population(cfg, m, StimulusProgram.constant(1.0), duration=n_steps * dt,
+                              dt=dt, record=True, start=replace(quiescent_state(cfg), V_m=v_det))
 
     g_w = _per_neuron(ad.g_w_factor, m) * _per_neuron(ad.C_w, m) / tau_w
     # each neuron's first spike step: the spike columns come in step order
-    step, who = columns
+    step, who = run.spike_columns
     spiked, first = np.unique(who, return_index=True)
     k_spk = np.full(m, -1)
     k_spk[spiked] = step[first]
     k_end = k_spk + window
-    reasons = np.select([k_spk < 0, k_end >= V_w.shape[0]],
+    reasons = np.select([k_spk < 0, k_end >= run.V_w.shape[0]],
                         ["forcing pulse produced no spike", "pulse window ran past the trace"],
                         "")
     ok = reasons == ""
     cols = np.arange(m)
-    jump = V_w[np.where(ok, k_spk, 0), cols] - V_w[np.where(ok, k_end, 0), cols]
+    jump = run.V_w[np.where(ok, k_spk, 0), cols] - run.V_w[np.where(ok, k_end, 0), cols]
     return _scalarize(np.where(ok, g_w * jump, math.nan), n, reasons)

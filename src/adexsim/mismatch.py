@@ -14,7 +14,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import is_
+from operator import eq, is_
 
 import numpy as np
 
@@ -98,15 +98,31 @@ class MismatchModel:
                 raise ValueError(f"sigma for {name!r} must be >= 0")
 
 
-def _stack(cfgs: list) -> CircuitNeuronConfig:
+# scalar configs that iterating `Population.neurons` builds at a time: the
+# memory an iteration holds is bounded by the block, not by the population
+NEURON_BLOCK = 512
+
+
+def _stored(values: np.ndarray) -> np.ndarray:
+    """`values` as a population leaf: a read-only stride-0 view of its
+    first value (`np.broadcast_to`) where all values have the same bits,
+    else `values` itself."""
+    bits = values.view(np.uint64)
+    if (bits == bits[0]).all():
+        return np.broadcast_to(values[0], values.shape)
+    return values
+
+
+def _stack(cfgs) -> CircuitNeuronConfig:
     """Combine per-neuron configs into one config with array leaves.
 
     Numeric fields become leaves of shape (len(cfgs),).  A field whose
-    values all have the same bits is stored once: its leaf is a read-only
-    stride-0 view of that one value (`np.broadcast_to`).  Any other field
-    is an ordinary array.  Flags must be uniform across the population.
-    One object shared by every config (all of `[nominal] * n`) is read once.
+    values all have the same bits is stored once (`_stored`); any other
+    field is an ordinary array.  Flags must be uniform across the
+    population.  One object shared by every config (all of
+    `[nominal] * n`) is read once.
     """
+    cfgs = list(cfgs)
     if not cfgs:
         raise ValueError("empty population")
     n = len(cfgs)
@@ -127,13 +143,36 @@ def _stack(cfgs: list) -> CircuitNeuronConfig:
             return first
         if len(objs) == 1:
             return np.broadcast_to(float(first), (n,))
-        values = np.array([float(o) for o in objs])
-        bits = values.view(np.uint64)
-        if (bits == bits[0]).all():
-            return np.broadcast_to(values[0], values.shape)
-        return values
+        return _stored(np.array([float(o) for o in objs]))
 
     return combine(cfgs)
+
+
+def _take(cfg: CircuitNeuronConfig, rows: slice, n: int) -> CircuitNeuronConfig:
+    """The stacked config of the n columns `rows` (a unit-step slice) of a
+    stacked config, cut leaf by leaf.
+
+    A cut whose values all have the same bits is stored once (`_stored`),
+    as `_stack` stores the columns' values, so a stride-0 leaf stays a
+    stride-0 view at the new width.  Any other cut is a slice of its leaf.
+    Every cut is read-only: the result writes none of `cfg`'s memory.
+    Flags pass through.
+    """
+    if n < 1:
+        raise ValueError("empty population")
+
+    def take(obj):
+        if dataclasses.is_dataclass(obj):
+            return type(obj)(**{f.name: take(getattr(obj, f.name))
+                                for f in dataclasses.fields(obj)})
+        if obj is None or isinstance(obj, bool):
+            return obj
+        arr = np.asarray(obj, dtype=float)
+        part = _stored(arr[rows] if arr.ndim else np.broadcast_to(arr, (n,)))
+        part.flags.writeable = False
+        return part
+
+    return take(cfg)
 
 
 def _columns(cfg: CircuitNeuronConfig, cols, n: int) -> list:
@@ -193,15 +232,50 @@ def _columns(cfg: CircuitNeuronConfig, cols, n: int) -> list:
     return columns(cfg)
 
 
-def _unstack(cfg: CircuitNeuronConfig, n: int) -> list:
-    """Split a stacked config back into per-neuron scalar configs."""
-    return _columns(cfg, slice(None), n)
-
-
 def _neuron(cfg: CircuitNeuronConfig, i: int) -> CircuitNeuronConfig:
     """Neuron i of a stacked config as a scalar config, without splitting
     the others."""
     return _columns(cfg, [i], 1)[0]
+
+
+class _Neurons:
+    """The scalar per-neuron configs of a run of columns of a stacked
+    config, as a read-only sequence that builds each config when it is
+    read and keeps none.
+
+    An int index builds that neuron alone (`_neuron`), a unit-step slice
+    is the view of its columns, and iteration builds the columns
+    NEURON_BLOCK at a time (`_columns`), so the configs of one block share
+    one float object per stride-0 leaf.  A view equals another view, or a
+    list, that holds equal configs in the same order.
+    """
+
+    __slots__ = ("_cfg", "_rows")
+
+    def __init__(self, cfg: CircuitNeuronConfig, rows: range):
+        self._cfg, self._rows = cfg, rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            rows = self._rows[index]
+            if rows.step != 1:
+                raise ValueError("a neurons view takes unit-step slices only")
+            return _Neurons(self._cfg, rows)
+        return _neuron(self._cfg, self._rows[index])
+
+    def __iter__(self):
+        stop = self._rows.stop
+        for start in range(self._rows.start, stop, NEURON_BLOCK):
+            end = min(start + NEURON_BLOCK, stop)
+            yield from _columns(self._cfg, slice(start, end), end - start)
+
+    def __eq__(self, other):
+        if not isinstance(other, (_Neurons, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
 
 
 class Population:
@@ -211,14 +285,22 @@ class Population:
     values each, the form every population routine reads.  A value that
     every neuron holds with the same bits is stored once, as a read-only
     stride-0 leaf (see `_stack`); perturbed and calibrated leaves are
-    ordinary arrays.  The scalar per-neuron configs in `neurons` are built
-    from it on first access, one shared float object per stride-0 leaf.
+    ordinary arrays.  `neurons` is a view of the scalar per-neuron
+    configs (`_Neurons`), built from the stacked config as they are read.
+
+    `Population(neurons)` stacks a list of scalar configs (`_stack`), or
+    cuts the columns of a `neurons` view from its stacked config
+    (`_take`) without building them.
     """
 
     def __init__(self, neurons):
-        self._neurons = list(neurons)
-        self._cfg = _stack(self._neurons)
-        self.size = len(self._neurons)
+        if isinstance(neurons, _Neurons):
+            rows = neurons._rows
+            self._cfg = _take(neurons._cfg, slice(rows.start, rows.stop), len(rows))
+            self.size = len(rows)
+        else:
+            neurons = list(neurons)
+            self._cfg, self.size = _stack(neurons), len(neurons)
 
     def stacked(self) -> CircuitNeuronConfig:
         return self._cfg
@@ -231,14 +313,12 @@ class Population:
             raise ValueError(f"stacked config does not hold {n} neurons")
         _check_width(cfg, n)
         pop = cls.__new__(cls)
-        pop._neurons, pop._cfg, pop.size = None, cfg, n
+        pop._cfg, pop.size = cfg, n
         return pop
 
     @property
-    def neurons(self) -> list:
-        if self._neurons is None:
-            self._neurons = _unstack(self._cfg, self.size)
-        return self._neurons
+    def neurons(self) -> _Neurons:
+        return _Neurons(self._cfg, range(self.size))
 
 
 def _lognormal_multiplier(rng, sigma_rel: float, n: int) -> np.ndarray:

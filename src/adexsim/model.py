@@ -298,14 +298,17 @@ def simulate(p: AdExParameters,
 def predicted_lot_isi(p: AdExParameters, I_ext: float) -> float:
     """Closed-form interspike interval in the leak-over-threshold regime.
 
-    Valid for the LIF reduction (exponential disabled, a = b = 0):
-    t_ref + tau_m * ln((V_inf - V_r)/(V_inf - V_det)) with
-    V_inf = E_l + I/g_l.
+    Valid for the LIF reduction (exponential disabled, a = b = 0) with
+    V_r at or below V_det: t_ref + tau_m * ln((V_inf - V_r)/(V_inf - V_det))
+    with V_inf = E_l + I/g_l.
     """
     if p.exp_enabled or p.a != 0.0 or p.b != 0.0:
         raise ValueError("closed-form ISI requires the LIF reduction (exp off, a = b = 0)")
     if not p.g_l > 0:
         raise ValueError("g_l must be > 0")
+    if p.V_r > p.V_det:
+        raise NotLeakOverThreshold(
+            f"reset {p.V_r:.6g} V lies above the detection threshold {p.V_det:.6g} V")
     v_inf = p.E_l + I_ext / p.g_l
     if v_inf <= p.V_det:
         raise NotLeakOverThreshold(

@@ -5,7 +5,8 @@ step with the plain, unhoisted math of the circuit equations.  The engine
 in `adexsim.circuit` must reproduce it bit for bit on every step; it lives
 here, apart from the package, so that the engine is never compared with
 itself.  `adaptation_dynamics` is the filter node's right-hand side, and
-`run_from_state` runs the engine from a given state.
+`run_from_state` runs the engine from a given state through
+`simulate_population`.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ import numpy as np
 
 from adexsim.circuit import (
     AdaptationCircuitConfig, CircuitNeuronConfig, CircuitState, PopulationRun,
-    SynInCircuitConfig, _all, _engine, _phi, _population_run, coba_effective_bias,
-    exponential_current, ota_output,
+    SynInCircuitConfig, _all, _phi, coba_effective_bias, exponential_current, ota_output,
+    simulate_population,
 )
 from adexsim.errors import InvalidConfig, NonFiniteState
-from adexsim.model import StimulusProgram, _n_steps
+from adexsim.model import StimulusProgram
 
 
 def adaptation_dynamics(state, cfg: AdaptationCircuitConfig, spike_pulse_active=False):
@@ -149,9 +150,6 @@ def run_from_state(cfg: CircuitNeuronConfig, n: int, stimulus: StimulusProgram,
                    state: CircuitState, *, duration: float, dt: float,
                    record: bool = False) -> PopulationRun:
     """`simulate_population` without synaptic events, started from `state`
-    rather than from rest: the library's engine run from that state."""
-    n_steps = _n_steps(duration, dt)
-    quiet = np.zeros(n_steps)
-    columns, final, recs = _engine(cfg, n, stimulus.per_step_currents(n_steps, dt),
-                                   quiet, quiet, state, dt, n_steps, record)
-    return _population_run(n, dt, columns, final, recs)
+    rather than from rest."""
+    return simulate_population(cfg, n, stimulus, duration=duration, dt=dt, record=record,
+                               start=state)

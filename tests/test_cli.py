@@ -518,8 +518,14 @@ class TestSeedsAndMismatchKeys:
                                "size = 32\nsigma_rel_syn_exc.follower_offset = 0.1"),
          [], "[mismatch] sigma_rel_syn_exc.follower_offset: the nominal "
              "syn_exc.follower_offset is 0, which a relative spread leaves unchanged"),
+        (CALIBRATE_TAU.replace("size = 32", "size = 32\n"
+                               "sigma_rel_adaptation.ota_a.g_per_bias = 0.3\n"
+                               "[adaptation]\nenabled = true"),
+         [], "[mismatch] sigma_rel_adaptation.ota_a.g_per_bias: the nominal "
+             "adaptation.ota_a.I_bias is 0 and no nonzero [calibration] a sets it, so "
+             "nothing reads its g_per_bias"),
     ], ids=["run_seed", "mismatch_seed", "seed_flag", "unknown_path", "negative_sigma",
-            "switched_off", "out_of_domain", "output_cap", "zero_nominal"])
+            "switched_off", "out_of_domain", "output_cap", "zero_nominal", "zero_coupling"])
     def test_exit_2_without_output(self, tmp_path, cfg_path, run_cli, text, flags,
                                    message):
         # the seeds, the first two keys and a spread that draws a constant
@@ -548,6 +554,45 @@ class TestSeedsAndMismatchKeys:
                                  "firing_patterns with model = circuit, which reads "
                                  "[mismatch] size\n")
         assert not out.exists()
+
+
+class TestCouplingSpread:
+    # with adaptation on and `a` omitted, ota_a.I_bias is 0 and its g is 0
+    # whatever g_per_bias is drawn: calibrate and psp wrote byte-identical
+    # outputs at sigma 0.1 and 0.3
+    SPREAD = "sigma_rel_adaptation.ota_a.g_per_bias = 0.3\n"
+    TEXT = ("[run]\nmodel = circuit\nseed = 5\n[adaptation]\nenabled = true\nb = 1 nA\n"
+            "{circuit}[mismatch]\nsize = 3\n{spread}[calibration]\ntau_m = 20 us\n{a}")
+
+    @pytest.mark.parametrize("circuit, a, read", [
+        ("", "", False), ("", "a = 0 nS\n", False), ("", "a = 20 nS\n", True),
+        ("a = 20 nS\n", "", True)], ids=["omitted", "zero_target", "target", "nominal"])
+    @pytest.mark.parametrize("command, experiment", [("calibrate", None), ("experiment", "psp")])
+    def test_read_only_with_a_live_coupling_bias(self, circuit, a, read, command, experiment):
+        text = self.TEXT.format(circuit=circuit, spread=self.SPREAD, a=a)
+        if experiment:
+            text += f"[experiment]\nname = {experiment}\n"
+        if read:
+            assert parse_config(text, command).mismatch_overrides == {
+                "relative": {"adaptation.ota_a.g_per_bias": 0.3}}
+        else:
+            with pytest.raises(ValidationError, match=r"^\[mismatch\] sigma_rel_adaptation"
+                               r"\.ota_a\.g_per_bias: the nominal adaptation\.ota_a\.I_bias "
+                               r"is 0 and no nonzero \[calibration\] a sets it"):
+                parse_config(text, command)
+        # the default model's own draw of the path is left as it is
+        assert parse_config(self.TEXT.format(circuit=circuit, spread="", a=a) + (
+            f"[experiment]\nname = {experiment}\n" if experiment else ""), command)
+
+    def test_leak_over_threshold_reads_no_coupling_spread(self):
+        # the run reads neither [adaptation] a nor [calibration]: the bias
+        # stays 0, and only the default model's draw of the path is left
+        text = ("[run]\nmodel = circuit\n[adaptation]\nenabled = true\n[mismatch]\nsize = 2\n"
+                "{spread}[experiment]\nname = leak_over_threshold\n"
+                "tau_m_targets = 20 us\nn_isis = 3\n")
+        with pytest.raises(ValidationError, match="no nonzero \\[calibration\\] a sets it"):
+            parse_config(text.format(spread=self.SPREAD), "experiment")
+        parse_config(text.format(spread=""), "experiment")
 
 
 class TestLeakOverThresholdReads:
@@ -624,6 +669,28 @@ class TestLeakOverThresholdReads:
             # a spike lands on the end of its step: within one dt = tau / 500
             assert abs(row["isi_measured"] - row["isi_predicted"]) < tau / 500
             assert abs(row["rel_dev"]) < 0.0015
+
+    def test_reset_at_or_above_its_own_threshold_has_no_prediction(self):
+        # with V_det spread by 0.2 V, neuron 2 draws a V_det below its V_r:
+        # its prediction read -7.60 us and its rel_dev -1.005, and the run
+        # exited 0.  Neuron 1's V_inf does not exceed its V_det
+        text = self.TEXT.replace("[run]\nmodel = circuit\n", (
+            "[run]\nmodel = circuit\nseed = 5\n[circuit]\nV_det = 0.62 V\nV_r = 0.44 V\n")
+        ).replace("size = 2\n", "size = 4\nsigma_abs_V_det = 0.2\n")
+        run = parse_config(text, "experiment")
+        report = _run_one_experiment(run, run.experiment)
+        v_det = np.asarray(_build_population(run).stacked().V_det)
+        assert (v_det <= run.circuit.V_r).tolist() == [False, False, True, False]
+        rows = report.per_neuron
+        assert [math.isnan(row["isi_predicted"]) for row in rows] == [False, True, True, False]
+        assert all(row["isi_predicted"] > 0 for row in (rows[0], rows[3]))
+        assert math.isnan(rows[2]["rel_dev"]) and rows[2]["isi_measured"] > 0
+        assert report.notes[1] == ("tau_m=2e-05: neuron 2: reset 0.44 V is not below the "
+                                   f"detection threshold {v_det[2]:.6g} V")
+        # the median |dev| is taken over neurons 0 and 3
+        assert report.notes[2] == "tau_m=2e-05s median |dev| = " + "%.4f" % np.median(
+            [rows[0]["abs_rel_dev"], rows[3]["abs_rel_dev"]])
+        assert report.passed
 
     def test_spread_of_a_constant_it_reads_changes_the_report(self):
         def report(text):

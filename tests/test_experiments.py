@@ -196,6 +196,19 @@ class TestLeakOverThreshold:
                                    "exceed the detection threshold 0.9 V")
         assert report.passed
 
+    @pytest.mark.parametrize("v_det", [0.44, 0.3])
+    def test_reset_at_or_above_its_own_threshold_has_no_prediction(self, hw_circuit, v_det):
+        # with V_det below V_r = 0.44 V the closed form read a negative ISI;
+        # at V_r it reads t_ref, whatever the drive
+        lif = replace(hw_circuit, V_det=0.62, V_r=0.44)
+        pop = Population([lif, lif, replace(lif, V_det=v_det)])
+        report = run_leak_over_threshold(pop, (20e-6,), LotProtocol(n_isis=3))
+        rows = report.per_neuron
+        assert math.isnan(rows[2]["isi_predicted"]) and math.isnan(rows[2]["rel_dev"])
+        assert rows[0]["isi_predicted"] == rows[1]["isi_predicted"] > 0
+        assert report.notes[0] == (f"tau_m=2e-05: neuron 2: reset 0.44 V is not below the "
+                                   f"detection threshold {v_det:g} V")
+
     def test_mismatched_population_calibrates_to_pass(self, hw_circuit):
         pop = sample_population(hw_circuit,
                                 default_mismatch_model(hw_circuit, seed=2), 12)

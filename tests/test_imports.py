@@ -179,6 +179,42 @@ def test_every_function_and_class_has_a_caller():
     assert dead_names(modules, [p.read_text(encoding="utf-8") for p in BENCH]) == []
 
 
+def engine_readers(modules: dict) -> list:
+    """'module.name' of each module-level function or class of `modules`
+    ({module name: source}) that names `_engine` (as a name, an attribute
+    or an import), and 'module' where a module-level statement does, but
+    for the engine's one caller `circuit.simulate_population`."""
+    out = []
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            name = getattr(node, "name", None)
+            if (module, name) == ("circuit", "simulate_population"):
+                continue
+            if any(isinstance(sub, ast.Name) and sub.id == "_engine"
+                   or isinstance(sub, ast.Attribute) and sub.attr == "_engine"
+                   or isinstance(sub, ast.alias) and sub.name == "_engine"
+                   for sub in ast.walk(node)):
+                out.append(f"{module}.{name}" if name else module)
+    return out
+
+
+def test_finds_an_engine_reader():
+    modules = {"circuit": ("def _engine():\n    return 0\n\n"
+                           "def simulate_population():\n    return _engine()\n"),
+               "measure": "from .circuit import _engine\n\ndef measure_b():\n    return _engine()\n",
+               "other": ("from . import circuit\n\nclass Run:\n"
+                         "    def go(self):\n        return circuit._engine()\n")}
+    assert engine_readers(modules) == ["measure", "measure.measure_b", "other.Run"]
+
+
+def test_only_simulate_population_runs_the_engine():
+    # every engine run goes through simulate_population, so that what wraps
+    # it (a tracer, a counter) sees each run
+    package = Path(adexsim.__file__).resolve().parent
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))}
+    assert engine_readers(modules) == []
+
+
 def test_engine_run_leaves_numpy_ma_unimported(cli_env):
     # numpy.ma takes about 15 ms to import, which every `adexsim simulate`
     # child would pay; the engine's set-up and spike split do without it

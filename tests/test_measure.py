@@ -345,13 +345,13 @@ class TestDeltaT:
         cfg = Population(neurons).stacked()
         runs = []
 
-        def engine(cfg, n, currents, arr_exc, arr_inh, state, dt, n_steps, record):
-            runs.append((dt, n_steps, float(np.max(cfg.adaptation.pulse_width))))
-            return real(cfg, n, currents, arr_exc, arr_inh, state, dt, n_steps, record)
+        def simulate(cfg, n, stimulus, *args, duration, dt, **kwargs):
+            runs.append((dt, round(duration / dt), float(np.max(cfg.adaptation.pulse_width))))
+            return real(cfg, n, stimulus, *args, duration=duration, dt=dt, **kwargs)
 
-        real = measure._engine
+        real = measure.simulate_population
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(measure, "_engine", engine)
+            patch.setattr(measure, "simulate_population", simulate)
             batch = measure_b(cfg)
             singles = [alone(measure_b, c) for c in neurons]
         np.testing.assert_array_equal(batch, singles)

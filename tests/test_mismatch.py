@@ -2,10 +2,12 @@ import dataclasses
 import functools
 import pickle
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from adexsim import (
     CalibrationTarget, calibrate_population, circuit_for_adex,
@@ -111,38 +113,58 @@ class TestSamplePopulation:
 
 
 
-def refuse_to_split(cfg, n):
+def refuse_to_build(cfg, cols, n):
     raise AssertionError("stacked population split into scalar configs")
 
 
 class TestStackedRepresentation:
     def test_population_paths_never_split_the_config(self, hw_circuit, monkeypatch):
         # sampling, calibration and the PSP experiment read the stacked
-        # config only; none may build the scalar per-neuron configs
-        monkeypatch.setattr(mismatch, "_unstack", refuse_to_split)
+        # config only; none may build a scalar per-neuron config
+        monkeypatch.setattr(mismatch, "_columns", refuse_to_build)
         pop = sample_population(hw_circuit, default_mismatch_model(hw_circuit, seed=2), 16)
         target = CalibrationTarget(tau_m=derive_effective_adex(hw_circuit).tau_m,
                                    stim_gain=True)
         cal = calibrate_population(pop, target)
         report = run_psp_experiment(cal.population)
-        assert cal.population.size == 16
+        assert cal.population.size == len(cal.population.neurons) == 16
         assert len(report.per_neuron) == 16
         with pytest.raises(AssertionError, match="split"):
-            cal.population.neurons
+            next(iter(cal.population.neurons))
 
     def test_recorded_first_neuron_never_splits_the_config(self, monkeypatch):
         # the recorded trace of neuron 0 builds that neuron alone
-        monkeypatch.setattr(mismatch, "_unstack", refuse_to_split)
+        widths, columns = [], mismatch._columns
+        def counted(cfg, cols, n):
+            widths.append(n)
+            return columns(cfg, cols, n)
+        monkeypatch.setattr(mismatch, "_columns", counted)
         patterns = {"tonic_spiking": load_patterns()["tonic_spiking"]}
         report = run_firing_patterns(patterns, model="circuit", population_size=16,
                                      seed=0, record_first=True)
         assert len(report.traces["tonic_spiking"].spikes) > 0
+        assert widths == [1]
 
-    def test_neurons_built_once(self, hw_circuit):
+    def test_neurons_are_built_as_they_are_read(self, hw_circuit):
+        # a population holds its stacked config alone; `.neurons` is a view
+        # that builds each scalar config when it is read and keeps none
         pop = sample_population(hw_circuit, default_mismatch_model(hw_circuit, seed=4), 5)
-        first = pop.neurons
-        assert pop.neurons is first
+        view = pop.neurons
+        first = list(view)
+        assert set(vars(pop)) == {"_cfg", "size"}
+        assert view[0] == first[0] and view[0] is not view[0]
+        assert view == first and first == view and view == pop.neurons
+        assert view != first[:4] and view != first[::-1] and view != tuple(first)
+        assert view[-1] == first[-1] and view[1:4] == first[1:4] and len(view[1:4]) == 3
+        assert view[2:][1:] == first[3:] and view[4:1] == []
         assert Population(first).neurons == first
+        assert Population(view).neurons == first
+        with pytest.raises(IndexError):
+            view[5]
+        with pytest.raises(ValueError, match="unit-step"):
+            view[::2]
+        with pytest.raises(ValueError, match="empty population"):
+            Population(view[3:3])
 
     def test_from_stacked_checks_the_size(self, hw_circuit):
         pop = sample_population(hw_circuit, default_mismatch_model(hw_circuit, seed=4), 5)
@@ -242,13 +264,37 @@ class TestColumns:
         pop = spread_population(width, seed, adaptation, exponential, coba, synapses)
         cfg = pop.stacked()
         expected = constructed_columns(cfg, width)
-        neurons = pop.neurons
+        neurons = list(pop.neurons)
         assert neurons == expected
         # same types, same bits, same field order
         assert pickle.dumps(neurons) == pickle.dumps(expected)
         i = data.draw(st.integers(0, width - 1))
         assert mismatch._neuron(cfg, i) == neurons[i]
         assert pickle.dumps(mismatch._neuron(cfg, i)) == pickle.dumps(expected[i])
+
+    @given(width=st.integers(1, 24), block=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+    def test_blocks_equal_constructed_columns(self, width, block, seed):
+        # iteration builds NEURON_BLOCK columns at a time; the blocks join
+        # into the columns built in one
+        pop = spread_population(width, seed, coba=True)
+        with mock.patch.object(mismatch, "NEURON_BLOCK", block):
+            neurons = list(pop.neurons)
+            assert pickle.dumps(neurons) == pickle.dumps(
+                constructed_columns(pop.stacked(), width))
+            assert pop.neurons == neurons
+
+    def test_iteration_holds_one_block(self):
+        # 8192 scalar configs are about 8.5 MiB; iterating the view holds
+        # one block of NEURON_BLOCK of them at a time
+        pop = spread_population(8192, seed=7)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in pop.neurons)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 8192
+        assert peak < 1.5 * 2 ** 20
 
     @pytest.mark.parametrize("path, bad, message", BAD_COLUMNS,
                              ids=[f"{p}={v}" for p, v, _ in BAD_COLUMNS])
@@ -258,7 +304,7 @@ class TestColumns:
         with pytest.raises(ValueError) as constructed:
             constructed_columns(pop.stacked(), 8)
         with pytest.raises(ValueError) as split:
-            pop.neurons
+            list(pop.neurons)
         assert str(split.value) == str(constructed.value) == message
         # neuron 5 alone raises it too; neuron 4 does not read column 5
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -281,7 +327,7 @@ class TestColumns:
         with pytest.raises(ValueError) as constructed:
             constructed_columns(pop.stacked(), 8)
         with pytest.raises(ValueError) as split:
-            pop.neurons
+            list(pop.neurons)
         assert str(split.value) == str(constructed.value)
 
     def test_leaf_of_another_length_rejected(self):
@@ -310,7 +356,7 @@ class TestColumns:
                 calls[type(self).__name__] = calls.get(type(self).__name__, 0) + 1
                 check(self)
             monkeypatch.setattr(kind, "__post_init__", counted)
-        assert len(pop.neurons) == 16
+        assert len(list(pop.neurons)) == 16
         assert calls == {"OtaModel": 4, "AdaptationCircuitConfig": 1,
                          "ExponentialCircuitConfig": 1, "SynInCircuitConfig": 2,
                          "CircuitNeuronConfig": 1}
@@ -386,10 +432,12 @@ class TestUniformLeaves:
         pop = spread_population(width, seed, adaptation, exponential, coba, synapses)
         paths = stride_zero(pop.stacked())
         assert paths
+        # the neurons of one block of the view
+        neurons = list(pop.neurons)
         for path in paths:
-            first = get_bias(pop.neurons[0], path)
+            first = get_bias(neurons[0], path)
             assert type(first) is float
-            assert all(get_bias(neuron, path) is first for neuron in pop.neurons), path
+            assert all(get_bias(neuron, path) is first for neuron in neurons), path
         last = mismatch._neuron(pop.stacked(), width - 1)
         assert all(get_bias(last, path) == get_bias(pop.neurons[0], path) for path in paths)
 
@@ -418,6 +466,32 @@ class TestUniformLeaves:
         for f in dataclasses.fields(CircuitState):
             assert (np.asarray(getattr(runs[0].final_state, f.name)).tobytes()
                     == np.asarray(getattr(runs[1].final_state, f.name)).tobytes()), f.name
+
+
+class TestTake:
+    """A slice of the neurons view restacks by cutting the stacked config."""
+
+    @given(**populations, data=st.data())
+    def test_a_slice_restacks_as_its_configs(self, width, seed, adaptation, exponential,
+                                             coba, synapses, data):
+        # `Population(pop.neurons[a:b])` cuts every leaf of the stacked
+        # config; it holds the bits, the strides and the uniform leaves of
+        # the same configs stacked one by one, and no writable array: a cut
+        # that shares `pop`'s memory cannot write it
+        pop = spread_population(width, seed, adaptation, exponential, coba, synapses)
+        bound = st.none() | st.integers(-width - 2, width + 2)
+        a, b = data.draw(bound, label="a"), data.draw(bound, label="b")
+        configs = list(pop.neurons)[a:b]
+        assert pop.neurons[a:b] == configs and len(pop.neurons[a:b]) == len(configs)
+        assume(configs)
+        taken = Population(pop.neurons[a:b])
+        stacked = Population(configs).stacked()
+        assert taken.size == len(configs)
+        assert leaf_bits(taken.stacked()) == leaf_bits(stacked)
+        assert stride_zero(taken.stacked()) == stride_zero(stacked) == uniform(stacked)
+        for path, leaf in leaves(taken.stacked()).items():
+            if not is_flag(leaf):
+                assert not leaf.flags.writeable, path
 
 
 class TestDefaultModel:

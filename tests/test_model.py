@@ -392,6 +392,14 @@ class TestPredictedLotIsi:
         with pytest.raises(NotLeakOverThreshold):
             predicted_lot_isi(p, (p.V_det - p.E_l) * p.g_l * 0.9)
 
+    def test_reset_above_threshold_raises(self):
+        # the log argument falls below 1: the closed form read less than
+        # t_ref, down to a negative interval
+        p = hw_lif(V_r=0.7, V_det=0.62)
+        with pytest.raises(NotLeakOverThreshold, match=r"^reset 0.7 V lies above the "
+                                                       r"detection threshold 0.62 V$"):
+            predicted_lot_isi(p, (0.9 - p.E_l) * p.g_l)
+
     def test_requires_lif_reduction(self, tonic_params):
         with pytest.raises(ValueError):
             predicted_lot_isi(tonic_params, 1e-9)
