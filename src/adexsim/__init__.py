@@ -10,7 +10,7 @@ experiment harness with firing-pattern classification.
 __version__ = "0.1.0"
 
 from .errors import (
-    AdexSimError, FitFailed, InvalidConfig, NoIdealEquivalent, NonFiniteState,
+    AdexSimError, InvalidConfig, NoIdealEquivalent, NonFiniteState,
     NotLeakOverThreshold, ParseError, ValidationError, WindowTooShort,
 )
 from .model import (

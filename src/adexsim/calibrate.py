@@ -161,7 +161,7 @@ def _tune_population(cfg, bias_path, measure_fn, targets, bounds,
     def evaluate(biases):
         nonlocal cfg
         cfg = set_bias(cfg, bias_path, biases)
-        return np.asarray(measure_fn(cfg), dtype=float)
+        return measure_fn(cfg)
 
     # 3-point probe: bounds plus the current setting
     b_lo = np.full(n, lo)
@@ -333,7 +333,7 @@ def _entry_a(cfg, target, tol):
     cfg = set_bias(cfg, "adaptation.sign", np.full(_population_size(cfg), float(sign)))
     center = abs(target) / (_median(ad.g_w_factor) * _median(ad.ota_a.g_per_bias))
     return _tune_population(
-        cfg, path, lambda c: sign * np.asarray(measure_subthreshold_a(c)),
+        cfg, path, lambda c: sign * measure_subthreshold_a(c),
         abs(target), (center / 8, center * 8), tol=tol)
 
 
@@ -343,7 +343,7 @@ def _entry_psp(line):
         sgn = 1.0 if line == "exc" else -1.0
         bounds = _bounds_around(cfg, path, 8)
         return _tune_population(cfg, path,
-                                lambda c: sgn * np.asarray(measure_psp_amplitude(c, line)),
+                                lambda c: sgn * measure_psp_amplitude(c, line),
                                 target, bounds, tol=tol)
     return run
 
@@ -363,11 +363,11 @@ def _oneshot(cfg, path, measure_fn, update_fn, tol, verify_tol_abs=None):
     """Measure, apply an analytic correction, verify; used for linear knobs."""
     n = _population_size(cfg)
     absolute = verify_tol_abs is not None
-    pre = np.asarray(measure_fn(cfg), dtype=float)
+    pre = measure_fn(cfg)
     pre_spread = _spread(pre, absolute)
     cfg = set_bias(cfg, path, update_fn(
         np.broadcast_to(np.asarray(get_bias(cfg, path), dtype=float), (n,)).copy(), pre))
-    post = np.asarray(measure_fn(cfg), dtype=float)
+    post = measure_fn(cfg)
     if verify_tol_abs is not None:
         residuals = post
         converged = np.isfinite(post) & (np.abs(post) <= verify_tol_abs)
@@ -392,9 +392,8 @@ def _entry_stim_gain(cfg, target, tol):
 
 def _make_entry_v_t(g_l_ref):
     def run(cfg, target, tol):
-        def measure(c):
-            return np.asarray(measure_exp_onset(c, g_l_ref), dtype=float) - target
-        return _oneshot(cfg, "exponential.V_exp", measure,
+        return _oneshot(cfg, "exponential.V_exp",
+                        lambda c: measure_exp_onset(c, g_l_ref) - target,
                         lambda v_exp, err: v_exp - np.where(np.isfinite(err), err, 0.0),
                         tol, verify_tol_abs=2e-3)
     return run
@@ -405,7 +404,7 @@ def _entry_b(cfg, target, tol):
     if target == 0:
         # b_effective = g_w * pulse_amplitude * pulse_width / C_w: exactly 0
         return _exact(cfg, path, {path: 0.0})
-    return _oneshot(cfg, path, lambda c: np.asarray(measure_b(c), dtype=float) / target,
+    return _oneshot(cfg, path, lambda c: measure_b(c) / target,
                     lambda amp, ratio: amp / np.where(np.isfinite(ratio) & (ratio > 0), ratio, 1.0),
                     tol)
 

@@ -23,10 +23,6 @@ class WindowTooShort(AdexSimError):
     """Not enough pre-stimulus samples to establish a baseline."""
 
 
-class FitFailed(AdexSimError):
-    """A measurement fit did not meet its quality gate (no decay, too few samples, low R^2)."""
-
-
 class InvalidConfig(AdexSimError):
     """A sub-circuit is disabled (or inconsistent) but one of its parameters is requested."""
 

@@ -22,7 +22,7 @@ from .errors import NotLeakOverThreshold
 from .measure import (
     PspProtocol, _disable, _psp_response, exponential_sweep, fit_exponential_slope,
 )
-from .mismatch import Population, _neuron, default_mismatch_model, sample_population
+from .mismatch import Population, _take, default_mismatch_model, sample_population
 from .model import StimulusProgram, lif_parameters, predicted_lot_isi, simulate
 from .patterns import load_patterns
 
@@ -226,7 +226,10 @@ def run_leak_over_threshold(pop: Population, tau_m_targets, stimulus=None) -> Ex
     or V_r is not below it).
 
     The leak-over-threshold regime digitally disables adaptation, the
-    exponential and the synaptic inputs; a run takes 500 steps per tau."""
+    exponential and the synaptic inputs; a run takes 500 steps per tau and
+    lasts n_isis + 2 of the longest ISI predicted, that of the median
+    constants among them where they have one.  A target with no prediction
+    runs nothing: its rows read NaN, and the report fails."""
     proto = stimulus or LotProtocol()
     report = ExperimentReport(
         name="leak_over_threshold",
@@ -255,8 +258,12 @@ def run_leak_over_threshold(pop: Population, tau_m_targets, stimulus=None) -> Ex
             lif = lif_parameters(C=c, g_l=c / tau, E_l=e, V_r=r, V_det=d, t_ref=t)
             return predicted_lot_isi(lif, i_cmd)
 
-        # the run lasts n_isis + 2 of the longest ISI predicted
-        longest = lot_isi(*median)
+        # the run lasts n_isis + 2 of the longest ISI predicted, that of the
+        # median constants among them where they have one
+        try:
+            known = [lot_isi(*median)]
+        except NotLeakOverThreshold:
+            known = []
         predicted = []
         for i, constants in enumerate(zip(*own)):
             try:
@@ -264,16 +271,16 @@ def run_leak_over_threshold(pop: Population, tau_m_targets, stimulus=None) -> Ex
             except NotLeakOverThreshold as err:
                 predicted.append(math.nan)
                 report.notes.append(f"tau_m={tau:.3g}: neuron {i}: {err}")
-        longest = max([longest, *(x for x in predicted if not math.isnan(x))])
-        duration = (proto.n_isis + 2) * longest
-        dt = tau / 500.0
-        stacked = _disable(cal.population.stacked(), adaptation=True,
-                           exponential=True, synin=True)
-        run = simulate_population(stacked, n,
-                                  StimulusProgram.constant(i_cmd),
-                                  duration=duration, dt=dt)
+        known += [x for x in predicted if not math.isnan(x)]
+        spikes = [()] * n
+        if known:
+            stacked = _disable(cal.population.stacked(), adaptation=True,
+                               exponential=True, synin=True)
+            spikes = simulate_population(stacked, n, StimulusProgram.constant(i_cmd),
+                                         duration=(proto.n_isis + 2) * max(known),
+                                         dt=tau / 500.0).spikes
         for i in range(n):
-            isis = np.diff(run.spikes[i])
+            isis = np.diff(spikes[i])
             isis = isis[1:] if len(isis) > 2 else isis
             measured = float(np.median(isis)) if len(isis) else math.nan
             dev = (measured - predicted[i]) / predicted[i]
@@ -288,8 +295,11 @@ def run_leak_over_threshold(pop: Population, tau_m_targets, stimulus=None) -> Ex
 
     devs = {}
     for row in report.per_neuron:
-        devs.setdefault(row["tau_m_target"], []).append(row["abs_rel_dev"])
-    medians = {tau: float(np.nanmedian(np.array(v))) for tau, v in devs.items()}
+        measured = devs.setdefault(row["tau_m_target"], [])
+        if not math.isnan(row["abs_rel_dev"]):
+            measured.append(row["abs_rel_dev"])
+    # a target with no measured deviation reads NaN and fails
+    medians = {tau: float(np.median(v)) if v else math.nan for tau, v in devs.items()}
     report.notes.extend(f"tau_m={tau:.4g}s median |dev| = {med:.4f}"
                         for tau, med in medians.items())
     report.passed = all(med <= proto.tolerance for med in medians.values())
@@ -310,7 +320,7 @@ def run_psp_experiment(pop: Population, synapse_cfg=None,
     proto = synapse_cfg or PspProtocol()
     n = pop.size
     cfg = pop.stacked()
-    baseline, amplitudes, _ = _psp_response(cfg, proto, n_events)
+    baseline, amplitudes = _psp_response(cfg, proto, n_events)
     e_l = np.broadcast_to(np.asarray(cfg.E_l, dtype=float), (n,))
 
     report = ExperimentReport(name="psp")
@@ -475,7 +485,7 @@ def run_firing_patterns(parameter_sets=None, model: str = "ideal",
             f"calibration failures {len(cal.failures)}")
         if record_first:
             report.traces[name] = simulate_circuit(
-                _neuron(stacked, 0), StimulusProgram.step(onset, i_step, end),
+                _take(stacked, slice(0, 1), 1), StimulusProgram.step(onset, i_step, end),
                 duration=end + 0.04 * duration, dt=dt)
         ok = ok and frac >= agreement
     report.passed = ok

@@ -8,9 +8,9 @@ integrates on its own: a response is either run on the circuit engine
 through `simulate_population` (from rest, or from the threshold state in
 `measure_b`) or read from a closed form (the release transients,
 `_release_fit`).
-Routines accept a single circuit config or a stacked population config
-(array leaves); population calls return arrays with NaN marking
-per-neuron fit failures, scalar calls raise FitFailed.
+Every `measure_*` takes a circuit config of width n (a stacked
+population, or a config of single values as width 1) and returns a float
+array of n values, NaN where a neuron's readout failed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .circuit import (
     CircuitNeuronConfig, OtaModel, _transfer, coba_effective_bias,
     exponential_current, ota_output, quiescent_state, simulate_population,
 )
-from .errors import FitFailed, InvalidConfig
+from .errors import InvalidConfig
 from .model import StimulusProgram
 from .synapse import WeightedSpikeTrain
 
@@ -45,15 +45,14 @@ RELEASE_R2_MIN = 0.99
 RELEASE_MIN_SAMPLES = 12
 RELEASE_STEPS_PER_TAU = 150
 RELEASE_WINDOW_TAUS = 7.0
-NO_DECAY = "deflection did not decay"
 # neurons sampled and fitted at a time, and release fits kept for reuse
 RELEASE_BLOCK = 16
 RELEASE_FITS_KEPT = 4
 
 
 class _Reasons:
-    """Why each neuron's readout failed ('' if it did not): a template per
-    neuron, formatted with its numbers only where it is read, `reasons[i]`."""
+    """Why each row's fit failed ('' if it did not): a template per row,
+    formatted with its numbers only where it is read, `reasons[i]`."""
 
     def __init__(self, templates, **numbers):
         self.templates, self.numbers = templates, numbers
@@ -62,29 +61,12 @@ class _Reasons:
         return self.templates[i].format(
             **{k: v[i] if np.ndim(v) else v for k, v in self.numbers.items()})
 
-    @staticmethod
-    def joined(parts):
-        """The reasons of consecutive row blocks as one."""
-        return _Reasons(np.concatenate([p.templates for p in parts]), **{
-            k: np.concatenate([p.numbers[k] for p in parts]) if np.ndim(v) else v
-            for k, v in parts[0].numbers.items()})
 
-
-def _population_size(cfg: CircuitNeuronConfig):
-    """n for a stacked population config, None for one neuron."""
+def _population_size(cfg: CircuitNeuronConfig) -> int:
+    """Width n of a circuit config: 1 for a config of single values."""
     if not isinstance(cfg, CircuitNeuronConfig):
         raise InvalidConfig(f"a measurement takes a circuit config, not {type(cfg).__name__}")
-    arr = np.asarray(cfg.C_mem)
-    return int(arr.shape[0]) if arr.ndim else None
-
-
-def _scalarize(values, n, reasons=("",)):
-    """Population call -> array; scalar call -> float or FitFailed."""
-    if n is not None:
-        return values
-    if reasons[0]:
-        raise FitFailed(str(reasons[0]))
-    return float(values[0])
+    return int(np.size(cfg.C_mem))
 
 
 def log_linear_fit(x: np.ndarray, y: np.ndarray, mask=True):
@@ -109,25 +91,20 @@ def log_linear_fit(x: np.ndarray, y: np.ndarray, mask=True):
 
 def _fit_decay(times, deflection):
     """Fit a single-exponential decay to each row of `deflection` (samples on
-    the last axis, at `times`); returns (tau, reasons), tau NaN where a
-    row's fit failed."""
+    the last axis, at `times`) up to its first sample at or below
+    RELEASE_FIT_FLOOR of its start; returns tau, NaN where a row has no
+    such sample, fewer than RELEASE_MIN_SAMPLES before it, or a fit that
+    does not decay or has an R^2 below RELEASE_R2_MIN."""
     with np.errstate(divide="ignore", invalid="ignore"):
         y = deflection / deflection[..., :1]
     below = y <= RELEASE_FIT_FLOOR
+    # a row that never reaches the floor ends at -1, short of the minimum
     end = np.where(below.any(axis=-1), np.argmax(below, axis=-1), -1)
     window = np.arange(y.shape[-1]) < end[..., None]
     slope, _, r2 = log_linear_fit(times, y, window)
-    reasons = np.select(
-        [np.all(y >= 1.0, axis=-1), end < 0, end < RELEASE_MIN_SAMPLES,
-         ~(slope < 0), ~(r2 >= RELEASE_R2_MIN)],
-        [NO_DECAY,
-         "deflection never fell to the fit floor ({floor:g} of the offset)",
-         "only {end} samples above the fit floor", NO_DECAY,
-         "fit R^2 = {r2:.4f} below {r2_min}"], "")
+    ok = (end >= RELEASE_MIN_SAMPLES) & (slope < 0) & (r2 >= RELEASE_R2_MIN)
     with np.errstate(divide="ignore"):
-        tau = np.where(reasons == "", -1.0 / slope, math.nan)
-    return tau, _Reasons(reasons, floor=RELEASE_FIT_FLOOR, end=end, r2=r2,
-                         r2_min=RELEASE_R2_MIN)
+        return np.where(ok, -1.0 / slope, math.nan)
 
 
 def _disable(cfg: CircuitNeuronConfig, adaptation=False, exponential=False,
@@ -156,17 +133,12 @@ def _disable(cfg: CircuitNeuronConfig, adaptation=False, exponential=False,
     return out
 
 
-def _per_neuron(x, m):
-    return np.broadcast_to(np.asarray(x, dtype=float), (m,))
+def _per_neuron(x, n):
+    return np.broadcast_to(np.asarray(x, dtype=float), (n,))
 
 
 # ---------------------------------------------------------------------------
 # subthreshold steady states
-
-# reasons a steady-state solve comes back NaN
-NO_ROOT = "no steady state inside the leak OTA's saturation"
-FILTER_SATURATED = "adaptation filter node has no fixed point (|out_a| >= ota_tau saturation)"
-UNSTABLE = "steady state is unstable (a <= -g_l locally)"
 
 # leak OTA argument g * dV / I_sat beyond which tanh is 1 in double precision:
 # the edge of the search window around E_l
@@ -182,7 +154,7 @@ def _ota_slope(ota: OtaModel, V_plus, V_minus):
     return np.where(live, ota.g * (1.0 - ratio * ratio), 0.0)
 
 
-def _steady_state(cfg: CircuitNeuronConfig, m: int, current, start=None):
+def _steady_state(cfg: CircuitNeuronConfig, n: int, current, start=None):
     """Resting V_m of every neuron under a constant stimulus command.
 
     `cfg` must have spiking, the exponential and the adaptation pulse off;
@@ -196,18 +168,19 @@ def _steady_state(cfg: CircuitNeuronConfig, m: int, current, start=None):
     dt.  From `start` (default E_l) the root is bracketed by a geometric
     scan in the direction the net current pushes V, then bisected to
     adjacent doubles; every neuron is solved on its own, so a batch gives
-    the same bits as each neuron alone.  Returns (V, reasons): V is NaN
-    and reasons[i] names the cause where neuron i has no stable rest ('' if
-    it has one).
+    the same bits as each neuron alone.  Returns V, NaN where a neuron has
+    no stable rest: no root inside the leak OTA's saturation, no fixed
+    point of the filter node (|out_a| reaches the `ota_tau` saturation), or
+    an unstable root (a <= -g_l locally).
     """
-    e_l = _per_neuron(cfg.E_l, m)
-    inj = _per_neuron(cfg.stim_gain, m) * _per_neuron(cfg.stim_trim, m) \
-        * _per_neuron(current, m)
+    e_l = _per_neuron(cfg.E_l, n)
+    inj = _per_neuron(cfg.stim_gain, n) * _per_neuron(cfg.stim_trim, n) \
+        * _per_neuron(current, n)
     ad = cfg.adaptation
-    gain = _per_neuron(ad.sign, m) * _per_neuron(ad.g_w_factor, m)
+    gain = _per_neuron(ad.sign, n) * _per_neuron(ad.g_w_factor, n)
     # offset current per unit bias of each enabled line at zero deflection
-    lines = [(-sgn * _per_neuron(syn.g1_per_bias, m) * (
-                _per_neuron(syn.follower_offset, m) + _per_neuron(syn.offset_trim, m)), syn)
+    lines = [(-sgn * _per_neuron(syn.g1_per_bias, n) * (
+                _per_neuron(syn.follower_offset, n) + _per_neuron(syn.offset_trim, n)), syn)
              for sgn, syn in ((1.0, cfg.syn_exc), (-1.0, cfg.syn_inh)) if syn.enabled]
 
     def balance(V):
@@ -217,7 +190,7 @@ def _steady_state(cfg: CircuitNeuronConfig, m: int, current, start=None):
             f = f - gain * ota_output(ad.ota_a, V, ad.E_l_adapt)
         for level, syn in lines:
             f = f + level * (coba_effective_bias(V, syn) if syn.coba_enabled
-                             else _per_neuron(syn.I_b_cuba, m))
+                             else _per_neuron(syn.I_b_cuba, n))
         return f + inj
 
     def slope(V):
@@ -231,17 +204,17 @@ def _steady_state(cfg: CircuitNeuronConfig, m: int, current, start=None):
         return df
 
     with np.errstate(invalid="ignore", divide="ignore"):
-        g_l = _per_neuron(cfg.g_l, m)
-        half = LEAK_SATURATION_ARG * _per_neuron(cfg.leak_ota.I_bias, m) \
+        g_l = _per_neuron(cfg.g_l, n)
+        half = LEAK_SATURATION_ARG * _per_neuron(cfg.leak_ota.I_bias, n) \
             / np.where(g_l > 0, g_l, math.nan)
-        v0 = e_l if start is None else _per_neuron(start, m)
+        v0 = e_l if start is None else _per_neuron(start, n)
         direction = np.sign(balance(v0))
         # scan points v0 + 2^-k * (edge - v0), nearest first
         span = e_l + direction * half - v0
         grid = v0 + 2.0 ** -np.arange(SCAN_POINTS - 1, -1, -1.0)[:, None] * span
         crossed = direction * balance(grid) <= 0
         first = np.argmax(crossed, axis=0)
-        cols = np.arange(m)
+        cols = np.arange(n)
         found = crossed[first, cols] & (direction * span > 0)
         hi = grid[first, cols]
         lo = np.where(first > 0, grid[first - 1, cols], v0)
@@ -256,22 +229,19 @@ def _steady_state(cfg: CircuitNeuronConfig, m: int, current, start=None):
             hi = np.where(active & ~ahead, mid, hi)
         root = np.where(direction == 0, v0, np.where(found, hi, math.nan))
         stable = slope(root) < 0
-        filter_ok = np.ones(m, dtype=bool)
+        filter_ok = np.ones(n, dtype=bool)
         if ad.enabled:
             filter_ok = np.abs(ota_output(ad.ota_a, root, ad.E_l_adapt)) \
-                < _per_neuron(ad.ota_tau.I_bias, m)
+                < _per_neuron(ad.ota_tau.I_bias, n)
 
-    reasons = np.select([~np.isfinite(root), ~filter_ok, ~stable],
-                        [NO_ROOT, FILTER_SATURATED, UNSTABLE], "")
-    return np.where(reasons == "", root, math.nan), reasons
+    return np.where(np.isfinite(root) & filter_ok & stable, root, math.nan)
 
 
-def _steady_deflection(cfg: CircuitNeuronConfig, m: int, step):
-    """Shift of the resting V_m when the command steps from 0 to `step`;
-    returns (deflection, reasons) as `_steady_state` does."""
-    rest, err_rest = _steady_state(cfg, m, 0.0)
-    moved, err_moved = _steady_state(cfg, m, step, start=rest)
-    return moved - rest, np.where(err_rest != "", err_rest, err_moved)
+def _steady_deflection(cfg: CircuitNeuronConfig, n: int, step):
+    """Shift of the resting V_m when the command steps from 0 to `step`,
+    NaN where either rest is (`_steady_state`)."""
+    rest = _steady_state(cfg, n, 0.0)
+    return _steady_state(cfg, n, step, start=rest) - rest
 
 
 # ---------------------------------------------------------------------------
@@ -286,17 +256,16 @@ def _release_fit(ota: OtaModel, cap, n):
     neuron's release is sampled on its own grid (the RELEASE_* constants),
     with tau = C / g, and fitted as a recorded release would be, so a
     neuron's fit does not depend on its batch.  A dead bias (I_sat = 0)
-    leaves the node at x0, which the fit reports as not decaying.
+    leaves the node at x0, which does not decay and reads NaN.  Returns the
+    n time constants.
     """
-    m = n or 1
-    tau, reasons = _release_rows(*(_per_neuron(x, m).tobytes()
-                                   for x in (ota.g, ota.I_bias, cap)))
-    return _scalarize(tau.copy(), n, reasons)
+    return _release_rows(*(_per_neuron(x, n).tobytes()
+                           for x in (ota.g, ota.I_bias, cap))).copy()
 
 
 @functools.lru_cache(maxsize=RELEASE_FITS_KEPT)
 def _release_rows(g, i_sat, cap):
-    """(tau, reasons) of `_release_fit` for the float64 bytes of g, I_sat
+    """The time constants of `_release_fit` for the float64 bytes of g, I_sat
     and C.  A calibration fits the same release again (the stimulus-gain
     readout fits the `tau_m` entry's last release, `measure_b` the `tau_w`
     entry's), so the last few fits are kept; callers copy tau.  Rows are
@@ -312,7 +281,7 @@ def _release_rows(g, i_sat, cap):
     with np.errstate(divide="ignore", invalid="ignore"):
         # ln sinh(u0), so that a large u0 cannot overflow
         log_sinh0 = u0 + np.log(-np.expm1(-2.0 * u0)) - math.log(2.0)
-    taus, parts = [], []
+    taus = []
     for rows in (slice(i, i + RELEASE_BLOCK) for i in range(0, len(g), RELEASE_BLOCK)):
         times = grid * dt[rows, None]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -320,10 +289,8 @@ def _release_rows(g, i_sat, cap):
             log_sinh = log_sinh0[rows, None] - times * (g / cap)[rows, None]
             u = np.logaddexp(log_sinh, 0.5 * np.logaddexp(2.0 * log_sinh, 0.0))
             trace = np.where(live[rows, None], u / k[rows, None], RELEASE_OFFSET)
-        tau, reasons = _fit_decay(times, trace)
-        taus.append(tau)
-        parts.append(reasons)
-    return np.concatenate(taus), _Reasons.joined(parts)
+        taus.append(_fit_decay(times, trace))
+    return np.concatenate(taus)
 
 
 def measure_tau_m(neuron):
@@ -363,9 +330,11 @@ def _a_protocol(a, g_l, deflection):
     For strong negative coupling the leak is raised to keep the coupled
     system stable (a <= -g_l has no subthreshold steady state otherwise);
     the step is sized for a steady `deflection` (volts) of the coupled
-    system, A_DEFLECTION in `measure_subthreshold_a`.
+    system, A_DEFLECTION in `measure_subthreshold_a`.  A dead leak (g_l =
+    0) is not boosted: it stays dead, and its readout NaN.
     """
-    boost = np.maximum(1.0, 2.5 * np.abs(a) / g_l)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        boost = np.where(g_l > 0, np.maximum(1.0, 2.5 * np.abs(a) / g_l), 1.0)
     g_meas = g_l * boost
     return boost, deflection * np.maximum(g_meas + a, 0.2 * g_meas)
 
@@ -384,19 +353,15 @@ def measure_subthreshold_a(neuron):
     n = _population_size(neuron)
     if not neuron.adaptation.enabled:
         raise InvalidConfig("adaptation circuit is disabled")
-    m = n or 1
     base = _disable(neuron, exponential=True, synin=True, spiking=True)
-    boost, d_i = _a_protocol(_per_neuron(base.adaptation.a_effective, m),
-                             _per_neuron(base.g_l, m), A_DEFLECTION)
+    boost, d_i = _a_protocol(_per_neuron(base.adaptation.a_effective, n),
+                             _per_neuron(base.g_l, n), A_DEFLECTION)
     base = replace(base, leak_ota=replace(
         base.leak_ota, I_bias=np.asarray(base.leak_ota.I_bias, dtype=float) * boost))
-    dv_off, err_off = _steady_deflection(_disable(base, adaptation=True), m, d_i)
-    dv_on, err_on = _steady_deflection(base, m, d_i)
-    reasons = np.select([err_off != "", err_on != "", ~(dv_off > 0) | ~(dv_on > 0)],
-                        [err_off, err_on, "non-positive steady deflection"], "")
+    dv_off = _steady_deflection(_disable(base, adaptation=True), n, d_i)
+    dv_on = _steady_deflection(base, n, d_i)
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.where(reasons == "", d_i / dv_on - d_i / dv_off, math.nan)
-    return _scalarize(values, n, reasons)
+        return np.where((dv_off > 0) & (dv_on > 0), d_i / dv_on - d_i / dv_off, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -472,28 +437,25 @@ def fit_exponential_slope(grid: np.ndarray, currents: np.ndarray,
 
 def _exponential_fits(neuron):
     """Fit every neuron's exponential sweep (100 points) over at least 2.5
-    decades; returns (delta_t, intercept, reasons, n), NaN where a fit
-    failed."""
+    decades; returns (delta_t, intercept), NaN where a fit failed."""
     grid, cur = exponential_sweep(neuron, n_points=100)
-    delta_t, intercept, _, reasons = fit_exponential_slope(
+    delta_t, intercept, _, _ = fit_exponential_slope(
         grid.reshape(-1, 100), cur.reshape(-1, 100), neuron.exponential.I_max,
         min_decades=2.5)
-    return delta_t, intercept, reasons, _population_size(neuron)
+    return delta_t, intercept
 
 
 def measure_delta_t(neuron):
     """Effective exponential slope from a clamped sweep of 100 points whose
     fit spans at least 2.5 decades below saturation."""
-    delta_t, _, reasons, n = _exponential_fits(neuron)
-    return _scalarize(delta_t, n, reasons)
+    return _exponential_fits(neuron)[0]
 
 
 def measure_exp_onset(neuron, g_l_ref):
     """Soft-threshold estimate: the V where the fitted exponential current
     (the sweep and fit of `measure_delta_t`) equals g_l_ref * Delta_T_fit."""
-    delta_t, intercept, reasons, n = _exponential_fits(neuron)
-    onset = delta_t * (np.log(np.asarray(g_l_ref) * delta_t) - intercept)
-    return _scalarize(onset, n, reasons)
+    delta_t, intercept = _exponential_fits(neuron)
+    return delta_t * (np.log(np.asarray(g_l_ref) * delta_t) - intercept)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +473,7 @@ def measure_tau_syn(neuron, line: str = "exc"):
     syn = getattr(neuron, f"syn_{line}")
     if not syn.enabled:
         raise InvalidConfig(f"synaptic input '{line}' is disabled")
-    return _scalarize(np.array(_per_neuron(syn.tau_syn, n or 1)), n)
+    return np.array(_per_neuron(syn.tau_syn, n))
 
 
 @dataclass(frozen=True)
@@ -534,36 +496,41 @@ class PspProtocol:
 
 
 def _psp_response(neuron, proto: PspProtocol, n_events: int):
-    """Run the PSP protocol on a circuit; returns (baseline, amplitudes, n).
+    """Run the PSP protocol on a circuit; returns (baseline, amplitudes).
 
     The step is a 60th of the fastest time constant (membrane or line).
     The baseline is the mean V_m over the last two membrane time constants
     before the first event; amplitudes[j] is each neuron's signed peak
     deflection from it between event j and the next event (the end of the
-    run for the last one).
+    run for the last one).  A membrane without a leak (g_l = 0) has no rest
+    to deflect from: it reads NaN and takes no part in the timing, and
+    with no leak at all nothing is run.
     """
     n = _population_size(neuron)
-    m = n or 1
     cfg = _disable(neuron, adaptation=True, exponential=True, spiking=True,
                    keep_line=proto.line)
-    tau_m = np.atleast_1d(np.asarray(cfg.tau_m, dtype=float))
+    g_l = _per_neuron(cfg.g_l, n)
+    live = g_l > 0
+    if not live.any():
+        return np.full(n, math.nan), np.full((n_events, n), math.nan)
+    tau_m = _per_neuron(cfg.C_mem, n)[live] / g_l[live]
     tau_s = np.atleast_1d(np.asarray(getattr(cfg, f"syn_{proto.line}").tau_syn, dtype=float))
     dt = min(float(tau_m.min()), float(tau_s.min())) / 60.0
     settle = 10.0 * float(tau_m.max())
     spacing = proto.spacing_factor * max(float(tau_m.max()), float(tau_s.max()))
     times = [settle + k * spacing for k in range(n_events)]
     train = WeightedSpikeTrain(tuple((t, proto.weight) for t in times))
-    run = simulate_population(cfg, m, StimulusProgram.constant(0.0),
+    run = simulate_population(cfg, n, StimulusProgram.constant(0.0),
                               syn_events={proto.line: train},
                               duration=settle + n_events * spacing, dt=dt, record=True)
     win = max(int(round(2.0 * float(tau_m.max()) / dt)), 8)
     onsets = [int(round(t / dt)) for t in times] + [run.V.shape[0]]
-    baseline = run.V[onsets[0] - win:onsets[0]].mean(axis=0)
-    amplitudes = np.empty((n_events, m))
+    baseline = np.where(live, run.V[onsets[0] - win:onsets[0]].mean(axis=0), math.nan)
+    amplitudes = np.empty((n_events, n))
     for j in range(n_events):
         seg = run.V[onsets[j]:onsets[j + 1]] - baseline
-        amplitudes[j] = seg[np.argmax(np.abs(seg), axis=0), np.arange(m)]
-    return baseline, amplitudes, n
+        amplitudes[j] = seg[np.argmax(np.abs(seg), axis=0), np.arange(n)]
+    return baseline, amplitudes
 
 
 def measure_psp_amplitude(neuron, line: str = "exc", weight: float = 1.0):
@@ -571,19 +538,16 @@ def measure_psp_amplitude(neuron, line: str = "exc", weight: float = 1.0):
     circuit config (`PspProtocol`, one event and ten time constants after
     it)."""
     proto = PspProtocol(line=line, weight=weight, spacing_factor=10.0)
-    _, amplitudes, n = _psp_response(neuron, proto, n_events=1)
-    return _scalarize(amplitudes[0], n)
+    return _psp_response(neuron, proto, n_events=1)[1][0]
 
 
 def measure_resting_offset(neuron, line: str = "exc"):
     """Baseline shift of the resting potential caused by the input circuit's
     residual offset current (V_rest - E_l), solved at zero line deflection."""
     n = _population_size(neuron)
-    m = n or 1
     cfg = _disable(neuron, adaptation=True, exponential=True, spiking=True,
                    keep_line=line)
-    rest, reasons = _steady_state(cfg, m, 0.0)
-    return _scalarize(rest - _per_neuron(cfg.E_l, m), n, reasons)
+    return _steady_state(cfg, n, 0.0) - _per_neuron(cfg.E_l, n)
 
 
 # ---------------------------------------------------------------------------
@@ -598,12 +562,10 @@ def measure_stim_gain(neuron):
     end to end.
     """
     n = _population_size(neuron)
-    m = n or 1
     cfg = _disable(neuron, adaptation=True, exponential=True, synin=True, spiking=True)
-    g_l_meas = _per_neuron(cfg.C_mem, m) / _per_neuron(measure_tau_m(cfg), m)
-    i_cmd = 0.04 * _per_neuron(cfg.g_l, m)
-    dv, reasons = _steady_deflection(cfg, m, i_cmd)
-    return _scalarize(dv * g_l_meas / i_cmd, n, reasons)
+    g_l_meas = _per_neuron(cfg.C_mem, n) / measure_tau_m(cfg)
+    i_cmd = 0.04 * _per_neuron(cfg.g_l, n)
+    return _steady_deflection(cfg, n, i_cmd) * g_l_meas / i_cmd
 
 
 def measure_b(neuron):
@@ -623,31 +585,32 @@ def measure_b(neuron):
     ad = neuron.adaptation
     if not ad.enabled:
         raise InvalidConfig("adaptation circuit is disabled")
-    m = n or 1
     cfg = _disable(neuron, exponential=True, synin=True)
-    tau_w = _per_neuron(measure_tau_w(cfg), m)
-    widths = _per_neuron(ad.pulse_width, m)
-    dt = min(float(np.min(cfg.tau_m)) / 60.0, float(widths.min()) / 5.0)
-    v_det = _per_neuron(cfg.V_det, m)
+    tau_w = measure_tau_w(cfg)
+    widths = _per_neuron(ad.pulse_width, n)
+    g_l = _per_neuron(cfg.g_l, n)
+    with np.errstate(divide="ignore"):
+        # a dead leak's infinite tau_m does not set the step
+        tau_m = _per_neuron(cfg.C_mem, n) / g_l
+    dt = min(float(tau_m.min()) / 60.0, float(widths.min()) / 5.0)
+    v_det = _per_neuron(cfg.V_det, n)
     # the drive folded into each neuron's stimulus trim, under a unit command
-    drive = 6.0 * _per_neuron(cfg.g_l, m) * (v_det - _per_neuron(cfg.E_l, m))
-    cfg = replace(cfg, stim_trim=_per_neuron(cfg.stim_trim, m) * drive)
+    drive = 6.0 * g_l * (v_det - _per_neuron(cfg.E_l, n))
+    cfg = replace(cfg, stim_trim=_per_neuron(cfg.stim_trim, n) * drive)
     window = np.ceil(widths / dt).astype(int) + 1
     n_steps = int(window.max()) + 1
-    run = simulate_population(cfg, m, StimulusProgram.constant(1.0), duration=n_steps * dt,
+    run = simulate_population(cfg, n, StimulusProgram.constant(1.0), duration=n_steps * dt,
                               dt=dt, record=True, start=replace(quiescent_state(cfg), V_m=v_det))
 
-    g_w = _per_neuron(ad.g_w_factor, m) * _per_neuron(ad.C_w, m) / tau_w
+    g_w = _per_neuron(ad.g_w_factor, n) * _per_neuron(ad.C_w, n) / tau_w
     # each neuron's first spike step: the spike columns come in step order
     step, who = run.spike_columns
     spiked, first = np.unique(who, return_index=True)
-    k_spk = np.full(m, -1)
+    k_spk = np.full(n, -1)
     k_spk[spiked] = step[first]
     k_end = k_spk + window
-    reasons = np.select([k_spk < 0, k_end >= run.V_w.shape[0]],
-                        ["forcing pulse produced no spike", "pulse window ran past the trace"],
-                        "")
-    ok = reasons == ""
-    cols = np.arange(m)
+    # read where the neuron spiked and its pulse window ended inside the run
+    ok = (k_spk >= 0) & (k_end < run.V_w.shape[0])
+    cols = np.arange(n)
     jump = run.V_w[np.where(ok, k_spk, 0), cols] - run.V_w[np.where(ok, k_end, 0), cols]
-    return _scalarize(np.where(ok, g_w * jump, math.nan), n, reasons)
+    return np.where(ok, g_w * jump, math.nan)

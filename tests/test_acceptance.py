@@ -145,7 +145,7 @@ def test_05_coba_virtual_reversal():
         for v_h in holdings:
             hold = replace(cfg, E_l=v_h,
                            adaptation=replace(cfg.adaptation, E_l_adapt=v_h))
-            amps.append(measure_psp_amplitude(hold, weight=0.2))
+            amps.append(measure_psp_amplitude(hold, weight=0.2)[0])
         slope, intercept = np.polyfit(holdings, amps, 1)
         fit = np.polyval((slope, intercept), holdings)
         nonlin = float(np.max(np.abs(fit - amps)) / np.max(np.abs(amps)))

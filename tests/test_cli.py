@@ -8,11 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import adexsim.experiments
 from adexsim import ParseError, ValidationError
 from adexsim.cli import _build_population, _run_one_experiment, main, report_to_json
-from adexsim.config import EXPERIMENTS, parse_config, read_config_sections, serialize_config
+from adexsim.config import (
+    EXPERIMENTS, SCHEMA, parse_config, read_config_sections, serialize_config,
+)
 
 CONFIG_CIRCUIT = """
 [run]
@@ -692,6 +695,46 @@ class TestLeakOverThresholdReads:
             [rows[0]["abs_rel_dev"], rows[3]["abs_rel_dev"]])
         assert report.passed
 
+    # V_det spread around 0.46 V, below E_l: the command current of the
+    # median constants places V_inf at 0.4305 V, below the median V_det
+    LOW_V_DET = "[run]\nmodel = circuit\nseed = 2\n[circuit]\nV_det = 0.46 V\nV_r = 0.3 V\n"
+
+    def test_median_without_prediction_leaves_the_others_measured(self):
+        # the median constants have no prediction; the run used to exit 1
+        # with no report, although neurons 0 and 3 (V_det 0.430 and 0.411 V)
+        # have one
+        text = self.TEXT.replace("[run]\nmodel = circuit\n", self.LOW_V_DET).replace(
+            "size = 2\n", "size = 4\nsigma_abs_V_det = 0.03\n")
+        run = parse_config(text, "experiment")
+        report = _run_one_experiment(run, run.experiment)
+        rows = report.per_neuron
+        assert [math.isnan(row["isi_predicted"]) for row in rows] == [False, True, True, False]
+        for row in (rows[0], rows[3]):
+            assert row["isi_measured"] > 0 and abs(row["rel_dev"]) < 0.01
+        assert [note.split(":")[1] for note in report.notes[:2]] == [" neuron 1", " neuron 2"]
+        assert report.passed
+
+    def test_target_without_prediction_runs_nothing_and_fails(self, tmp_path, monkeypatch):
+        # no neuron's V_inf exceeds its V_det: the rows read NaN with their
+        # notes, no simulation runs, and the report is written and fails
+        def no_run(*args, **kwargs):
+            raise AssertionError("a target without a prediction ran a simulation")
+
+        monkeypatch.setattr(adexsim.experiments, "simulate_population", no_run)
+        text = self.TEXT.replace("[run]\nmodel = circuit\n", self.LOW_V_DET)
+        path, out = tmp_path / "run.cfg", tmp_path / "out"
+        path.write_text(text, encoding="utf-8")
+        assert main(["experiment", "leak_over_threshold", "--config", str(path),
+                     "--out", str(out)]) == 1
+        report = json.loads((out / "report_leak_over_threshold.json").read_text())
+        assert not report["passed"] and len(report["per_neuron"]) == 2
+        for row in report["per_neuron"]:
+            assert all(math.isnan(row[key]) for key in
+                       ("isi_measured", "isi_predicted", "rel_dev", "abs_rel_dev"))
+        assert report["notes"] == [
+            f"tau_m=2e-05: neuron {i}: equilibrium 0.436 V does not exceed the detection "
+            "threshold 0.46 V" for i in range(2)] + ["tau_m=2e-05s median |dev| = nan"]
+
     def test_spread_of_a_constant_it_reads_changes_the_report(self):
         def report(text):
             run = parse_config(text, "experiment")
@@ -742,11 +785,12 @@ def cli_configs(draw):
 
 def names_the_fault(message: str, text: str) -> bool:
     """Whether an error message names a section of `text` and one of its
-    keys, the line it points at, the section the command needs or the flag."""
+    keys or a `SCHEMA` key of that section that the text lacks, the line it
+    points at, the section the command needs or the flag."""
     return ("(line " in message or "requires a [" in message or "--format" in message
             or any(f"[{section}]" in message
                    and any(re.search(rf"(?<![\w.]){re.escape(key)}(?![\w.])", message)
-                           for key in keys)
+                           for key in {*keys, *SCHEMA.get(section, ())})
                    for section, keys in read_config_sections(text).items()))
 
 
@@ -754,6 +798,9 @@ class TestConfigPropertyAtTheCommandLine:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(config=cli_configs())
+    # `sweep` on this text names the [neuron] keys it lacks: "[neuron]
+    # missing required keys: V_T, Delta_T"
+    @example(config=("[run]\nmodel = ideal\n" + NEURON + "[sweep]\nkey = run.duration\n", None))
     def test_invalid_config_exit_2_naming_section_and_key_without_output(
             self, tmp_path, capsys, config):
         # each command runs a generated config in-process; a config the

@@ -1,6 +1,7 @@
 """Every import in the package modules is used (`__init__.py` re-exports
-its imports and is exempt), every function and class has a caller, and
-every config node stores its fields in slots."""
+its imports and is exempt), every function and class has a caller, every
+UPPER_CASE constant is read, and every config node stores its fields in
+slots."""
 
 import ast
 import dataclasses
@@ -48,15 +49,24 @@ def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-# module-level functions and classes that only library users call; each is
-# documented in the README's "Library-only names" paragraph
-LIBRARY_ONLY = ("csv_to_trace", "psp_metrics", "phase_plane")
+# module-level functions, classes and constants that only library users
+# reach; each is documented in the README's "Library-only names" paragraph
+LIBRARY_ONLY = ("csv_to_trace", "psp_metrics", "phase_plane", "FIRING_PATTERN_LABELS")
 BENCH = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
 
 
-def defined_names(tree) -> list:
-    return [node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+def definitions(tree) -> list:
+    """(name, statement) of each module-level function, class and UPPER_CASE
+    constant (a name that an assignment binds) of a module."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(sub.id, node) for target in targets for sub in ast.walk(target)
+                    if isinstance(sub, ast.Name) and sub.id.isupper()]
+    return out
 
 
 def methods(tree) -> list:
@@ -117,8 +127,9 @@ def reads_from(tree, module: str) -> set:
 
 
 def dead_names(modules: dict, bench: list) -> list:
-    """'module.name' for each module-level function or class of `modules`
-    ({module name: source}) that no other statement of its module names,
+    """'module.name' for each module-level function, class or constant (see
+    `definitions`) of `modules` ({module name: source}) that no other
+    statement of its module names,
     no other module reads from it (`reads_from`), and no bench source and
     no LIBRARY_ONLY entry names, then 'module.Class.name' for each method
     or classmethod (see `methods`) that no attribute of the package outside
@@ -130,8 +141,8 @@ def dead_names(modules: dict, bench: list) -> list:
     dead = []
     for module, tree in trees.items():
         others = used.union(*(reads_from(t, module) for m, t in trees.items() if m != module))
-        for name in defined_names(tree):
-            elsewhere = [node for node in tree.body if getattr(node, "name", None) != name]
+        for name, statement in definitions(tree):
+            elsewhere = [node for node in tree.body if node is not statement]
             if name not in others | named(elsewhere):
                 dead.append(f"{module}.{name}")
     reached = attributes(trees.values())
@@ -172,9 +183,19 @@ def test_finds_a_dead_method():
         "a.Thing", "a.Thing.again", "a.Thing.build", "a.Thing.alone"]
 
 
+def test_finds_a_dead_constant():
+    modules = {"a": ("NO_DECAY = 'did not decay'\nFLOOR = 0.02\nLOW, HIGH = 1, 2\n"
+                     "LIMIT: float = 3.0\nlower = 4\n\ndef fit():\n    return FLOOR + LOW\n"),
+               "b": "from .a import HIGH, fit\n\nfit(HIGH)\n"}
+    assert dead_names(modules, []) == ["a.NO_DECAY", "a.LIMIT"]
+    # a constant that only its own statement names is not read
+    assert dead_names({**modules, "b": "from .a import fit\n\nfit()\n"}, [
+        "from adexsim.a import NO_DECAY, LIMIT\nprint(NO_DECAY, LIMIT)\n"]) == ["a.HIGH"]
+
+
 def test_every_function_and_class_has_a_caller():
-    # a name or method that only tests or __init__.py reach is an option no
-    # run uses
+    # a name, method or constant that only tests or __init__.py reach is an
+    # option no run uses
     modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     assert dead_names(modules, [p.read_text(encoding="utf-8") for p in BENCH]) == []
 

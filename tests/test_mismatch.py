@@ -133,7 +133,8 @@ class TestStackedRepresentation:
             next(iter(cal.population.neurons))
 
     def test_recorded_first_neuron_never_splits_the_config(self, monkeypatch):
-        # the recorded trace of neuron 0 builds that neuron alone
+        # the recorded trace of neuron 0 runs its width-1 take: no scalar
+        # config is built
         widths, columns = [], mismatch._columns
         def counted(cfg, cols, n):
             widths.append(n)
@@ -143,7 +144,7 @@ class TestStackedRepresentation:
         report = run_firing_patterns(patterns, model="circuit", population_size=16,
                                      seed=0, record_first=True)
         assert len(report.traces["tonic_spiking"].spikes) > 0
-        assert widths == [1]
+        assert widths == []
 
     def test_neurons_are_built_as_they_are_read(self, hw_circuit):
         # a population holds its stacked config alone; `.neurons` is a view
