@@ -137,6 +137,13 @@ def _per_neuron(x, n):
     return np.broadcast_to(np.asarray(x, dtype=float), (n,))
 
 
+def _live_tau_m(cfg, n):
+    """Each neuron's C_mem / g_l, NaN where its leak is dead (g_l = 0): a
+    dead leak has no membrane time constant and sets no timing."""
+    g_l = _per_neuron(cfg.g_l, n)
+    return _per_neuron(cfg.C_mem, n) / np.where(g_l > 0, g_l, math.nan)
+
+
 # ---------------------------------------------------------------------------
 # subthreshold steady states
 
@@ -509,21 +516,20 @@ def _psp_response(neuron, proto: PspProtocol, n_events: int):
     n = _population_size(neuron)
     cfg = _disable(neuron, adaptation=True, exponential=True, spiking=True,
                    keep_line=proto.line)
-    g_l = _per_neuron(cfg.g_l, n)
-    live = g_l > 0
+    tau_m = _live_tau_m(cfg, n)
+    live = ~np.isnan(tau_m)
     if not live.any():
         return np.full(n, math.nan), np.full((n_events, n), math.nan)
-    tau_m = _per_neuron(cfg.C_mem, n)[live] / g_l[live]
     tau_s = np.atleast_1d(np.asarray(getattr(cfg, f"syn_{proto.line}").tau_syn, dtype=float))
-    dt = min(float(tau_m.min()), float(tau_s.min())) / 60.0
-    settle = 10.0 * float(tau_m.max())
-    spacing = proto.spacing_factor * max(float(tau_m.max()), float(tau_s.max()))
+    dt = min(float(np.nanmin(tau_m)), float(tau_s.min())) / 60.0
+    settle = 10.0 * float(np.nanmax(tau_m))
+    spacing = proto.spacing_factor * max(float(np.nanmax(tau_m)), float(tau_s.max()))
     times = [settle + k * spacing for k in range(n_events)]
     train = WeightedSpikeTrain(tuple((t, proto.weight) for t in times))
     run = simulate_population(cfg, n, StimulusProgram.constant(0.0),
                               syn_events={proto.line: train},
                               duration=settle + n_events * spacing, dt=dt, record=True)
-    win = max(int(round(2.0 * float(tau_m.max()) / dt)), 8)
+    win = max(int(round(2.0 * float(np.nanmax(tau_m)) / dt)), 8)
     onsets = [int(round(t / dt)) for t in times] + [run.V.shape[0]]
     baseline = np.where(live, run.V[onsets[0] - win:onsets[0]].mean(axis=0), math.nan)
     amplitudes = np.empty((n_events, n))
@@ -588,14 +594,11 @@ def measure_b(neuron):
     cfg = _disable(neuron, exponential=True, synin=True)
     tau_w = measure_tau_w(cfg)
     widths = _per_neuron(ad.pulse_width, n)
-    g_l = _per_neuron(cfg.g_l, n)
-    with np.errstate(divide="ignore"):
-        # a dead leak's infinite tau_m does not set the step
-        tau_m = _per_neuron(cfg.C_mem, n) / g_l
-    dt = min(float(tau_m.min()) / 60.0, float(widths.min()) / 5.0)
+    fastest = float(np.nanmin(_live_tau_m(cfg, n), initial=math.inf))
+    dt = min(fastest / 60.0, float(widths.min()) / 5.0)
     v_det = _per_neuron(cfg.V_det, n)
     # the drive folded into each neuron's stimulus trim, under a unit command
-    drive = 6.0 * g_l * (v_det - _per_neuron(cfg.E_l, n))
+    drive = 6.0 * _per_neuron(cfg.g_l, n) * (v_det - _per_neuron(cfg.E_l, n))
     cfg = replace(cfg, stim_trim=_per_neuron(cfg.stim_trim, n) * drive)
     window = np.ceil(widths / dt).astype(int) + 1
     n_steps = int(window.max()) + 1

@@ -785,13 +785,19 @@ def cli_configs(draw):
 
 def names_the_fault(message: str, text: str) -> bool:
     """Whether an error message names a section of `text` and one of its
-    keys or a `SCHEMA` key of that section that the text lacks, the line it
-    points at, the section the command needs or the flag."""
-    return ("(line " in message or "requires a [" in message or "--format" in message
-            or any(f"[{section}]" in message
-                   and any(re.search(rf"(?<![\w.]){re.escape(key)}(?![\w.])", message)
-                           for key in {*keys, *SCHEMA.get(section, ())})
-                   for section, keys in read_config_sections(text).items()))
+    keys, that section and the `SCHEMA` keys of it the text lacks, the line
+    it points at, the section the command needs or the flag."""
+    if "(line " in message or "requires a [" in message or "--format" in message:
+        return True
+    sections = read_config_sections(text)
+    missing = re.search(r"\[(\w+)\] missing required keys: (.+)", message)
+    return (any(f"[{section}]" in message
+                and any(re.search(rf"(?<![\w.]){re.escape(key)}(?![\w.])", message)
+                        for key in keys)
+                for section, keys in sections.items())
+            or (missing is not None and missing[1] in sections
+                and all(key in SCHEMA.get(missing[1], ()) and key not in sections[missing[1]]
+                        for key in missing[2].split(", "))))
 
 
 class TestConfigPropertyAtTheCommandLine:
