@@ -17,6 +17,7 @@ math broadcasts, so a single implementation serves both.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
@@ -35,6 +36,9 @@ LINEAR_5PCT_ARG = 0.39945811
 # relative floor below which the rectifying mirror powers the exponential
 # branch down to zero
 EXP_POWER_DOWN_FLOOR = 1e-6
+# spike steps whose neurons the engine keeps as a list before it folds them
+# into one array
+SPIKE_BLOCK = 1024
 
 
 def _all(cond) -> bool:
@@ -494,8 +498,22 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
       the x left below dt, idle at 0.  The membrane row of B, the I_exp
       floor (with the gate on) and the pulse-current row (with adaptation
       on) are written only for the neurons that spike or change phase on
-      a step, from step-keyed buckets whose entries are skipped for a
-      neuron that has spiked again since.  Initial timers take the same
+      a step.  A course's plan holds the steps after its start on which
+      writes fall, Python ints where every neuron shares the course (one
+      t_ref and one pulse_width), the writes of one step merged, and a
+      value every neuron shares is written as one scalar; a row that
+      every write sets to the same values (the membrane's factor under
+      t_ref = 0) takes only the initial write.  Each start files one entry
+      per step of its plan, the spike's first-step writes under the next
+      step, after every other entry there.  A write is dropped for a
+      neuron that has spiked again since its start, by a filter on each
+      neuron's last spike, except where no such spike before the step
+      ahead of the write is possible: the course rules it out (held at
+      h = 0, V_m stays at V_r, at its initial value for the initial
+      timers, which spikes on every held step at or above V_det and on
+      none below it), or no neuron has spiked since the start.  A spike
+      on the step ahead needs no filter: its first-step writes land after
+      the stale write and replace it.  Initial timers take the same
       course, and the final timers come from the same countdown;
     - the injected current stim_gain * stim_trim * I is computed once per
       stimulus segment, where the bits of I change, not once per step;
@@ -592,8 +610,7 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     # integrated: held at h = 0 (phi = 0), free at h = dt, one release
     # step in between; with the I_exp gate, the power-down floor, +inf
     # while held or releasing; with adaptation, the pulse current
-    # min(x, dt) * p_amp / dt, full while x >= dt.  A write is
-    # (row, values) pairs, made for the neurons that take it.
+    # min(x, dt) * p_amp / dt, full while x >= dt.
     membrane, HELD, FREE = [B[-1]], [np.zeros(n)], [_phi(lam_m, dt) / C_mem]
     if ex_on and ex.gate_in_refractory:
         FREE.append(floor)
@@ -606,52 +623,108 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
         full_i, idle_i = pulse_at(dt), pulse_at(0.0)
     p_width = bc(ad.pulse_width) if ad_on else np.zeros(n)
 
-    def course(t0, p0):
-        """Timers started at t0 (refractory) and p0 (pulse): the write of
-        their first step and their phase changes.  Per change: its write,
-        each neuron's step after the start (-1 where it takes none), the
-        distinct steps, and whether every neuron takes it at the one step."""
+    def one_value(values):
+        """values[0] where all n values hold its bits, else None."""
+        bits = values.view(np.int64)
+        return values[0] if bits.size and (bits == bits[0]).all() else None
+
+    def write(pairs):
+        """The write of (row, values) pairs, made for the neurons that
+        take it, as (row, value, gather) triples: a value one scalar,
+        written without a gather, where every neuron's values hold the
+        same bits."""
+        out = []
+        for row, values in pairs:
+            one = one_value(values)
+            out.append((row, values, True) if one is None else (row, one, False))
+        return tuple(out)
+
+    def course(t0, p0, V_held):
+        """The plan of timers started at t0 (refractory) and p0 (pulse) on
+        a membrane at V_held: one item per step after the start on which a
+        neuron takes a write, in step order from the first (0).  An item
+        holds that step, whether the course lets a neuron spike again
+        before the step ahead of it, and its writes as (row, values) pairs,
+        each with every neuron's step of it (None where every neuron takes
+        it there)."""
         held, left = _countdown(t0, dt, n_steps)
         release = left > 0
         h = np.clip(dt - left, 0.0, dt)
         RELEASE = [_phi(lam_m, h) / C_mem] + HELD[1:]
         first = [(row, np.where(held > 0, a, np.where(release, b, c)))
                  for row, a, b, c in zip(membrane, HELD, RELEASE, FREE)]
-        changes = [(((membrane[0], RELEASE[0]),), held, (held > 0) & release),
-                   (tuple(zip(membrane, FREE)), held + release, (held > 0) | release)]
+        # held at h = 0, V_m stays V_held: below V_det it cannot spike
+        # before the end of its held steps
+        quiet = np.where(V_held >= V_det, 0, held)
+        changes = [([(membrane[0], RELEASE[0])], held, (held > 0) & release),
+                   (list(zip(membrane, FREE)), held + release, (held > 0) | release)]
         if ad_on:
             held, left = _countdown(p0, dt, n_steps)
             tail = (left != 0) | np.signbit(left)
             tail_i = pulse_at(left)
             first.append((pulse_i, np.where(held > 0, full_i, np.where(tail, tail_i, idle_i))))
-            changes += [(((pulse_i, tail_i),), held, (held > 0) & tail),
-                        (((pulse_i, idle_i),), held + tail, (held > 0) | tail)]
-        plan = []
-        for write, at, takes in changes:
+            changes += [([(pulse_i, tail_i)], held, (held > 0) & tail),
+                        ([(pulse_i, idle_i)], held + tail, (held > 0) | tail)]
+        changes.append((first, np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool)))
+        due = {}
+        for pairs, at, takes in changes:
             at = np.where(takes, at, -1)
             steps = sorted(set(at[takes].tolist()))
-            plan.append((write, at, steps, len(steps) == 1 and takes.all()))
-        return first, plan
-
-    buckets = {}
-
-    def schedule(k, idx, plan):
-        """File the phase changes of the neurons idx, whose timers started
-        at the end of step k, under the steps they fall on."""
-        for write, at, steps, every in plan:
+            every = len(steps) == 1 and bool(takes.all())
             for d in steps:
-                if k + 1 + d < n_steps:
-                    sel = idx if every else idx[at[idx] == d]
-                    if sel.size:
-                        buckets.setdefault(k + 1 + d, []).append((write, k, sel))
+                due.setdefault(d, []).append((pairs, None if every else at))
+        plan = []
+        for d, parts in sorted(due.items()):
+            takers = np.zeros(n, dtype=bool)
+            for _, at in parts:
+                takers |= True if at is None else at == d
+            # the changes every neuron takes on the step are one write
+            merged = [pair for pairs, at in parts if at is None for pair in pairs]
+            parts = ([(merged, None)] if merged else []) + [
+                (pairs, at) for pairs, at in parts if at is not None]
+            plan.append((d, bool((quiet[takers] + 1 < d).any()), parts))
+        return plan
 
-    # the initial timers start as if set by a spike at the end of step -1
+    plans = course(ref0, pulse0, V_m), course(t_ref, p_width, V_r)
+    # a row that every write sets to the same values (the membrane's factor
+    # under t_ref = 0) holds them from the initial timers' first write on
+    seen = {}
+    for _, _, parts in plans[0] + plans[1]:
+        for pairs, _ in parts:
+            for row, values in pairs:
+                seen.setdefault(id(row), set()).add(values.tobytes())
+    fixed = {key for key, values in seen.items() if len(values) == 1}
+
+    def items(plan, initial):
+        """A plan's items as (d + 1, (check, writes, d)), the writes as
+        `write` gives them, without the fixed rows but in the initial
+        timers' first write."""
+        out = []
+        for d, check, parts in plan:
+            writes = [(write([(row, values) for row, values in pairs
+                              if id(row) not in fixed or (initial and d == 0)]), at)
+                      for pairs, at in parts]
+            writes = [(w, at) for w, at in writes if w]
+            if writes:
+                out.append((d + 1, (check, writes, d)))
+        return out
+
+    # the writes due on each step, as entries (start, neurons, item) filed
+    # by the starts: the initial timers at the end of step -1, then each
+    # spike's.  A spike's first write is due on the next step, filed after
+    # every other entry of that step, so it lands last on its neurons.
+    buckets = defaultdict(list)
+    initial_items, spike_items = items(plans[0], True), items(plans[1], False)
+    for d1, item in initial_items:
+        buckets[d1 - 1].append((-1, np.arange(n), item))
+    # the last spike step and the one before it
+    last_start = prior = -1
+    # each neuron's last spike, kept up to date in the loop where a
+    # pending write may have to be dropped
+    track = any(check for _, (check, _, _) in initial_items + spike_items)
     last = np.full(n, -1, dtype=np.int64)
-    first, plan = course(ref0, pulse0)
-    for row, values in first:
-        row[:] = values
-    schedule(-1, np.arange(n), plan)
-    on_spike, spike_plan = course(t_ref, p_width)
+    # the reset V_m <- V_r, one scalar where every V_r holds the same bits
+    reset = one_value(V_r)
 
     # synaptic lines as terms of the forcing: (kind, op, operands), op the
     # ufunc that applies the term (add for exc, subtract for inh)
@@ -680,11 +753,18 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     segment_starts = iter(_run_starts(currents))
     next_segment = next(segment_starts)
     I_inj = np.empty(n)
-    count = np.count_nonzero
     spiked = np.empty(n, dtype=bool)
-    # spikes as (step, neuron) columns, in step order, of a buffer that
-    # grows by half when full
-    spikes, n_spikes = np.empty((2, n), dtype=np.int64), 0
+    # spikes as (step, neuron) columns in step order: the spike steps and
+    # their neurons as lists, folded into a block of columns every
+    # SPIKE_BLOCK steps
+    blocks, spike_steps, spike_idx = [np.empty((2, 0), dtype=np.int64)], [], []
+
+    def fold():
+        if spike_idx:
+            counts = [len(idx) for idx in spike_idx]
+            blocks.append(np.array([np.repeat(spike_steps, counts), np.concatenate(spike_idx)]))
+            spike_steps.clear()
+            spike_idx.clear()
     if record:
         V_rec = np.empty((n_steps + 1, n))
         Vw_rec = np.empty((n_steps + 1, n))
@@ -700,12 +780,19 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     minimum, maximum, copyto = np.minimum, np.maximum, np.copyto
 
     for k in range(n_steps):
-        # the phase changes due on this step, but for neurons that have
-        # spiked again since they were filed
-        for write, k_start, sel in buckets.pop(k, ()):
-            sel = sel[last[sel] == k_start]
-            for row, values in write:
-                row[sel] = values[sel]
+        # the writes due on this step, but for neurons that have spiked
+        # again since their start, where that was possible
+        entries = buckets.pop(k, None)
+        if entries:
+            # the last spike step before the previous step
+            recent = prior if last_start == k - 1 else last_start
+            for start, idx, (check, writes, d) in entries:
+                if check and recent > start:
+                    idx = idx[last[idx] == start]
+                for write, at in writes:
+                    sel = idx if at is None else idx[at[idx] == d]
+                    for row, value, gather in write:
+                        row[sel] = value[sel] if gather else value
 
         sub(V_m, REF, ZM)
         if ad_on:
@@ -762,21 +849,18 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
             add(s, arrivals[k] * dv, s)
 
         np.greater_equal(V_m, V_det, spiked)
-        fired = count(spiked)
-        if fired:
-            copyto(V_m, V_r, where=spiked)
-            idx = np.flatnonzero(spiked)
-            last[idx] = k
-            for row, values in on_spike:
-                row[idx] = values[idx]
-            schedule(k, idx, spike_plan)
-            end = n_spikes + fired
-            if end > spikes.shape[1]:
-                grow = max(end - spikes.shape[1], spikes.shape[1] // 2)
-                spikes = np.concatenate((spikes, np.empty((2, grow), dtype=np.int64)), axis=1)
-            spikes[0, n_spikes:end] = k + 1
-            spikes[1, n_spikes:end] = idx
-            n_spikes = end
+        idx = spiked.nonzero()[0]
+        if idx.size:
+            V_m[idx] = V_r[idx] if reset is None else reset
+            if track:
+                last[idx] = k
+            prior, last_start = last_start, k
+            for d1, item in spike_items:
+                buckets[k + d1].append((k, idx, item))
+            spike_steps.append(k + 1)
+            spike_idx.append(idx)
+            if len(spike_idx) == SPIKE_BLOCK:
+                fold()
         if record:
             V_rec[k + 1], Vw_rec[k + 1] = V_m, V_w
             se_rec[k + 1], si_rec[k + 1] = s_exc, s_inh
@@ -787,7 +871,10 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     if not np.isfinite(S).all():
         raise NonFiniteState("circuit state became non-finite (dt too large?)",
                              time=n_steps * dt)
+    fold()
+    spikes = np.concatenate(blocks, axis=1)
     # each timer runs down from its last start for the steps left after it
+    np.maximum.at(last, spikes[1], spikes[0] - 1)
     left_steps = n_steps - 1 - last
     timers = []
     for start in (np.where(last >= 0, t_ref, ref0), np.where(last >= 0, p_width, pulse0)):
@@ -796,7 +883,7 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     final = CircuitState(V_m=V_m, V_w=V_w, s_exc=s_exc, s_inh=s_inh,
                          ref_remaining=timers[0], pulse_remaining=timers[1])
     recs = (V_rec, Vw_rec, se_rec, si_rec) if record else None
-    return spikes[:, :n_spikes], final, recs
+    return spikes, final, recs
 
 
 def _population_run(n: int, dt: float, columns, final: CircuitState,

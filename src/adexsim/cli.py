@@ -42,8 +42,12 @@ EXIT_GATE_FAILED = 1
 EXIT_USAGE = 2
 
 
+# every float the CSV and sweep outputs write
+FLOAT_FORMAT = "%.9g"
+
+
 def _format_float(x: float) -> str:
-    return "%.9g" % x
+    return FLOAT_FORMAT % x
 
 
 # the columns of a trace CSV, units in the names
@@ -52,13 +56,12 @@ TRACE_COLUMNS = ["time_us", "V_mV", "w_nA", "s_exc", "s_inh"]
 
 def trace_to_csv(trace) -> str:
     """Self-describing CSV: time plus per-quantity columns with units."""
-    w_na = trace.w * 1e9
+    # one %-format per row over the columns as Python floats: the bytes of
+    # _format_float on each value
+    columns = (trace.times * 1e6, trace.V * 1e3, trace.w * 1e9, trace.s_exc, trace.s_inh)
+    row = ",".join([FLOAT_FORMAT] * len(columns))
     lines = [",".join(TRACE_COLUMNS)]
-    times = trace.times
-    for k in range(len(trace.V)):
-        lines.append(",".join(_format_float(v) for v in (
-            times[k] * 1e6, trace.V[k] * 1e3, w_na[k],
-            trace.s_exc[k], trace.s_inh[k])))
+    lines += [row % values for values in zip(*(np.asarray(c).tolist() for c in columns))]
     return "\n".join(lines) + "\n"
 
 
@@ -81,7 +84,7 @@ def csv_to_trace(text: str):
 
 def spikes_to_csv(spikes) -> str:
     lines = ["spike_time_us"]
-    lines += [_format_float(t * 1e6) for t in spikes]
+    lines += [FLOAT_FORMAT % t for t in (np.asarray(spikes, dtype=float) * 1e6).tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -17,7 +17,7 @@ from adexsim.circuit import (
 )
 from adexsim.config import parse_config
 from adexsim.measure import log_linear_fit
-from adexsim.mismatch import Population, default_mismatch_model, sample_population
+from adexsim.mismatch import Population, _take, default_mismatch_model, sample_population
 from stepwise_reference import (
     adaptation_dynamics, circuit_step, node_forcings, run_from_state,
 )
@@ -317,6 +317,15 @@ ENGINE_VARIANTS = {
     # output is then 0.0 times its sign
     "mixed_sign_batch": lambda c: (Population([
         c, _signed(c, -1), _signed(_dead_ota_a(c), -1), _dead_ota_a(c)]).stacked(), {}),
+    # V_r 10 mV above V_det, with t_ref 1.03 us and with t_ref 0: once it
+    # fires, the neuron spikes again on every step, held or not, each
+    # spike's writes landing over those still pending from the spikes before
+    "reset_above_threshold": lambda c: (Population([
+        replace(c, V_r=c.V_det + 10e-3, t_ref=t_ref) for t_ref in (1.03e-6, 0.0)]).stacked(), {}),
+    # a drive that fires on the first free step after every spike: 3 held
+    # steps, whose re-spike lands while the 4.5-step pulse of the spike
+    # before still has its tail and idle writes pending
+    "respike_on_first_free_step": lambda c: (_timed(c, 3 * 0.05e-6, 4.5 * 0.05e-6), {}),
 }
 # variants that replace the default step stimulus of the oracle test
 VARIANT_STIMULI = {
@@ -326,9 +335,13 @@ VARIANT_STIMULI = {
     # 4x the threshold current, from t = 0
     "adaptation_off_late_spike": StimulusProgram.constant(
         4.0 * LATE_SPIKE.g_l * (LATE_SPIKE.V_det - LATE_SPIKE.E_l)),
+    # 30 uA lifts V_m from V_r past V_det in one free step
+    "respike_on_first_free_step": StimulusProgram.constant(30e-6),
 }
 # variants that replace the default dt and duration (0.05 us, 200 us)
-VARIANT_TIMING = {"adaptation_off_late_spike": (0.04e-6, 22.88e-6)}
+VARIANT_TIMING = {"adaptation_off_late_spike": (0.04e-6, 22.88e-6),
+                  "reset_above_threshold": (0.05e-6, 60e-6),
+                  "respike_on_first_free_step": (0.05e-6, 10e-6)}
 
 
 # the timer-course tests: the dt of configs/adex_step.cfg and a drive that
@@ -584,6 +597,29 @@ class TestCircuitStep:
             assert getattr(run.final_state, name).tobytes() == \
                 getattr(state, name).tobytes(), name
 
+    def test_held_start_above_threshold_matches_stepwise_reference(self, hw_circuit):
+        # initial timers that hold a membrane started above V_det: it spikes
+        # at once, so the initial timers' later writes are dropped
+        cfg = Population([_timed(hw_circuit, 1.03e-6, 2.5 * TIMER_DT)] * 2).stacked()
+        rest = quiescent_state(cfg)
+        state = replace(rest, V_m=np.array([cfg.V_det[0] + 10e-3, rest.V_m[1]]),
+                        ref_remaining=np.full(2, 7.5 * TIMER_DT),
+                        pulse_remaining=np.full(2, 12.5 * TIMER_DT))
+        run = run_from_state(cfg, 2, TIMER_STIMULUS, state, duration=TIMER_DURATION / 4,
+                             dt=TIMER_DT, record=True)
+        n_steps = int(round(TIMER_DURATION / 4 / TIMER_DT))
+        currents = TIMER_STIMULUS.per_step_currents(n_steps, TIMER_DT)
+        spikes = [[] for _ in range(2)]
+        for k in range(n_steps):
+            state, spiked = circuit_step(state, cfg, currents[k], dt=TIMER_DT)
+            assert state.V_m.tobytes() == run.V[k + 1].tobytes(), k
+            assert state.V_w.tobytes() == run.V_w[k + 1].tobytes(), k
+            for i in np.flatnonzero(spiked):
+                spikes[i].append((k + 1) * TIMER_DT)
+        assert spikes[0][0] == TIMER_DT and len(spikes[1]) >= 1
+        for i in range(2):
+            assert run.spikes[i].tobytes() == np.array(spikes[i]).tobytes(), i
+
     # hw_circuit is a frozen config, so one instance serves every example
     @settings(max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(courses=strategies.lists(TIMER_COURSES, min_size=1, max_size=4),
@@ -603,6 +639,37 @@ class TestCircuitStep:
             alone = run_from_state(neuron, 1, TIMER_STIMULUS, replace(
                 quiescent_state(neuron), ref_remaining=ref0[i:i + 1],
                 pulse_remaining=pulse0[i:i + 1]), **kw)
+            assert alone.spikes[0].tobytes() == batch.spikes[i].tobytes(), i
+            assert alone.V[:, 0].tobytes() == batch.V[:, i].tobytes(), i
+            assert alone.V_w[:, 0].tobytes() == batch.V_w[:, i].tobytes(), i
+            for name in ("ref_remaining", "pulse_remaining"):
+                assert getattr(alone.final_state, name).tobytes() == \
+                    getattr(batch.final_state, name)[i:i + 1].tobytes(), (i, name)
+
+    def test_dense_spiking_batch_column_equals_neuron_alone(self, hw_circuit):
+        # 128 mismatched neurons, t_refs of 0, below dt, fractional and whole
+        # steps, each pulse longer than the neuron's ISIs, and a drive under
+        # which most steps hold two spikes or more: many starts and pending
+        # writes per step, and re-spikes inside every pulse
+        n, dt, duration = 128, TIMER_DT, 16e-6
+        cfg = sample_population(hw_circuit, default_mismatch_model(hw_circuit, seed=28),
+                                n).stacked()
+        t_refs = np.array([0.0, 0.37, 25.0, 25.75, 3.0, 12.5, 2.5, 40.0]) * dt
+        widths = np.array([150.0, 182.5, 150.5, 225.0]) * dt
+        t_ref = t_refs[np.arange(n) % len(t_refs)]
+        width = widths[np.arange(n) // len(t_refs) % len(widths)]
+        ad = cfg.adaptation
+        cfg = replace(cfg, t_ref=t_ref, adaptation=replace(
+            ad, pulse_width=width, pulse_amplitude=ad.pulse_amplitude * ad.pulse_width / width))
+        eff = derive_effective_adex(hw_circuit)
+        stim = StimulusProgram.constant(16 * eff.g_l * (eff.V_det - eff.E_l))
+        kw = dict(duration=duration, dt=dt, record=True)
+        batch = simulate_population(cfg, n, stim, **kw)
+        per_step = np.bincount(batch.spike_columns[0], minlength=int(round(duration / dt)))
+        assert np.mean(per_step >= 2) > 0.5
+        assert all(len(s) >= 3 and np.diff(s).max() < w for s, w in zip(batch.spikes, width))
+        for i in range(n):
+            alone = simulate_population(_take(cfg, slice(i, i + 1), 1), 1, stim, **kw)
             assert alone.spikes[0].tobytes() == batch.spikes[i].tobytes(), i
             assert alone.V[:, 0].tobytes() == batch.V[:, i].tobytes(), i
             assert alone.V_w[:, 0].tobytes() == batch.V_w[:, i].tobytes(), i

@@ -834,6 +834,27 @@ class TestConfigPropertyAtTheCommandLine:
             assert not out.exists()
 
 
+def per_value_trace_csv(trace) -> str:
+    # the reference trace writer: one _format_float call per value
+    from adexsim.cli import TRACE_COLUMNS, _format_float
+    w_na = trace.w * 1e9
+    lines = [",".join(TRACE_COLUMNS)]
+    times = trace.times
+    for k in range(len(trace.V)):
+        lines.append(",".join(_format_float(v) for v in (
+            times[k] * 1e6, trace.V[k] * 1e3, w_na[k],
+            trace.s_exc[k], trace.s_inh[k])))
+    return "\n".join(lines) + "\n"
+
+
+def per_value_spikes_csv(spikes) -> str:
+    # the reference spike writer: one _format_float call per spike time
+    from adexsim.cli import _format_float
+    lines = ["spike_time_us"]
+    lines += [_format_float(t * 1e6) for t in spikes]
+    return "\n".join(lines) + "\n"
+
+
 class TestCsvRoundTrip:
     def test_reingested_trace_supports_postprocessing(self, tmp_path, cfg_path,
                                                        run_cli):
@@ -850,6 +871,24 @@ class TestCsvRoundTrip:
         baseline, amplitude = psp_metrics(trace, 100e-6)
         assert baseline == pytest.approx(0.5, abs=1e-6)
         assert abs(amplitude) < 1e-9
+
+    @pytest.mark.parametrize("kind", ["recorded", "nan"])
+    def test_row_writers_give_the_per_value_bytes(self, hw_circuit, kind):
+        # the trace and spike writers format a row at a time; their bytes
+        # are those of one _format_float per value
+        from adexsim import SimulationTrace, StimulusProgram, simulate_circuit
+        from adexsim.cli import spikes_to_csv, trace_to_csv
+        trace = simulate_circuit(hw_circuit, StimulusProgram.step(20e-6, 58e-9),
+                                 duration=120e-6, dt=0.04e-6)
+        assert len(trace.spikes) >= 3
+        if kind == "nan":
+            V, w = trace.V.copy(), trace.w.copy()
+            V[5], w[7], V[-1] = math.nan, math.nan, math.inf
+            trace = SimulationTrace(dt=trace.dt, V=V, w=w, s_exc=trace.s_exc,
+                                    s_inh=trace.s_inh,
+                                    spikes=np.append(trace.spikes, math.nan))
+        assert trace_to_csv(trace) == per_value_trace_csv(trace)
+        assert spikes_to_csv(trace.spikes) == per_value_spikes_csv(trace.spikes)
 
     def test_csv_numbers_survive_round_trip(self, tmp_path, cfg_path, run_cli):
         from adexsim.cli import csv_to_trace, trace_to_csv

@@ -253,6 +253,76 @@ def test_engine_run_leaves_numpy_ma_unimported(cli_env):
     assert result.stdout == "False\n"
 
 
+# numpy functions that run Python code around their C work on each call
+NUMPY_WRAPPERS = ("flatnonzero", "count_nonzero", "nonzero", "where")
+
+
+def engine_loop_wrappers(source: str) -> list:
+    """'name (line n)' for each call of a NUMPY_WRAPPERS function, as
+    `np.name` or through a local bound to it, inside the
+    `for k in range(n_steps)` loop of `_engine`.  Raises ValueError where
+    the module has no such loop."""
+    engine = next((node for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.FunctionDef) and node.name == "_engine"), None)
+    loops = [node for node in ast.walk(engine or ast.Module(body=[]))
+             if isinstance(node, ast.For) and ast.unparse(node.target) == "k"
+             and ast.unparse(node.iter) == "range(n_steps)"]
+    if not loops:
+        raise ValueError("no `for k in range(n_steps)` loop in _engine")
+
+    def wrapper(node):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "np" and node.attr in NUMPY_WRAPPERS):
+            return node.attr
+        return None
+
+    # locals bound to a wrapper, also as one of a tuple assignment's names
+    aliases = {}
+    for node in ast.walk(engine):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = (zip(target.elts, node.value.elts)
+                         if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                         else [(target, node.value)])
+                for name, value in pairs:
+                    if isinstance(name, ast.Name) and wrapper(value):
+                        aliases[name.id] = wrapper(value)
+    calls = []
+    for loop in loops:
+        for node in ast.walk(loop):
+            if isinstance(node, ast.Call):
+                name = wrapper(node.func) or (isinstance(node.func, ast.Name)
+                                              and aliases.get(node.func.id))
+                if name:
+                    calls.append((node.lineno, node.col_offset, name))
+    return [f"np.{name} (line {line})" for line, _, name in sorted(calls)]
+
+
+def test_finds_a_numpy_wrapper_in_the_engine_loop():
+    source = ("import numpy as np\n\n"
+              "def _engine(x, n_steps):\n"
+              "    count, add = np.count_nonzero, np.add\n"
+              "    where = np.where\n"
+              "    idx = np.flatnonzero(x)\n"
+              "    for k in range(n_steps):\n"
+              "        add(x, 1.0, x)\n"
+              "        if count(x):\n"
+              "            x[np.nonzero(x)[0]] = where(x > 0, 1.0, 0.0)\n"
+              "        idx = x.nonzero()[0]\n"
+              "    return idx\n")
+    assert engine_loop_wrappers(source) == [
+        "np.count_nonzero (line 9)", "np.nonzero (line 10)", "np.where (line 10)"]
+    with pytest.raises(ValueError, match="no `for k in range"):
+        engine_loop_wrappers(source.replace("range(n_steps)", "range(steps)"))
+
+
+def test_engine_loop_calls_no_numpy_wrapper():
+    # a wrapper costs about a microsecond of Python per call on every
+    # step; the loop takes the ufuncs and array methods it wraps
+    source = (Path(adexsim.__file__).resolve().parent / "circuit.py").read_text(encoding="utf-8")
+    assert engine_loop_wrappers(source) == []
+
+
 def slotless(root) -> list:
     """Name of `root` and of each dataclass its fields reach by their
     annotated types, in the order reached, that has no `__slots__` of its
