@@ -17,7 +17,6 @@ math broadcasts, so a single implementation serves both.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
@@ -36,9 +35,6 @@ LINEAR_5PCT_ARG = 0.39945811
 # relative floor below which the rectifying mirror powers the exponential
 # branch down to zero
 EXP_POWER_DOWN_FLOOR = 1e-6
-# spike steps whose neurons the engine keeps as a list before it folds them
-# into one array
-SPIKE_BLOCK = 1024
 
 
 def _all(cond) -> bool:
@@ -501,20 +497,20 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
       a step.  A course's plan holds the steps after its start on which
       writes fall, Python ints where every neuron shares the course (one
       t_ref and one pulse_width), the writes of one step merged, and a
-      value every neuron shares is written as one scalar; a row that
-      every write sets to the same values (the membrane's factor under
-      t_ref = 0) takes only the initial write.  Each start files one entry
-      per step of its plan, the spike's first-step writes under the next
-      step, after every other entry there.  A write is dropped for a
-      neuron that has spiked again since its start, by a filter on each
-      neuron's last spike, except where no such spike before the step
-      ahead of the write is possible: the course rules it out (held at
-      h = 0, V_m stays at V_r, at its initial value for the initial
-      timers, which spikes on every held step at or above V_det and on
-      none below it), or no neuron has spiked since the start.  A spike
-      on the step ahead needs no filter: its first-step writes land after
-      the stale write and replace it.  Initial timers take the same
-      course, and the final timers come from the same countdown;
+      value every neuron shares is written as one scalar.  Each start
+      files one entry per step of its plan (one per part of a step where
+      its neurons take different changes on it) in a ring of step slots,
+      the spike's first-step writes under the next step, after every
+      other entry there.  A write is dropped for a neuron that has spiked
+      again since its start, by a filter on each neuron's last spike,
+      except where no such spike before the step ahead of the write is
+      possible: the course rules it out (held at h = 0, V_m stays at V_r,
+      at its initial value for the initial timers, which spikes on every
+      held step at or above V_det and on none below it), or no neuron has
+      spiked since the start.  A spike on the step ahead needs no filter:
+      its first-step writes land after the stale write and replace it.
+      Initial timers take the same course, and the final timers come from
+      the same countdown;
     - the injected current stim_gain * stim_trim * I is computed once per
       stimulus segment, where the bits of I change, not once per step;
     - a synaptic line with no arrivals that starts at +0.0 stays at +0.0:
@@ -641,12 +637,12 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
 
     def course(t0, p0, V_held):
         """The plan of timers started at t0 (refractory) and p0 (pulse) on
-        a membrane at V_held: one item per step after the start on which a
-        neuron takes a write, in step order from the first (0).  An item
-        holds that step, whether the course lets a neuron spike again
-        before the step ahead of it, and its writes as (row, values) pairs,
-        each with every neuron's step of it (None where every neuron takes
-        it there)."""
+        a membrane at V_held: per step d after the start on which a neuron
+        takes a write, in step order from the first (d = 0), one item per
+        part of the step's writes.  An item is (d + 1, check, d, at,
+        writes): check whether the course lets a neuron spike again before
+        the step ahead of d, at each neuron's step of the part (None where
+        every neuron takes it at d) and the writes as `write` gives them."""
         held, left = _countdown(t0, dt, n_steps)
         release = left > 0
         h = np.clip(dt - left, 0.0, dt)
@@ -682,46 +678,27 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
             merged = [pair for pairs, at in parts if at is None for pair in pairs]
             parts = ([(merged, None)] if merged else []) + [
                 (pairs, at) for pairs, at in parts if at is not None]
-            plan.append((d, bool((quiet[takers] + 1 < d).any()), parts))
+            check = bool((quiet[takers] + 1 < d).any())
+            plan += [(d + 1, check, d, at, write(pairs)) for pairs, at in parts]
         return plan
 
-    plans = course(ref0, pulse0, V_m), course(t_ref, p_width, V_r)
-    # a row that every write sets to the same values (the membrane's factor
-    # under t_ref = 0) holds them from the initial timers' first write on
-    seen = {}
-    for _, _, parts in plans[0] + plans[1]:
-        for pairs, _ in parts:
-            for row, values in pairs:
-                seen.setdefault(id(row), set()).add(values.tobytes())
-    fixed = {key for key, values in seen.items() if len(values) == 1}
-
-    def items(plan, initial):
-        """A plan's items as (d + 1, (check, writes, d)), the writes as
-        `write` gives them, without the fixed rows but in the initial
-        timers' first write."""
-        out = []
-        for d, check, parts in plan:
-            writes = [(write([(row, values) for row, values in pairs
-                              if id(row) not in fixed or (initial and d == 0)]), at)
-                      for pairs, at in parts]
-            writes = [(w, at) for w, at in writes if w]
-            if writes:
-                out.append((d + 1, (check, writes, d)))
-        return out
-
-    # the writes due on each step, as entries (start, neurons, item) filed
-    # by the starts: the initial timers at the end of step -1, then each
-    # spike's.  A spike's first write is due on the next step, filed after
-    # every other entry of that step, so it lands last on its neurons.
-    buckets = defaultdict(list)
-    initial_items, spike_items = items(plans[0], True), items(plans[1], False)
-    for d1, item in initial_items:
-        buckets[d1 - 1].append((-1, np.arange(n), item))
+    # the writes due on each step, as entries (start, neurons, check, d,
+    # at, writes) filed by the starts: the initial timers at the end of step
+    # -1, then each spike's.  A spike's first write is due on the next
+    # step, filed after every other entry of that step, so it lands last
+    # on its neurons.  Step k's entries are in slot k % len(buckets) of a
+    # ring as long as the longest d + 1: the slot is emptied on step k,
+    # before the step's spikes file theirs.
+    initial_plan, spike_plan = course(ref0, pulse0, V_m), course(t_ref, p_width, V_r)
+    buckets = [[] for _ in range(max(item[0] for item in initial_plan + spike_plan))]
+    ring = len(buckets)
+    for d1, *item in initial_plan:
+        buckets[d1 - 1].append((-1, np.arange(n), *item))
     # the last spike step and the one before it
     last_start = prior = -1
-    # each neuron's last spike, kept up to date in the loop where a
-    # pending write may have to be dropped
-    track = any(check for _, (check, _, _) in initial_items + spike_items)
+    # each neuron's last spike step, kept in the loop where a write may be
+    # dropped, else taken from the spike columns after it
+    track = any(item[1] for item in initial_plan + spike_plan)
     last = np.full(n, -1, dtype=np.int64)
     # the reset V_m <- V_r, one scalar where every V_r holds the same bits
     reset = one_value(V_r)
@@ -754,17 +731,11 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     next_segment = next(segment_starts)
     I_inj = np.empty(n)
     spiked = np.empty(n, dtype=bool)
-    # spikes as (step, neuron) columns in step order: the spike steps and
-    # their neurons as lists, folded into a block of columns every
-    # SPIKE_BLOCK steps
-    blocks, spike_steps, spike_idx = [np.empty((2, 0), dtype=np.int64)], [], []
-
-    def fold():
-        if spike_idx:
-            counts = [len(idx) for idx in spike_idx]
-            blocks.append(np.array([np.repeat(spike_steps, counts), np.concatenate(spike_idx)]))
-            spike_steps.clear()
-            spike_idx.clear()
+    # the spiking neurons in step order, in a buffer that grows by half
+    # when full, and the number of spikes on each step, in the smallest
+    # type that holds n
+    neurons, n_spikes = np.empty(n, dtype=np.int64), 0
+    per_step = np.zeros(n_steps, dtype=np.min_scalar_type(n))
     if record:
         V_rec = np.empty((n_steps + 1, n))
         Vw_rec = np.empty((n_steps + 1, n))
@@ -782,17 +753,21 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     for k in range(n_steps):
         # the writes due on this step, but for neurons that have spiked
         # again since their start, where that was possible
-        entries = buckets.pop(k, None)
+        entries = buckets[k % ring]
         if entries:
             # the last spike step before the previous step
             recent = prior if last_start == k - 1 else last_start
-            for start, idx, (check, writes, d) in entries:
+            for start, idx, check, d, at, writes in entries:
                 if check and recent > start:
                     idx = idx[last[idx] == start]
-                for write, at in writes:
-                    sel = idx if at is None else idx[at[idx] == d]
-                    for row, value, gather in write:
-                        row[sel] = value[sel] if gather else value
+                if at is not None:
+                    idx = idx[at[idx] == d]
+                for row, value, gather in writes:
+                    if gather:
+                        row[idx] = value[idx]
+                    else:
+                        row[idx] = value
+            entries.clear()
 
         sub(V_m, REF, ZM)
         if ad_on:
@@ -855,12 +830,15 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
             if track:
                 last[idx] = k
             prior, last_start = last_start, k
-            for d1, item in spike_items:
-                buckets[k + d1].append((k, idx, item))
-            spike_steps.append(k + 1)
-            spike_idx.append(idx)
-            if len(spike_idx) == SPIKE_BLOCK:
-                fold()
+            for d1, check, d, at, writes in spike_plan:
+                buckets[(k + d1) % ring].append((k, idx, check, d, at, writes))
+            end = n_spikes + idx.size
+            if end > neurons.size:
+                grow = max(end - neurons.size, neurons.size // 2)
+                neurons = np.concatenate((neurons, np.empty(grow, dtype=np.int64)))
+            neurons[n_spikes:end] = idx
+            per_step[k] = idx.size
+            n_spikes = end
         if record:
             V_rec[k + 1], Vw_rec[k + 1] = V_m, V_w
             se_rec[k + 1], si_rec[k + 1] = s_exc, s_inh
@@ -871,10 +849,11 @@ def _engine(cfg: CircuitNeuronConfig, n: int, currents, arr_exc, arr_inh,
     if not np.isfinite(S).all():
         raise NonFiniteState("circuit state became non-finite (dt too large?)",
                              time=n_steps * dt)
-    fold()
-    spikes = np.concatenate(blocks, axis=1)
+    steps = per_step.nonzero()[0]
+    spikes = np.array([np.repeat(steps + 1, per_step[steps]), neurons[:n_spikes]])
+    if not track:
+        np.maximum.at(last, spikes[1], spikes[0] - 1)
     # each timer runs down from its last start for the steps left after it
-    np.maximum.at(last, spikes[1], spikes[0] - 1)
     left_steps = n_steps - 1 - last
     timers = []
     for start in (np.where(last >= 0, t_ref, ref0), np.where(last >= 0, p_width, pulse0)):
